@@ -14,11 +14,9 @@ from .model import (
     ModelSpec,
     ModeSet,
     PayoffSpec,
-    Strategy,
     TimeGrid,
     ValidationReport,
     as_payoff,
-    floor_time,
     load_problem,
     payoff_from_registry,
     switch_count_bound,
@@ -27,13 +25,9 @@ from .model import (
 from .filtering import (
     CovarianceSchedule,
     EvaluationError,
-    GaussianBelief,
     IntegrationError,
     QuadratureRule,
     build_quadrature,
-    effective_payoff,
-    gauss_expectation,
-    mean_step,
     psd_sqrt,
     solve_riccati,
 )
@@ -47,7 +41,6 @@ from .simulate import (
     calibrate_domain,
     derive_seed,
     payoff_sup_on_domain,
-    simulate_path,
     simulate_paths,
 )
 from .regress import (
@@ -64,7 +57,6 @@ from .dp import (
     PolicyEvaluation,
     ValueSurface,
     backward_induction,
-    bermudan_projection,
     simulate_policy,
     value_at_origin,
 )
@@ -78,20 +70,19 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "ModelSpec", "ModeSet", "PayoffSpec", "Strategy", "TimeGrid",
-    "ValidationReport", "as_payoff", "floor_time", "load_problem",
+    "ModelSpec", "ModeSet", "PayoffSpec", "TimeGrid",
+    "ValidationReport", "as_payoff", "load_problem",
     "payoff_from_registry", "switch_count_bound", "validate",
-    "CovarianceSchedule", "EvaluationError", "GaussianBelief",
-    "IntegrationError", "QuadratureRule", "build_quadrature",
-    "effective_payoff", "gauss_expectation", "mean_step", "psd_sqrt",
+    "CovarianceSchedule", "EvaluationError",
+    "IntegrationError", "QuadratureRule", "build_quadrature", "psd_sqrt",
     "solve_riccati",
     "CalibrationError", "Domain", "NoiseSource", "PathEnsemble",
     "SimulationError", "build_ensemble", "calibrate_domain", "derive_seed",
-    "payoff_sup_on_domain", "simulate_path", "simulate_paths",
+    "payoff_sup_on_domain", "simulate_paths",
     "CoefficientVector", "HypercubeBasis", "IndexingError", "PminEstimate",
     "empirical_coefficients", "estimate_pmin", "regress_eval",
     "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",
-    "bermudan_projection", "simulate_policy", "value_at_origin",
+    "simulate_policy", "value_at_origin",
     "OracleRefusal", "TreeSpec", "no_switch_value", "riccati_reference",
     "tree_oracle_value",
 ]

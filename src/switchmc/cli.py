@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .benchmarks import (
     benchmark_problem,
     default_solver_params,
 )
-from .dp import backward_induction, simulate_policy, value_at_origin
+from .dp import backward_induction, value_at_origin
 from .filtering import build_quadrature, solve_riccati
 from .model import load_problem, switch_count_bound, validate
 from .oracle import TreeSpec, tree_oracle_value
@@ -48,10 +48,8 @@ from .simulate import (
 __all__ = [
     "StageError",
     "RunConfig",
-    "BoundReport",
     "PipelineResult",
     "run_pipeline",
-    "solve_replication",
     "run_solve",
     "run_table2",
     "run_sweep",
@@ -60,6 +58,9 @@ __all__ = [
 ]
 
 _ENV_THREADS = "SWITCHMC_THREADS"
+# Labels of the random streams of one replication, passed to derive_seed
+# after the master seed and the replication index.
+_SEED_LABELS = {"train": 0, "eval": 1, "pilot": 2}
 
 
 class StageError(RuntimeError):
@@ -106,21 +107,6 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Named contributions to the a-priori error bound, up to untracked
-    multiplicative constants."""
-
-    sqrt_delta_log_term: float
-    sqrt_delta_term: float
-    delta_term: float
-    epsilon_term: float
-    cell_over_delta_term: float
-    regression_noise_term: float
-    regression_bias_term: float
-    constants_note: str
-
-
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     """Everything one solve replication produced, for callers that need more
@@ -152,9 +138,19 @@ def _resolve_problem(config: RunConfig):
     return model, modes
 
 
-def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
-    """One full solve replication: validate, integrate the covariance,
-    calibrate the domain, simulate, regress, and run backward induction."""
+def _seeds(solver: dict, rep: int) -> dict:
+    """Seed of every labelled random stream of replication ``rep``."""
+    master = int(solver["seed"])
+    return {name: derive_seed(master, rep, label) for name, label in _SEED_LABELS.items()}
+
+
+def _simulate(config: RunConfig, rep: int, n_paths: int):
+    """Stages load, validate, riccati, quadrature, calibrate and simulate:
+    ``n_paths`` training paths of replication ``rep``.
+
+    Returns (model, modes, schedule, rule, ensemble, seeds); the calibrated
+    domain is ``ensemble.domain``.
+    """
     params = config.solver
     model, modes = _stage("load", _resolve_problem, config)
     grid = model.grid
@@ -163,40 +159,32 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
         raise StageError("validate", ValueError(str(report)))
     schedule = _stage("riccati", solve_riccati, model, grid)
     rule = _stage("quadrature", build_quadrature, model.n1, int(params["quad_order"]))
-
-    master = int(params["seed"])
-    train_seed = derive_seed(master, rep, 0)
-    eval_seed = derive_seed(master, rep, 1)
-    pilot_seed = derive_seed(master, rep, 2)
-    M = int(params["M"])
-
+    seeds = _seeds(params, rep)
     domain = _stage(
-        "calibrate",
-        calibrate_domain,
-        model,
-        grid,
-        schedule,
-        float(params["epsilon"]),
-        pilot_M=max(100, min(M, 1000)),
-        seed=pilot_seed,
+        "calibrate", calibrate_domain, model, grid, schedule, float(params["epsilon"]),
+        pilot_M=max(100, min(int(params["M"]), 1000)), seed=seeds["pilot"],
     )
     ensemble = _stage(
-        "simulate",
-        build_ensemble,
-        model,
-        grid,
-        schedule,
-        domain,
-        M,
-        NoiseSource("gaussian"),
-        train_seed,
+        "simulate", build_ensemble, model, grid, schedule, domain, n_paths,
+        NoiseSource("gaussian"), seeds["train"],
     )
+    return model, modes, schedule, rule, ensemble, seeds
+
+
+def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
+    """One full solve replication: validate, integrate the covariance,
+    calibrate the domain, simulate, regress, and run backward induction."""
+    params = config.solver
+    model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, int(params["M"]))
+    grid, domain = ensemble.grid, ensemble.domain
     basis = _stage("regress", HypercubeBasis, domain, params["cells_per_dim"])
     surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
     values = _stage("evaluate", value_at_origin, surface, model, modes, schedule, rule)
-    pmin = _stage("regress", estimate_pmin, ensemble, basis)
-    f_sup = payoff_sup_on_domain(modes, domain, schedule, rule, grid)
-    bound = switch_count_bound(modes, f_sup, model.T)
+    pmin = _stage("diagnostics", estimate_pmin, ensemble, basis)
+    f_sup = _stage(
+        "diagnostics", payoff_sup_on_domain, modes, domain, schedule, rule, grid
+    )
+    bound = _stage("diagnostics", switch_count_bound, modes, f_sup, model.T)
 
     return PipelineResult(
         model=model,
@@ -213,21 +201,9 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
         pmin_raw=pmin.raw_min,
         pmin_occupied=pmin.occupied_min,
         switch_bound=float(bound),
-        train_seed=train_seed,
-        eval_seed=eval_seed,
+        train_seed=seeds["train"],
+        eval_seed=seeds["eval"],
     )
-
-
-def solve_replication(config: RunConfig, rep: int) -> dict:
-    """Headline numbers of one replication, as a JSON-ready dict."""
-    result = run_pipeline(config, rep)
-    return {
-        "rep": rep,
-        "v": [float(x) for x in result.values],
-        "pmin_raw": result.pmin_raw,
-        "pmin_occupied": result.pmin_occupied,
-        "switch_bound": result.switch_bound,
-    }
 
 
 def _thread_map(fn, jobs, threads: int):
@@ -243,7 +219,19 @@ def run_solve(config: RunConfig, threads: int = 1) -> dict:
     """Solve the configured problem over the configured replications."""
     start = time.perf_counter()
     reps = int(config.solver.get("replications", 1))
-    rows = _thread_map(lambda r: solve_replication(config, r), range(reps), threads)
+
+    def one(rep):
+        # Keep only the headline numbers, so finished replications do not
+        # hold their paths and value surfaces.
+        result = run_pipeline(config, rep)
+        return {
+            "v": [float(x) for x in result.values],
+            "pmin_raw": result.pmin_raw,
+            "pmin_occupied": result.pmin_occupied,
+            "switch_bound": result.switch_bound,
+        }
+
+    rows = _thread_map(one, range(reps), threads)
     per_rep = np.array([row["v"] for row in rows])  # (reps, d)
     v_mean = per_rep.mean(axis=0)
     if reps > 1:
@@ -319,7 +307,7 @@ def run_sweep(config: RunConfig, axis: str, values=None, threads: int = 1) -> li
         problem = copy.deepcopy(config.problem)
         problem[axis] = val
         sub = RunConfig(problem=problem, solver=dict(config.solver), output=None)
-        return solve_replication(sub, rep)["v"][ACTIVE_MODE]
+        return float(run_pipeline(sub, rep).values[ACTIVE_MODE])
 
     flat = _thread_map(one, jobs, threads)
     rows = []
@@ -333,28 +321,12 @@ def run_sweep(config: RunConfig, axis: str, values=None, threads: int = 1) -> li
 def run_bound(config: RunConfig) -> dict:
     """A-priori error-bound terms for the configured discretization."""
     params = config.solver
-    model, modes = _stage("load", _resolve_problem, config)
-    grid = model.grid
-    delta = grid.delta
-    T = model.T
-    epsilon = float(params["epsilon"])
     M = int(params["M"])
+    model, _, _, _, ensemble, _ = _simulate(config, 0, M)
+    basis = _stage("regress", HypercubeBasis, ensemble.domain, params["cells_per_dim"])
+    pmin = _stage("diagnostics", estimate_pmin, ensemble, basis)
 
-    schedule = _stage("riccati", solve_riccati, model, grid)
-    rule = _stage("quadrature", build_quadrature, model.n1, int(params["quad_order"]))
-    pilot_seed = derive_seed(int(params["seed"]), 0, 2)
-    domain = _stage(
-        "calibrate", calibrate_domain, model, grid, schedule, epsilon,
-        pilot_M=max(100, min(M, 1000)), seed=pilot_seed,
-    )
-    ensemble = _stage(
-        "simulate", build_ensemble, model, grid, schedule, domain, M,
-        NoiseSource("gaussian"), derive_seed(int(params["seed"]), 0, 0),
-    )
-    basis = HypercubeBasis(domain, params["cells_per_dim"])
-    pmin = estimate_pmin(ensemble, basis)
-
-    cell_side = float(np.max(basis.delta_side))
+    delta = model.grid.delta
     p = pmin.raw_min
     if p > 0:
         noise_term = 1.0 / (delta * math.sqrt(M * p))
@@ -362,37 +334,28 @@ def run_bound(config: RunConfig) -> dict:
     else:
         noise_term = math.inf
         bias_term = math.inf
-    report = BoundReport(
-        sqrt_delta_log_term=math.sqrt(delta * math.log(2.0 * T / delta)),
-        sqrt_delta_term=math.sqrt(delta),
-        delta_term=delta,
-        epsilon_term=epsilon,
-        cell_over_delta_term=cell_side / delta,
-        regression_noise_term=noise_term,
-        regression_bias_term=bias_term,
-        constants_note=(
+    terms = {
+        "sqrt_delta_log_term": math.sqrt(delta * math.log(2.0 * model.T / delta)),
+        "sqrt_delta_term": math.sqrt(delta),
+        "delta_term": delta,
+        "epsilon_term": float(params["epsilon"]),
+        "cell_over_delta_term": float(np.max(basis.delta_side)) / delta,
+        "regression_noise_term": noise_term,
+        "regression_bias_term": bias_term,
+    }
+    # Infinite terms serialize as null so the output stays strict JSON; the
+    # infinite_terms list names them.
+    return {
+        "terms": {k: (None if math.isinf(v) else v) for k, v in terms.items()},
+        "constants_note": (
             "each term enters the total error bound up to a multiplicative "
             "constant that is not tracked; regression terms use the raw "
             "empirical minimum cell probability"
         ),
-    )
-    infinite = [
-        name for name, val in asdict(report).items()
-        if isinstance(val, float) and math.isinf(val)
-    ]
-    # Infinite terms serialize as null so the output stays strict JSON; the
-    # infinite_terms list names them.
-    out = {
-        "terms": {
-            k: (None if isinstance(v, float) and math.isinf(v) else v)
-            for k, v in asdict(report).items() if k != "constants_note"
-        },
-        "constants_note": report.constants_note,
         "pmin_hat": {"raw_min": pmin.raw_min, "occupied_min": pmin.occupied_min},
-        "infinite_terms": infinite,
+        "infinite_terms": [k for k, v in terms.items() if math.isinf(v)],
         "manifest": config.manifest("bound"),
     }
-    return out
 
 
 def _load_config_file(path: str) -> dict:
@@ -436,7 +399,8 @@ def _resolve_config(args) -> RunConfig:
             solver[key] = val
     # The grid comes from the problem unless a config or flag overrides it.
     if "n_steps" not in solver or solver["n_steps"] is None:
-        solver["n_steps"] = problem["n_steps"]
+        # A problem without n_steps fails at stage 'load', naming the key.
+        solver["n_steps"] = problem.get("n_steps")
     return RunConfig(problem=problem, solver=solver, output=output)
 
 
@@ -492,8 +456,8 @@ def _emit_manifest(config: RunConfig, command: str) -> None:
 
 def _cmd_validate(args) -> int:
     config = _resolve_config(args)
-    model, modes = _resolve_problem(config)
-    report = validate(model, modes, model.grid)
+    model, modes = _stage("load", _resolve_problem, config)
+    report = _stage("validate", validate, model, modes, model.grid)
     print(str(report))
     _emit_manifest(config, "validate")
     return 0 if report.ok else 1
@@ -521,20 +485,9 @@ def _cmd_riccati(args) -> int:
 
 def _cmd_paths(args) -> int:
     config = _resolve_config(args)
-    model, modes = _stage("load", _resolve_problem, config)
-    grid = model.grid
-    schedule = _stage("riccati", solve_riccati, model, grid)
-    epsilon = float(config.solver["epsilon"])
-    pilot_seed = derive_seed(int(config.solver["seed"]), 0, 2)
-    domain = _stage(
-        "calibrate", calibrate_domain, model, grid, schedule, epsilon,
-        pilot_M=max(100, min(int(config.solver["M"]), 1000)), seed=pilot_seed,
-    )
     n_paths = int(args.n_paths)
-    ensemble = _stage(
-        "simulate", build_ensemble, model, grid, schedule, domain, n_paths,
-        NoiseSource("gaussian"), derive_seed(int(config.solver["seed"]), 0, 0),
-    )
+    model, _, _, _, ensemble, _ = _simulate(config, 0, n_paths)
+    grid = model.grid
     header = (
         ["path", "k", "t"]
         + [f"m_{i + 1}" for i in range(model.n1)]
@@ -620,10 +573,10 @@ def _cmd_oracle(args) -> int:
     solver["n_steps"] = int(tree_steps)
     sub = RunConfig(problem=problem, solver=solver, output=config.output)
     model, modes = _stage("load", _resolve_problem, sub)
-    spec = TreeSpec(model=model, modes=modes)
+    spec = _stage("oracle", TreeSpec, model, modes)
     schedule = _stage("riccati", solve_riccati, model, model.grid)
     rule = _stage("quadrature", build_quadrature, model.n1, int(solver["quad_order"]))
-    values = tree_oracle_value(spec, schedule, rule)
+    values = _stage("oracle", tree_oracle_value, spec, schedule, rule)
     payload = {
         "values": [float(v) for v in values],
         "n_steps": model.n_steps,

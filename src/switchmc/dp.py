@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
-from .model import ModelSpec, ModeSet, Strategy, TimeGrid
+from .model import ModelSpec, ModeSet, TimeGrid
 from .regress import (
     CoefficientVector,
     HypercubeBasis,
@@ -27,7 +27,7 @@ from .regress import (
     memberships,
     regress_eval,
 )
-from .simulate import Domain, NoiseSource, PathEnsemble, simulate_paths
+from .simulate import NoiseSource, PathEnsemble, simulate_paths
 
 __all__ = [
     "ValueSurface",
@@ -36,7 +36,6 @@ __all__ = [
     "backward_induction",
     "value_at_origin",
     "simulate_policy",
-    "bermudan_projection",
 ]
 
 
@@ -108,30 +107,6 @@ class PolicyEvaluation:
     n_paths: int
 
 
-def _cost_block(modes: ModeSet, t: float, m, sqrt_theta, y, rule) -> np.ndarray:
-    """Switching costs at time t: (d, d) for time-only costs, else (d, d, M)
-    belief-averaged over the signal for state-dependent costs."""
-    d = modes.d
-    if not modes.allow_state_costs:
-        return modes.cost_matrix(t)
-    m = np.asarray(m, dtype=float)
-    y = np.asarray(y, dtype=float)
-    M = m.shape[0]
-    if np.any(sqrt_theta):
-        shifts = rule.nodes @ sqrt_theta.T
-        xs = m[:, None, :] + shifts[None, :, :]
-        ys = np.broadcast_to(y[:, None, :], xs.shape[:-1] + (y.shape[-1],))
-        w = rule.weights
-    else:
-        xs, ys, w = m, y, None
-    out = np.empty((d, d, M))
-    for i in range(d):
-        for j in range(d):
-            vals = np.asarray(modes.costs(i, j, t, xs, ys), dtype=float)
-            out[i, j] = vals if w is None else vals @ w
-    return out
-
-
 def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray | int):
     """Row-wise argmax of (d, M) action values where ties keep the current
     mode if it attains the max, otherwise take the smallest index."""
@@ -187,14 +162,10 @@ def backward_induction(
             cand[j] = delta * fbar + regress_eval(cv, ids)
         coeffs[k] = tuple(level)
 
-        cost = _cost_block(modes, t, m_k, sqrt_theta, y_k, rule)
+        cost = modes.cost_matrix(t)
         cells, first = np.unique(ids, return_index=True)
         for i in range(d):
-            if cost.ndim == 2:
-                action = cand - cost[i][:, None]
-            else:
-                action = cand - cost[i]
-            best, jstar = _stay_biased_argmax(action, i)
+            best, jstar = _stay_biased_argmax(cand - cost[i][:, None], i)
             values[k, i] = best
             choice[k, i, :] = i
             choice[k, i, cells] = jstar[first]
@@ -233,11 +204,10 @@ def value_at_origin(
         fbar = effective_payoff_batch(modes, j, m0, sqrt_theta0, y0, 0.0, rule)[0]
         cand[j] = delta * fbar + float(surface.coeffs[0][j].lambdas[cell])
 
-    cost = _cost_block(modes, 0.0, m0, sqrt_theta0, y0, rule)
+    cost = modes.cost_matrix(0.0)
     out = np.empty(d)
     for i in range(d):
-        ci = cost[i] if cost.ndim == 2 else cost[i][:, 0]
-        out[i] = float((cand - ci).max())
+        out[i] = float((cand - cost[i]).max())
     return out
 
 
@@ -289,23 +259,17 @@ def simulate_policy(
         for j in range(d):
             fbars[j] = effective_payoff_batch(modes, j, m_k, sqrt_theta, y_k, t, rule)
 
-        cost = _cost_block(modes, t, m_k, sqrt_theta, y_k, rule)
+        cost = modes.cost_matrix(t)
         if pointwise_policy:
             cand = np.empty((d, M))
             for j in range(d):
                 cand[j] = delta * fbars[j] + regress_eval(surface.coeffs[k][j], ids)
-            if cost.ndim == 2:
-                paid = cost[mode]  # (M, d)
-            else:
-                paid = cost[mode, :, rows]
+            paid = cost[mode]  # (M, d)
             _, jstar = _stay_biased_argmax(cand - paid.T, mode)
         else:
             jstar = policy.choice[k][mode, ids]
 
-        if cost.ndim == 2:
-            total -= cost[mode, jstar]
-        else:
-            total -= cost[mode, jstar, rows]
+        total -= cost[mode, jstar]
         total += delta * fbars[jstar, rows]
         switches += jstar != mode
         mode = jstar
@@ -318,12 +282,3 @@ def simulate_policy(
         mean_switches=float(switches.mean()),
         n_paths=M,
     )
-
-
-def bermudan_projection(strategy: Strategy, grid: TimeGrid) -> Strategy:
-    """Round every switch time up to the next grid point (min t in grid >= tau)."""
-    times = grid.times
-    new_switches = tuple(
-        (float(times[grid.ceil_index(tau)]), xi) for tau, xi in strategy.switches
-    )
-    return Strategy(xi0=strategy.xi0, switches=new_switches)

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .model import ModelSpec, ModeSet, TimeGrid
 
 __all__ = [
     "IntegrationError",
     "EvaluationError",
-    "GaussianBelief",
     "CovarianceSchedule",
     "QuadratureRule",
     "psd_sqrt",
@@ -32,8 +29,6 @@ __all__ = [
     "default_substeps",
     "rowwise_matvec",
     "mean_step",
-    "gauss_expectation",
-    "effective_payoff",
     "effective_payoff_batch",
 ]
 
@@ -64,29 +59,6 @@ def psd_sqrt(theta: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sym)
     vals = np.clip(vals, _EIG_FLOOR, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianBelief:
-    """Conditional law N(m, theta) of the signal given observations."""
-
-    m: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.atleast_1d(np.asarray(self.m, dtype=float))
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim == 0:
-            theta = theta.reshape(1, 1)
-        n1 = m.shape[0]
-        if theta.shape != (n1, n1):
-            raise ValueError(f"theta must have shape ({n1}, {n1}), got {theta.shape}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def n1(self) -> int:
-        return self.m.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +95,6 @@ class CovarianceSchedule:
     @property
     def n_steps(self) -> int:
         return self.thetas.shape[0] - 1
-
-    def belief(self, k: int, m: np.ndarray) -> GaussianBelief:
-        return GaussianBelief(m=m, theta=self.thetas[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +188,10 @@ def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
         return QuadratureRule(
             nodes=nodes[order_idx], weights=weights[order_idx], kind="gauss-hermite"
         )
+    # scipy.stats is slow to import, and only this fallback needs it.
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=dim, scramble=False)
     sampler.fast_forward(1)  # skip the origin, whose quantile is -inf
     u = sampler.random(_HALTON_POINTS)
@@ -343,56 +316,6 @@ def mean_step(
     innov = dy - rowwise_matvec(G, m) * delta
     gain = np.asarray(theta, dtype=float) @ np.asarray(G, dtype=float).T
     return m + drift * delta + rowwise_matvec(gain, innov)
-
-
-def gauss_expectation(phi, belief: GaussianBelief, rule: QuadratureRule) -> float:
-    """E[phi(X)] for X ~ N(m, theta) via quadrature at m + sqrt(theta) z_q.
-
-    ``phi`` must accept an array of shape (n_nodes, n1) and return (n_nodes,).
-    A zero covariance short-circuits to a single evaluation at the mean.
-    Non-finite integrand values raise EvaluationError naming the node.
-    """
-    m = belief.m
-    if not np.any(belief.theta):
-        val = np.asarray(phi(m[None, :]), dtype=float).reshape(-1)
-        if not np.isfinite(val[0]):
-            raise EvaluationError(f"integrand not finite at the mean {m}")
-        return float(val[0])
-    if rule.dim != belief.n1:
-        raise ValueError(f"rule dimension {rule.dim} does not match belief dimension {belief.n1}")
-    sqrt_theta = psd_sqrt(belief.theta)
-    points = m[None, :] + rule.nodes @ sqrt_theta.T
-    vals = np.asarray(phi(points), dtype=float).reshape(-1)
-    if vals.shape != (rule.n_nodes,):
-        raise ValueError(
-            f"integrand returned shape {np.shape(phi(points))}, expected ({rule.n_nodes},)"
-        )
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        q = int(np.argmax(bad))
-        raise EvaluationError(
-            f"integrand not finite at quadrature node {q} (point {points[q]})"
-        )
-    return float(rule.weighted_sum(vals))
-
-
-def effective_payoff(
-    modes: ModeSet,
-    j: int,
-    belief: GaussianBelief,
-    y: np.ndarray,
-    t: float,
-    rule: QuadratureRule,
-) -> float:
-    """Belief-averaged payoff of mode j at observation state y and time t."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    payoff = modes.payoffs[j]
-
-    def phi(points: np.ndarray) -> np.ndarray:
-        ys = np.broadcast_to(y, points.shape[:-1] + y.shape)
-        return payoff(points, ys, t)
-
-    return gauss_expectation(phi, belief, rule)
 
 
 def effective_payoff_batch(

@@ -13,33 +13,26 @@ plain immutable value object; the solver modules consume them read-only.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "TimeGrid",
     "ModelSpec",
     "PayoffSpec",
     "ModeSet",
-    "Strategy",
     "ValidationReport",
     "payoff_from_registry",
     "as_payoff",
     "validate",
     "switch_count_bound",
-    "floor_time",
     "load_problem",
 ]
 
 # Tolerance used for symmetry / PSD / triangle-inequality checks.
 _CHECK_ATOL = 1e-10
-# Relative slack when snapping times to the grid (guards float division noise).
-_GRID_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,25 +55,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_steps + 1)
-
-    def floor_index(self, t: float) -> int:
-        """Index of the largest grid point <= t.  Errors outside [0, T]."""
-        if t < -self.T * _GRID_SNAP or t > self.T * (1.0 + _GRID_SNAP):
-            raise ValueError(f"time {t} outside [0, {self.T}]")
-        k = int(np.floor(t / self.delta + _GRID_SNAP))
-        return min(max(k, 0), self.n_steps)
-
-    def ceil_index(self, t: float) -> int:
-        """Index of the smallest grid point >= t.  Errors outside [0, T]."""
-        if t < -self.T * _GRID_SNAP or t > self.T * (1.0 + _GRID_SNAP):
-            raise ValueError(f"time {t} outside [0, {self.T}]")
-        k = int(np.ceil(t / self.delta - _GRID_SNAP))
-        return min(max(k, 0), self.n_steps)
-
-
-def floor_time(t: float, grid: TimeGrid) -> float:
-    """Largest grid point <= t (the piecewise-constant evaluation time)."""
-    return grid.times[grid.floor_index(t)]
 
 
 def _as_schedule(name: str, value, n_steps: int, rows: int, cols: int) -> np.ndarray:
@@ -269,16 +243,13 @@ def as_payoff(obj) -> PayoffSpec:
 class ModeSet:
     """d operating modes: payoffs f_i(x, y, t) and switching costs c(i, j, t).
 
-    Costs are time-only by default.  With ``allow_state_costs=True`` the cost
-    callable may take (i, j, t, x, y); effective costs are then integrated
-    over the belief like payoffs, and a warning is logged because the value
-    regularity behind the error analysis is no longer guaranteed.
+    Costs are functions of time only: a (d, d) matrix, or a callable
+    (i, j, t) -> float.
     """
 
     payoffs: tuple
     costs: Callable
     nu: float
-    allow_state_costs: bool = False
 
     def __post_init__(self) -> None:
         payoffs = tuple(as_payoff(p) for p in self.payoffs)
@@ -292,18 +263,10 @@ class ModeSet:
             if matrix.shape != (d, d):
                 raise ValueError(f"cost matrix must be ({d}, {d}), got {matrix.shape}")
             object.__setattr__(self, "costs", lambda i, j, t, _m=matrix: float(_m[i, j]))
-        if self.allow_state_costs:
-            logger.warning(
-                "state-dependent switching costs enabled: Lipschitz regularity of the "
-                "value function is no longer guaranteed and error scaling may degrade"
-            )
 
     @property
     def d(self) -> int:
         return len(self.payoffs)
-
-    def cost(self, i: int, j: int, t: float) -> float:
-        return float(self.costs(i, j, t))
 
     def cost_matrix(self, t: float) -> np.ndarray:
         d = self.d
@@ -312,21 +275,6 @@ class ModeSet:
             for j in range(d):
                 out[i, j] = self.costs(i, j, t)
         return out
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Initial mode plus an ordered list of (switch time, target mode)."""
-
-    xi0: int
-    switches: tuple = ()
-
-    def __post_init__(self) -> None:
-        switches = tuple((float(tau), int(xi)) for tau, xi in self.switches)
-        taus = [tau for tau, _ in switches]
-        if any(b < a for a, b in zip(taus, taus[1:])):
-            raise ValueError(f"switch times must be non-decreasing, got {taus}")
-        object.__setattr__(self, "switches", switches)
 
 
 @dataclass
@@ -345,20 +293,8 @@ class ValidationReport:
         return "\n".join(f"violation: {v}" for v in self.violations)
 
 
-def _cost_at(modes: ModeSet, i: int, j: int, t: float, x: np.ndarray, y: np.ndarray) -> float:
-    if modes.allow_state_costs:
-        try:
-            return float(modes.costs(i, j, t, x, y))
-        except TypeError:
-            return float(modes.costs(i, j, t))
-    return float(modes.costs(i, j, t))
-
-
 def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationReport:
-    """Check every structural assumption; report violations, never raise.
-
-    State-dependent costs (when enabled) are checked at (x, y) = (m0, y0).
-    """
+    """Check every structural assumption; report violations, never raise."""
     report = ValidationReport()
     add = report.violations.append
 
@@ -390,13 +326,9 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
         add(f"nu must be positive, got {modes.nu}")
 
     d = modes.d
-    x0, y0 = model.m0, model.y0
     try:
-        for k, t in enumerate(times):
-            c = np.empty((d, d))
-            for i in range(d):
-                for j in range(d):
-                    c[i, j] = _cost_at(modes, i, j, float(t), x0, y0)
+        for t in times:
+            c = modes.cost_matrix(float(t))
             diag = np.abs(np.diag(c))
             if diag.max(initial=0.0) > _CHECK_ATOL:
                 add(f"diagonal cost nonzero at t={t:g} (max |c(i,i)| = {diag.max():.3e})")
@@ -476,6 +408,5 @@ def load_problem(source) -> tuple:
         payoffs=tuple(payoffs),
         costs=np.asarray(data["costs"], dtype=float),
         nu=float(data["nu"]),
-        allow_state_costs=bool(data.get("allow_state_costs", False)),
     )
     return model, modes

@@ -107,13 +107,6 @@ class HypercubeBasis:
             return int(out)
         return out
 
-    def cell_center(self, index: int) -> np.ndarray:
-        """Center point of the cell with the given flat index."""
-        coords = np.unravel_index(int(index), self.cells_per_dim)
-        return np.array(
-            [0.5 * (self._edges[c][i] + self._edges[c][i + 1]) for c, i in enumerate(coords)]
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class CoefficientVector:

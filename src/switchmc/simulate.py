@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .filtering import CovarianceSchedule, psd_sqrt, rowwise_matvec
+from .filtering import CovarianceSchedule, mean_step, psd_sqrt, rowwise_matvec
 from .model import ModelSpec, TimeGrid
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "PathEnsemble",
     "derive_seed",
     "simulate_paths",
-    "simulate_path",
     "build_ensemble",
     "calibrate_domain",
     "payoff_sup_on_domain",
@@ -249,17 +248,11 @@ def simulate_paths(
         F = model.F[k]
         C = model.C[k]
         G = model.G[k]
-        theta = schedule.thetas[k]
         xk = x[:, k, :]
-        yk = y[:, k, :]
-        mk = m[:, k, :]
         x_next = xk + rowwise_matvec(F, xk) * delta + rowwise_matvec(C, dw[:, k, :])
         dy = rowwise_matvec(G, xk) * delta + du[:, k, :]
-        y_next = yk + dy
-        drift = rowwise_matvec(F, mk)
-        innov = dy - rowwise_matvec(G, mk) * delta
-        gain = theta @ G.T
-        m_next = mk + drift * delta + rowwise_matvec(gain, innov)
+        y_next = y[:, k, :] + dy
+        m_next = mean_step(m[:, k, :], dy, schedule.thetas[k], F, G, delta)
         if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(m_next)) and np.all(np.isfinite(y_next))):
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
@@ -269,19 +262,6 @@ def simulate_paths(
         m[:, k + 1, :] = m_next
 
     return m, y, x
-
-
-def simulate_path(
-    model: ModelSpec,
-    grid: TimeGrid,
-    schedule: CovarianceSchedule,
-    noise: NoiseSource,
-    seed: int,
-    path_id: int,
-):
-    """Single raw path (m, y, x) with shapes (N+1, n1), (N+1, n2), (N+1, n1)."""
-    m, y, x = simulate_paths(model, grid, schedule, noise, seed, [path_id])
-    return m[0], y[0], x[0]
 
 
 def build_ensemble(

@@ -11,6 +11,10 @@ bugs:
   closed-form filter variance instead of simulation or regression;
 - a dictionary-based exhaustive tree valuation for small two-point-noise
   instances.
+
+``make_benchmark`` and ``belief_average`` are conveniences, not references:
+the latter routes a Gaussian expectation through the solver's own belief
+average so it can be compared with the exact moments above.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from switchmc import load_problem
+from switchmc import ModeSet, load_problem, psd_sqrt
 from switchmc.benchmarks import benchmark_problem
+from switchmc.filtering import effective_payoff_batch
 
 
 def gaussian_monomial_moment(m, theta, alpha) -> float:
@@ -205,3 +210,15 @@ def make_benchmark(n_steps: int = 730, m0: float = 0.0, **overrides):
     problem["n_steps"] = int(n_steps)
     problem.update(overrides)
     return load_problem(problem)
+
+
+def belief_average(phi, m, theta, rule) -> float:
+    """E[phi(X)] for X ~ N(m, theta) through the solver's one belief average:
+    ``effective_payoff_batch`` at the single mean m with factor
+    psd_sqrt(theta), carrying phi(x) as the payoff of a one-mode ModeSet."""
+    modes = ModeSet(payoffs=(lambda x, y, t: phi(x),), costs=[[0.0]], nu=1.0)
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    sqrt_theta = psd_sqrt(np.atleast_2d(theta))
+    return float(
+        effective_payoff_batch(modes, 0, m[None, :], sqrt_theta, np.zeros((1, 1)), 0.0, rule)[0]
+    )

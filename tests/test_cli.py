@@ -20,6 +20,17 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def write_problem(tmp_path, **changes):
+    """The benchmark problem with ``changes`` applied (None deletes a key),
+    written to a JSON file; returns its path."""
+    problem = benchmark_problem()
+    problem.update(changes)
+    problem = {k: v for k, v in problem.items() if v is not None}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
 class TestValidate:
     def test_benchmark_passes(self, capsys):
         code, out, _ = run_cli(["validate"], capsys)
@@ -34,6 +45,13 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "--problem", str(path)], capsys)
         assert code == 1
         assert "violation" in out
+
+    def test_missing_key_is_a_load_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, nu=None)
+        code, _, err = run_cli(["validate", "--problem", path], capsys)
+        assert code == 2
+        assert "error at stage 'load'" in err
+        assert "nu" in err
 
 
 class TestRiccati:
@@ -177,6 +195,22 @@ class TestConfigPrecedence:
         assert code == 2
         assert "error at stage 'load'" in err
 
+    def test_state_cost_key_is_ignored(self, tmp_path, capsys):
+        # Switching costs depend on time only, so load_problem ignores an
+        # allow_state_costs key and the solve must not change.
+        args = ["solve", "--M", "100", "--n-steps", "10", "--replications", "1", "--seed", "4"]
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        flagged = tmp_path / "flagged"
+        flagged.mkdir()
+        code, out, _ = run_cli(args + ["--problem", write_problem(plain)], capsys)
+        assert code == 0
+        code, out_flagged, err = run_cli(
+            args + ["--problem", write_problem(flagged, allow_state_costs=True)], capsys
+        )
+        assert code == 0, err
+        assert json.loads(out_flagged)["v"] == json.loads(out)["v"]
+
 
 class TestSweep:
     def test_csv_named_after_axis(self, tmp_path, capsys):
@@ -213,6 +247,21 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["n_leaves"] == 64
 
+    def test_too_deep_tree_is_an_oracle_error(self, capsys):
+        code, _, err = run_cli(["oracle", "--n-steps", "9"], capsys)
+        assert code == 2
+        assert "error at stage 'oracle'" in err
+
+    def test_vector_signal_is_an_oracle_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, n1=2, m1=2, F=[[0.0, 0.0], [0.0, 0.0]],
+            C=[[1.0, 0.0], [0.0, 1.0]], G=[[1.0, 1.0]], m0=[0.0, 0.0],
+            theta0=[[0.0, 0.0], [0.0, 0.0]],
+        )
+        code, _, err = run_cli(["oracle", "--problem", path], capsys)
+        assert code == 2
+        assert "error at stage 'oracle'" in err
+
 
 class TestBound:
     def test_strict_json_with_named_terms(self, capsys):
@@ -244,6 +293,11 @@ class TestBound:
             assert "regression_noise_term" in payload["infinite_terms"]
         else:
             assert payload["infinite_terms"] == []
+
+    def test_empty_partition_is_a_regress_error(self, capsys):
+        code, _, err = run_cli(["bound", *FAST, "--cells-per-dim", "0"], capsys)
+        assert code == 2
+        assert "error at stage 'regress'" in err
 
     def test_reference_arithmetic_for_the_default_grid(self):
         # At delta = 1/730 the log-weighted term is about 0.0999 and a cell

@@ -12,10 +12,8 @@ from switchmc import (
     HypercubeBasis,
     ModeSet,
     NoiseSource,
-    Strategy,
     as_payoff,
     backward_induction,
-    bermudan_projection,
     build_ensemble,
     build_quadrature,
     calibrate_domain,
@@ -223,22 +221,3 @@ class TestSimulatePolicy:
             start_mode=0, M=150, seed=12, pointwise_policy=False,
         )
         assert np.isfinite(ev.mean)
-
-
-class TestBermudanProjection:
-    def test_times_snap_up_to_the_grid(self):
-        model, _ = make_benchmark(n_steps=10)
-        grid = model.grid
-        strategy = Strategy(xi0=0, switches=((0.31, 1), (0.69, 0)))
-        proj = bermudan_projection(strategy, grid)
-        times = [t for t, _ in proj.switches]
-        assert times == pytest.approx([0.4, 0.7])
-        assert [m for _, m in proj.switches] == [1, 0]
-        assert proj.xi0 == 0
-
-    def test_grid_times_are_fixed_points(self):
-        model, _ = make_benchmark(n_steps=10)
-        grid = model.grid
-        strategy = Strategy(xi0=1, switches=((0.3, 0),))
-        proj = bermudan_projection(strategy, grid)
-        assert proj.switches[0][0] == pytest.approx(0.3)

@@ -5,18 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import gaussian_monomial_moment, make_benchmark
+from oracles import belief_average, gaussian_monomial_moment, make_benchmark
 
 from switchmc import (
     EvaluationError,
-    GaussianBelief,
     IntegrationError,
     ModelSpec,
     TimeGrid,
     build_quadrature,
-    effective_payoff,
-    gauss_expectation,
-    mean_step,
     psd_sqrt,
     solve_riccati,
 )
@@ -24,6 +20,7 @@ from switchmc.filtering import (
     CovarianceSchedule,
     default_substeps,
     effective_payoff_batch,
+    mean_step,
     rowwise_matvec,
 )
 
@@ -174,7 +171,6 @@ class TestQuadrature:
             a = rng.standard_normal((dim, dim))
             theta = a @ a.T
             m = rng.standard_normal(dim)
-            belief = GaussianBelief(m=m, theta=theta)
             for order in (2, 8):
                 rule = build_quadrature(dim, order)
                 for _ in range(6):
@@ -190,7 +186,7 @@ class TestQuadrature:
                             out = out * x[..., i] ** a_i
                         return out
 
-                    got = gauss_expectation(phi, belief, rule)
+                    got = belief_average(phi, m, theta, rule)
                     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_odd_moments_vanish_exactly_at_zero_mean(self):
@@ -198,8 +194,7 @@ class TestQuadrature:
         # floating point, not just approximately.
         for dim in (1, 2, 3):
             rule = build_quadrature(dim, 16)
-            belief = GaussianBelief(m=np.zeros(dim), theta=np.eye(dim))
-            got = gauss_expectation(lambda x: x[..., 0], belief, rule)
+            got = belief_average(lambda x: x[..., 0], np.zeros(dim), np.eye(dim), rule)
             assert got == 0.0
 
     def test_weighted_sum_matches_plain_dot(self):
@@ -210,11 +205,14 @@ class TestQuadrature:
 
 
 class TestGaussExpectation:
+    """Gaussian expectations through ``effective_payoff_batch``, the solver's
+    belief average (see ``oracles.belief_average``)."""
+
     def test_constant_and_mean(self):
         rule = build_quadrature(1, 8)
-        belief = GaussianBelief(m=np.array([0.7]), theta=np.array([[2.0]]))
-        assert gauss_expectation(lambda x: np.ones(x.shape[:-1]), belief, rule) == pytest.approx(1.0)
-        assert gauss_expectation(lambda x: x[..., 0], belief, rule) == pytest.approx(0.7, rel=1e-12)
+        m, theta = np.array([0.7]), np.array([[2.0]])
+        assert belief_average(lambda x: np.ones(x.shape[:-1]), m, theta, rule) == pytest.approx(1.0)
+        assert belief_average(lambda x: x[..., 0], m, theta, rule) == pytest.approx(0.7, rel=1e-12)
 
     def test_degenerate_covariance_short_circuits(self):
         rule = build_quadrature(1, 8)
@@ -224,27 +222,23 @@ class TestGaussExpectation:
             calls.append(x.shape)
             return x[..., 0]
 
-        belief = GaussianBelief(m=np.array([1.25]), theta=np.array([[0.0]]))
-        assert gauss_expectation(phi, belief, rule) == 1.25
+        assert belief_average(phi, np.array([1.25]), np.array([[0.0]]), rule) == 1.25
         assert len(calls) == 1
 
     def test_non_finite_integrand_reported(self):
         rule = build_quadrature(1, 8)
-        belief = GaussianBelief(m=np.array([0.0]), theta=np.array([[1.0]]))
 
         def phi(x):
             return np.where(x[..., 0] > 0, np.inf, 0.0)
 
         with pytest.raises(EvaluationError) as err:
-            gauss_expectation(phi, belief, rule)
+            belief_average(phi, np.array([0.0]), np.array([[1.0]]), rule)
         assert "node" in str(err.value)
 
     def test_linear_in_integrand(self):
         rule = build_quadrature(2, 8)
-        belief = GaussianBelief(
-            m=np.array([0.3, -0.2]),
-            theta=np.array([[1.0, 0.4], [0.4, 2.0]]),
-        )
+        m = np.array([0.3, -0.2])
+        theta = np.array([[1.0, 0.4], [0.4, 2.0]])
 
         def phi1(x):
             return np.sin(x[..., 0])
@@ -252,10 +246,10 @@ class TestGaussExpectation:
         def phi2(x):
             return x[..., 1] ** 2
 
-        e1 = gauss_expectation(phi1, belief, rule)
-        e2 = gauss_expectation(phi2, belief, rule)
-        combined = gauss_expectation(
-            lambda x: 2.5 * phi1(x) - 0.75 * phi2(x), belief, rule
+        e1 = belief_average(phi1, m, theta, rule)
+        e2 = belief_average(phi2, m, theta, rule)
+        combined = belief_average(
+            lambda x: 2.5 * phi1(x) - 0.75 * phi2(x), m, theta, rule
         )
         assert combined == pytest.approx(2.5 * e1 - 0.75 * e2, rel=1e-12, abs=1e-12)
 
@@ -267,7 +261,7 @@ class TestGaussExpectation:
         rng = np.random.default_rng(8)
         for _ in range(5):
             m = rng.standard_normal(1)
-            belief = GaussianBelief(m=m, theta=np.array([[0.7]]))
+            theta = np.array([[0.7]])
 
             def low(x):
                 return np.tanh(x[..., 0])
@@ -275,7 +269,7 @@ class TestGaussExpectation:
             def high(x):
                 return np.tanh(x[..., 0]) + 0.01 * x[..., 0] ** 2
 
-            assert gauss_expectation(low, belief, rule) <= gauss_expectation(high, belief, rule)
+            assert belief_average(low, m, theta, rule) <= belief_average(high, m, theta, rule)
 
 
 class TestMeanStep:
@@ -329,25 +323,27 @@ class TestMeanStep:
 
 class TestEffectivePayoff:
     def test_linear_payoff_integrates_to_mean(self, small_problem, small_schedule, rule16):
-        model, modes = small_problem
-        belief = GaussianBelief(m=np.array([0.4]), theta=small_schedule.thetas[10])
-        got = effective_payoff(modes, 1, belief, np.array([0.0]), 0.5, rule16)
-        assert got == pytest.approx(0.4, rel=1e-12)
+        _, modes = small_problem
+        sqrt_theta = psd_sqrt(small_schedule.thetas[10])
+        got = effective_payoff_batch(modes, 1, [[0.4]], sqrt_theta, [[0.0]], 0.5, rule16)
+        assert got[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_zero_payoff_is_zero(self, small_problem, small_schedule, rule16):
         _, modes = small_problem
-        belief = GaussianBelief(m=np.array([0.4]), theta=small_schedule.thetas[10])
-        assert effective_payoff(modes, 0, belief, np.array([0.0]), 0.5, rule16) == 0.0
+        sqrt_theta = psd_sqrt(small_schedule.thetas[10])
+        got = effective_payoff_batch(modes, 0, [[0.4]], sqrt_theta, [[0.0]], 0.5, rule16)
+        assert got[0] == 0.0
 
     def test_batch_matches_pointwise(self, small_problem, small_schedule, rule16):
+        # Each row's belief average is independent of how rows are batched.
         _, modes = small_problem
         rng = np.random.default_rng(7)
         ms = rng.standard_normal((15, 1))
         ys = rng.standard_normal((15, 1))
-        sqrt_theta = small_schedule.sqrt_thetas[5]
-        theta = small_schedule.thetas[5]
+        sqrt_theta = psd_sqrt(small_schedule.thetas[5])
         batch = effective_payoff_batch(modes, 1, ms, sqrt_theta, ys, 0.25, rule16)
         for i in range(15):
-            belief = GaussianBelief(m=ms[i], theta=theta)
-            single = effective_payoff(modes, 1, belief, ys[i], 0.25, rule16)
-            assert batch[i] == pytest.approx(single, rel=1e-13, abs=1e-15)
+            single = effective_payoff_batch(
+                modes, 1, ms[i:i + 1], sqrt_theta, ys[i:i + 1], 0.25, rule16
+            )
+            assert batch[i] == single[0]

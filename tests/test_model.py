@@ -14,10 +14,8 @@ from switchmc import (
     ModeSet,
     ModelSpec,
     PayoffSpec,
-    Strategy,
     TimeGrid,
     as_payoff,
-    floor_time,
     load_problem,
     payoff_from_registry,
     switch_count_bound,
@@ -33,36 +31,11 @@ class TestTimeGrid:
         assert np.allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert grid.times[-1] == 1.0
 
-    def test_floor_and_ceil_index(self):
-        grid = TimeGrid(T=1.0, n_steps=10)
-        assert grid.floor_index(0.31) == 3
-        assert grid.ceil_index(0.31) == 4
-        assert grid.floor_index(0.3) == 3
-        assert grid.ceil_index(0.3) == 3
-        assert grid.floor_index(0.0) == 0
-        assert grid.floor_index(1.0) == 10
-
-    def test_floor_index_snaps_float_noise(self):
-        grid = TimeGrid(T=1.0, n_steps=730)
-        t3 = 3 * grid.delta
-        assert grid.floor_index(t3 * (1 - 1e-12)) == 3
-
-    def test_out_of_range_times_rejected(self):
-        grid = TimeGrid(T=1.0, n_steps=4)
-        with pytest.raises(ValueError):
-            grid.floor_index(-0.01)
-        with pytest.raises(ValueError):
-            grid.floor_index(1.01)
-
     def test_bad_construction(self):
         with pytest.raises(ValueError):
             TimeGrid(T=0.0, n_steps=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, n_steps=0)
-
-    def test_floor_time(self):
-        grid = TimeGrid(T=1.0, n_steps=10)
-        assert floor_time(0.31, grid) == pytest.approx(0.3)
 
 
 class TestModelSpec:
@@ -181,13 +154,6 @@ class TestModeSet:
                 payoffs=(as_payoff("zero"), as_payoff("linear")),
                 costs=np.zeros((3, 3)), nu=0.001,
             )
-
-
-class TestStrategy:
-    def test_switch_times_must_be_nondecreasing(self):
-        Strategy(xi0=0, switches=((0.1, 1), (0.1, 0), (0.5, 1)))
-        with pytest.raises(ValueError):
-            Strategy(xi0=0, switches=((0.5, 1), (0.1, 0)))
 
 
 class TestValidate:

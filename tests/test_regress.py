@@ -63,12 +63,6 @@ class TestHypercubeBasis:
         assert basis.R == 20
         assert np.allclose(basis.delta_side, [0.5, 0.4])
 
-    def test_cell_center_round_trip(self):
-        basis = unit_basis((3, 3))
-        for r in range(9):
-            center = basis.cell_center(r)
-            assert basis.cell_index(center[None, :])[0] == r
-
     def test_cells_per_dim_validation(self):
         with pytest.raises(ValueError):
             unit_basis(0)

@@ -19,7 +19,6 @@ from switchmc import (
     calibrate_domain,
     derive_seed,
     payoff_sup_on_domain,
-    simulate_path,
     simulate_paths,
     solve_riccati,
 )
@@ -92,15 +91,15 @@ class TestSimulatePaths:
         grid = model.grid
         noise = NoiseSource("gaussian")
         m_all, y_all, x_all = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=range(64))
-        m_one, y_one, x_one = simulate_path(model, grid, schedule, noise, seed=42, path_id=17)
-        assert np.array_equal(m_all[17], m_one)
-        assert np.array_equal(y_all[17], y_one)
-        assert np.array_equal(x_all[17], x_one)
+        m_one, y_one, x_one = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=[17])
+        assert np.array_equal(m_all[17], m_one[0])
+        assert np.array_equal(y_all[17], y_one[0])
+        assert np.array_equal(x_all[17], x_one[0])
         m_sub, y_sub, _ = simulate_paths(
             model, grid, schedule, noise, seed=42, path_ids=[17, 3, 99]
         )
-        assert np.array_equal(m_sub[0], m_one)
-        assert np.array_equal(y_sub[0], y_one)
+        assert np.array_equal(m_sub[0], m_one[0])
+        assert np.array_equal(y_sub[0], y_one[0])
 
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
