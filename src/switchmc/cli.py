@@ -35,14 +35,13 @@ from .dp import backward_induction, value_at_origin
 from .filtering import build_quadrature, solve_riccati
 from .model import load_problem, switch_count_bound, validate
 from .oracle import TreeSpec, tree_oracle_value
-from .regress import HypercubeBasis, estimate_pmin
+from .regress import HypercubeBasis, estimate_pmin, memberships
 from .simulate import (
     NoiseSource,
     build_ensemble,
     calibrate_domain,
     derive_seed,
     payoff_sup_on_domain,
-    simulate_paths,
 )
 
 __all__ = [
@@ -178,9 +177,12 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, int(params["M"]))
     grid, domain = ensemble.grid, ensemble.domain
     basis = _stage("regress", HypercubeBasis, domain, params["cells_per_dim"])
-    surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
+    cell_ids = _stage("regress", memberships, ensemble, basis)
+    surface, policy = _stage(
+        "induction", backward_induction, ensemble, basis, cell_ids, modes, schedule, rule
+    )
     values = _stage("evaluate", value_at_origin, surface, model, modes, schedule, rule)
-    pmin = _stage("diagnostics", estimate_pmin, ensemble, basis)
+    pmin = _stage("diagnostics", estimate_pmin, cell_ids, basis.R)
     f_sup = _stage(
         "diagnostics", payoff_sup_on_domain, modes, domain, schedule, rule, grid
     )
@@ -206,6 +208,14 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     )
 
 
+def _replications(solver: dict) -> int:
+    """The configured replication count; at least one."""
+    reps = int(solver.get("replications", 1))
+    if reps < 1:
+        raise ValueError(f"replications must be >= 1, got {reps}")
+    return reps
+
+
 def _thread_map(fn, jobs, threads: int):
     """Order-preserving map, optionally across a thread pool."""
     jobs = list(jobs)
@@ -218,7 +228,7 @@ def _thread_map(fn, jobs, threads: int):
 def run_solve(config: RunConfig, threads: int = 1) -> dict:
     """Solve the configured problem over the configured replications."""
     start = time.perf_counter()
-    reps = int(config.solver.get("replications", 1))
+    reps = _stage("load", _replications, config.solver)
 
     def one(rep):
         # Keep only the headline numbers, so finished replications do not
@@ -298,7 +308,7 @@ def run_sweep(config: RunConfig, axis: str, values=None, threads: int = 1) -> li
         raise ValueError(f"sweep axis must be one of {sorted(_SWEEP_DEFAULTS)}, got '{axis}'")
     if values is None:
         values = _SWEEP_DEFAULTS[axis]
-    reps = int(config.solver.get("replications", 1))
+    reps = _stage("load", _replications, config.solver)
 
     jobs = [(float(val), rep) for val in values for rep in range(reps)]
 
@@ -324,7 +334,8 @@ def run_bound(config: RunConfig) -> dict:
     M = int(params["M"])
     model, _, _, _, ensemble, _ = _simulate(config, 0, M)
     basis = _stage("regress", HypercubeBasis, ensemble.domain, params["cells_per_dim"])
-    pmin = _stage("diagnostics", estimate_pmin, ensemble, basis)
+    cell_ids = _stage("regress", memberships, ensemble, basis)
+    pmin = _stage("diagnostics", estimate_pmin, cell_ids, basis.R)
 
     delta = model.grid.delta
     p = pmin.raw_min
@@ -397,6 +408,10 @@ def _resolve_config(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             solver[key] = val
+    if not isinstance(problem, dict):
+        raise StageError(
+            "load", TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
+        )
     # The grid comes from the problem unless a config or flag overrides it.
     if "n_steps" not in solver or solver["n_steps"] is None:
         # A problem without n_steps fails at stage 'load', naming the key.
@@ -412,7 +427,7 @@ def _resolve_threads(args) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(f"{_ENV_THREADS} must be an integer, got '{env}'")
+            raise StageError("load", ValueError(f"{_ENV_THREADS} must be an integer, got '{env}'"))
     return 1
 
 
@@ -499,8 +514,7 @@ def _cmd_paths(args) -> int:
         for k in range(grid.n_steps + 1):
             rows.append(
                 [ell, k, f"{times[k]:.12g}"]
-                + [f"{v:.17g}" for v in ensemble.m_paths[ell, k]]
-                + [f"{v:.17g}" for v in ensemble.y_paths[ell, k]]
+                + [f"{v:.17g}" for v in ensemble.z_paths[ell, k]]
             )
     out_dir = _ensure_out(config)
     path = _write_csv(out_dir, "paths.csv", header, rows)
@@ -550,7 +564,7 @@ def _cmd_sweep(args) -> int:
     threads = _resolve_threads(args)
     values = None
     if args.values:
-        values = [float(v) for v in args.values.split(",")]
+        values = _stage("load", lambda text: [float(v) for v in text.split(",")], args.values)
     rows = run_sweep(config, args.axis, values=values, threads=threads)
     header = ["value", "v1", "stderr"]
     csv_rows = [

@@ -20,14 +20,8 @@ import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
-from .regress import (
-    CoefficientVector,
-    HypercubeBasis,
-    empirical_coefficients,
-    memberships,
-    regress_eval,
-)
-from .simulate import NoiseSource, PathEnsemble, simulate_paths
+from .regress import HypercubeBasis, empirical_coefficients, regress_eval
+from .simulate import NoiseSource, PathEnsemble, build_ensemble
 
 __all__ = [
     "ValueSurface",
@@ -107,29 +101,42 @@ class PolicyEvaluation:
     n_paths: int
 
 
-def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray | int):
-    """Row-wise argmax of (d, M) action values where ties keep the current
-    mode if it attains the max, otherwise take the smallest index."""
+def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray):
+    """Column-wise argmax of (d, M) action values where ties keep the current
+    mode current[ell] if it attains the max, otherwise take the smallest index."""
     best = action_values.max(axis=0)
     smallest = np.argmax(action_values == best[None, :], axis=0)
-    if np.isscalar(current) or np.ndim(current) == 0:
-        cur_vals = action_values[int(current)]
-        cur = np.full(smallest.shape, int(current))
-    else:
-        cur = np.asarray(current)
-        cur_vals = action_values[cur, np.arange(action_values.shape[1])]
-    choice = np.where(cur_vals == best, cur, smallest)
+    cur_vals = action_values[current, np.arange(action_values.shape[1])]
+    choice = np.where(cur_vals == best, current, smallest)
     return best, choice
+
+
+def _action_values(modes, rule, sqrt_theta, t, delta, points, level, ids):
+    """Step-k action values at ``points`` (P, n1 + n2) lying in cells ``ids``.
+
+    Returns (cand, fbars), both (d, P): fbars[j] is the belief-averaged
+    payoff of mode j and cand[j] = delta * fbars[j] + the continuation of
+    mode j read from the step-k coefficients ``level``.
+    """
+    n1 = sqrt_theta.shape[0]
+    m, y = points[:, :n1], points[:, n1:]
+    fbars = np.stack([
+        effective_payoff_batch(modes, j, m, sqrt_theta, y, t, rule) for j in range(modes.d)
+    ])
+    cand = np.stack([delta * fbars[j] + regress_eval(cv, ids) for j, cv in enumerate(level)])
+    return cand, fbars
 
 
 def backward_induction(
     ensemble: PathEnsemble,
     basis: HypercubeBasis,
+    cell_ids: np.ndarray,
     modes: ModeSet,
     schedule: CovarianceSchedule,
     rule: QuadratureRule,
 ):
-    """Run the backward recursion on the training ensemble.
+    """Run the backward recursion on the training ensemble, whose paths sit
+    in the cells ``cell_ids`` = ``memberships(ensemble, basis)``.
 
     Returns (ValueSurface, Policy).  Terminal values are zero; at each time
     the continuation is the per-cell empirical average of next-step values,
@@ -137,35 +144,27 @@ def backward_induction(
     point, and ties prefer staying then the smallest mode index.
     """
     grid = ensemble.grid
-    n_steps, delta = grid.n_steps, grid.delta
+    n_steps = grid.n_steps
     d, M, R = modes.d, ensemble.M, basis.R
-    times = grid.times
-    mem = memberships(ensemble, basis)
+    if cell_ids.shape != (n_steps + 1, M):
+        raise ValueError(f"cell_ids must have shape {(n_steps + 1, M)}, got {cell_ids.shape}")
 
     values = np.zeros((n_steps + 1, d, M))
     coeffs: list = [None] * n_steps
     choice = np.empty((n_steps, d, R), dtype=np.int64)
 
     for k in range(n_steps - 1, -1, -1):
-        t = float(times[k])
-        ids = mem[k]
-        m_k = ensemble.m_paths[:, k, :]
-        y_k = ensemble.y_paths[:, k, :]
-        sqrt_theta = schedule.sqrt_thetas[k]
-
-        level = []
-        cand = np.empty((d, M))
-        for j in range(d):
-            cv = empirical_coefficients(values[k + 1, j], ids, R)
-            level.append(cv)
-            fbar = effective_payoff_batch(modes, j, m_k, sqrt_theta, y_k, t, rule)
-            cand[j] = delta * fbar + regress_eval(cv, ids)
-        coeffs[k] = tuple(level)
+        t = float(grid.times[k])
+        ids = cell_ids[k]
+        coeffs[k] = tuple(empirical_coefficients(values[k + 1, j], ids, R) for j in range(d))
+        cand, _ = _action_values(
+            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k), coeffs[k], ids
+        )
 
         cost = modes.cost_matrix(t)
         cells, first = np.unique(ids, return_index=True)
         for i in range(d):
-            best, jstar = _stay_biased_argmax(cand - cost[i][:, None], i)
+            best, jstar = _stay_biased_argmax(cand - cost[i][:, None], np.full(M, i))
             values[k, i] = best
             choice[k, i, :] = i
             choice[k, i, cells] = jstar[first]
@@ -189,26 +188,12 @@ def value_at_origin(
     read from the time-zero regression coefficients at the origin's cell.
     """
     basis = surface.basis
-    grid = surface.grid
-    d = surface.d
-    delta = grid.delta
-    origin = np.concatenate([model.m0, model.y0])
-    origin = basis.domain.project(origin)
-    cell = int(basis.cell_index(origin))
-    m0 = origin[None, : model.n1]
-    y0 = origin[None, model.n1:]
-    sqrt_theta0 = schedule.sqrt_thetas[0]
-
-    cand = np.empty(d)
-    for j in range(d):
-        fbar = effective_payoff_batch(modes, j, m0, sqrt_theta0, y0, 0.0, rule)[0]
-        cand[j] = delta * fbar + float(surface.coeffs[0][j].lambdas[cell])
-
-    cost = modes.cost_matrix(0.0)
-    out = np.empty(d)
-    for i in range(d):
-        out[i] = float((cand - cost[i]).max())
-    return out
+    origin = basis.domain.project(np.concatenate([model.m0, model.y0]))[None, :]
+    cand, _ = _action_values(
+        modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin,
+        surface.coeffs[0], basis.cell_index(origin),
+    )
+    return (cand[:, 0] - modes.cost_matrix(0.0)).max(axis=1)
 
 
 def simulate_policy(
@@ -226,51 +211,38 @@ def simulate_policy(
     """Replay the estimated policy on fresh paths and average the reward.
 
     Fresh paths come from the given seed, which callers must keep disjoint
-    from the training seed.  With ``pointwise_policy`` (default) decisions
-    re-run the time-k maximization at the fresh path's exact point, using the
-    stored regression coefficients for continuations; otherwise decisions are
-    looked up from the per-cell policy table.
+    from the training seed, and are clamped into the regression domain.  With
+    ``pointwise_policy`` (default) decisions re-run the time-k maximization at
+    the fresh path's exact point, using the stored regression coefficients
+    for continuations; otherwise decisions are looked up from the per-cell
+    policy table.
     """
     grid = surface.grid
     basis = surface.basis
-    n_steps, delta = grid.n_steps, grid.delta
-    d = surface.d
-    times = grid.times
-    noise = NoiseSource("gaussian")
-    m_paths, y_paths, _ = simulate_paths(model, grid, schedule, noise, seed, range(M))
-    state = np.concatenate([m_paths, y_paths], axis=-1)
-    state = basis.domain.project(state)
-    n1 = model.n1
+    ensemble = build_ensemble(
+        model, grid, schedule, basis.domain, M, NoiseSource("gaussian"), seed
+    )
 
     mode = np.full(M, int(start_mode), dtype=np.int64)
     total = np.zeros(M)
     switches = np.zeros(M, dtype=np.int64)
     rows = np.arange(M)
 
-    for k in range(n_steps):
-        t = float(times[k])
-        pts = state[:, k, :]
+    for k in range(grid.n_steps):
+        t = float(grid.times[k])
+        pts = ensemble.state(k)
         ids = basis.cell_index(pts)
-        m_k = pts[:, :n1]
-        y_k = pts[:, n1:]
-        sqrt_theta = schedule.sqrt_thetas[k]
-
-        fbars = np.empty((d, M))
-        for j in range(d):
-            fbars[j] = effective_payoff_batch(modes, j, m_k, sqrt_theta, y_k, t, rule)
-
+        cand, fbars = _action_values(
+            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids
+        )
         cost = modes.cost_matrix(t)
         if pointwise_policy:
-            cand = np.empty((d, M))
-            for j in range(d):
-                cand[j] = delta * fbars[j] + regress_eval(surface.coeffs[k][j], ids)
-            paid = cost[mode]  # (M, d)
-            _, jstar = _stay_biased_argmax(cand - paid.T, mode)
+            _, jstar = _stay_biased_argmax(cand - cost[mode].T, mode)
         else:
             jstar = policy.choice[k][mode, ids]
 
         total -= cost[mode, jstar]
-        total += delta * fbars[jstar, rows]
+        total += grid.delta * fbars[jstar, rows]
         switches += jstar != mode
         mode = jstar
 

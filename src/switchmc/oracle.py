@@ -9,13 +9,12 @@ values for special configurations are also provided.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
-from .model import ModelSpec, ModeSet, TimeGrid
+from .model import ModelSpec, ModeSet
 from .simulate import NoiseSource, simulate_paths
 
 __all__ = [
@@ -81,10 +80,11 @@ def tree_oracle_value(
     M = spec.n_leaves
     times = grid.times
 
-    m_paths, y_paths, _ = simulate_paths(
+    n1 = model.n1
+    state, _ = simulate_paths(
         model, grid, schedule, NoiseSource("two_point"), seed=0, path_ids=range(M)
     )
-    dy = np.diff(y_paths[:, :, 0], axis=1)  # (M, N)
+    dy = np.diff(state[:, :, n1], axis=1)  # (M, N)
 
     # labels[k][ell]: group of path ell under equality of its first k
     # observation increments.  k = 0 puts every path in one group.
@@ -100,8 +100,8 @@ def tree_oracle_value(
         lab = labels[k]
         n_groups = int(lab.max()) + 1
         counts = np.bincount(lab, minlength=n_groups)
-        m_k = m_paths[:, k, :]
-        y_k = y_paths[:, k, :]
+        m_k = state[:, k, :n1]
+        y_k = state[:, k, n1:]
         sqrt_theta = schedule.sqrt_thetas[k]
 
         cand = np.empty((d, M))

@@ -9,7 +9,6 @@ exactly one cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -182,14 +181,14 @@ class PminEstimate:
     occupied_min: float
 
 
-def estimate_pmin(ensemble: PathEnsemble, basis: HypercubeBasis) -> PminEstimate:
-    """Empirical minimum cell probability over training times 0..N-1."""
-    M = ensemble.M
+def estimate_pmin(cell_ids: np.ndarray, R: int) -> PminEstimate:
+    """Empirical minimum cell probability over training times 0..N-1, from
+    the (N+1, M) cell ids of ``memberships`` on an R-cell basis."""
+    M = cell_ids.shape[1]
     raw_min = np.inf
     occ_min = np.inf
-    for k in range(ensemble.grid.n_steps):
-        ids = basis.cell_index(ensemble.state(k))
-        counts = np.bincount(ids, minlength=basis.R)
+    for ids in cell_ids[:-1]:
+        counts = np.bincount(ids, minlength=R)
         raw_min = min(raw_min, counts.min() / M)
         occ_min = min(occ_min, counts[counts > 0].min() / M)
     return PminEstimate(raw_min=float(raw_min), occupied_min=float(occ_min))

@@ -114,45 +114,60 @@ class NoiseSource:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Training paths for regression: conditional means and observations on
-    the grid, clamped into ``domain``.  Row ell depends only on (seed, ell)."""
+    """Training paths for regression: the regression state (conditional mean,
+    observation) on the grid, clamped into ``domain``.  Row ell depends only
+    on (seed, ell).
+
+    ``z_paths`` has shape (M, N+1, n1 + n2), conditional mean first.  It is
+    stored read-only; ``m_paths``, ``y_paths`` and ``state(k)`` are views of
+    it.
+    """
 
     grid: TimeGrid
     domain: Domain
-    m_paths: np.ndarray
-    y_paths: np.ndarray
+    z_paths: np.ndarray
+    n1: int
     seed: int
     noise: NoiseSource
     x_paths: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m_paths, dtype=float)
-        y = np.asarray(self.y_paths, dtype=float)
-        if m.ndim != 3 or y.ndim != 3:
-            raise ValueError("m_paths and y_paths must have shape (M, N+1, dim)")
-        if m.shape[:2] != y.shape[:2]:
-            raise ValueError(f"path counts/lengths disagree: {m.shape} vs {y.shape}")
-        if m.shape[1] != self.grid.n_steps + 1:
+        z = np.asarray(self.z_paths, dtype=float)
+        if z.ndim != 3:
+            raise ValueError(f"z_paths must have shape (M, N+1, dim), got {z.shape}")
+        if z.shape[1] != self.grid.n_steps + 1:
             raise ValueError(
-                f"paths have {m.shape[1]} points but grid has {self.grid.n_steps + 1}"
+                f"paths have {z.shape[1]} points but grid has {self.grid.n_steps + 1}"
             )
-        if m.shape[2] + y.shape[2] != self.domain.dim:
+        if z.shape[2] != self.domain.dim:
             raise ValueError(
-                f"state dimension {m.shape[2]} + {y.shape[2]} does not match domain dim {self.domain.dim}"
+                f"state dimension {z.shape[2]} does not match domain dim {self.domain.dim}"
             )
-        state = np.concatenate([m, y], axis=-1)
-        if not bool(np.all(self.domain.contains(state))):
+        if not 0 < self.n1 < z.shape[2]:
+            raise ValueError(f"n1 must lie in [1, {z.shape[2]}), got {self.n1}")
+        if not bool(np.all(self.domain.contains(z))):
             raise ValueError("ensemble contains points outside the domain; project first")
-        object.__setattr__(self, "m_paths", m)
-        object.__setattr__(self, "y_paths", y)
+        z = z.view()
+        z.flags.writeable = False
+        object.__setattr__(self, "z_paths", z)
 
     @property
     def M(self) -> int:
-        return self.m_paths.shape[0]
+        return self.z_paths.shape[0]
+
+    @property
+    def m_paths(self) -> np.ndarray:
+        """Conditional means (M, N+1, n1)."""
+        return self.z_paths[..., : self.n1]
+
+    @property
+    def y_paths(self) -> np.ndarray:
+        """Observations (M, N+1, n2)."""
+        return self.z_paths[..., self.n1:]
 
     def state(self, k: int) -> np.ndarray:
         """Regression state (M, n1 + n2) at grid index k."""
-        return np.concatenate([self.m_paths[:, k, :], self.y_paths[:, k, :]], axis=-1)
+        return self.z_paths[:, k, :]
 
 
 def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int]):
@@ -210,11 +225,11 @@ def simulate_paths(
 ):
     """Simulate raw (unclamped) Euler paths for the given path indices.
 
-    Returns (m, y, x) with shapes (M, N+1, n1), (M, N+1, n2), (M, N+1, n1):
-    conditional mean, observation, and signal.  Path row ell is a function of
-    (seed, path_ids[ell]) only, so ensembles of different sizes agree
-    pathwise.  Gaussian noise draws the signal start from N(m0, theta0);
-    two-point noise starts the signal at m0 exactly.
+    Returns (z, x) with shapes (M, N+1, n1 + n2) and (M, N+1, n1): the
+    regression state (conditional mean, then observation) and the signal.
+    Path row ell is a function of (seed, path_ids[ell]) only, so ensembles
+    of different sizes agree pathwise.  Gaussian noise draws the signal start
+    from N(m0, theta0); two-point noise starts the signal at m0 exactly.
     """
     if schedule.n_steps != grid.n_steps:
         raise ValueError(
@@ -227,22 +242,18 @@ def simulate_paths(
 
     if noise.kind == "gaussian":
         z0, dw, du = _gaussian_draws(model, n_steps, seed, path_ids)
-        dw = dw * sqrt_delta
-        du = du * sqrt_delta
-        sqrt_theta0 = psd_sqrt(model.theta0)
-        x0 = model.m0[None, :] + rowwise_matvec(sqrt_theta0, z0)
+        x0 = model.m0[None, :] + rowwise_matvec(psd_sqrt(model.theta0), z0)
     else:
         dw, du = _two_point_draws(model, n_steps, path_ids)
-        dw = dw * sqrt_delta
-        du = du * sqrt_delta
-        x0 = np.broadcast_to(model.m0, (M, n1)).copy()
+        x0 = model.m0
+    dw *= sqrt_delta
+    du *= sqrt_delta
 
     x = np.empty((M, n_steps + 1, n1))
-    y = np.empty((M, n_steps + 1, n2))
-    m = np.empty((M, n_steps + 1, n1))
+    z = np.empty((M, n_steps + 1, n1 + n2))
     x[:, 0, :] = x0
-    y[:, 0, :] = np.broadcast_to(model.y0, (M, n2))
-    m[:, 0, :] = np.broadcast_to(model.m0, (M, n1))
+    z[:, 0, :n1] = model.m0
+    z[:, 0, n1:] = model.y0
 
     for k in range(n_steps):
         F = model.F[k]
@@ -251,17 +262,17 @@ def simulate_paths(
         xk = x[:, k, :]
         x_next = xk + rowwise_matvec(F, xk) * delta + rowwise_matvec(C, dw[:, k, :])
         dy = rowwise_matvec(G, xk) * delta + du[:, k, :]
-        y_next = y[:, k, :] + dy
-        m_next = mean_step(m[:, k, :], dy, schedule.thetas[k], F, G, delta)
+        y_next = z[:, k, n1:] + dy
+        m_next = mean_step(z[:, k, :n1], dy, schedule.thetas[k], F, G, delta)
         if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(m_next)) and np.all(np.isfinite(y_next))):
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
             )
         x[:, k + 1, :] = x_next
-        y[:, k + 1, :] = y_next
-        m[:, k + 1, :] = m_next
+        z[:, k + 1, :n1] = m_next
+        z[:, k + 1, n1:] = y_next
 
-    return m, y, x
+    return z, x
 
 
 def build_ensemble(
@@ -278,15 +289,13 @@ def build_ensemble(
     ``domain``.  Signal paths are stored unclamped when requested."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    m, y, x = simulate_paths(model, grid, schedule, noise, seed, range(M))
-    n1 = model.n1
-    state = np.concatenate([m, y], axis=-1)
-    clamped = domain.project(state)
+    z, x = simulate_paths(model, grid, schedule, noise, seed, range(M))
+    np.clip(z, domain.lows, domain.highs, out=z)
     return PathEnsemble(
         grid=grid,
         domain=domain,
-        m_paths=clamped[..., :n1],
-        y_paths=clamped[..., n1:],
+        z_paths=z,
+        n1=model.n1,
         seed=seed,
         noise=noise,
         x_paths=x if store_signal else None,
@@ -327,8 +336,7 @@ def calibrate_domain(
     noise = NoiseSource("gaussian")
     pilot_seed = derive_seed(seed, 101)
     verify_seed = derive_seed(seed, 102)
-    m, y, _ = simulate_paths(model, grid, schedule, noise, pilot_seed, range(pilot_M))
-    state = np.concatenate([m, y], axis=-1)
+    state, _ = simulate_paths(model, grid, schedule, noise, pilot_seed, range(pilot_M))
 
     lo_env = state.min(axis=(0, 1))
     hi_env = state.max(axis=(0, 1))
@@ -348,8 +356,7 @@ def calibrate_domain(
             f"no quantile box met the pilot distortion target {_CALIBRATION_MARGIN * epsilon:g}"
         )
 
-    mv, yv, _ = simulate_paths(model, grid, schedule, noise, verify_seed, range(pilot_M))
-    verify_state = np.concatenate([mv, yv], axis=-1)
+    verify_state, _ = simulate_paths(model, grid, schedule, noise, verify_seed, range(pilot_M))
     for _ in range(_MAX_WIDENINGS + 1):
         if _clip_error(verify_state, domain) <= epsilon:
             return domain

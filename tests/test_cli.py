@@ -212,6 +212,32 @@ class TestConfigPrecedence:
         assert json.loads(out_flagged)["v"] == json.loads(out)["v"]
 
 
+@pytest.mark.filterwarnings("error")
+class TestLoadErrors:
+    """Bad input found before any solving fails at stage 'load', exit 2."""
+
+    def assert_load_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error at stage 'load': ")
+        assert out == ""
+
+    def test_non_numeric_sweep_value(self, capsys):
+        self.assert_load_error(["sweep", "--axis", "G", "--values=a,0"], capsys)
+
+    def test_non_integer_thread_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SWITCHMC_THREADS", "x")
+        self.assert_load_error(["solve"], capsys)
+
+    def test_problem_file_holding_a_list(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        self.assert_load_error(["solve", "--problem", str(path)], capsys)
+
+    def test_zero_replications(self, capsys):
+        self.assert_load_error(["solve", "--replications", "0"], capsys)
+
+
 class TestSweep:
     def test_csv_named_after_axis(self, tmp_path, capsys):
         out_dir = tmp_path / "sw"

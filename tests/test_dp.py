@@ -21,6 +21,7 @@ from switchmc import (
     solve_riccati,
     value_at_origin,
 )
+from switchmc.regress import memberships
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,9 @@ def solved_benchmark():
         model, grid, schedule, domain, 500, NoiseSource("gaussian"), seed=22
     )
     basis = HypercubeBasis(domain, (8, 8))
-    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+    surface, policy = backward_induction(
+        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+    )
     return model, modes, schedule, rule, ensemble, basis, surface, policy
 
 
@@ -60,7 +63,9 @@ class TestSingleMode:
     def test_constant_payoff_value_is_remaining_time(self):
         kappa = 2.5
         model, modes, grid, schedule, rule, ensemble, basis = single_mode_setup(kappa)
-        surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+        surface, policy = backward_induction(
+            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+        )
         for k in range(grid.n_steps + 1):
             expected = kappa * (grid.T - grid.times[k])
             assert np.allclose(surface.values[k, 0, :], expected, rtol=1e-12, atol=1e-12)
@@ -70,7 +75,9 @@ class TestSingleMode:
 
     def test_single_mode_never_switches(self):
         model, modes, grid, schedule, rule, ensemble, basis = single_mode_setup(1.0)
-        surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+        surface, policy = backward_induction(
+            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+        )
         assert np.all(policy.choice == 0)
         ev = simulate_policy(
             model, modes, schedule, surface, policy, rule,
@@ -95,7 +102,9 @@ def zero_setup():
         model, grid, schedule, domain, 300, NoiseSource("gaussian"), seed=42
     )
     basis = HypercubeBasis(domain, (5, 5))
-    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+    surface, policy = backward_induction(
+        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+    )
     return model, modes, schedule, rule, surface, policy
 
 
@@ -150,7 +159,9 @@ class TestTwoModeInvariants:
 
     def test_backward_induction_is_deterministic(self, solved_benchmark):
         _, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
-        surface2, policy2 = backward_induction(ensemble, basis, modes, schedule, rule)
+        surface2, policy2 = backward_induction(
+            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+        )
         assert np.array_equal(surface.values, surface2.values)
         assert np.array_equal(policy.choice, policy2.choice)
 
@@ -163,6 +174,13 @@ class TestTwoModeInvariants:
         for i in range(modes.d):
             assert origin[i] == pytest.approx(surface.values[0, i, 0], rel=1e-12, abs=1e-12)
             assert np.allclose(surface.values[0, i, :], origin[i], rtol=1e-12, atol=1e-12)
+
+
+def test_cell_ids_must_cover_every_path_and_time(solved_benchmark):
+    _, modes, schedule, rule, ensemble, basis, _, _ = solved_benchmark
+    ids = memberships(ensemble, basis)
+    with pytest.raises(ValueError, match="cell_ids"):
+        backward_induction(ensemble, basis, ids[:-1], modes, schedule, rule)
 
 
 class TestTieBreaking:
@@ -182,7 +200,9 @@ class TestTieBreaking:
             model, grid, schedule, domain, 100, NoiseSource("gaussian"), seed=52
         )
         basis = HypercubeBasis(domain, (4, 4))
-        _, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+        _, policy = backward_induction(
+            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+        )
         for i in range(3):
             assert np.all(policy.choice[:, i, :] == i)
 

@@ -19,6 +19,8 @@ from switchmc import (
     regress_eval,
     solve_riccati,
 )
+from switchmc.benchmarks import benchmark_problem, default_solver_params
+from switchmc.cli import RunConfig, run_pipeline
 from switchmc.regress import memberships
 
 
@@ -127,6 +129,22 @@ class TestMemberships:
             assert np.array_equal(ids[k], basis.cell_index(ens.state(k)))
 
 
+def test_one_solve_indexes_each_training_step_once(monkeypatch):
+    # memberships indexes the N+1 grid times and value_at_origin the origin;
+    # backward induction and estimate_pmin reuse the memberships table.
+    calls = []
+    cell_index = HypercubeBasis.cell_index
+
+    def counted(self, points):
+        calls.append(np.shape(points))
+        return cell_index(self, points)
+
+    monkeypatch.setattr(HypercubeBasis, "cell_index", counted)
+    solver = {**default_solver_params(), "M": 200, "n_steps": 20, "seed": 3}
+    run_pipeline(RunConfig(problem=benchmark_problem(), solver=solver))
+    assert len(calls) <= 20 + 2
+
+
 class TestEstimatePmin:
     def test_known_counts(self):
         model, _ = make_benchmark(n_steps=1)
@@ -140,10 +158,10 @@ class TestEstimatePmin:
         m = np.array([[[0.1], [0.9]], [[0.2], [0.9]], [[0.3], [0.9]], [[0.8], [0.9]]])
         y = np.full((4, 2, 1), 0.5)
         ens = PathEnsemble(
-            grid=grid, domain=dom, m_paths=m, y_paths=y, seed=0,
-            noise=NoiseSource("gaussian"),
+            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1,
+            seed=0, noise=NoiseSource("gaussian"),
         )
-        est = estimate_pmin(ens, basis)
+        est = estimate_pmin(memberships(ens, basis), basis.R)
         assert est.raw_min == pytest.approx(0.25)
         assert est.occupied_min == pytest.approx(0.25)
 
@@ -157,9 +175,9 @@ class TestEstimatePmin:
         m = np.array([[[0.1], [0.9]], [[0.9], [0.9]]])
         y = np.full((2, 2, 1), 0.5)
         ens = PathEnsemble(
-            grid=grid, domain=dom, m_paths=m, y_paths=y, seed=0,
-            noise=NoiseSource("gaussian"),
+            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1,
+            seed=0, noise=NoiseSource("gaussian"),
         )
-        est = estimate_pmin(ens, basis)
+        est = estimate_pmin(memberships(ens, basis), basis.R)
         assert est.raw_min == 0.0
         assert est.occupied_min == pytest.approx(0.5)

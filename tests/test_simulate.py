@@ -90,64 +90,58 @@ class TestSimulatePaths:
         model, _, schedule = bench20
         grid = model.grid
         noise = NoiseSource("gaussian")
-        m_all, y_all, x_all = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=range(64))
-        m_one, y_one, x_one = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=[17])
-        assert np.array_equal(m_all[17], m_one[0])
-        assert np.array_equal(y_all[17], y_one[0])
+        z_all, x_all = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=range(64))
+        z_one, x_one = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=[17])
+        assert np.array_equal(z_all[17], z_one[0])
         assert np.array_equal(x_all[17], x_one[0])
-        m_sub, y_sub, _ = simulate_paths(
+        z_sub, _ = simulate_paths(
             model, grid, schedule, noise, seed=42, path_ids=[17, 3, 99]
         )
-        assert np.array_equal(m_sub[0], m_one[0])
-        assert np.array_equal(y_sub[0], y_one[0])
+        assert np.array_equal(z_sub[0], z_one[0])
 
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
         noise = NoiseSource("gaussian")
-        a, _, _ = simulate_paths(model, grid, schedule, noise, seed=1, path_ids=range(4))
-        b, _, _ = simulate_paths(model, grid, schedule, noise, seed=2, path_ids=range(4))
-        assert not np.array_equal(a, b)
+        a, _ = simulate_paths(model, grid, schedule, noise, seed=1, path_ids=range(4))
+        b, _ = simulate_paths(model, grid, schedule, noise, seed=2, path_ids=range(4))
+        assert not np.array_equal(a[..., :1], b[..., :1])
 
     def test_initial_conditions(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        m, y, _ = simulate_paths(
+        z, _ = simulate_paths(
             model, grid, schedule, NoiseSource("gaussian"), seed=3, path_ids=range(8)
         )
-        assert np.array_equal(m[:, 0, :], np.zeros((8, 1)))
-        assert np.array_equal(y[:, 0, :], np.zeros((8, 1)))
+        assert np.array_equal(z[:, 0, :], np.zeros((8, 2)))
 
     def test_shapes(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        m, y, _ = simulate_paths(
+        z, x = simulate_paths(
             model, grid, schedule, NoiseSource("gaussian"), seed=3, path_ids=range(5)
         )
-        assert m.shape == (5, 21, 1)
-        assert y.shape == (5, 21, 1)
+        assert z.shape == (5, 21, 2)
+        assert x.shape == (5, 21, 1)
 
     def test_two_point_enumerates_all_sign_patterns(self):
         model, _ = make_benchmark(n_steps=3)
         grid = model.grid
         schedule = solve_riccati(model, grid)
         n_paths = 4 ** 3
-        m, y, x = simulate_paths(
+        z, x = simulate_paths(
             model, grid, schedule, NoiseSource("two_point"), seed=0,
             path_ids=range(n_paths),
         )
         root = math.sqrt(grid.delta)
         # Observation increments at step 0 are G x0 delta + dU = +-sqrt(delta)
         # exactly, since x0 = m0 = 0 under two-point noise.
-        first = np.unique(y[:, 1, 0])
+        first = np.unique(z[:, 1, 1])
         assert np.array_equal(first, [-root, root])
         # Every sign pattern must be realized exactly once.  The final signal
         # increment never reaches the observations, so distinctness needs the
         # signal path included.
-        flat = np.concatenate(
-            [m.reshape(n_paths, -1), y.reshape(n_paths, -1), x.reshape(n_paths, -1)],
-            axis=1,
-        )
+        flat = np.concatenate([z.reshape(n_paths, -1), x.reshape(n_paths, -1)], axis=1)
         assert np.unique(flat, axis=0).shape[0] == n_paths
 
     def test_two_point_starts_signal_at_the_mean(self):
@@ -199,11 +193,11 @@ class TestPathEnsemble:
         model, _, schedule = bench20
         grid = model.grid
         dom = Domain(lows=np.array([-0.001, -0.001]), highs=np.array([0.001, 0.001]), epsilon=0.01)
-        m = np.zeros((3, 21, 1))
-        y = np.full((3, 21, 1), 0.5)
+        z = np.zeros((3, 21, 2))
+        z[..., 1] = 0.5
         with pytest.raises(ValueError):
             PathEnsemble(
-                grid=grid, domain=dom, m_paths=m, y_paths=y, seed=0,
+                grid=grid, domain=dom, z_paths=z, n1=1, seed=0,
                 noise=NoiseSource("gaussian"),
             )
 
@@ -216,6 +210,16 @@ class TestPathEnsemble:
         assert st.shape == (6, 2)
         assert np.array_equal(st[:, 0], ens.m_paths[:, 3, 0])
         assert np.array_equal(st[:, 1], ens.y_paths[:, 3, 0])
+
+    def test_paths_are_read_only_views_of_the_state(self, bench20):
+        model, _, schedule = bench20
+        grid = model.grid
+        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]), epsilon=0.01)
+        ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
+        for view in (ens.m_paths, ens.y_paths, ens.state(3)):
+            assert np.shares_memory(view, ens.z_paths)
+            with pytest.raises(ValueError):
+                view[0] = 0.0
 
     def test_build_ensemble_projects_into_domain(self, bench20):
         model, _, schedule = bench20
@@ -235,11 +239,10 @@ class TestCalibrateDomain:
         epsilon = 0.01
         dom = calibrate_domain(model, grid, schedule, epsilon, pilot_M=500, seed=11)
         # Measure the mean clamp distortion on a third, unrelated sample.
-        m, y, _ = simulate_paths(
+        st, _ = simulate_paths(
             model, grid, schedule, NoiseSource("gaussian"), seed=987654,
             path_ids=range(2000),
         )
-        st = np.concatenate([m, y], axis=2)
         clipped = np.clip(st, dom.lows, dom.highs)
         worst = float(
             np.max(np.mean(np.linalg.norm(st - clipped, axis=2), axis=0))
