@@ -5,7 +5,7 @@ Every run resolves a full configuration (problem plus solver parameters),
 derives all random streams from one master seed, and emits a manifest
 carrying the resolved configuration and a content hash so reruns can be
 checked for reproducibility.  Thread count never changes numerical output;
-it only parallelizes independent replications.
+it only spreads independent replications, and sweep points, over threads.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -50,7 +51,6 @@ __all__ = [
     "PipelineResult",
     "run_pipeline",
     "run_solve",
-    "run_table2",
     "run_sweep",
     "run_bound",
     "main",
@@ -130,11 +130,12 @@ class PipelineResult:
 
 
 def _resolve_problem(config: RunConfig):
-    model, modes = load_problem(config.problem)
-    solver_steps = int(config.solver["n_steps"])
-    if model.n_steps != solver_steps:
-        model = model.replace(n_steps=solver_steps)
-    return model, modes
+    """The problem on the solver's grid: the solver's ``n_steps`` replaces the
+    problem's, so a per-step F, C or G table must match the solver's grid."""
+    problem = dict(config.problem)
+    if config.solver["n_steps"] is not None:
+        problem["n_steps"] = config.solver["n_steps"]
+    return load_problem(problem)
 
 
 def _seeds(solver: dict, rep: int) -> dict:
@@ -216,24 +217,19 @@ def _replications(solver: dict) -> int:
     return reps
 
 
-def _thread_map(fn, jobs, threads: int):
-    """Order-preserving map, optionally across a thread pool."""
-    jobs = list(jobs)
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
+def _replicate(problems: list, solver: dict, threads: int) -> list:
+    """Every replication of every problem under one solver dict, spread over
+    up to ``threads`` threads.
 
+    Returns, per problem, the headline numbers of each of its replications:
+    values, the two pmin figures and the switch bound.  Only those are kept,
+    so finished replications do not hold their paths and value surfaces.
+    """
+    reps = _stage("load", _replications, solver)
+    jobs = [(RunConfig(problem, solver), rep) for problem in problems for rep in range(reps)]
 
-def run_solve(config: RunConfig, threads: int = 1) -> dict:
-    """Solve the configured problem over the configured replications."""
-    start = time.perf_counter()
-    reps = _stage("load", _replications, config.solver)
-
-    def one(rep):
-        # Keep only the headline numbers, so finished replications do not
-        # hold their paths and value surfaces.
-        result = run_pipeline(config, rep)
+    def one(job):
+        result = run_pipeline(*job)
         return {
             "v": [float(x) for x in result.values],
             "pmin_raw": result.pmin_raw,
@@ -241,55 +237,45 @@ def run_solve(config: RunConfig, threads: int = 1) -> dict:
             "switch_bound": result.switch_bound,
         }
 
-    rows = _thread_map(one, range(reps), threads)
-    per_rep = np.array([row["v"] for row in rows])  # (reps, d)
-    v_mean = per_rep.mean(axis=0)
+    if threads <= 1 or len(jobs) <= 1:
+        rows = [one(job) for job in jobs]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(one, jobs))
+    return [rows[i:i + reps] for i in range(0, len(rows), reps)]
+
+
+def _mean_stderr(per_rep: np.ndarray) -> tuple:
+    """Mean and standard error over the first axis of a (reps, d) array; the
+    error is zero for one replication."""
+    reps = per_rep.shape[0]
     if reps > 1:
         stderr = per_rep.std(axis=0, ddof=1) / math.sqrt(reps)
     else:
         stderr = np.zeros(per_rep.shape[1])
+    return per_rep.mean(axis=0), stderr
+
+
+def run_solve(config: RunConfig, threads: int = 1) -> dict:
+    """Solve the configured problem over the configured replications."""
+    start = time.perf_counter()
+    rows = _replicate([config.problem], config.solver, threads)[0]
+    per_rep = [row["v"] for row in rows]
+    v_mean, stderr = _mean_stderr(np.array(per_rep))
     runtime = time.perf_counter() - start
     return {
         "v": [float(x) for x in v_mean],
         "stderr": [float(x) for x in stderr],
-        "per_replication": [row["v"] for row in rows],
+        "per_replication": per_rep,
         "pmin_hat": {
             "raw_min": min(row["pmin_raw"] for row in rows),
             "occupied_min": min(row["pmin_occupied"] for row in rows),
         },
         "switch_bound": max(row["switch_bound"] for row in rows),
-        "replications": reps,
+        "replications": len(rows),
         "runtime_s": runtime,
         "manifest": config.manifest("solve"),
     }
-
-
-def run_table2(config: RunConfig, threads: int = 1) -> list:
-    """Benchmark rows across the three reference starts.
-
-    Returns a list of row dicts: m0, estimate (value of the earning mode),
-    stderr, transcribed external reference, absolute and relative deviation.
-    """
-    rows = []
-    for m0 in sorted(PDE_REFERENCE):
-        problem = copy.deepcopy(config.problem)
-        problem["m0"] = m0
-        sub = RunConfig(problem=problem, solver=dict(config.solver), output=config.output)
-        result = run_solve(sub, threads=threads)
-        estimate = result["v"][ACTIVE_MODE]
-        stderr = result["stderr"][ACTIVE_MODE]
-        reference = PDE_REFERENCE[m0]
-        rows.append(
-            {
-                "m0": m0,
-                "estimate": estimate,
-                "stderr": stderr,
-                "reference": reference,
-                "abs_dev": abs(estimate - reference),
-                "rel_dev": abs(estimate - reference) / abs(reference),
-            }
-        )
-    return rows
 
 
 _SWEEP_DEFAULTS = {
@@ -308,23 +294,14 @@ def run_sweep(config: RunConfig, axis: str, values=None, threads: int = 1) -> li
         raise ValueError(f"sweep axis must be one of {sorted(_SWEEP_DEFAULTS)}, got '{axis}'")
     if values is None:
         values = _SWEEP_DEFAULTS[axis]
-    reps = _stage("load", _replications, config.solver)
-
-    jobs = [(float(val), rep) for val in values for rep in range(reps)]
-
-    def one(job):
-        val, rep = job
-        problem = copy.deepcopy(config.problem)
-        problem[axis] = val
-        sub = RunConfig(problem=problem, solver=dict(config.solver), output=None)
-        return float(run_pipeline(sub, rep).values[ACTIVE_MODE])
-
-    flat = _thread_map(one, jobs, threads)
+    values = [float(val) for val in values]
+    problems = [{**config.problem, axis: val} for val in values]
     rows = []
-    for idx, val in enumerate(values):
-        vs = np.array(flat[idx * reps:(idx + 1) * reps])
-        stderr = float(vs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        rows.append({"value": float(val), "v1": float(vs.mean()), "stderr": stderr})
+    for val, group in zip(values, _replicate(problems, config.solver, threads)):
+        v, stderr = _mean_stderr(np.array([row["v"] for row in group]))
+        rows.append(
+            {"value": val, "v1": float(v[ACTIVE_MODE]), "stderr": float(stderr[ACTIVE_MODE])}
+        )
     return rows
 
 
@@ -369,58 +346,48 @@ def run_bound(config: RunConfig) -> dict:
     }
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    problem = data.get("problem")
-    if isinstance(problem, str):
-        problem_path = problem
-        if not os.path.isabs(problem_path):
-            problem_path = os.path.join(os.path.dirname(os.path.abspath(path)), problem_path)
-        with open(problem_path, "r", encoding="utf-8") as fh:
-            data["problem"] = json.load(fh)
-    return data
+def _read_json(path: str, base: str = ""):
+    """Parse a JSON file; a relative ``path`` is taken from directory ``base``
+    (by default the working directory)."""
+    with open(os.path.join(base, path), "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _resolve_config(args) -> RunConfig:
+    """Built-in defaults, overridden by the --config file, then by --problem,
+    then by the solver flags."""
     problem = benchmark_problem()
     solver = default_solver_params()
     solver.pop("n_steps", None)
-    output = getattr(args, "out", None)
-    if getattr(args, "config", None):
-        data = _stage("load", _load_config_file, args.config)
+    output = args.out
+    if args.config:
+        data = _read_json(args.config)
+        if isinstance(data.get("problem"), str):
+            # A config's problem path is relative to the config file.
+            base = os.path.dirname(os.path.abspath(args.config))
+            data["problem"] = _read_json(data["problem"], base)
         if data.get("problem"):
             problem = data["problem"]
         solver.update(data.get("solver", {}))
         if output is None:
             output = data.get("output")
-    if getattr(args, "problem", None):
-        def _read_problem(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-
-        problem = _stage("load", _read_problem, args.problem)
-    if getattr(args, "seed", None) is not None:
-        solver["seed"] = args.seed
-    if getattr(args, "replications", None) is not None:
-        solver["replications"] = args.replications
-    for key in ("M", "n_steps", "epsilon", "cells_per_dim", "quad_order"):
-        val = getattr(args, key, None)
+    if args.problem:
+        problem = _read_json(args.problem)
+    for key in ("seed", "replications", "M", "n_steps", "epsilon", "cells_per_dim", "quad_order"):
+        val = getattr(args, key)
         if val is not None:
             solver[key] = val
     if not isinstance(problem, dict):
-        raise StageError(
-            "load", TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
-        )
+        raise TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
     # The grid comes from the problem unless a config or flag overrides it.
-    if "n_steps" not in solver or solver["n_steps"] is None:
+    if solver.get("n_steps") is None:
         # A problem without n_steps fails at stage 'load', naming the key.
         solver["n_steps"] = problem.get("n_steps")
     return RunConfig(problem=problem, solver=solver, output=output)
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return max(1, int(args.threads))
     env = os.environ.get(_ENV_THREADS)
     if env:
@@ -431,55 +398,51 @@ def _resolve_threads(args) -> int:
     return 1
 
 
-def _ensure_out(config: RunConfig) -> str | None:
-    if config.output is None:
-        return None
-    os.makedirs(config.output, exist_ok=True)
-    return config.output
+# Keys printed on stdout but kept out of stored files: wall-clock time
+# differs between identical runs, and stored files must be byte-identical
+# across reruns and thread counts.
+_VOLATILE_KEYS = ("runtime_s",)
 
 
-def _write_json(out_dir: str, name: str, payload: dict) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _write_output(config: RunConfig, command: str, name: str | None = None, content=None) -> None:
+    """Emit a command's output and, with an output directory, its manifest.
 
-
-def _write_csv(out_dir: str | None, name: str, header, rows) -> str | None:
-    """Write RFC 4180 CSV (CRLF, header row); echo to stdout without a dir."""
-    import csv as _csv
-
-    if out_dir is None:
-        writer = _csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return None
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def _emit_manifest(config: RunConfig, command: str) -> None:
-    out_dir = _ensure_out(config)
+    ``content`` is a JSON object or a list of CSV rows, header first.  A JSON
+    object is printed on stdout and stored as ``name`` without its volatile
+    keys.  CSV (RFC 4180, CRLF line ends) is stored as ``name`` and its path
+    printed, or printed on stdout when there is no output directory.
+    """
+    out_dir = config.output
     if out_dir is not None:
-        _write_json(out_dir, "manifest.json", config.manifest(command))
+        os.makedirs(out_dir, exist_ok=True)
+        files = {"manifest.json": config.manifest(command)}
+        if isinstance(content, dict):
+            files[name] = {k: v for k, v in content.items() if k not in _VOLATILE_KEYS}
+        for fname, payload in files.items():
+            with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    if isinstance(content, dict):
+        print(json.dumps(content, indent=2, sort_keys=True))
+    elif content is not None:
+        if out_dir is None:
+            csv.writer(sys.stdout).writerows(content)
+        else:
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows(content)
+            print(path)
 
 
-def _cmd_validate(args) -> int:
-    config = _resolve_config(args)
+def _cmd_validate(args, config: RunConfig) -> int:
     model, modes = _stage("load", _resolve_problem, config)
     report = _stage("validate", validate, model, modes, model.grid)
     print(str(report))
-    _emit_manifest(config, "validate")
+    _write_output(config, "validate")
     return 0 if report.ok else 1
 
 
-def _cmd_riccati(args) -> int:
-    config = _resolve_config(args)
+def _cmd_riccati(args, config: RunConfig) -> int:
     model, _ = _stage("load", _resolve_problem, config)
     grid = model.grid
     schedule = _stage("riccati", solve_riccati, model, grid, args.substeps)
@@ -490,16 +453,11 @@ def _cmd_riccati(args) -> int:
         [f"{times[k]:.12g}"] + [f"{schedule.thetas[k, i, j]:.17g}" for i in range(n1) for j in range(n1)]
         for k in range(grid.n_steps + 1)
     ]
-    out_dir = _ensure_out(config)
-    path = _write_csv(out_dir, "riccati.csv", header, rows)
-    _emit_manifest(config, "riccati")
-    if path:
-        print(path)
+    _write_output(config, "riccati", "riccati.csv", [header] + rows)
     return 0
 
 
-def _cmd_paths(args) -> int:
-    config = _resolve_config(args)
+def _cmd_paths(args, config: RunConfig) -> int:
     n_paths = int(args.n_paths)
     model, _, _, _, ensemble, _ = _simulate(config, 0, n_paths)
     grid = model.grid
@@ -509,110 +467,74 @@ def _cmd_paths(args) -> int:
         + [f"y_{i + 1}" for i in range(model.n2)]
     )
     times = grid.times
-    rows = []
+    rows = [header]
     for ell in range(n_paths):
         for k in range(grid.n_steps + 1):
             rows.append(
                 [ell, k, f"{times[k]:.12g}"]
                 + [f"{v:.17g}" for v in ensemble.z_paths[ell, k]]
             )
-    out_dir = _ensure_out(config)
-    path = _write_csv(out_dir, "paths.csv", header, rows)
-    _emit_manifest(config, "paths")
-    if path:
-        print(path)
+    _write_output(config, "paths", "paths.csv", rows)
     return 0
 
 
-def _cmd_solve(args) -> int:
-    config = _resolve_config(args)
-    threads = _resolve_threads(args)
-    result = run_solve(config, threads=threads)
-    out_dir = _ensure_out(config)
-    if out_dir is not None:
-        # Wall-clock time stays out of the stored result so identical runs
-        # (including different --threads) produce byte-identical files.
-        stored = {k: v for k, v in result.items() if k != "runtime_s"}
-        _write_json(out_dir, "result.json", stored)
-        _write_json(out_dir, "manifest.json", result["manifest"])
-    print(json.dumps(result, indent=2, sort_keys=True))
+def _cmd_solve(args, config: RunConfig) -> int:
+    result = run_solve(config, threads=_resolve_threads(args))
+    _write_output(config, "solve", "result.json", result)
     return 0
 
 
-def _cmd_table2(args) -> int:
-    config = _resolve_config(args)
-    threads = _resolve_threads(args)
-    rows = run_table2(config, threads=threads)
-    header = ["m0", "estimate", "stderr", "reference", "abs_dev", "rel_dev"]
-    csv_rows = [
-        [
-            f"{r['m0']:.12g}", f"{r['estimate']:.12g}", f"{r['stderr']:.12g}",
-            f"{r['reference']:.12g}", f"{r['abs_dev']:.12g}", f"{r['rel_dev']:.12g}",
-        ]
-        for r in rows
-    ]
-    out_dir = _ensure_out(config)
-    path = _write_csv(out_dir, "table2.csv", header, csv_rows)
-    _emit_manifest(config, "table2")
-    if path:
-        print(path)
+def _cmd_table2(args, config: RunConfig) -> int:
+    rows = [["m0", "estimate", "stderr", "reference", "abs_dev", "rel_dev"]]
+    for r in run_sweep(config, "m0", sorted(PDE_REFERENCE), _resolve_threads(args)):
+        reference = PDE_REFERENCE[r["value"]]
+        abs_dev = abs(r["v1"] - reference)
+        rows.append([
+            f"{x:.12g}"
+            for x in (r["value"], r["v1"], r["stderr"], reference, abs_dev, abs_dev / abs(reference))
+        ])
+    _write_output(config, "table2", "table2.csv", rows)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _resolve_config(args)
-    threads = _resolve_threads(args)
+def _cmd_sweep(args, config: RunConfig) -> int:
     values = None
     if args.values:
         values = _stage("load", lambda text: [float(v) for v in text.split(",")], args.values)
-    rows = run_sweep(config, args.axis, values=values, threads=threads)
-    header = ["value", "v1", "stderr"]
-    csv_rows = [
-        [f"{r['value']:.12g}", f"{r['v1']:.12g}", f"{r['stderr']:.12g}"] for r in rows
+    rows = [["value", "v1", "stderr"]] + [
+        [f"{r['value']:.12g}", f"{r['v1']:.12g}", f"{r['stderr']:.12g}"]
+        for r in run_sweep(config, args.axis, values, _resolve_threads(args))
     ]
-    out_dir = _ensure_out(config)
-    path = _write_csv(out_dir, f"sweep_{args.axis}.csv", header, csv_rows)
-    _emit_manifest(config, "sweep")
-    if path:
-        print(path)
+    _write_output(config, "sweep", f"sweep_{args.axis}.csv", rows)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    config = _resolve_config(args)
-    tree_steps = args.n_steps if args.n_steps is not None else 4
-    problem = copy.deepcopy(config.problem)
-    problem["n_steps"] = int(tree_steps)
-    solver = dict(config.solver)
-    solver["n_steps"] = int(tree_steps)
-    sub = RunConfig(problem=problem, solver=solver, output=config.output)
-    model, modes = _stage("load", _resolve_problem, sub)
+def _cmd_oracle(args, config: RunConfig) -> int:
+    # The tree's leaf count is exponential in n_steps, so the oracle runs on
+    # a short grid of its own unless --n-steps sets one.
+    tree_steps = int(args.n_steps if args.n_steps is not None else 4)
+    config = RunConfig(
+        problem={**config.problem, "n_steps": tree_steps},
+        solver={**config.solver, "n_steps": tree_steps},
+        output=config.output,
+    )
+    model, modes = _stage("load", _resolve_problem, config)
     spec = _stage("oracle", TreeSpec, model, modes)
     schedule = _stage("riccati", solve_riccati, model, model.grid)
-    rule = _stage("quadrature", build_quadrature, model.n1, int(solver["quad_order"]))
+    rule = _stage("quadrature", build_quadrature, model.n1, int(config.solver["quad_order"]))
     values = _stage("oracle", tree_oracle_value, spec, schedule, rule)
     payload = {
         "values": [float(v) for v in values],
         "n_steps": model.n_steps,
         "n_leaves": spec.n_leaves,
-        "manifest": sub.manifest("oracle"),
+        "manifest": config.manifest("oracle"),
     }
-    out_dir = _ensure_out(sub)
-    if out_dir is not None:
-        _write_json(out_dir, "oracle.json", payload)
-        _write_json(out_dir, "manifest.json", payload["manifest"])
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write_output(config, "oracle", "oracle.json", payload)
     return 0
 
 
-def _cmd_bound(args) -> int:
-    config = _resolve_config(args)
-    payload = run_bound(config)
-    out_dir = _ensure_out(config)
-    if out_dir is not None:
-        _write_json(out_dir, "bound.json", payload)
-        _write_json(out_dir, "manifest.json", payload["manifest"])
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _cmd_bound(args, config: RunConfig) -> int:
+    _write_output(config, "bound", "bound.json", run_bound(config))
     return 0
 
 
@@ -633,6 +555,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quad-order", type=int, dest="quad_order", help="quadrature nodes per axis")
 
 
+# Subcommands: name, handler, help, and the arguments it adds to the common ones.
+_COMMANDS = (
+    ("validate", _cmd_validate, "check a problem's structural assumptions", ()),
+    ("riccati", _cmd_riccati, "integrate the covariance schedule to CSV", (
+        ("--substeps", dict(type=int, default=None, help="RK4 substeps per grid interval")),
+    )),
+    ("paths", _cmd_paths, "simulate a small path ensemble to CSV", (
+        ("--n-paths", dict(type=int, default=10, help="paths to emit")),
+    )),
+    ("solve", _cmd_solve, "estimate values at the initial state", ()),
+    ("table2", _cmd_table2, "benchmark against the transcribed references", ()),
+    ("sweep", _cmd_sweep, "sweep one problem entry over a ladder", (
+        ("--axis", dict(required=True, choices=sorted(_SWEEP_DEFAULTS))),
+        ("--values", dict(help="comma-separated ladder (default per axis)")),
+    )),
+    ("oracle", _cmd_oracle, "exhaustive two-point tree values", ()),
+    ("bound", _cmd_bound, "report a-priori error-bound terms", ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchmc",
@@ -643,43 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"switchmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a problem's structural assumptions")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("riccati", help="integrate the covariance schedule to CSV")
-    _add_common(p)
-    p.add_argument("--substeps", type=int, default=None, help="RK4 substeps per grid interval")
-    p.set_defaults(fn=_cmd_riccati)
-
-    p = sub.add_parser("paths", help="simulate a small path ensemble to CSV")
-    _add_common(p)
-    p.add_argument("--n-paths", type=int, default=10, help="paths to emit")
-    p.set_defaults(fn=_cmd_paths)
-
-    p = sub.add_parser("solve", help="estimate values at the initial state")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("table2", help="benchmark against the transcribed references")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_table2)
-
-    p = sub.add_parser("sweep", help="sweep one problem entry over a ladder")
-    _add_common(p)
-    p.add_argument("--axis", required=True, choices=sorted(_SWEEP_DEFAULTS))
-    p.add_argument("--values", help="comma-separated ladder (default per axis)")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("oracle", help="exhaustive two-point tree values")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("bound", help="report a-priori error-bound terms")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bound)
-
+    for name, fn, help_text, extra in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -687,7 +598,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.fn(args))
+        return int(args.fn(args, _stage("load", _resolve_config, args)))
     except StageError as exc:
         print(f"error at stage '{exc.stage}': {exc.cause}", file=sys.stderr)
         return 2

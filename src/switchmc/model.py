@@ -146,38 +146,6 @@ class ModelSpec:
     def grid(self) -> TimeGrid:
         return TimeGrid(T=self.T, n_steps=self.n_steps)
 
-    def replace(self, **overrides) -> "ModelSpec":
-        """New ModelSpec with some fields replaced (arrays re-coerced).
-
-        Changing ``n_steps`` (or ``T``) re-grids the coefficient schedules.
-        A schedule that is constant in time collapses back to a single matrix
-        and is re-tiled on the new grid; a genuinely time-varying schedule
-        cannot be re-gridded automatically and must be overridden explicitly.
-        """
-        fields = dict(
-            n1=self.n1, m1=self.m1, n2=self.n2, m2=self.m2, T=self.T,
-            n_steps=self.n_steps, F=self.F, C=self.C, G=self.G,
-            m0=self.m0, theta0=self.theta0, y0=self.y0,
-        )
-        regridding = any(
-            key in overrides and overrides[key] != fields[key]
-            for key in ("n_steps", "T")
-        )
-        if regridding:
-            for key in ("F", "C", "G"):
-                if key in overrides:
-                    continue
-                table = fields[key]
-                if np.all(table == table[0]):
-                    fields[key] = table[0]
-                else:
-                    raise ValueError(
-                        f"cannot re-grid time-varying schedule {key}; "
-                        f"pass a new {key} alongside the grid change"
-                    )
-        fields.update(overrides)
-        return ModelSpec(**fields)
-
 
 @dataclass(frozen=True, eq=False)
 class PayoffSpec:
@@ -298,16 +266,10 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
     report = ValidationReport()
     add = report.violations.append
 
-    if not model.T > 0:
-        add(f"horizon not positive: T={model.T}")
     if abs(grid.T - model.T) > _CHECK_ATOL * max(1.0, abs(model.T)):
         add(f"grid horizon {grid.T} does not match model horizon {model.T}")
     if grid.n_steps != model.n_steps:
         add(f"grid n_steps {grid.n_steps} does not match model n_steps {model.n_steps}")
-    times = grid.times
-    spacings = np.diff(times)
-    if not np.allclose(spacings, grid.delta, rtol=0, atol=_CHECK_ATOL * max(1.0, grid.T)):
-        add("time grid is not uniform")
 
     theta0 = model.theta0
     if not np.allclose(theta0, theta0.T, atol=_CHECK_ATOL):
@@ -327,7 +289,7 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
 
     d = modes.d
     try:
-        for t in times:
+        for t in grid.times:
             c = modes.cost_matrix(float(t))
             diag = np.abs(np.diag(c))
             if diag.max(initial=0.0) > _CHECK_ATOL:
@@ -340,23 +302,16 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
                     f"(min off-diagonal {off.min():.3e} < nu={modes.nu:g})"
                 )
                 break
-            tri_ok = True
-            for i1 in range(d):
-                for i2 in range(d):
-                    for i3 in range(d):
-                        if c[i1, i2] + c[i2, i3] < c[i1, i3] - _CHECK_ATOL:
-                            add(
-                                f"triangle inequality violated at t={t:g}: "
-                                f"c({i1},{i2}) + c({i2},{i3}) = {c[i1, i2] + c[i2, i3]:g} "
-                                f"< c({i1},{i3}) = {c[i1, i3]:g}"
-                            )
-                            tri_ok = False
-                            break
-                    if not tri_ok:
-                        break
-                if not tri_ok:
-                    break
-            if not tri_ok:
+            # violated[i1, i2, i3]: c(i1, i2) + c(i2, i3) < c(i1, i3); argwhere
+            # lists violations in (i1, i2, i3) order, so the first is reported.
+            violated = c[:, :, None] + c[None, :, :] < c[:, None, :] - _CHECK_ATOL
+            if violated.any():
+                i1, i2, i3 = np.argwhere(violated)[0]
+                add(
+                    f"triangle inequality violated at t={t:g}: "
+                    f"c({i1},{i2}) + c({i2},{i3}) = {c[i1, i2] + c[i2, i3]:g} "
+                    f"< c({i1},{i3}) = {c[i1, i3]:g}"
+                )
                 break
     except Exception as exc:  # user cost callables may misbehave; report, don't raise
         add(f"cost evaluation failed: {exc}")

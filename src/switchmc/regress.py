@@ -80,10 +80,10 @@ class HypercubeBasis:
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[-1]}, expected {self.dim}")
         flat = pts.reshape(-1, self.dim)
-        below = flat < self.domain.lows
-        above = flat > self.domain.highs
-        if below.any() or above.any():
-            bad = int(np.argmax(np.any(below | above, axis=1)))
+        # Written as "not inside" so that a NaN coordinate is rejected too.
+        outside = ~((flat >= self.domain.lows) & (flat <= self.domain.highs))
+        if outside.any():
+            bad = int(np.argmax(np.any(outside, axis=1)))
             raise IndexingError(
                 f"point {flat[bad]} lies outside the domain "
                 f"[{self.domain.lows}, {self.domain.highs}]; project before indexing"

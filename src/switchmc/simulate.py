@@ -116,19 +116,19 @@ class NoiseSource:
 class PathEnsemble:
     """Training paths for regression: the regression state (conditional mean,
     observation) on the grid, clamped into ``domain``.  Row ell depends only
-    on (seed, ell).
+    on the simulation seed and ell.
 
     ``z_paths`` has shape (M, N+1, n1 + n2), conditional mean first.  It is
     stored read-only; ``m_paths``, ``y_paths`` and ``state(k)`` are views of
-    it.
+    it.  Points outside ``domain`` are not looked for here: ``build_ensemble``
+    clamps every point, and ``HypercubeBasis.cell_coords`` rejects any point
+    outside the domain when the ensemble is indexed.
     """
 
     grid: TimeGrid
     domain: Domain
     z_paths: np.ndarray
     n1: int
-    seed: int
-    noise: NoiseSource
     x_paths: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -145,8 +145,6 @@ class PathEnsemble:
             )
         if not 0 < self.n1 < z.shape[2]:
             raise ValueError(f"n1 must lie in [1, {z.shape[2]}), got {self.n1}")
-        if not bool(np.all(self.domain.contains(z))):
-            raise ValueError("ensemble contains points outside the domain; project first")
         z = z.view()
         z.flags.writeable = False
         object.__setattr__(self, "z_paths", z)
@@ -200,16 +198,11 @@ def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
     M = 2^(N*(m1+m2)) consecutive indices the ensemble enumerates every
     pattern exactly once.
     """
-    m1, m2 = model.m1, model.m2
-    width = m1 + m2
-    M = len(path_ids)
-    signs = np.empty((M, n_steps, width))
-    for row, pid in enumerate(path_ids):
-        pid = int(pid)
-        for k in range(n_steps):
-            for c in range(width):
-                bit = (pid >> (k * width + c)) & 1
-                signs[row, k, c] = 1.0 if bit else -1.0
+    m1 = model.m1
+    width = m1 + model.m2
+    ids = np.asarray(path_ids, dtype=np.int64)
+    bits = np.arange(n_steps * width).reshape(n_steps, width)
+    signs = np.where((ids[:, None, None] >> bits) & 1, 1.0, -1.0)
     dw = signs[:, :, :m1]
     du = signs[:, :, m1:]
     return dw, du
@@ -296,8 +289,6 @@ def build_ensemble(
         domain=domain,
         z_paths=z,
         n1=model.n1,
-        seed=seed,
-        noise=noise,
         x_paths=x if store_signal else None,
     )
 

@@ -60,8 +60,43 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(switchmc.__file__).parent.glob("*.py")), ids=lambda p: p.name
-)
+def names_read(source: str) -> set:
+    """Every name a module reads: loaded names, attributes, imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unreferenced_private_names(source: str, read: set) -> list:
+    """Module-level private names (``_x``, not dunders) of a module that are
+    not in ``read``, the names read anywhere in the package."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    """No module imports a name it never uses, or defines a module-level
+    private helper or constant that no module of the package reads."""
+    source = path.read_text(encoding="utf-8")
+    assert unused_imports(source) == []
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in SOURCES))
+    assert unreferenced_private_names(source, read) == []

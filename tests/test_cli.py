@@ -190,6 +190,19 @@ class TestConfigPrecedence:
         assert code == 0
         assert json.loads(out)["manifest"]["solver"]["n_steps"] == 14
 
+    def test_per_step_table_must_match_the_solver_grid(self, tmp_path, capsys):
+        # The solver's n_steps replaces the problem's; a per-step F table of
+        # the problem's grid does not fit a different one, even when constant.
+        path = write_problem(tmp_path, n_steps=3, F=[[[0.0]]] * 4)
+        code, out, err = run_cli(
+            ["solve", "--problem", path, "--n-steps", "6", "--M", "100",
+             "--replications", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error at stage 'load': ")
+        assert out == ""
+
     def test_missing_problem_file_is_a_load_error(self, capsys):
         code, _, err = run_cli(["solve", "--problem", "/no/such/file.json"], capsys)
         assert code == 2
@@ -352,3 +365,15 @@ class TestMisc:
         lines = out.strip().splitlines()
         assert lines[0].startswith("m0,estimate,stderr,reference")
         assert len(lines) == 4
+
+    def test_table2_is_the_m0_sweep_at_the_reference_starts(self, capsys):
+        args = ["--M", "120", "--n-steps", "10", "--replications", "3", "--seed", "3"]
+        code, table, _ = run_cli(["table2", *args], capsys)
+        assert code == 0
+        code, sweep, _ = run_cli(["sweep", "--axis", "m0", "--values=-0.5,0,0.5", *args], capsys)
+        assert code == 0
+        table_rows = [line.split(",") for line in table.strip().splitlines()[1:]]
+        sweep_rows = [line.split(",") for line in sweep.strip().splitlines()[1:]]
+        # m0, estimate and stderr against value, v1 and stderr.
+        assert [row[:3] for row in table_rows] == sweep_rows
+        assert len(sweep_rows) == 3

@@ -81,24 +81,6 @@ class TestModelSpec:
                 m0=[0.0, 0.0], theta0=np.eye(2), y0=[0.0],
             )
 
-    def test_replace_regrids_constant_schedules(self):
-        model, _ = make_benchmark(n_steps=730)
-        finer = model.replace(n_steps=10)
-        assert finer.n_steps == 10
-        assert np.asarray(finer.F).shape == (11, 1, 1)
-        assert finer.T == model.T
-
-    def test_replace_refuses_time_varying_regrid(self):
-        table = np.arange(4, dtype=float).reshape(4, 1, 1)
-        model = ModelSpec(
-            n1=1, m1=1, n2=1, m2=1, T=1.0, n_steps=3,
-            F=table, C=1.0, G=1.0, m0=[0.0], theta0=[[0.0]], y0=[0.0],
-        )
-        with pytest.raises(ValueError):
-            model.replace(n_steps=5)
-        replaced = model.replace(n_steps=5, F=0.0)
-        assert np.asarray(replaced.F).shape == (6, 1, 1)
-
     def test_grid_property(self):
         model, _ = make_benchmark(n_steps=8)
         assert model.grid.n_steps == 8
@@ -192,6 +174,20 @@ class TestValidate:
         report = validate(model, modes, model.grid)
         assert not report.ok
         assert any("triangle" in v for v in report.violations)
+
+    def test_triangle_report_names_the_first_violation(self, small_problem):
+        # Two violations, (0, 1, 2) and (2, 1, 0); only the first in
+        # (i1, i2, i3) order is reported, at the first grid time.
+        model, _ = small_problem
+        modes = ModeSet(
+            payoffs=(as_payoff("zero"), as_payoff("linear"), as_payoff("zero")),
+            costs=[[0.0, 0.01, 0.5], [0.01, 0.0, 0.02], [0.3, 0.01, 0.0]],
+            nu=0.001,
+        )
+        report = validate(model, modes, model.grid)
+        assert report.violations == [
+            "triangle inequality violated at t=0: c(0,1) + c(1,2) = 0.03 < c(0,2) = 0.5"
+        ]
 
     def test_indefinite_theta0_flagged(self, small_problem):
         _, modes = small_problem

@@ -58,6 +58,8 @@ class TestHypercubeBasis:
         with pytest.raises(IndexingError) as err:
             basis.cell_index(np.array([[1.5]]))
         assert "1.5" in str(err.value)
+        with pytest.raises(IndexingError, match="nan"):
+            basis.cell_index(np.array([[0.5], [np.nan]]))
 
     def test_r_and_delta_side(self):
         dom = Domain(lows=np.array([0.0, -1.0]), highs=np.array([2.0, 1.0]), epsilon=0.01)
@@ -158,8 +160,7 @@ class TestEstimatePmin:
         m = np.array([[[0.1], [0.9]], [[0.2], [0.9]], [[0.3], [0.9]], [[0.8], [0.9]]])
         y = np.full((4, 2, 1), 0.5)
         ens = PathEnsemble(
-            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1,
-            seed=0, noise=NoiseSource("gaussian"),
+            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )
         est = estimate_pmin(memberships(ens, basis), basis.R)
         assert est.raw_min == pytest.approx(0.25)
@@ -175,8 +176,7 @@ class TestEstimatePmin:
         m = np.array([[[0.1], [0.9]], [[0.9], [0.9]]])
         y = np.full((2, 2, 1), 0.5)
         ens = PathEnsemble(
-            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1,
-            seed=0, noise=NoiseSource("gaussian"),
+            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )
         est = estimate_pmin(memberships(ens, basis), basis.R)
         assert est.raw_min == 0.0

@@ -11,6 +11,7 @@ from oracles import make_benchmark
 
 from switchmc import (
     Domain,
+    HypercubeBasis,
     NoiseSource,
     PathEnsemble,
     SimulationError,
@@ -22,6 +23,7 @@ from switchmc import (
     simulate_paths,
     solve_riccati,
 )
+from switchmc.regress import memberships
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,24 @@ class TestSimulatePaths:
         flat = np.concatenate([z.reshape(n_paths, -1), x.reshape(n_paths, -1)], axis=1)
         assert np.unique(flat, axis=0).shape[0] == n_paths
 
+    def test_two_point_signs_are_the_path_index_bits(self):
+        # Loop reference: bit k*(m1+m2)+c of the path id is the sign of noise
+        # component c at step k.  With F = 0, C = 1 and G = 0 the signal and
+        # observation steps are the signed increments themselves.
+        model, _ = make_benchmark(n_steps=3, G=0.0)
+        grid = model.grid
+        schedule = solve_riccati(model, grid)
+        ids = [0, 5, 37, 63, 2 ** 40 + 9]
+        z, x = simulate_paths(
+            model, grid, schedule, NoiseSource("two_point"), seed=0, path_ids=ids
+        )
+        steps = np.stack([np.diff(x[..., 0], axis=1), np.diff(z[..., 1], axis=1)], axis=-1)
+        for row, pid in enumerate(ids):
+            for k in range(3):
+                for c in range(2):
+                    expected = 1.0 if (pid >> (k * 2 + c)) & 1 else -1.0
+                    assert np.sign(steps[row, k, c]) == expected
+
     def test_two_point_starts_signal_at_the_mean(self):
         model, _ = make_benchmark(n_steps=2)
         grid = model.grid
@@ -190,16 +210,16 @@ class TestSimulatePaths:
 
 class TestPathEnsemble:
     def test_rejects_out_of_domain_paths(self, bench20):
+        # The ensemble does not re-scan its paths; indexing them into cells
+        # rejects the first off-domain point (IndexingError is a ValueError).
         model, _, schedule = bench20
         grid = model.grid
         dom = Domain(lows=np.array([-0.001, -0.001]), highs=np.array([0.001, 0.001]), epsilon=0.01)
         z = np.zeros((3, 21, 2))
         z[..., 1] = 0.5
-        with pytest.raises(ValueError):
-            PathEnsemble(
-                grid=grid, domain=dom, z_paths=z, n1=1, seed=0,
-                noise=NoiseSource("gaussian"),
-            )
+        ensemble = PathEnsemble(grid=grid, domain=dom, z_paths=z, n1=1)
+        with pytest.raises(ValueError, match="outside the domain"):
+            memberships(ensemble, HypercubeBasis(dom, 4))
 
     def test_state_concatenates_mean_and_observation(self, bench20):
         model, _, schedule = bench20
