@@ -101,11 +101,12 @@ class CovarianceSchedule:
 class QuadratureRule:
     """Nodes z_q in R^dim and weights summing to one for N(0, I) expectations.
 
-    Gauss-Hermite rules store their nodes in mirror-paired order (each node
-    immediately followed by its reflection through the origin, after an
-    optional leading self-mirrored center node).  ``weighted_sum`` exploits
-    that layout so integrands odd around a zero mean cancel exactly in
-    floating point instead of leaving roundoff residue.
+    Gauss-Hermite rules keep the row-major tensor order, in which node
+    n-1-q is the exact reflection of node q through the origin (and the
+    middle node of an odd-sized rule is the origin itself).
+    ``weighted_sum`` relies on that layout: integrands odd around a zero
+    mean cancel exactly in floating point only because mirror nodes are
+    added to each other first.
     """
 
     nodes: np.ndarray
@@ -128,35 +129,23 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
     @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
-
-    @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-    @property
-    def _mirror_paired(self) -> bool:
-        n = self.n_nodes
-        if self.kind != "gauss-hermite" or n < 2:
-            return False
-        lead = n % 2
-        return bool(np.array_equal(self.nodes[lead::2], -self.nodes[lead + 1::2]))
 
     def weighted_sum(self, vals: np.ndarray) -> np.ndarray:
         """Weighted node sum over the last axis of ``vals`` (..., n_nodes).
 
-        For mirror-paired rules each (+z, -z) pair is added first, so odd
-        contributions cancel bitwise rather than accumulating roundoff.
+        Node q is added to node n-1-q first, the pairs are summed, then the
+        middle node of an odd-sized rule is added.  Under the reversal layout
+        of Gauss-Hermite rules odd contributions therefore cancel bitwise
+        rather than accumulating roundoff.
         """
         p = np.asarray(vals, dtype=float) * self.weights
-        if self._mirror_paired:
-            lead = self.n_nodes % 2
-            out = (p[..., lead::2] + p[..., lead + 1::2]).sum(axis=-1)
-            if lead:
-                out = out + p[..., 0]
-            return out
-        return p.sum(axis=-1)
+        half = self.n_nodes // 2
+        out = (p[..., :half] + p[..., : -half - 1 : -1]).sum(axis=-1)
+        if self.n_nodes % 2:
+            out = out + p[..., half]
+        return out
 
 
 def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
@@ -184,10 +173,7 @@ def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
         for wg in wgrids:
             weights = weights * wg.reshape(-1)
         weights = weights / weights.sum()
-        order_idx = _mirror_pair_order(order, dim)
-        return QuadratureRule(
-            nodes=nodes[order_idx], weights=weights[order_idx], kind="gauss-hermite"
-        )
+        return QuadratureRule(nodes=nodes, weights=weights, kind="gauss-hermite")
     # scipy.stats is slow to import, and only this fallback needs it.
     from scipy.special import ndtri
     from scipy.stats import qmc
@@ -198,31 +184,6 @@ def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
     nodes = ndtri(u)
     weights = np.full(_HALTON_POINTS, 1.0 / _HALTON_POINTS)
     return QuadratureRule(nodes=nodes, weights=weights, kind="halton")
-
-
-def _mirror_pair_order(order: int, dim: int) -> np.ndarray:
-    """Node permutation putting each tensor node next to its reflection.
-
-    The optional self-mirrored center node (odd 1-D order only) comes first;
-    after it, positions 2i and 2i+1 hold a node and its negation.
-    """
-    n = order ** dim
-    flat = np.arange(n).reshape([order] * dim)
-    mirror = flat[(slice(None, None, -1),) * dim].reshape(-1)
-    visited = np.zeros(n, dtype=bool)
-    center = []
-    pairs = []
-    for i in range(n):
-        if visited[i]:
-            continue
-        j = int(mirror[i])
-        visited[i] = True
-        if j == i:
-            center.append(i)
-        else:
-            visited[j] = True
-            pairs.extend((i, j))
-    return np.array(center + pairs, dtype=np.int64)
 
 
 def default_substeps(grid: TimeGrid) -> int:

@@ -43,8 +43,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -123,10 +123,7 @@ class ModelSpec:
             raise ValueError(f"m1 must be <= n1, got m1={self.m1}, n1={self.n1}")
         if self.m2 > self.n2:
             raise ValueError(f"m2 must be <= n2, got m2={self.m2}, n2={self.n2}")
-        if not self.T > 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        TimeGrid(self.T, self.n_steps)  # checks the horizon and the step count
         objset = object.__setattr__
         objset(self, "F", _as_schedule("F", self.F, self.n_steps, self.n1, self.n1))
         objset(self, "C", _as_schedule("C", self.C, self.n_steps, self.n1, self.m1))
@@ -271,18 +268,19 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
     if grid.n_steps != model.n_steps:
         add(f"grid n_steps {grid.n_steps} does not match model n_steps {model.n_steps}")
 
+    for name in ("m0", "y0", "F", "C", "G"):
+        if not np.all(np.isfinite(getattr(model, name))):
+            add(f"{name} has non-finite entries")
+
     theta0 = model.theta0
-    if not np.allclose(theta0, theta0.T, atol=_CHECK_ATOL):
+    if not np.all(np.isfinite(theta0)):
+        add("theta0 has non-finite entries")
+    elif not np.allclose(theta0, theta0.T, atol=_CHECK_ATOL):
         add("theta0 is not symmetric")
     else:
         min_eig = float(np.linalg.eigvalsh(0.5 * (theta0 + theta0.T)).min())
         if min_eig < -_CHECK_ATOL:
             add(f"theta0 is not positive semi-definite (min eigenvalue {min_eig:.3e})")
-
-    for name in ("F", "C", "G"):
-        table = getattr(model, name)
-        if not np.all(np.isfinite(table)):
-            add(f"coefficient schedule {name} has non-finite entries")
 
     if not modes.nu > 0:
         add(f"nu must be positive, got {modes.nu}")
@@ -291,6 +289,9 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
     try:
         for t in grid.times:
             c = modes.cost_matrix(float(t))
+            if not np.all(np.isfinite(c)):
+                add(f"switching cost not finite at t={t:g}")
+                break
             diag = np.abs(np.diag(c))
             if diag.max(initial=0.0) > _CHECK_ATOL:
                 add(f"diagonal cost nonzero at t={t:g} (max |c(i,i)| = {diag.max():.3e})")

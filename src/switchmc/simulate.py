@@ -90,10 +90,6 @@ class Domain:
         """Componentwise clamp onto the box (idempotent, 1-Lipschitz)."""
         return np.clip(np.asarray(points, dtype=float), self.lows, self.highs)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.all((pts >= self.lows) & (pts <= self.highs), axis=-1)
-
     def widened(self, factor: float) -> "Domain":
         center = 0.5 * (self.lows + self.highs)
         half = 0.5 * (self.highs - self.lows) * factor

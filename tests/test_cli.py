@@ -46,6 +46,20 @@ class TestValidate:
         assert code == 1
         assert "violation" in out
 
+    def test_nan_cost_fails_validate_and_solve(self, tmp_path, capsys):
+        # NaN compares false, so without a finiteness check every cost
+        # check passed and solve wrote "v": [NaN, NaN].
+        path = write_problem(tmp_path, costs=[[0.0, float("nan")], [0.001, 0.0]])
+        code, out, _ = run_cli(["validate", "--problem", path], capsys)
+        assert code == 1
+        assert "switching cost not finite" in out
+        code, out, err = run_cli(
+            ["solve", "--problem", path, "--M", "200", "--n-steps", "10"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error at stage 'validate': ")
+        assert out == ""
+
     def test_missing_key_is_a_load_error(self, tmp_path, capsys):
         path = write_problem(tmp_path, nu=None)
         code, _, err = run_cli(["validate", "--problem", path], capsys)
@@ -250,6 +264,10 @@ class TestLoadErrors:
     def test_zero_replications(self, capsys):
         self.assert_load_error(["solve", "--replications", "0"], capsys)
 
+    def test_infinite_horizon(self, tmp_path, capsys):
+        path = write_problem(tmp_path, T=float("inf"))
+        self.assert_load_error(["solve", "--problem", path], capsys)
+
 
 class TestSweep:
     def test_csv_named_after_axis(self, tmp_path, capsys):
@@ -332,6 +350,21 @@ class TestBound:
             assert "regression_noise_term" in payload["infinite_terms"]
         else:
             assert payload["infinite_terms"] == []
+
+    def test_finite_regression_terms_with_one_cell(self, capsys):
+        # One cell holds every path, so raw_min = 1 and the regression
+        # terms reduce to 1/(delta sqrt(M)) and 1/(delta M).
+        code, out, _ = run_cli(
+            ["bound", "--M", "200", "--n-steps", "12", "--cells-per-dim", "1"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pmin_hat"]["raw_min"] == 1.0
+        delta = 1.0 / 12
+        terms = payload["terms"]
+        assert terms["regression_noise_term"] == pytest.approx(1.0 / (delta * 200 ** 0.5))
+        assert terms["regression_bias_term"] == pytest.approx(1.0 / (delta * 200))
+        assert payload["infinite_terms"] == []
 
     def test_empty_partition_is_a_regress_error(self, capsys):
         code, _, err = run_cli(["bound", *FAST, "--cells-per-dim", "0"], capsys)

@@ -148,11 +148,13 @@ class TestQuadrature:
         assert rule.n_nodes == 4096
 
     def test_node_set_is_sign_symmetric(self):
+        # Tensor order puts the exact reflection of node q at index n-1-q,
+        # the layout weighted_sum pairs by.
         for dim in (1, 2, 3):
-            rule = build_quadrature(dim, 16)
-            nodes = {tuple(row) for row in rule.nodes}
-            for row in rule.nodes:
-                assert tuple(-v for v in row) in nodes
+            for order in (1, 4, 5, 16):
+                rule = build_quadrature(dim, order)
+                assert np.array_equal(rule.nodes[::-1], -rule.nodes)
+                assert np.array_equal(rule.weights[::-1], rule.weights)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -192,16 +194,20 @@ class TestQuadrature:
     def test_odd_moments_vanish_exactly_at_zero_mean(self):
         # Mirror-paired summation makes antisymmetric integrands cancel in
         # floating point, not just approximately.
+        # Order 5 has a centre node, added after the pairs.
         for dim in (1, 2, 3):
-            rule = build_quadrature(dim, 16)
-            got = belief_average(lambda x: x[..., 0], np.zeros(dim), np.eye(dim), rule)
-            assert got == 0.0
+            for order in (5, 16):
+                rule = build_quadrature(dim, order)
+                got = belief_average(lambda x: x[..., 0], np.zeros(dim), np.eye(dim), rule)
+                assert got == 0.0
 
     def test_weighted_sum_matches_plain_dot(self):
-        rule = build_quadrature(2, 8)
+        # Even and odd Gauss-Hermite rules and the Halton rule of dim 4.
         rng = np.random.default_rng(4)
-        vals = rng.standard_normal((5, rule.n_nodes))
-        assert np.allclose(rule.weighted_sum(vals), vals @ rule.weights, atol=1e-14)
+        for dim, order in ((2, 8), (2, 5), (4, 16)):
+            rule = build_quadrature(dim, order)
+            vals = rng.standard_normal((5, rule.n_nodes))
+            assert np.allclose(rule.weighted_sum(vals), vals @ rule.weights, atol=1e-14)
 
 
 class TestGaussExpectation:

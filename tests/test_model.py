@@ -32,8 +32,9 @@ class TestTimeGrid:
         assert grid.times[-1] == 1.0
 
     def test_bad_construction(self):
-        with pytest.raises(ValueError):
-            TimeGrid(T=0.0, n_steps=4)
+        for T in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TimeGrid(T=T, n_steps=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, n_steps=0)
 
@@ -194,6 +195,18 @@ class TestValidate:
         model, _ = make_benchmark(n_steps=20, theta0=-1.0)
         report = validate(model, modes, model.grid)
         assert not report.ok
+
+    @pytest.mark.parametrize("key, value, violation", [
+        ("costs", [[0.0, math.nan], [0.001, 0.0]], "switching cost not finite at t=0"),
+        ("m0", math.nan, "m0 has non-finite entries"),
+        ("y0", math.nan, "y0 has non-finite entries"),
+        ("theta0", math.nan, "theta0 has non-finite entries"),
+    ])
+    def test_non_finite_entry_flagged(self, key, value, violation):
+        # NaN compares false, so each of these passed every check before
+        # finiteness was tested first.
+        model, modes = make_benchmark(n_steps=20, **{key: value})
+        assert validate(model, modes, model.grid).violations == [violation]
 
     def test_grid_mismatch_flagged(self, small_problem):
         model, modes = small_problem
