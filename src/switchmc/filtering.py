@@ -4,8 +4,9 @@ and Gaussian quadrature for belief-averaged payoffs.
 Under the linear model the conditional law of the signal given observations
 is Gaussian N(m_t, theta_t).  The covariance theta_t solves a matrix Riccati
 ODE and is deterministic, so it is integrated once per problem; the mean m_t
-follows a linear recursion driven by observation increments.  Expectations
-against the belief reduce to Gaussian quadrature.
+follows a linear recursion driven by observation increments.  An affine
+payoff averages over the belief to its value at the mean; the belief average
+of any other payoff is a Gaussian quadrature.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class IntegrationError(RuntimeError):
 
 
 class EvaluationError(RuntimeError):
-    """An integrand returned a non-finite value at a quadrature node."""
+    """An integrand returned a non-finite value at a mean point or quadrature node."""
 
 
 def psd_sqrt(theta: np.ndarray) -> np.ndarray:
@@ -289,24 +290,23 @@ def effective_payoff_batch(
     rule: QuadratureRule,
 ) -> np.ndarray:
     """Belief-averaged payoff of mode j at many (m, y) points sharing one
-    covariance factor.  Returns shape (M,) for inputs (M, n1) and (M, n2)."""
+    covariance factor.  Returns shape (M,) for inputs (M, n1) and (M, n2).
+    An affine payoff, or any payoff at zero covariance, averages exactly to
+    its value at the mean; other payoffs go through the quadrature rule."""
     m_batch = np.asarray(m_batch, dtype=float)
     y_batch = np.asarray(y_batch, dtype=float)
     payoff = modes.payoffs[j]
-    if not np.any(sqrt_theta):
-        vals = np.asarray(payoff(m_batch, y_batch, t), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(f"payoff of mode {j} not finite at some mean point")
-        return vals
-    # points: (M, n_nodes, n1)
-    shifts = rule.nodes @ sqrt_theta.T
-    points = m_batch[:, None, :] + shifts[None, :, :]
-    ys = np.broadcast_to(y_batch[:, None, :], points.shape[:-1] + (y_batch.shape[-1],))
+    at_mean = payoff.is_affine or not np.any(sqrt_theta)
+    points, ys, where = m_batch, y_batch, "mean point"
+    if not at_mean:  # points: (M, n_nodes, n1)
+        points = m_batch[:, None, :] + (rule.nodes @ sqrt_theta.T)[None, :, :]
+        ys = np.broadcast_to(y_batch[:, None, :], points.shape[:-1] + (y_batch.shape[-1],))
+        where = "quadrature node"
     vals = np.asarray(payoff(points, ys, t), dtype=float)
     if vals.shape != points.shape[:-1]:
         raise ValueError(
             f"payoff of mode {j} returned shape {vals.shape}, expected {points.shape[:-1]}"
         )
     if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"payoff of mode {j} not finite at some quadrature node")
-    return rule.weighted_sum(vals)
+        raise EvaluationError(f"payoff of mode {j} not finite at some {where}")
+    return vals if at_mean else rule.weighted_sum(vals)

@@ -161,17 +161,20 @@ class PayoffSpec:
     def __call__(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         return self.fn(x, y, t)
 
+    @property
+    def is_affine(self) -> bool:
+        """Affine in x (every registry payoff), so a Gaussian average is the value at the mean."""
+        return self.name in ("zero", "linear", "affine")
+
 
 def payoff_from_registry(name: str, **params: float) -> PayoffSpec:
     """Built-in payoffs: ``zero``, ``linear`` (first signal coordinate), and
     ``affine`` (a * first signal coordinate + b)."""
+    if name in ("zero", "linear") and params:
+        raise ValueError(f"payoff '{name}' takes no parameters, got {params}")
     if name == "zero":
-        if params:
-            raise ValueError(f"payoff 'zero' takes no parameters, got {params}")
         return PayoffSpec("zero", {}, lambda x, y, t: np.zeros(np.shape(x)[:-1]))
     if name == "linear":
-        if params:
-            raise ValueError(f"payoff 'linear' takes no parameters, got {params}")
         return PayoffSpec("linear", {}, lambda x, y, t: np.asarray(x)[..., 0])
     if name == "affine":
         unknown = set(params) - {"a", "b"}

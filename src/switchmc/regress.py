@@ -72,7 +72,7 @@ class HypercubeBasis:
 
     @property
     def delta_side(self) -> np.ndarray:
-        return self.domain.widths / np.asarray(self.cells_per_dim, dtype=float)
+        return (self.domain.highs - self.domain.lows) / np.asarray(self.cells_per_dim, dtype=float)
 
     def cell_coords(self, points: np.ndarray) -> np.ndarray:
         """Per-axis cell indices, shape (..., dim).  Errors off-domain."""

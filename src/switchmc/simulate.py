@@ -73,18 +73,14 @@ class Domain:
         if not np.all(lows < highs):
             bad = int(np.argmax(~(lows < highs)))
             raise ValueError(f"domain must have lows < highs, violated at coordinate {bad}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
 
     @property
     def dim(self) -> int:
         return self.lows.shape[0]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.highs - self.lows
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Componentwise clamp onto the box (idempotent, 1-Lipschitz)."""
@@ -316,8 +312,8 @@ def calibrate_domain(
     grid time; the box is widened by 10% at most 10 times before giving up
     with CalibrationError.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if pilot_M < 100:
         raise ValueError(f"pilot_M must be >= 100, got {pilot_M}")
     noise = NoiseSource("gaussian")

@@ -12,9 +12,10 @@ bugs:
 - a dictionary-based exhaustive tree valuation for small two-point-noise
   instances.
 
-``make_benchmark`` and ``belief_average`` are conveniences, not references:
-the latter routes a Gaussian expectation through the solver's own belief
-average so it can be compared with the exact moments above.
+``make_benchmark``, ``SIGNAL2D`` and ``belief_average`` are conveniences, not
+references: the last routes a Gaussian expectation through the solver's own
+belief average (its quadrature path, since phi is a callable) so it can be
+compared with the exact moments above.
 """
 
 from __future__ import annotations
@@ -201,6 +202,22 @@ def tiny_tree_value(model, modes, schedule, rule) -> list:
                 new_values[p] = list(vals)
         values = new_values
     return values[0]
+
+
+# The 2-D signal problem of perfbench/signal2d.json: n1 = 2, n2 = 1.
+SIGNAL2D = {
+    "n1": 2, "m1": 2, "n2": 1, "m2": 1,
+    "T": 1.0, "n_steps": 100,
+    "F": [[0.0, 0.0], [0.0, 0.0]],
+    "C": [[1.0, 0.0], [0.0, 1.0]],
+    "G": [[1.0, 1.0]],
+    "m0": [0.0, 0.0],
+    "theta0": [[0.0, 0.0], [0.0, 0.0]],
+    "y0": [0.0],
+    "modes": ["zero", "linear"],
+    "costs": [[0.0, 0.01], [0.001, 0.0]],
+    "nu": 0.001,
+}
 
 
 def make_benchmark(n_steps: int = 730, m0: float = 0.0, **overrides):

@@ -269,6 +269,19 @@ class TestLoadErrors:
         self.assert_load_error(["solve", "--problem", path], capsys)
 
 
+@pytest.mark.parametrize("command", ("solve", "bound"))
+@pytest.mark.parametrize("epsilon", ("inf", "nan", "0"))
+def test_bad_epsilon_is_a_calibrate_error(command, epsilon, capsys):
+    # An infinite epsilon used to pass and write "epsilon": Infinity, which
+    # is not strict JSON.
+    code, out, err = run_cli(
+        [command, "--M", "100", "--n-steps", "10", "--epsilon", epsilon], capsys
+    )
+    assert code == 2
+    assert err.startswith("error at stage 'calibrate': ")
+    assert out == ""
+
+
 class TestSweep:
     def test_csv_named_after_axis(self, tmp_path, capsys):
         out_dir = tmp_path / "sw"

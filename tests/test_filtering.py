@@ -5,17 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import belief_average, gaussian_monomial_moment, make_benchmark
+from oracles import SIGNAL2D, belief_average, gaussian_monomial_moment, make_benchmark
 
 from switchmc import (
     EvaluationError,
     IntegrationError,
     ModelSpec,
+    ModeSet,
+    QuadratureRule,
     TimeGrid,
     build_quadrature,
+    payoff_from_registry,
     psd_sqrt,
     solve_riccati,
 )
+from switchmc.benchmarks import default_solver_params
+from switchmc.cli import RunConfig, run_pipeline
 from switchmc.filtering import (
     CovarianceSchedule,
     default_substeps,
@@ -353,3 +358,57 @@ class TestEffectivePayoff:
                 modes, 1, ms[i:i + 1], sqrt_theta, ys[i:i + 1], 0.25, rule16
             )
             assert batch[i] == single[0]
+
+    @pytest.mark.parametrize("theta", (0.0, 0.5), ids=("mean-point", "quadrature"))
+    def test_payoff_of_wrong_shape_rejected(self, theta, rule16):
+        # The payoff returns x itself, (..., n1) instead of (...), whichever
+        # branch averages it.
+        modes = ModeSet(payoffs=(lambda x, y, t: x,), costs=[[0.0]], nu=1.0)
+        sqrt_theta = psd_sqrt(np.array([[theta]]))
+        points = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="payoff of mode 0 returned shape"):
+            effective_payoff_batch(modes, 0, points, sqrt_theta, points, 0.0, rule16)
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_affine_closed_form_matches_quadrature(self, dim):
+        # Registry payoffs are averaged at the mean; the same functions as
+        # custom callables go through the quadrature rule.
+        rng = np.random.default_rng(10 + dim)
+        rule = build_quadrature(dim, 16)
+        a, b = rng.uniform(-2.0, 2.0, size=2)
+        specs = [payoff_from_registry("zero"), payoff_from_registry("linear"),
+                 payoff_from_registry("affine", a=a, b=b)]
+        closed_modes = ModeSet(payoffs=tuple(specs), costs=np.zeros((3, 3)), nu=1.0)
+        quad_modes = ModeSet(payoffs=tuple(s.fn for s in specs), costs=np.zeros((3, 3)), nu=1.0)
+        assert [p.is_affine for p in closed_modes.payoffs] == [True] * 3
+        assert [p.is_affine for p in quad_modes.payoffs] == [False] * 3
+        for _ in range(5):
+            ms = rng.uniform(-5.0, 5.0, size=(40, dim))
+            ys = rng.standard_normal((40, 1))
+            factor = rng.standard_normal((dim, dim))
+            sqrt_theta = psd_sqrt(factor @ factor.T)
+            for j in range(3):
+                closed = effective_payoff_batch(closed_modes, j, ms, sqrt_theta, ys, 0.3, rule)
+                quad = effective_payoff_batch(quad_modes, j, ms, sqrt_theta, ys, 0.3, rule)
+                assert np.all(np.abs(closed - quad) <= 1e-14 * (1.0 + np.abs(closed)))
+
+    @pytest.mark.parametrize(
+        "modes, expect_quadrature",
+        ((["zero", "linear"], False), (["zero", lambda x, y, t: np.tanh(x[..., 0])], True)),
+        ids=("registry", "custom"),
+    )
+    def test_only_custom_payoffs_reach_quadrature(self, monkeypatch, modes, expect_quadrature):
+        calls = []
+        weighted_sum = QuadratureRule.weighted_sum
+
+        def counting(rule, vals):
+            calls.append(vals.shape)
+            return weighted_sum(rule, vals)
+
+        monkeypatch.setattr(QuadratureRule, "weighted_sum", counting)
+        solver = {**default_solver_params(), "M": 200, "n_steps": 10, "seed": 3}
+        # run_pipeline is one replication of run_solve; a callable payoff
+        # does not serialize into run_solve's manifest.
+        result = run_pipeline(RunConfig(problem={**SIGNAL2D, "modes": modes}, solver=solver))
+        assert np.all(np.isfinite(result.values))
+        assert (len(calls) > 0) == expect_quadrature

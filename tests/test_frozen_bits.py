@@ -13,24 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import SIGNAL2D
+
 from switchmc import simulate_policy
 from switchmc.benchmarks import benchmark_problem, default_solver_params
 from switchmc.cli import RunConfig, run_pipeline, run_solve
-
-# The 2-D signal problem of perfbench/signal2d.json: n1 = 2, n2 = 1.
-SIGNAL2D = {
-    "n1": 2, "m1": 2, "n2": 1, "m2": 1,
-    "T": 1.0, "n_steps": 100,
-    "F": [[0.0, 0.0], [0.0, 0.0]],
-    "C": [[1.0, 0.0], [0.0, 1.0]],
-    "G": [[1.0, 1.0]],
-    "m0": [0.0, 0.0],
-    "theta0": [[0.0, 0.0], [0.0, 0.0]],
-    "y0": [0.0],
-    "modes": ["zero", "linear"],
-    "costs": [[0.0, 0.01], [0.001, 0.0]],
-    "nu": 0.001,
-}
 
 SMALL = {"M": 400, "n_steps": 20, "seed": 5}
 

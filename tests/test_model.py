@@ -115,6 +115,8 @@ class TestPayoffs:
         assert mapped.fn(np.array([[2.0]]), np.zeros((1, 1)), 0.0) == pytest.approx(2.5)
         spec = PayoffSpec("custom", {}, lambda x, y, t: x[..., 0])
         assert as_payoff(spec) is spec
+        # Only registry payoffs are known to be affine in x.
+        assert [p.is_affine for p in (named, mapped, direct, spec)] == [True, True, False, False]
 
 
 class TestModeSet:
