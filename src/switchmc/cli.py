@@ -379,6 +379,8 @@ def _resolve_config(args) -> RunConfig:
             solver[key] = val
     if not isinstance(problem, dict):
         raise TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
+    if int(solver["seed"]) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {solver['seed']}")
     # The grid comes from the problem unless a config or flag overrides it.
     if solver.get("n_steps") is None:
         # A problem without n_steps fails at stage 'load', naming the key.
@@ -387,15 +389,16 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise StageError("load", ValueError(f"{_ENV_THREADS} must be an integer, got '{env}'"))
-    return 1
+    """Worker threads from --threads, else from $SWITCHMC_THREADS, else 1."""
+    name, text = "--threads", args.threads
+    if text is None:
+        name, text = _ENV_THREADS, os.environ.get(_ENV_THREADS) or "1"
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise StageError("load", ValueError(f"{name} must be a positive integer, got '{text}'"))
 
 
 # Keys printed on stdout but kept out of stored files: wall-clock time

@@ -61,10 +61,6 @@ class ValueSurface:
         object.__setattr__(self, "coeffs", tuple(tuple(level) for level in self.coeffs))
 
     @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def M(self) -> int:
         return self.values.shape[2]
 
@@ -105,10 +101,11 @@ def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray):
     """Column-wise argmax of (d, M) action values where ties keep the current
     mode current[ell] if it attains the max, otherwise take the smallest index."""
     best = action_values.max(axis=0)
-    smallest = np.argmax(action_values == best[None, :], axis=0)
+    smallest = np.zeros(action_values.shape[1], dtype=np.int64)
+    for j in range(action_values.shape[0] - 1, -1, -1):
+        smallest[action_values[j] == best] = j
     cur_vals = action_values[current, np.arange(action_values.shape[1])]
-    choice = np.where(cur_vals == best, current, smallest)
-    return best, choice
+    return best, np.where(cur_vals == best, current, smallest)
 
 
 def _action_values(modes, rule, sqrt_theta, t, delta, points, level, ids):
@@ -162,12 +159,15 @@ def backward_induction(
         )
 
         cost = modes.cost_matrix(t)
-        cells, first = np.unique(ids, return_index=True)
+        # A visited cell's policy entry is the choice of its lowest-index path.
+        first = np.full(R, M)
+        np.minimum.at(first, ids, np.arange(M))
+        cells = np.flatnonzero(first < M)
         for i in range(d):
             best, jstar = _stay_biased_argmax(cand - cost[i][:, None], np.full(M, i))
             values[k, i] = best
             choice[k, i, :] = i
-            choice[k, i, cells] = jstar[first]
+            choice[k, i, cells] = jstar[first[cells]]
 
     surface = ValueSurface(grid=grid, basis=basis, values=values, coeffs=tuple(coeffs))
     policy = Policy(grid=grid, basis=basis, choice=choice)

@@ -41,6 +41,8 @@ _Q_LADDER = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0)
 _CALIBRATION_MARGIN = 0.8
 _WIDEN_FACTOR = 1.1
 _MAX_WIDENINGS = 10
+# Paths whose Gaussian streams are drawn before one transposed copy.
+_DRAW_BLOCK = 64
 
 
 class SimulationError(RuntimeError):
@@ -110,11 +112,13 @@ class PathEnsemble:
     observation) on the grid, clamped into ``domain``.  Row ell depends only
     on the simulation seed and ell.
 
-    ``z_paths`` has shape (M, N+1, n1 + n2), conditional mean first.  It is
-    stored read-only; ``m_paths``, ``y_paths`` and ``state(k)`` are views of
-    it.  Points outside ``domain`` are not looked for here: ``build_ensemble``
-    clamps every point, and ``HypercubeBasis.cell_coords`` rejects any point
-    outside the domain when the ensemble is indexed.
+    ``z_paths`` has shape (M, N+1, n1 + n2), conditional mean first; from
+    ``build_ensemble`` it is a transposed view of time-major storage, so
+    ``state(k)`` is one contiguous block.  It is stored read-only;
+    ``m_paths``, ``y_paths`` and ``state(k)`` are views of it.  Points
+    outside ``domain`` are not looked for here: ``build_ensemble`` clamps
+    every point, and ``HypercubeBasis.cell_coords`` rejects any point outside
+    the domain when the ensemble is indexed.
     """
 
     grid: TimeGrid
@@ -163,27 +167,29 @@ class PathEnsemble:
 def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int]):
     """Per-path draws, each path keyed by (seed, path_id) alone.
 
-    Returns z0 (M, n1), dw (M, N, m1), du (M, N, m2) of standard normals.
+    Returns z0 (M, n1), dw (N, M, m1), du (N, M, m2) of standard normals:
+    views of one (draw, path) array, filled a block of paths at a time.
     """
     n1, m1, m2 = model.n1, model.m1, model.m2
     M = len(path_ids)
-    total = n1 + n_steps * (m1 + m2)
-    z0 = np.empty((M, n1))
-    dw = np.empty((M, n_steps, m1))
-    du = np.empty((M, n_steps, m2))
+    draws = np.empty((n1 + n_steps * (m1 + m2), M))
+    block = np.empty((min(M, _DRAW_BLOCK), draws.shape[0]))
     key_hi = int(seed) % (2 ** 64)
-    for row, pid in enumerate(path_ids):
-        key = np.array([key_hi, int(pid) % (2 ** 64)], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        draws = gen.standard_normal(total)
-        z0[row] = draws[:n1]
-        dw[row] = draws[n1:n1 + n_steps * m1].reshape(n_steps, m1)
-        du[row] = draws[n1 + n_steps * m1:].reshape(n_steps, m2)
-    return z0, dw, du
+    for start in range(0, M, _DRAW_BLOCK):
+        ids = path_ids[start:start + _DRAW_BLOCK]
+        for row, pid in zip(block, ids):
+            key = np.array([key_hi, int(pid) % (2 ** 64)], dtype=np.uint64)
+            np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+        draws[:, start:start + len(ids)] = block[:len(ids)].T
+    split = n1 + n_steps * m1
+    dw = draws[n1:split].reshape(n_steps, m1, M).transpose(0, 2, 1)
+    du = draws[split:].reshape(n_steps, m2, M).transpose(0, 2, 1)
+    return draws[:n1].T, dw, du
 
 
 def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
-    """Sign patterns +-1 read from the base-2 digits of each path index.
+    """Sign patterns +-1 read from the base-2 digits of each path index,
+    time-major: dw (N, M, m1) and du (N, M, m2).
 
     Bit k*(m1+m2)+c of the path index selects the sign of noise component c
     at step k (signal components first, then observation components).  With
@@ -193,11 +199,9 @@ def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
     m1 = model.m1
     width = m1 + model.m2
     ids = np.asarray(path_ids, dtype=np.int64)
-    bits = np.arange(n_steps * width).reshape(n_steps, width)
-    signs = np.where((ids[:, None, None] >> bits) & 1, 1.0, -1.0)
-    dw = signs[:, :, :m1]
-    du = signs[:, :, m1:]
-    return dw, du
+    bits = np.arange(n_steps * width).reshape(n_steps, 1, width)
+    signs = np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
+    return signs[..., :m1], signs[..., m1:]
 
 
 def simulate_paths(
@@ -211,10 +215,12 @@ def simulate_paths(
     """Simulate raw (unclamped) Euler paths for the given path indices.
 
     Returns (z, x) with shapes (M, N+1, n1 + n2) and (M, N+1, n1): the
-    regression state (conditional mean, then observation) and the signal.
-    Path row ell is a function of (seed, path_ids[ell]) only, so ensembles
-    of different sizes agree pathwise.  Gaussian noise draws the signal start
-    from N(m0, theta0); two-point noise starts the signal at m0 exactly.
+    regression state (conditional mean, then observation) and the signal,
+    as transposed views of time-major arrays, so one grid time is one
+    contiguous block.  Path row ell is a function of (seed, path_ids[ell])
+    only, so ensembles of different sizes agree pathwise.  Gaussian noise
+    draws the signal start from N(m0, theta0); two-point noise starts the
+    signal at m0 exactly.
     """
     if schedule.n_steps != grid.n_steps:
         raise ValueError(
@@ -234,30 +240,25 @@ def simulate_paths(
     dw *= sqrt_delta
     du *= sqrt_delta
 
-    x = np.empty((M, n_steps + 1, n1))
-    z = np.empty((M, n_steps + 1, n1 + n2))
-    x[:, 0, :] = x0
-    z[:, 0, :n1] = model.m0
-    z[:, 0, n1:] = model.y0
+    x = np.empty((n_steps + 1, M, n1))
+    z = np.empty((n_steps + 1, M, n1 + n2))
+    x[0] = x0
+    z[0, :, :n1] = model.m0
+    z[0, :, n1:] = model.y0
 
     for k in range(n_steps):
-        F = model.F[k]
-        C = model.C[k]
-        G = model.G[k]
-        xk = x[:, k, :]
-        x_next = xk + rowwise_matvec(F, xk) * delta + rowwise_matvec(C, dw[:, k, :])
-        dy = rowwise_matvec(G, xk) * delta + du[:, k, :]
-        y_next = z[:, k, n1:] + dy
-        m_next = mean_step(z[:, k, :n1], dy, schedule.thetas[k], F, G, delta)
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(m_next)) and np.all(np.isfinite(y_next))):
+        F, C, G = model.F[k], model.C[k], model.G[k]
+        xk = x[k]
+        x[k + 1] = xk + rowwise_matvec(F, xk) * delta + rowwise_matvec(C, dw[k])
+        dy = rowwise_matvec(G, xk) * delta + du[k]
+        z[k + 1, :, :n1] = mean_step(z[k, :, :n1], dy, schedule.thetas[k], F, G, delta)
+        z[k + 1, :, n1:] = z[k, :, n1:] + dy
+        if not (np.isfinite(x[k + 1]).all() and np.isfinite(z[k + 1]).all()):
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
             )
-        x[:, k + 1, :] = x_next
-        z[:, k + 1, :n1] = m_next
-        z[:, k + 1, n1:] = y_next
 
-    return z, x
+    return z.transpose(1, 0, 2), x.transpose(1, 0, 2)
 
 
 def build_ensemble(
@@ -293,7 +294,8 @@ def _clip_error(state: np.ndarray, domain: Domain) -> float:
     """
     clamped = np.clip(state, domain.lows, domain.highs)
     dist = np.sqrt(np.sum((state - clamped) ** 2, axis=-1))
-    return float(dist.mean(axis=0).max())
+    # A running sum adds paths in index order, whatever the storage layout.
+    return float((np.add.accumulate(dist, axis=0)[-1] / dist.shape[0]).max())
 
 
 def calibrate_domain(
@@ -360,17 +362,12 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
     otherwise.
     """
     n1 = schedule.thetas.shape[1]
-    dim = domain.dim
-    n2 = dim - n1
-    corners = [domain.lows, domain.highs]
-    points = []
-    for mask in range(2 ** dim):
-        pt = np.array([corners[(mask >> c) & 1][c] for c in range(dim)])
-        points.append(pt)
-    points.append(0.5 * (domain.lows + domain.highs))
-    points = np.asarray(points)  # (P, dim)
-    m_pts = points[:, :n1]
-    y_pts = points[:, n1:]
+    n2 = domain.dim - n1
+    # Corner r takes the high end of axis c where bit c of r is set.
+    high = (np.arange(2 ** domain.dim)[:, None] >> np.arange(domain.dim)) & 1
+    center = 0.5 * (domain.lows + domain.highs)
+    points = np.vstack([np.where(high, domain.highs, domain.lows), center])  # (P, dim)
+    m_pts, y_pts = points[:, :n1], points[:, n1:]
 
     f_sup = 0.0
     times = grid.times

@@ -248,6 +248,7 @@ class TestLoadErrors:
         assert code == 2
         assert err.startswith("error at stage 'load': ")
         assert out == ""
+        return err
 
     def test_non_numeric_sweep_value(self, capsys):
         self.assert_load_error(["sweep", "--axis", "G", "--values=a,0"], capsys)
@@ -267,6 +268,23 @@ class TestLoadErrors:
     def test_infinite_horizon(self, tmp_path, capsys):
         path = write_problem(tmp_path, T=float("inf"))
         self.assert_load_error(["solve", "--problem", path], capsys)
+
+    @pytest.mark.parametrize("command", ("solve", "bound", "paths"))
+    def test_negative_seed(self, command, capsys):
+        # SeedSequence used to reject it outside any stage, with no stage name.
+        err = self.assert_load_error([command, "--seed", "-3", "--M", "100", "--n-steps", "10"], capsys)
+        assert "--seed" in err
+
+    @pytest.mark.parametrize(
+        "flag, env", ((["--threads", "0"], None), (["--threads", "-2"], None), ([], "0")),
+        ids=("flag-zero", "flag-negative", "variable-zero"),
+    )
+    def test_non_positive_thread_count(self, flag, env, capsys, monkeypatch):
+        # These used to be clamped to one thread silently.
+        if env is not None:
+            monkeypatch.setenv("SWITCHMC_THREADS", env)
+        err = self.assert_load_error(["solve", "--M", "100", "--n-steps", "10"] + flag, capsys)
+        assert ("--threads" if flag else "SWITCHMC_THREADS") in err
 
 
 @pytest.mark.parametrize("command", ("solve", "bound"))

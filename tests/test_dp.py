@@ -21,6 +21,7 @@ from switchmc import (
     solve_riccati,
     value_at_origin,
 )
+from switchmc.dp import _action_values, _stay_biased_argmax
 from switchmc.regress import memberships
 
 
@@ -205,6 +206,73 @@ class TestTieBreaking:
         )
         for i in range(3):
             assert np.all(policy.choice[:, i, :] == i)
+
+
+    def test_three_mode_tie_rule(self):
+        # Columns: the current mode tied for the max; two non-current modes
+        # tied (the smaller index wins, in either order); the current mode
+        # tied with a smaller index; a unique max.
+        values = np.array([
+            [1.0, 0.0, 5.0, 5.0, 1.0],
+            [2.0, 5.0, 1.0, 5.0, 3.0],
+            [2.0, 5.0, 5.0, 0.0, 2.0],
+        ])
+        best, choice = _stay_biased_argmax(values, np.array([2, 0, 1, 1, 0]))
+        assert best.tolist() == [2.0, 5.0, 5.0, 5.0, 3.0]
+        assert choice.tolist() == [2, 1, 0, 1, 1]
+
+
+def reference_choice(action_values, current):
+    """The tie rule written with argmax over the tie mask."""
+    best = action_values.max(axis=0)
+    smallest = np.argmax(action_values == best[None, :], axis=0)
+    cur_vals = action_values[current, np.arange(action_values.shape[1])]
+    return np.where(cur_vals == best, current, smallest)
+
+
+def test_policy_table_takes_each_cell_from_its_first_path():
+    # Three modes whose payoffs are x, -x and 0: paths of one cell on either
+    # side of x = 0 choose differently.
+    model, _ = make_benchmark(n_steps=8)
+    modes = ModeSet(
+        payoffs=(
+            as_payoff("zero"),
+            as_payoff({"name": "affine", "a": 1.0, "b": 0.0}),
+            as_payoff({"name": "affine", "a": -1.0, "b": 0.0}),
+        ),
+        costs=[[0.0, 0.001, 0.001], [0.001, 0.0, 0.001], [0.001, 0.001, 0.0]],
+        nu=0.001,
+    )
+    grid = model.grid
+    schedule = solve_riccati(model, grid)
+    rule = build_quadrature(1, 4)
+    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=61)
+    ensemble = build_ensemble(model, grid, schedule, domain, 200, NoiseSource("gaussian"), seed=62)
+    basis = HypercubeBasis(domain, (6, 6))
+    cell_ids = memberships(ensemble, basis)
+    surface, policy = backward_induction(ensemble, basis, cell_ids, modes, schedule, rule)
+    M = ensemble.M
+    unvisited = first_last_differ = 0
+    for k in range(grid.n_steps):
+        t = float(grid.times[k])
+        ids = cell_ids[k]
+        cand, _ = _action_values(
+            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k),
+            surface.coeffs[k], ids,
+        )
+        cells, first = np.unique(ids, return_index=True)
+        last = M - 1 - np.unique(ids[::-1], return_index=True)[1]
+        unvisited += basis.R - cells.size
+        for i in range(modes.d):
+            jstar = reference_choice(cand - modes.cost_matrix(t)[i][:, None], np.full(M, i))
+            expected = np.full(basis.R, i)
+            expected[cells] = jstar[first]
+            assert np.array_equal(policy.choice[k, i], expected)
+            first_last_differ += np.count_nonzero(jstar[first] != jstar[last])
+    # Both kinds of cell occur, so a table that defaulted visited cells or
+    # took the last visitor's choice would fail above.
+    assert unvisited > 0
+    assert first_last_differ > 0
 
 
 class TestSimulatePolicy:

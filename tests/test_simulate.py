@@ -24,6 +24,7 @@ from switchmc import (
     solve_riccati,
 )
 from switchmc.regress import memberships
+from switchmc.simulate import _DRAW_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,20 @@ class TestSimulatePaths:
             model, grid, schedule, noise, seed=42, path_ids=[17, 3, 99]
         )
         assert np.array_equal(z_sub[0], z_one[0])
+
+    @pytest.mark.parametrize("kind", ("gaussian", "two_point"))
+    def test_rows_agree_across_draw_block_seams(self, bench20, kind):
+        # Gaussian streams are drawn a block of paths at a time; the rows on
+        # either side of each block boundary must match one-path calls.
+        model, _, schedule = bench20
+        grid = model.grid
+        noise = NoiseSource(kind)
+        ids = range(3, 3 + 2 * _DRAW_BLOCK + 7)
+        z_all, x_all = simulate_paths(model, grid, schedule, noise, seed=9, path_ids=ids)
+        for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK - 1, 2 * _DRAW_BLOCK, len(ids) - 1):
+            z_one, x_one = simulate_paths(model, grid, schedule, noise, seed=9, path_ids=[ids[row]])
+            assert np.array_equal(z_all[row], z_one[0])
+            assert np.array_equal(x_all[row], x_one[0])
 
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
@@ -232,6 +247,15 @@ class TestPathEnsemble:
         assert st.shape == (6, 2)
         assert np.array_equal(st[:, 0], ens.m_paths[:, 3, 0])
         assert np.array_equal(st[:, 1], ens.y_paths[:, 3, 0])
+
+    def test_storage_is_time_major(self, bench20):
+        model, _, schedule = bench20
+        grid = model.grid
+        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]), epsilon=0.01)
+        ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
+        assert ens.z_paths.shape == (6, 21, 2)
+        for k in (0, 3, 20):
+            assert ens.state(k).flags.c_contiguous
 
     def test_paths_are_read_only_views_of_the_state(self, bench20):
         model, _, schedule = bench20
