@@ -88,12 +88,10 @@ class RunConfig:
     solver: dict
     output: str | None = None
 
-    def canonical_json(self) -> str:
-        payload = {"problem": self.problem, "solver": self.solver}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        payload = {"problem": self.problem, "solver": self.solver}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def manifest(self, command: str) -> dict:
         return {
@@ -482,14 +480,14 @@ def _cmd_paths(args, config: RunConfig) -> int:
 
 
 def _cmd_solve(args, config: RunConfig) -> int:
-    result = run_solve(config, threads=_resolve_threads(args))
+    result = run_solve(config, threads=args.threads)
     _write_output(config, "solve", "result.json", result)
     return 0
 
 
 def _cmd_table2(args, config: RunConfig) -> int:
     rows = [["m0", "estimate", "stderr", "reference", "abs_dev", "rel_dev"]]
-    for r in run_sweep(config, "m0", sorted(PDE_REFERENCE), _resolve_threads(args)):
+    for r in run_sweep(config, "m0", sorted(PDE_REFERENCE), args.threads):
         reference = PDE_REFERENCE[r["value"]]
         abs_dev = abs(r["v1"] - reference)
         rows.append([
@@ -506,7 +504,7 @@ def _cmd_sweep(args, config: RunConfig) -> int:
         values = _stage("load", lambda text: [float(v) for v in text.split(",")], args.values)
     rows = [["value", "v1", "stderr"]] + [
         [f"{r['value']:.12g}", f"{r['v1']:.12g}", f"{r['stderr']:.12g}"]
-        for r in run_sweep(config, args.axis, values, _resolve_threads(args))
+        for r in run_sweep(config, args.axis, values, args.threads)
     ]
     _write_output(config, "sweep", f"sweep_{args.axis}.csv", rows)
     return 0
@@ -601,7 +599,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.fn(args, _stage("load", _resolve_config, args)))
+        config = _stage("load", _resolve_config, args)
+        args.threads = _resolve_threads(args)
+        return int(args.fn(args, config))
     except StageError as exc:
         print(f"error at stage '{exc.stage}': {exc.cause}", file=sys.stderr)
         return 2

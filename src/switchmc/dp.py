@@ -20,7 +20,7 @@ import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
-from .regress import HypercubeBasis, empirical_coefficients, regress_eval
+from .regress import HypercubeBasis, IndexingError, empirical_coefficients, regress_eval
 from .simulate import NoiseSource, PathEnsemble, build_ensemble
 
 __all__ = [
@@ -38,9 +38,9 @@ class ValueSurface:
     """Pathwise value estimates and per-time regression coefficients.
 
     ``values`` has shape (N+1, d, M): values[k, i, ell] estimates the value
-    at grid time t_k in mode i at training path ell.  ``coeffs[k][j]`` is the
-    CoefficientVector regressing mode-j values at t_{k+1} on cells at t_k,
-    for k = 0..N-1.
+    at grid time t_k in mode i at training path ell.  ``coeffs[k]`` is the
+    (d, R) CoefficientVector regressing values at t_{k+1} on cells at t_k,
+    for k = 0..N-1; ``coeffs[k][j]`` is mode j's row.
     """
 
     grid: TimeGrid
@@ -58,7 +58,7 @@ class ValueSurface:
         if len(self.coeffs) != n_steps:
             raise ValueError(f"need {n_steps} coefficient levels, got {len(self.coeffs)}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coeffs", tuple(tuple(level) for level in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
     def M(self) -> int:
@@ -97,14 +97,15 @@ class PolicyEvaluation:
     n_paths: int
 
 
-def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray):
-    """Column-wise argmax of (d, M) action values where ties keep the current
-    mode current[ell] if it attains the max, otherwise take the smallest index."""
+def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray | int):
+    """Column-wise argmax of (d, P) action values where ties keep the current
+    mode (per column, or one for all) if it attains the max, else the smallest."""
+    d, P = action_values.shape
     best = action_values.max(axis=0)
-    smallest = np.zeros(action_values.shape[1], dtype=np.int64)
-    for j in range(action_values.shape[0] - 1, -1, -1):
+    smallest = np.zeros(P, dtype=np.int64)
+    for j in range(d - 1, -1, -1):
         smallest[action_values[j] == best] = j
-    cur_vals = action_values[current, np.arange(action_values.shape[1])]
+    cur_vals = action_values.ravel().take(current * P + np.arange(P))
     return best, np.where(cur_vals == best, current, smallest)
 
 
@@ -113,15 +114,14 @@ def _action_values(modes, rule, sqrt_theta, t, delta, points, level, ids):
 
     Returns (cand, fbars), both (d, P): fbars[j] is the belief-averaged
     payoff of mode j and cand[j] = delta * fbars[j] + the continuation of
-    mode j read from the step-k coefficients ``level``.
+    mode j read from the (d, R) step-k coefficients ``level``.
     """
     n1 = sqrt_theta.shape[0]
     m, y = points[:, :n1], points[:, n1:]
     fbars = np.stack([
         effective_payoff_batch(modes, j, m, sqrt_theta, y, t, rule) for j in range(modes.d)
     ])
-    cand = np.stack([delta * fbars[j] + regress_eval(cv, ids) for j, cv in enumerate(level)])
-    return cand, fbars
+    return delta * fbars + regress_eval(level, ids), fbars
 
 
 def backward_induction(
@@ -145,29 +145,31 @@ def backward_induction(
     d, M, R = modes.d, ensemble.M, basis.R
     if cell_ids.shape != (n_steps + 1, M):
         raise ValueError(f"cell_ids must have shape {(n_steps + 1, M)}, got {cell_ids.shape}")
+    if cell_ids.min() < 0 or cell_ids.max() >= R:
+        raise IndexingError(f"cell ids outside [0, {R}): {cell_ids.min()} to {cell_ids.max()}")
 
     values = np.zeros((n_steps + 1, d, M))
     coeffs: list = [None] * n_steps
     choice = np.empty((n_steps, d, R), dtype=np.int64)
+    path_order, times = np.arange(M), grid.times
 
     for k in range(n_steps - 1, -1, -1):
-        t = float(grid.times[k])
+        t = float(times[k])
         ids = cell_ids[k]
-        coeffs[k] = tuple(empirical_coefficients(values[k + 1, j], ids, R) for j in range(d))
+        coeffs[k] = empirical_coefficients(values[k + 1], ids, R)
         cand, _ = _action_values(
             modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k), coeffs[k], ids
         )
-
         cost = modes.cost_matrix(t)
-        # A visited cell's policy entry is the choice of its lowest-index path.
+        np.max(cand[None] - cost[:, :, None], axis=1, out=values[k])
+        # A cell's policy entry is its first visitor's choice, so only those run the tie rule.
         first = np.full(R, M)
-        np.minimum.at(first, ids, np.arange(M))
+        np.minimum.at(first, ids, path_order)
         cells = np.flatnonzero(first < M)
+        visitors = cand[:, first[cells]]
         for i in range(d):
-            best, jstar = _stay_biased_argmax(cand - cost[i][:, None], np.full(M, i))
-            values[k, i] = best
             choice[k, i, :] = i
-            choice[k, i, cells] = jstar[first[cells]]
+            choice[k, i, cells] = _stay_biased_argmax(visitors - cost[i, :, None], i)[1]
 
     surface = ValueSurface(grid=grid, basis=basis, values=values, coeffs=tuple(coeffs))
     policy = Policy(grid=grid, basis=basis, choice=choice)
@@ -226,10 +228,10 @@ def simulate_policy(
     mode = np.full(M, int(start_mode), dtype=np.int64)
     total = np.zeros(M)
     switches = np.zeros(M, dtype=np.int64)
-    rows = np.arange(M)
+    rows, times = np.arange(M), grid.times
 
     for k in range(grid.n_steps):
-        t = float(grid.times[k])
+        t = float(times[k])
         pts = ensemble.state(k)
         ids = basis.cell_index(pts)
         cand, fbars = _action_values(
@@ -237,7 +239,7 @@ def simulate_policy(
         )
         cost = modes.cost_matrix(t)
         if pointwise_policy:
-            _, jstar = _stay_biased_argmax(cand - cost[mode].T, mode)
+            _, jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
         else:
             jstar = policy.choice[k][mode, ids]
 

@@ -56,11 +56,12 @@ class HypercubeBasis:
         if any(c < 1 for c in cells):
             raise ValueError(f"cells_per_dim entries must be >= 1, got {cells}")
         object.__setattr__(self, "cells_per_dim", cells)
+        # Interior edges: a right searchsorted over them is the cell; the top edge is in the last.
         edges = tuple(
-            np.linspace(self.domain.lows[c], self.domain.highs[c], cells[c] + 1)
+            np.linspace(self.domain.lows[c], self.domain.highs[c], cells[c] + 1)[1:-1]
             for c in range(dim)
         )
-        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_inner_edges", edges)
 
     @property
     def dim(self) -> int:
@@ -80,20 +81,16 @@ class HypercubeBasis:
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[-1]}, expected {self.dim}")
         flat = pts.reshape(-1, self.dim)
-        # Written as "not inside" so that a NaN coordinate is rejected too.
-        outside = ~((flat >= self.domain.lows) & (flat <= self.domain.highs))
-        if outside.any():
-            bad = int(np.argmax(np.any(outside, axis=1)))
-            raise IndexingError(
-                f"point {flat[bad]} lies outside the domain "
-                f"[{self.domain.lows}, {self.domain.highs}]; project before indexing"
-            )
         coords = np.empty(flat.shape, dtype=np.int64)
-        edges = self._edges
         for c in range(self.dim):
-            idx = np.searchsorted(edges[c], flat[:, c], side="right") - 1
-            np.clip(idx, 0, self.cells_per_dim[c] - 1, out=idx)
-            coords[:, c] = idx
+            col, lo, hi = flat[:, c], self.domain.lows[c], self.domain.highs[c]
+            # Written as "not inside" so that a NaN coordinate is rejected too.
+            if col.size and not (lo <= col.min() and col.max() <= hi):
+                raise IndexingError(
+                    f"point {flat[np.argmax(~((col >= lo) & (col <= hi)))]} lies outside the "
+                    f"domain [{self.domain.lows}, {self.domain.highs}]; project before indexing"
+                )
+            coords[:, c] = np.searchsorted(self._inner_edges[c], col, side="right")
         return coords.reshape(pts.shape)
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
@@ -109,7 +106,8 @@ class HypercubeBasis:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientVector:
-    """Per-cell empirical means with occupancy counts; empty cells carry 0."""
+    """Per-cell empirical means (..., R), one row per value series, with the
+    occupancy counts (R,); empty cells carry 0.  ``vector[j]`` is row j."""
 
     lambdas: np.ndarray
     counts: np.ndarray
@@ -117,47 +115,51 @@ class CoefficientVector:
     def __post_init__(self) -> None:
         lambdas = np.asarray(self.lambdas, dtype=float)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if lambdas.shape != counts.shape or lambdas.ndim != 1:
+        if counts.ndim != 1 or lambdas.shape[-1:] != counts.shape:
             raise ValueError(
-                f"lambdas and counts must be equal-length vectors, got {lambdas.shape} and {counts.shape}"
+                f"lambdas (..., R) and counts (R,) disagree: {lambdas.shape} and {counts.shape}"
             )
-        if np.any(lambdas[counts == 0] != 0.0):
+        if np.any(lambdas[..., counts == 0] != 0.0):
             raise ValueError("empty cells must carry a zero coefficient")
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "counts", counts)
 
+    def __getitem__(self, j) -> "CoefficientVector":
+        return CoefficientVector(lambdas=self.lambdas[j], counts=self.counts)
+
     @property
     def R(self) -> int:
-        return self.lambdas.shape[0]
+        return self.counts.shape[0]
 
 
 def empirical_coefficients(next_values: np.ndarray, cell_ids: np.ndarray, R: int) -> CoefficientVector:
-    """Average ``next_values`` within each cell (accumulated in path order).
-
-    Cells with no member paths get coefficient 0.
-    """
-    vals = np.asarray(next_values, dtype=float).reshape(-1)
-    ids = np.asarray(cell_ids, dtype=np.int64).reshape(-1)
-    if vals.shape != ids.shape:
+    """Average each row of ``next_values`` (M,) or (d, M) within each cell;
+    empty cells get 0.  One weighted bincount serves every row, row j's cells
+    offset by j*R, so each cell still sums its paths in path order."""
+    vals = np.asarray(next_values, dtype=float)
+    ids = np.asarray(cell_ids, dtype=np.int64)
+    if vals.ndim not in (1, 2) or ids.shape != vals.shape[-1:]:
         raise ValueError(f"value/cell shapes disagree: {vals.shape} vs {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= R):
         raise IndexingError(f"cell ids must lie in [0, {R}), got range [{ids.min()}, {ids.max()}]")
+    rows = np.atleast_2d(vals)
+    offset_ids = ids + R * np.arange(rows.shape[0])[:, None]
+    sums = np.bincount(offset_ids.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * R)
     counts = np.bincount(ids, minlength=R)
-    sums = np.bincount(ids, weights=vals, minlength=R)
-    lambdas = np.zeros(R)
     occupied = counts > 0
-    lambdas[occupied] = sums[occupied] / counts[occupied]
+    lambdas = np.zeros(vals.shape[:-1] + (R,))
+    lambdas[..., occupied] = sums.reshape(lambdas.shape)[..., occupied] / counts[occupied]
     return CoefficientVector(lambdas=lambdas, counts=counts)
 
 
 def regress_eval(coeffs: CoefficientVector, cell_ids: np.ndarray) -> np.ndarray:
-    """Evaluate the piecewise-constant regression at the given cells."""
+    """Piecewise-constant regression (..., R) evaluated at P cells: (..., P)."""
     ids = np.asarray(cell_ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= coeffs.R):
         raise IndexingError(
             f"cell ids must lie in [0, {coeffs.R}), got range [{ids.min()}, {ids.max()}]"
         )
-    return coeffs.lambdas[ids]
+    return coeffs.lambdas.take(ids, axis=-1)
 
 
 def memberships(ensemble: PathEnsemble, basis: HypercubeBasis) -> np.ndarray:

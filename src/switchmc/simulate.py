@@ -174,12 +174,15 @@ def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequenc
     M = len(path_ids)
     draws = np.empty((n1 + n_steps * (m1 + m2), M))
     block = np.empty((min(M, _DRAW_BLOCK), draws.shape[0]))
-    key_hi = int(seed) % (2 ** 64)
+    # Philox is counter-based: a fresh state under a path's key gives its stream.
+    bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
+    gen, fresh = np.random.Generator(bitgen), bitgen.state
     for start in range(0, M, _DRAW_BLOCK):
         ids = path_ids[start:start + _DRAW_BLOCK]
         for row, pid in zip(block, ids):
-            key = np.array([key_hi, int(pid) % (2 ** 64)], dtype=np.uint64)
-            np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+            fresh["state"]["key"][1] = int(pid) % 2 ** 64
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
         draws[:, start:start + len(ids)] = block[:len(ids)].T
     split = n1 + n_steps * m1
     dw = draws[n1:split].reshape(n_steps, m1, M).transpose(0, 2, 1)
@@ -286,16 +289,13 @@ def build_ensemble(
     )
 
 
-def _clip_error(state: np.ndarray, domain: Domain) -> float:
-    """Worst mean Euclidean clamp distortion over grid times.
-
-    ``state`` has shape (M, N+1, dim); the mean over paths of the distortion
-    norm is taken per time, and the max over times returned.
-    """
-    clamped = np.clip(state, domain.lows, domain.highs)
-    dist = np.sqrt(np.sum((state - clamped) ** 2, axis=-1))
-    # A running sum adds paths in index order, whatever the storage layout.
-    return float((np.add.accumulate(dist, axis=0)[-1] / dist.shape[0]).max())
+def _clip_error(cols: np.ndarray, domain: Domain) -> float:
+    """Worst mean Euclidean clamp distortion over grid times, from one
+    time-major (N+1, M) array per regression axis in ``cols``."""
+    gaps = (col - np.clip(col, lo, hi) for col, lo, hi in zip(cols, domain.lows, domain.highs))
+    # Axes add left to right and paths in index order, so the sums are fixed.
+    dist = np.sqrt(sum(gap * gap for gap in gaps))
+    return float((np.add.accumulate(dist, axis=1)[:, -1] / dist.shape[1]).max())
 
 
 def calibrate_domain(
@@ -322,28 +322,24 @@ def calibrate_domain(
     pilot_seed = derive_seed(seed, 101)
     verify_seed = derive_seed(seed, 102)
     state, _ = simulate_paths(model, grid, schedule, noise, pilot_seed, range(pilot_M))
+    cols = state.transpose(2, 1, 0)  # (dim, N+1, M) views of time-major storage
+    center = 0.5 * (np.array([col.min() for col in cols]) + np.array([col.max() for col in cols]))
+    # (M, dim): per-path sup over time of the distance to the center.
+    dev = np.stack([np.abs(col - mid).max(axis=0) for col, mid in zip(cols, center)], axis=1)
 
-    lo_env = state.min(axis=(0, 1))
-    hi_env = state.max(axis=(0, 1))
-    center = 0.5 * (lo_env + hi_env)
-    dev = np.abs(state - center).max(axis=1)  # (M, dim): per-path sup over time
-
-    domain = None
     for q in _Q_LADDER:
-        half = np.quantile(dev, 1.0 - q, axis=0)
-        half = np.maximum(half, _DEGENERATE_PAD)
-        candidate = Domain(lows=center - half, highs=center + half, epsilon=epsilon)
-        if _clip_error(state, candidate) <= _CALIBRATION_MARGIN * epsilon:
-            domain = candidate
+        half = np.maximum(np.quantile(dev, 1.0 - q, axis=0), _DEGENERATE_PAD)
+        domain = Domain(lows=center - half, highs=center + half, epsilon=epsilon)
+        if _clip_error(cols, domain) <= _CALIBRATION_MARGIN * epsilon:
             break
-    if domain is None:
+    else:
         raise CalibrationError(
             f"no quantile box met the pilot distortion target {_CALIBRATION_MARGIN * epsilon:g}"
         )
 
     verify_state, _ = simulate_paths(model, grid, schedule, noise, verify_seed, range(pilot_M))
     for _ in range(_MAX_WIDENINGS + 1):
-        if _clip_error(verify_state, domain) <= epsilon:
+        if _clip_error(verify_state.transpose(2, 1, 0), domain) <= epsilon:
             return domain
         domain = domain.widened(_WIDEN_FACTOR)
     raise CalibrationError(

@@ -10,7 +10,10 @@ bugs:
 - a dense-grid dynamic program for the scalar benchmark problem, using the
   closed-form filter variance instead of simulation or regression;
 - a dictionary-based exhaustive tree valuation for small two-point-noise
-  instances.
+  instances;
+- the clamp-distortion formula on path-major state, with all coordinates
+  reduced at once, against which the solver's per-axis version must agree
+  bit for bit.
 
 ``make_benchmark``, ``SIGNAL2D`` and ``belief_average`` are conveniences, not
 references: the last routes a Gaussian expectation through the solver's own
@@ -218,6 +221,20 @@ SIGNAL2D = {
     "costs": [[0.0, 0.01], [0.001, 0.0]],
     "nu": 0.001,
 }
+
+
+def clip_error_reference(state, lows, highs) -> float:
+    """Worst mean Euclidean clamp distortion over grid times of ``state``
+    (M, N+1, dim): squared gaps summed by ``np.sum`` over the last axis, then
+    a running sum over paths in index order.
+
+    ``simulate._clip_error`` adds the squared gaps one axis at a time.  The
+    two agree bit for bit while ``np.sum`` adds fewer than 8 components left
+    to right; from 8 components on it sums pairwise and may differ in the
+    last bit.
+    """
+    dist = np.sqrt(np.sum((state - np.clip(state, lows, highs)) ** 2, axis=-1))
+    return float((np.add.accumulate(dist, axis=0)[-1] / dist.shape[0]).max())
 
 
 def make_benchmark(n_steps: int = 730, m0: float = 0.0, **overrides):

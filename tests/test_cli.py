@@ -286,6 +286,15 @@ class TestLoadErrors:
         err = self.assert_load_error(["solve", "--M", "100", "--n-steps", "10"] + flag, capsys)
         assert ("--threads" if flag else "SWITCHMC_THREADS") in err
 
+    @pytest.mark.parametrize(
+        "argv", (["paths", "--n-paths", "1"], ["bound", "--M", "100"]), ids=("paths", "bound")
+    )
+    def test_single_thread_commands_check_threads(self, argv, capsys):
+        # paths and bound run on one thread, but a bad --threads used to
+        # pass there silently.
+        err = self.assert_load_error(argv + ["--n-steps", "2", "--threads", "0"], capsys)
+        assert "--threads" in err
+
 
 @pytest.mark.parametrize("command", ("solve", "bound"))
 @pytest.mark.parametrize("epsilon", ("inf", "nan", "0"))

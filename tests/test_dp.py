@@ -10,6 +10,7 @@ from oracles import make_benchmark
 from switchmc import (
     Domain,
     HypercubeBasis,
+    IndexingError,
     ModeSet,
     NoiseSource,
     as_payoff,
@@ -182,6 +183,18 @@ def test_cell_ids_must_cover_every_path_and_time(solved_benchmark):
     ids = memberships(ensemble, basis)
     with pytest.raises(ValueError, match="cell_ids"):
         backward_induction(ensemble, basis, ids[:-1], modes, schedule, rule)
+
+
+@pytest.mark.parametrize("k", (0, 9, 20), ids=("first-step", "mid-step", "last-step"))
+@pytest.mark.parametrize("bad", ("R", -1))
+def test_cell_ids_out_of_range_are_an_indexing_error(solved_benchmark, k, bad):
+    # The id range is checked once for the whole table, including the row
+    # of the last grid time, which no regression step reads.
+    _, modes, schedule, rule, ensemble, basis, _, _ = solved_benchmark
+    ids = memberships(ensemble, basis).copy()
+    ids[k, 17] = basis.R if bad == "R" else bad
+    with pytest.raises(IndexingError, match=rf"outside \[0, {basis.R}\)"):
+        backward_induction(ensemble, basis, ids, modes, schedule, rule)
 
 
 class TestTieBreaking:

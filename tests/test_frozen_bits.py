@@ -15,7 +15,7 @@ import pytest
 
 from oracles import SIGNAL2D
 
-from switchmc import simulate_policy
+from switchmc import calibrate_domain, load_problem, simulate_policy, solve_riccati
 from switchmc.benchmarks import benchmark_problem, default_solver_params
 from switchmc.cli import RunConfig, run_pipeline, run_solve
 
@@ -33,6 +33,14 @@ FROZEN_REPLAY = {
     True: ("0x1.95eaab1baf92dp-3", "0x1.431627f6025a1p-9"),
     False: ("0x1.95eab288e319cp-3", "0x1.43161c57e3a89p-9"),
 }
+
+
+# calibrate_domain on the 2-D signal problem (regression state of three
+# coordinates), epsilon 0.01, 500 pilot paths, seed 3: lows, then highs.
+FROZEN_DOMAIN = (
+    ["-0x1.0f480f9495406p+0", "-0x1.0f480f9495406p+0", "-0x1.7c30efb641df4p+1"],
+    ["0x1.112206e5dc894p+0", "0x1.112206e5dc894p+0", "0x1.9033707f4c688p+1"],
+)
 
 
 def custom_payoff(x, y, t):
@@ -60,3 +68,10 @@ def test_policy_replay_is_frozen():
             start_mode=0, M=1000, seed=res.eval_seed, pointwise_policy=pointwise,
         )
         assert (float.hex(replay.mean), float.hex(replay.stderr)) == frozen
+
+
+def test_calibrated_domain_is_frozen():
+    model, _ = load_problem(dict(SIGNAL2D))
+    schedule = solve_riccati(model, model.grid)
+    domain = calibrate_domain(model, model.grid, schedule, 0.01, pilot_M=500, seed=3)
+    assert ([float.hex(v) for v in domain.lows], [float.hex(v) for v in domain.highs]) == FROZEN_DOMAIN

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import make_benchmark
 
@@ -75,6 +77,73 @@ class TestHypercubeBasis:
             HypercubeBasis(dom, (4,))
 
 
+def reference_cell_index(points, lows, highs, cells) -> np.ndarray:
+    """Row-major flat cell index from a per-axis searchsorted over the full
+    edge vector, the top edge folded into the last cell."""
+    coords = [
+        np.minimum(np.searchsorted(np.linspace(lo, hi, n + 1), points[:, c], side="right") - 1, n - 1)
+        for c, (lo, hi, n) in enumerate(zip(lows, highs, cells))
+    ]
+    return np.ravel_multi_index(coords, cells)
+
+
+@st.composite
+def basis_and_points(draw):
+    """A box with 1 to 3 axes and 1 to 12 cells per axis, and points on it:
+    random in-domain points, every edge, and each edge's float neighbours
+    that still lie in the domain.  Edge coordinates are set on one axis,
+    the other axes keep a random in-domain value."""
+    dim = draw(st.integers(1, 3))
+    lows, highs, cells = [], [], []
+    for _ in range(dim):
+        lo = draw(st.floats(-1e3, 1e3))
+        width = draw(st.floats(1e-6, 1e3))
+        lows.append(lo)
+        highs.append(lo + width)
+        cells.append(draw(st.integers(1, 12)))
+    lows, highs = np.array(lows), np.array(highs)
+    if not np.all(lows < highs):  # lo + width rounded back onto lo
+        highs = np.nextafter(lows, np.inf)
+    n_random = draw(st.integers(1, 20))
+    unit = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_random * dim, max_size=n_random * dim)))
+    random_pts = np.clip(lows + unit.reshape(n_random, dim) * (highs - lows), lows, highs)
+    rows = [random_pts]
+    for c in range(dim):
+        edges = np.linspace(lows[c], highs[c], cells[c] + 1)
+        for coord in np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]):
+            if lows[c] <= coord <= highs[c]:
+                pt = random_pts[0].copy()
+                pt[c] = coord
+                rows.append(pt[None, :])
+    return Domain(lows=lows, highs=highs, epsilon=0.01), tuple(cells), np.vstack(rows)
+
+
+class TestCellIndexProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(basis_and_points())
+    def test_matches_per_axis_searchsorted(self, case):
+        domain, cells, points = case
+        basis = HypercubeBasis(domain, cells)
+        expected = reference_cell_index(points, domain.lows, domain.highs, cells)
+        assert np.array_equal(basis.cell_index(points), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis_and_points(), st.data())
+    def test_off_domain_or_nan_coordinate_is_named(self, case, data):
+        domain, cells, points = case
+        basis = HypercubeBasis(domain, cells)
+        row = data.draw(st.integers(0, points.shape[0] - 1))
+        axis = data.draw(st.integers(0, domain.dim - 1))
+        bad = data.draw(st.sampled_from([
+            np.nan, np.nextafter(domain.lows[axis], -np.inf), np.nextafter(domain.highs[axis], np.inf),
+        ]))
+        points = points.copy()
+        points[row, axis] = bad
+        with pytest.raises(IndexingError) as err:
+            basis.cell_index(points)
+        assert str(points[row]) in str(err.value)
+
+
 class TestEmpiricalCoefficients:
     def test_per_cell_means(self):
         values = np.array([1.0, 3.0, 10.0, 20.0])
@@ -82,6 +151,22 @@ class TestEmpiricalCoefficients:
         coeffs = empirical_coefficients(values, cells, R=3)
         assert np.array_equal(coeffs.lambdas, [2.0, 15.0, 0.0])
         assert np.array_equal(coeffs.counts, [2, 2, 0])
+
+    def test_rows_match_one_bincount_per_row(self):
+        # Every row of a (d, M) call must equal its own weighted bincount bit
+        # for bit: the shared bincount may not reorder any cell's sum.
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(3, 500)) * 10.0 ** rng.integers(-8, 8, size=(3, 500))
+        cells = rng.integers(0, 7, size=500)  # cells 7, 8 and 9 stay empty
+        coeffs = empirical_coefficients(values, cells, R=10)
+        counts = np.bincount(cells, minlength=10)
+        assert np.array_equal(coeffs.counts, counts)
+        for j in range(3):
+            sums = np.bincount(cells, weights=values[j], minlength=10)
+            expected = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+            assert np.array_equal(coeffs[j].lambdas, expected)
+            assert np.array_equal(coeffs[j].counts, counts)
+        assert np.array_equal(regress_eval(coeffs, cells), coeffs.lambdas[:, cells])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import make_benchmark
+from oracles import SIGNAL2D, clip_error_reference, make_benchmark
 
 from switchmc import (
     Domain,
@@ -19,12 +19,13 @@ from switchmc import (
     build_quadrature,
     calibrate_domain,
     derive_seed,
+    load_problem,
     payoff_sup_on_domain,
     simulate_paths,
     solve_riccati,
 )
 from switchmc.regress import memberships
-from switchmc.simulate import _DRAW_BLOCK
+from switchmc.simulate import _DRAW_BLOCK, _clip_error, _gaussian_draws
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,21 @@ class TestSimulatePaths:
             z_one, x_one = simulate_paths(model, grid, schedule, noise, seed=9, path_ids=[ids[row]])
             assert np.array_equal(z_all[row], z_one[0])
             assert np.array_equal(x_all[row], x_one[0])
+
+    def test_each_draw_row_is_a_fresh_philox_stream(self, bench20):
+        # One generator serves every path by resetting its state; each row
+        # must still be the stream a new Philox keyed (seed, path id) draws,
+        # on both sides of a block seam and for an id beyond 32 bits.
+        model = bench20[0]
+        n_steps, seed = 7, 2 ** 40 + 3
+        ids = list(range(5, 5 + _DRAW_BLOCK + 2)) + [2 ** 32 + 9, 2 ** 64 - 1]
+        z0, dw, du = _gaussian_draws(model, n_steps, seed, ids)
+        n_draws = model.n1 + n_steps * (model.m1 + model.m2)
+        for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, len(ids) - 2, len(ids) - 1):
+            key = np.array([seed, ids[row]], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_draws)
+            drawn = np.concatenate([z0[row], dw[:, row].ravel(), du[:, row].ravel()])
+            assert np.array_equal(drawn, expected)
 
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
@@ -321,6 +337,26 @@ class TestCalibrateDomain:
         b = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=4)
         assert np.array_equal(a.lows, b.lows)
         assert np.array_equal(a.highs, b.highs)
+
+
+@pytest.mark.parametrize("problem", ("bench", "signal2d"), ids=("dim2", "dim3"))
+def test_clip_error_matches_the_all_axes_formula(problem, bench20):
+    if problem == "bench":
+        model, _, schedule = bench20
+    else:
+        model, _ = load_problem(dict(SIGNAL2D, n_steps=20))
+        schedule = solve_riccati(model, model.grid)
+    state, _ = simulate_paths(
+        model, model.grid, schedule, NoiseSource("gaussian"), seed=21, path_ids=range(400)
+    )
+    lo, hi = state.min(axis=(0, 1)), state.max(axis=(0, 1))
+    # From a box that clamps most points to one that clamps none.
+    for shrink in (0.05, 0.3, 0.45, 0.5):
+        dom = Domain(lows=lo + shrink * (hi - lo), highs=hi - shrink * (hi - lo) + 1e-9, epsilon=1.0)
+        expected = clip_error_reference(state, dom.lows, dom.highs)
+        assert _clip_error(state.transpose(2, 1, 0), dom) == expected
+    dom = Domain(lows=lo - 1.0, highs=hi + 1.0, epsilon=1.0)
+    assert _clip_error(state.transpose(2, 1, 0), dom) == 0.0
 
 
 class TestPayoffSup:
