@@ -2,8 +2,8 @@
 
 The solver filters a hidden linear signal from noisy observations
 (Kalman-Bucy), simulates the filtered state forward, and runs a regression
-Monte Carlo backward dynamic program over the operating modes.  Exact
-small-instance oracles and closed-form references support validation.
+Monte Carlo backward dynamic program over the operating modes.  An exact
+small-instance oracle supports validation.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ from .dp import (
 from .oracle import (
     OracleRefusal,
     TreeSpec,
-    no_switch_value,
-    riccati_reference,
     tree_oracle_value,
 )
 
@@ -83,6 +81,5 @@ __all__ = [
     "empirical_coefficients", "estimate_pmin", "regress_eval",
     "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",
     "simulate_policy", "value_at_origin",
-    "OracleRefusal", "TreeSpec", "no_switch_value", "riccati_reference",
-    "tree_oracle_value",
+    "OracleRefusal", "TreeSpec", "tree_oracle_value",
 ]

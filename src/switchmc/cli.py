@@ -106,24 +106,19 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """Everything one solve replication produced, for callers that need more
-    than the headline numbers."""
+    """One solve replication's headline numbers, and what a policy replay on
+    fresh paths needs: the problem, schedule, rule, surface and eval seed."""
 
     model: object
     modes: object
-    grid: object
     schedule: object
     rule: object
-    domain: object
-    ensemble: object
-    basis: object
     surface: object
     policy: object
     values: np.ndarray
     pmin_raw: float
     pmin_occupied: float
     switch_bound: float
-    train_seed: int
     eval_seed: int
 
 
@@ -190,19 +185,14 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     return PipelineResult(
         model=model,
         modes=modes,
-        grid=grid,
         schedule=schedule,
         rule=rule,
-        domain=domain,
-        ensemble=ensemble,
-        basis=basis,
         surface=surface,
         policy=policy,
         values=np.asarray(values),
         pmin_raw=pmin.raw_min,
         pmin_occupied=pmin.occupied_min,
         switch_bound=float(bound),
-        train_seed=seeds["train"],
         eval_seed=seeds["eval"],
     )
 

@@ -219,6 +219,8 @@ def simulate_policy(
     for continuations; otherwise decisions are looked up from the per-cell
     policy table.
     """
+    if not 0 <= start_mode < modes.d:
+        raise ValueError(f"start_mode must lie in [0, {modes.d}), got {start_mode}")
     grid = surface.grid
     basis = surface.basis
     ensemble = build_ensemble(

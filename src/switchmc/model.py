@@ -13,6 +13,7 @@ plain immutable value object; the solver modules consume them read-only.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -149,13 +150,12 @@ class PayoffSpec:
     """A running payoff f(x, y, t), vectorized over leading axes of x and y.
 
     ``fn`` takes x of shape (..., n1), y of shape (..., n2) and a scalar t and
-    returns an array of shape (...).  ``name``/``params`` identify registry
-    payoffs so closed-form checks can recognize them; programmatic payoffs use
-    name "custom".
+    returns an array of shape (...).  ``name`` identifies registry payoffs so
+    closed-form checks can recognize them; programmatic payoffs use name
+    "custom".
     """
 
     name: str
-    params: Mapping[str, float]
     fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
     def __call__(self, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
@@ -173,37 +173,33 @@ def payoff_from_registry(name: str, **params: float) -> PayoffSpec:
     if name in ("zero", "linear") and params:
         raise ValueError(f"payoff '{name}' takes no parameters, got {params}")
     if name == "zero":
-        return PayoffSpec("zero", {}, lambda x, y, t: np.zeros(np.shape(x)[:-1]))
+        return PayoffSpec("zero", lambda x, y, t: np.zeros(np.shape(x)[:-1]))
     if name == "linear":
-        return PayoffSpec("linear", {}, lambda x, y, t: np.asarray(x)[..., 0])
+        return PayoffSpec("linear", lambda x, y, t: np.asarray(x)[..., 0])
     if name == "affine":
         unknown = set(params) - {"a", "b"}
         if unknown:
             raise ValueError(f"payoff 'affine' takes parameters a, b; got extras {unknown}")
         a = float(params.get("a", 1.0))
         b = float(params.get("b", 0.0))
-        return PayoffSpec("affine", {"a": a, "b": b}, lambda x, y, t: a * np.asarray(x)[..., 0] + b)
+        return PayoffSpec("affine", lambda x, y, t: a * np.asarray(x)[..., 0] + b)
     raise ValueError(f"unknown payoff '{name}' (registry: zero, linear, affine)")
 
 
 def as_payoff(obj) -> PayoffSpec:
-    """Coerce a registry name, parameter dict, callable, or PayoffSpec."""
+    """Coerce a registry name, a ``{"name": ..., **params}`` mapping, a
+    callable, or a PayoffSpec."""
     if isinstance(obj, PayoffSpec):
         return obj
     if isinstance(obj, str):
         return payoff_from_registry(obj)
     if isinstance(obj, Mapping):
         params = dict(obj)
-        name = params.pop("payoff", None) or params.pop("name", None)
-        if name is None:
-            raise ValueError(f"payoff mapping needs a 'payoff' or 'name' key, got {obj}")
-        if isinstance(name, Mapping):
-            inner = dict(name)
-            name = inner.pop("name")
-            params.update(inner)
-        return payoff_from_registry(str(name), **params)
+        if "name" not in params:
+            raise ValueError(f"payoff mapping needs a 'name' key, got {obj}")
+        return payoff_from_registry(str(params.pop("name")), **params)
     if callable(obj):
-        return PayoffSpec("custom", {}, obj)
+        return PayoffSpec("custom", obj)
     raise ValueError(f"cannot interpret payoff {obj!r}")
 
 
@@ -336,18 +332,16 @@ def switch_count_bound(modes: ModeSet, f_sup: float, T: float) -> float:
 
 
 def load_problem(source) -> tuple:
-    """Build (ModelSpec, ModeSet) from a JSON problem file, path, or dict.
+    """Build (ModelSpec, ModeSet) from the path of a JSON problem file or a mapping.
 
     Expected keys: n1, m1, n2, m2, T, n_steps, F, C, G, m0, theta0, y0,
     modes (list of payoff selectors), costs (d x d matrix), nu.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(source, Mapping):
+    if isinstance(source, Mapping):
         data = dict(source)
     else:
-        data = json.load(source)
+        with open(os.fspath(source), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
 
     required = ["n1", "m1", "n2", "m2", "T", "n_steps", "F", "C", "G",
                 "m0", "theta0", "y0", "modes", "costs", "nu"]

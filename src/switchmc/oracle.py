@@ -3,8 +3,7 @@
 For scalar models driven by two-point noise the full noise tree (4 branches
 per step) can be enumerated, so the dynamic program can be solved with exact
 conditional expectations: paths are grouped by their observation-increment
-history and continuation values are averaged within each group.  Closed-form
-values for special configurations are also provided.
+history and continuation values are averaged within each group.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "OracleRefusal",
     "TreeSpec",
     "tree_oracle_value",
-    "riccati_reference",
-    "no_switch_value",
 ]
 
 _MAX_TREE_STEPS = 8
@@ -119,38 +116,3 @@ def tree_oracle_value(
 
     # At time zero every path shares the initial state and group.
     return values[:, 0].copy()
-
-
-def riccati_reference(model: ModelSpec, t) -> np.ndarray:
-    """Closed-form conditional variance tanh(t) for the scalar model with
-    F = 0, C = G = 1 and zero initial variance.  Refuses anything else."""
-    m = model
-    if (m.n1, m.m1, m.n2, m.m2) != (1, 1, 1, 1):
-        raise OracleRefusal("closed-form variance requires a scalar model")
-    if np.any(m.F != 0.0) or np.any(m.C != 1.0) or np.any(m.G != 1.0):
-        raise OracleRefusal(
-            "closed-form variance requires F = 0 and C = G = 1 at all times"
-        )
-    if np.any(m.theta0 != 0.0):
-        raise OracleRefusal("closed-form variance requires zero initial variance")
-    return np.tanh(np.asarray(t, dtype=float))
-
-
-def no_switch_value(model: ModelSpec, modes: ModeSet, start_mode: int) -> float:
-    """Exact value of never switching, for payoffs with a closed-form mean.
-
-    Covers the registry payoffs 'linear' (requires F = 0, giving m0 * T) and
-    'zero' (giving 0).  Refuses other payoffs or nonzero drift.
-    """
-    payoff = modes.payoffs[start_mode]
-    if payoff.name == "zero":
-        return 0.0
-    if payoff.name == "linear":
-        if np.any(model.F != 0.0):
-            raise OracleRefusal(
-                "no-switch value for the linear payoff requires F = 0"
-            )
-        return float(model.m0[0]) * model.T
-    raise OracleRefusal(
-        f"no closed-form no-switch value for payoff '{payoff.name}'"
-    )

@@ -75,13 +75,13 @@ class HypercubeBasis:
     def delta_side(self) -> np.ndarray:
         return (self.domain.highs - self.domain.lows) / np.asarray(self.cells_per_dim, dtype=float)
 
-    def cell_coords(self, points: np.ndarray) -> np.ndarray:
-        """Per-axis cell indices, shape (..., dim).  Errors off-domain."""
+    def cell_index(self, points: np.ndarray) -> np.ndarray:
+        """Flat cell index in row-major order, shape (...).  Errors off-domain."""
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[-1]}, expected {self.dim}")
         flat = pts.reshape(-1, self.dim)
-        coords = np.empty(flat.shape, dtype=np.int64)
+        idx = np.zeros(flat.shape[0], dtype=np.int64)
         for c in range(self.dim):
             col, lo, hi = flat[:, c], self.domain.lows[c], self.domain.highs[c]
             # Written as "not inside" so that a NaN coordinate is rejected too.
@@ -90,18 +90,9 @@ class HypercubeBasis:
                     f"point {flat[np.argmax(~((col >= lo) & (col <= hi)))]} lies outside the "
                     f"domain [{self.domain.lows}, {self.domain.highs}]; project before indexing"
                 )
-            coords[:, c] = np.searchsorted(self._inner_edges[c], col, side="right")
-        return coords.reshape(pts.shape)
-
-    def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat cell index in row-major order, shape (...).  Errors off-domain."""
-        coords = self.cell_coords(points)
-        flat = coords.reshape(-1, self.dim)
-        idx = np.ravel_multi_index(tuple(flat[:, c] for c in range(self.dim)), self.cells_per_dim)
-        out = idx.reshape(coords.shape[:-1])
-        if out.ndim == 0:
-            return int(out)
-        return out
+            idx *= self.cells_per_dim[c]
+            idx += np.searchsorted(self._inner_edges[c], col, side="right")
+        return idx.reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,11 +61,10 @@ def derive_seed(master: int, *labels: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Axis-aligned box for the regression state, with clamp tolerance epsilon."""
+    """Axis-aligned box for the regression state."""
 
     lows: np.ndarray
     highs: np.ndarray
-    epsilon: float
 
     def __post_init__(self) -> None:
         lows = np.atleast_1d(np.asarray(self.lows, dtype=float))
@@ -75,8 +74,6 @@ class Domain:
         if not np.all(lows < highs):
             bad = int(np.argmax(~(lows < highs)))
             raise ValueError(f"domain must have lows < highs, violated at coordinate {bad}")
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
 
@@ -91,7 +88,7 @@ class Domain:
     def widened(self, factor: float) -> "Domain":
         center = 0.5 * (self.lows + self.highs)
         half = 0.5 * (self.highs - self.lows) * factor
-        return Domain(lows=center - half, highs=center + half, epsilon=self.epsilon)
+        return Domain(lows=center - half, highs=center + half)
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class PathEnsemble:
     ``state(k)`` is one contiguous block.  It is stored read-only;
     ``m_paths``, ``y_paths`` and ``state(k)`` are views of it.  Points
     outside ``domain`` are not looked for here: ``build_ensemble`` clamps
-    every point, and ``HypercubeBasis.cell_coords`` rejects any point outside
+    every point, and ``HypercubeBasis.cell_index`` rejects any point outside
     the domain when the ensemble is indexed.
     """
 
@@ -329,7 +326,7 @@ def calibrate_domain(
 
     for q in _Q_LADDER:
         half = np.maximum(np.quantile(dev, 1.0 - q, axis=0), _DEGENERATE_PAD)
-        domain = Domain(lows=center - half, highs=center + half, epsilon=epsilon)
+        domain = Domain(lows=center - half, highs=center + half)
         if _clip_error(cols, domain) <= _CALIBRATION_MARGIN * epsilon:
             break
     else:

@@ -13,7 +13,9 @@ bugs:
   instances;
 - the clamp-distortion formula on path-major state, with all coordinates
   reduced at once, against which the solver's per-axis version must agree
-  bit for bit.
+  bit for bit;
+- the closed-form value of never switching, for registry payoffs with a
+  closed-form mean.
 
 ``make_benchmark``, ``SIGNAL2D`` and ``belief_average`` are conveniences, not
 references: the last routes a Gaussian expectation through the solver's own
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from switchmc import ModeSet, load_problem, psd_sqrt
+from switchmc import ModeSet, OracleRefusal, load_problem, psd_sqrt
 from switchmc.benchmarks import benchmark_problem
 from switchmc.filtering import effective_payoff_batch
 
@@ -235,6 +237,26 @@ def clip_error_reference(state, lows, highs) -> float:
     """
     dist = np.sqrt(np.sum((state - np.clip(state, lows, highs)) ** 2, axis=-1))
     return float((np.add.accumulate(dist, axis=0)[-1] / dist.shape[0]).max())
+
+
+def no_switch_value(model, modes, start_mode: int) -> float:
+    """Exact value of never switching, for payoffs with a closed-form mean.
+
+    Covers the registry payoffs 'linear' (requires F = 0, giving m0 * T) and
+    'zero' (giving 0).  Refuses other payoffs or nonzero drift.
+    """
+    payoff = modes.payoffs[start_mode]
+    if payoff.name == "zero":
+        return 0.0
+    if payoff.name == "linear":
+        if np.any(model.F != 0.0):
+            raise OracleRefusal(
+                "no-switch value for the linear payoff requires F = 0"
+            )
+        return float(model.m0[0]) * model.T
+    raise OracleRefusal(
+        f"no closed-form no-switch value for payoff '{payoff.name}'"
+    )
 
 
 def make_benchmark(n_steps: int = 730, m0: float = 0.0, **overrides):

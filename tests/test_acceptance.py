@@ -147,7 +147,7 @@ def test_criterion_3_oracle_equivalence():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
-    domain = Domain(lows=np.array([-3.0, -3.0]), highs=np.array([3.0, 3.0]), epsilon=0.01)
+    domain = Domain(lows=np.array([-3.0, -3.0]), highs=np.array([3.0, 3.0]))
     ensemble = build_ensemble(
         model, grid, schedule, domain, 256, NoiseSource("two_point"), seed=0
     )
@@ -266,8 +266,8 @@ def test_criterion_6_switch_count_invariant(benchmark_runs):
     for run in benchmark_runs:
         pipeline = run["pipeline"]
         f_sup = payoff_sup_on_domain(
-            pipeline.modes, pipeline.domain, pipeline.schedule,
-            pipeline.rule, pipeline.grid,
+            pipeline.modes, pipeline.surface.basis.domain, pipeline.schedule,
+            pipeline.rule, pipeline.model.grid,
         )
         bound = switch_count_bound(pipeline.modes, f_sup, pipeline.model.T)
         assert bound == pipeline.switch_bound

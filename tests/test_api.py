@@ -29,8 +29,7 @@ def test_package_exports_are_pinned():
         "empirical_coefficients", "estimate_pmin", "regress_eval",
         "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",
         "simulate_policy", "value_at_origin",
-        "OracleRefusal", "TreeSpec", "no_switch_value", "riccati_reference",
-        "tree_oracle_value",
+        "OracleRefusal", "TreeSpec", "tree_oracle_value",
     ])
 
 
@@ -94,7 +93,7 @@ SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
 
 # Total lines of src/switchmc/*.py.  Lower it when code is removed; raising
 # it is a decision that shows in the diff, like a new exported name.
-SOURCE_LINES_MAX = 2451
+SOURCE_LINES_MAX = 2384
 
 
 def test_source_size_is_pinned():

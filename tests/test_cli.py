@@ -269,6 +269,13 @@ class TestLoadErrors:
         path = write_problem(tmp_path, T=float("inf"))
         self.assert_load_error(["solve", "--problem", path], capsys)
 
+    @pytest.mark.parametrize(
+        "mode", (3, {"payoff": "affine", "a": 1.0}), ids=("number", "mapping-without-name")
+    )
+    def test_unreadable_payoff(self, mode, tmp_path, capsys):
+        path = write_problem(tmp_path, modes=["zero", mode])
+        self.assert_load_error(["solve", "--problem", path], capsys)
+
     @pytest.mark.parametrize("command", ("solve", "bound", "paths"))
     def test_negative_seed(self, command, capsys):
         # SeedSequence used to reject it outside any stage, with no stage name.

@@ -322,3 +322,12 @@ class TestSimulatePolicy:
             start_mode=0, M=150, seed=12, pointwise_policy=False,
         )
         assert np.isfinite(ev.mean)
+
+    @pytest.mark.parametrize("start_mode", (-1, 2), ids=("negative", "d"))
+    def test_start_mode_outside_the_modes_is_rejected(self, solved_benchmark, start_mode):
+        # A negative mode used to wrap silently: -1 replayed mode 1.
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            simulate_policy(
+                model, modes, schedule, surface, policy, rule, start_mode=start_mode, M=10, seed=13
+            )

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import make_benchmark
+from oracles import SIGNAL2D, make_benchmark
 
 from switchmc import (
     ModeSet,
@@ -113,7 +114,7 @@ class TestPayoffs:
         assert named.name == "zero"
         mapped = as_payoff({"name": "affine", "a": 1.0, "b": 0.5})
         assert mapped.fn(np.array([[2.0]]), np.zeros((1, 1)), 0.0) == pytest.approx(2.5)
-        spec = PayoffSpec("custom", {}, lambda x, y, t: x[..., 0])
+        spec = PayoffSpec("custom", lambda x, y, t: x[..., 0])
         assert as_payoff(spec) is spec
         # Only registry payoffs are known to be affine in x.
         assert [p.is_affine for p in (named, mapped, direct, spec)] == [True, True, False, False]
@@ -215,6 +216,23 @@ class TestValidate:
         report = validate(model, modes, TimeGrid(T=1.0, n_steps=7))
         assert not report.ok
 
+    def test_horizon_mismatch_flagged(self, small_problem):
+        model, modes = small_problem
+        report = validate(model, modes, TimeGrid(T=2.0, n_steps=model.n_steps))
+        assert report.violations == ["grid horizon 2.0 does not match model horizon 1.0"]
+
+    def test_asymmetric_theta0_flagged(self):
+        model, modes = load_problem({**SIGNAL2D, "theta0": [[1.0, 0.5], [0.0, 1.0]]})
+        assert validate(model, modes, model.grid).violations == ["theta0 is not symmetric"]
+
+    @pytest.mark.parametrize("nu", (0.0, -0.001))
+    def test_non_positive_nu_flagged(self, nu):
+        # Costs above nu still pass, so nu is the only violation.
+        model, modes = make_benchmark(n_steps=20, nu=nu)
+        assert validate(model, modes, model.grid).violations == [f"nu must be positive, got {nu}"]
+        with pytest.raises(ValueError, match="nu must be > 0"):
+            switch_count_bound(modes, f_sup=1.0, T=1.0)
+
     def test_raising_cost_function_reported_not_raised(self, small_problem):
         model, _ = small_problem
 
@@ -257,6 +275,11 @@ class TestLoadProblem:
         assert model.n_steps == 730
         assert float(np.asarray(model.m0)[0]) == 0.25
         assert modes.d == 2
+
+    def test_file_object_refused(self):
+        # A problem comes as a path or a mapping; an open file is neither.
+        with pytest.raises(TypeError):
+            load_problem(io.StringIO(json.dumps(benchmark_problem())))
 
     def test_missing_key_rejected(self):
         problem = benchmark_problem()

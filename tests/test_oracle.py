@@ -1,11 +1,11 @@
-"""Exhaustive tree valuation and closed-form reference helpers."""
+"""Exhaustive tree valuation, and the closed-form no-switch reference."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from oracles import make_benchmark, tiny_tree_value
+from oracles import make_benchmark, no_switch_value, tiny_tree_value
 
 from switchmc import (
     ModeSet,
@@ -14,8 +14,6 @@ from switchmc import (
     TreeSpec,
     as_payoff,
     build_quadrature,
-    no_switch_value,
-    riccati_reference,
     solve_riccati,
     tree_oracle_value,
 )
@@ -106,20 +104,6 @@ class TestTreeOracleValue:
         a = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
         b = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
         assert np.array_equal(a, b)
-
-
-class TestRiccatiReference:
-    def test_tanh_curve(self):
-        model, _ = make_benchmark(n_steps=10)
-        ts = np.array([0.0, 0.25, 1.0])
-        ref = riccati_reference(model, ts)
-        assert np.allclose(ref, np.tanh(ts), atol=1e-15)
-
-    def test_refuses_other_coefficients(self):
-        for overrides in ({"C": 2.0}, {"F": 0.5}, {"theta0": 0.3}, {"G": 0.5}):
-            model, _ = make_benchmark(n_steps=10, **overrides)
-            with pytest.raises(OracleRefusal):
-                riccati_reference(model, 0.5)
 
 
 class TestNoSwitchValue:

@@ -28,7 +28,7 @@ from switchmc.regress import memberships
 
 def unit_basis(cells) -> HypercubeBasis:
     dim = len(cells) if isinstance(cells, (tuple, list)) else 1
-    dom = Domain(lows=np.zeros(dim), highs=np.ones(dim), epsilon=0.01)
+    dom = Domain(lows=np.zeros(dim), highs=np.ones(dim))
     return HypercubeBasis(dom, cells)
 
 
@@ -49,8 +49,6 @@ class TestHypercubeBasis:
 
     def test_two_by_two_grid(self):
         basis = unit_basis((2, 2))
-        coords = basis.cell_coords(np.array([[0.5, 0.5]]))
-        assert np.array_equal(coords[0], [1, 1])
         # Row-major flattening: (1, 1) -> 3.
         assert basis.cell_index(np.array([[0.5, 0.5]]))[0] == 3
         assert basis.cell_index(np.array([[0.1, 0.9]]))[0] == 1
@@ -64,7 +62,7 @@ class TestHypercubeBasis:
             basis.cell_index(np.array([[0.5], [np.nan]]))
 
     def test_r_and_delta_side(self):
-        dom = Domain(lows=np.array([0.0, -1.0]), highs=np.array([2.0, 1.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([0.0, -1.0]), highs=np.array([2.0, 1.0]))
         basis = HypercubeBasis(dom, (4, 5))
         assert basis.R == 20
         assert np.allclose(basis.delta_side, [0.5, 0.4])
@@ -72,7 +70,7 @@ class TestHypercubeBasis:
     def test_cells_per_dim_validation(self):
         with pytest.raises(ValueError):
             unit_basis(0)
-        dom = Domain(lows=np.zeros(2), highs=np.ones(2), epsilon=0.01)
+        dom = Domain(lows=np.zeros(2), highs=np.ones(2))
         with pytest.raises(ValueError):
             HypercubeBasis(dom, (4,))
 
@@ -115,7 +113,7 @@ def basis_and_points(draw):
                 pt = random_pts[0].copy()
                 pt[c] = coord
                 rows.append(pt[None, :])
-    return Domain(lows=lows, highs=highs, epsilon=0.01), tuple(cells), np.vstack(rows)
+    return Domain(lows=lows, highs=highs), tuple(cells), np.vstack(rows)
 
 
 class TestCellIndexProperty:
@@ -196,7 +194,7 @@ def small_ensemble():
     model, _ = make_benchmark(n_steps=12)
     grid = model.grid
     schedule = solve_riccati(model, grid)
-    dom = Domain(lows=np.array([-4.0, -4.0]), highs=np.array([4.0, 4.0]), epsilon=0.01)
+    dom = Domain(lows=np.array([-4.0, -4.0]), highs=np.array([4.0, 4.0]))
     ens = build_ensemble(model, grid, schedule, dom, 300, NoiseSource("gaussian"), seed=3)
     basis = HypercubeBasis(dom, (6, 6))
     return ens, basis
@@ -236,7 +234,7 @@ class TestEstimatePmin:
     def test_known_counts(self):
         model, _ = make_benchmark(n_steps=1)
         grid = model.grid
-        dom = Domain(lows=np.zeros(2), highs=np.ones(2), epsilon=0.01)
+        dom = Domain(lows=np.zeros(2), highs=np.ones(2))
         basis = HypercubeBasis(dom, (2, 1))
         from switchmc import PathEnsemble
 
@@ -254,7 +252,7 @@ class TestEstimatePmin:
     def test_empty_cell_drives_raw_to_zero(self):
         model, _ = make_benchmark(n_steps=1)
         grid = model.grid
-        dom = Domain(lows=np.zeros(2), highs=np.ones(2), epsilon=0.01)
+        dom = Domain(lows=np.zeros(2), highs=np.ones(2))
         basis = HypercubeBasis(dom, (3, 1))
         from switchmc import PathEnsemble
 

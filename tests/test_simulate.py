@@ -49,12 +49,10 @@ class TestDeriveSeed:
 class TestDomain:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Domain(lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]), epsilon=0.01)
-        with pytest.raises(ValueError):
-            Domain(lows=np.array([0.0]), highs=np.array([1.0]), epsilon=0.0)
+            Domain(lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]))
 
     def test_project_is_clipping(self):
-        dom = Domain(lows=np.array([-1.0, 0.0]), highs=np.array([1.0, 2.0]), epsilon=0.1)
+        dom = Domain(lows=np.array([-1.0, 0.0]), highs=np.array([1.0, 2.0]))
         pts = np.array([[0.5, 1.0], [-3.0, 5.0]])
         proj = dom.project(pts)
         assert np.array_equal(proj[0], pts[0])
@@ -62,7 +60,7 @@ class TestDomain:
         assert np.array_equal(dom.project(proj), proj)
 
     def test_project_is_nonexpansive(self):
-        dom = Domain(lows=np.array([-1.0, 0.0]), highs=np.array([1.0, 2.0]), epsilon=0.1)
+        dom = Domain(lows=np.array([-1.0, 0.0]), highs=np.array([1.0, 2.0]))
         rng = np.random.default_rng(0)
         a = rng.standard_normal((200, 2)) * 3
         b = rng.standard_normal((200, 2)) * 3
@@ -74,7 +72,7 @@ class TestDomain:
 
     def test_contains_and_widened(self):
         # A box contains a point exactly when projecting leaves it unchanged.
-        dom = Domain(lows=np.array([0.0]), highs=np.array([2.0]), epsilon=0.1)
+        dom = Domain(lows=np.array([0.0]), highs=np.array([2.0]))
         inside, outside = np.array([[1.0]]), np.array([[2.5]])
         assert np.array_equal(dom.project(inside), inside)
         assert not np.array_equal(dom.project(outside), outside)
@@ -202,7 +200,7 @@ class TestSimulatePaths:
         grid = model.grid
         schedule = solve_riccati(model, grid)
         noise = NoiseSource("two_point")
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
         ens = build_ensemble(model, grid, schedule, dom, 16, noise, seed=0, store_signal=True)
         assert np.array_equal(ens.x_paths[:, 0, 0], np.zeros(16))
 
@@ -214,9 +212,7 @@ class TestSimulatePaths:
         model, _ = make_benchmark(n_steps=730)
         grid = model.grid
         schedule = solve_riccati(model, grid)
-        dom = Domain(
-            lows=np.array([-50.0, -50.0]), highs=np.array([50.0, 50.0]), epsilon=0.01
-        )
+        dom = Domain(lows=np.array([-50.0, -50.0]), highs=np.array([50.0, 50.0]))
         n_total = 100_000
         chunk = 20_000
         noise = NoiseSource("gaussian")
@@ -247,7 +243,7 @@ class TestPathEnsemble:
         # rejects the first off-domain point (IndexingError is a ValueError).
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-0.001, -0.001]), highs=np.array([0.001, 0.001]), epsilon=0.01)
+        dom = Domain(lows=np.array([-0.001, -0.001]), highs=np.array([0.001, 0.001]))
         z = np.zeros((3, 21, 2))
         z[..., 1] = 0.5
         ensemble = PathEnsemble(grid=grid, domain=dom, z_paths=z, n1=1)
@@ -257,7 +253,7 @@ class TestPathEnsemble:
     def test_state_concatenates_mean_and_observation(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
         ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
         st = ens.state(3)
         assert st.shape == (6, 2)
@@ -267,7 +263,7 @@ class TestPathEnsemble:
     def test_storage_is_time_major(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
         ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
         assert ens.z_paths.shape == (6, 21, 2)
         for k in (0, 3, 20):
@@ -276,7 +272,7 @@ class TestPathEnsemble:
     def test_paths_are_read_only_views_of_the_state(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
         ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
         for view in (ens.m_paths, ens.y_paths, ens.state(3)):
             assert np.shares_memory(view, ens.z_paths)
@@ -286,9 +282,7 @@ class TestPathEnsemble:
     def test_build_ensemble_projects_into_domain(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(
-            lows=np.array([-0.05, -0.05]), highs=np.array([0.05, 0.05]), epsilon=0.01
-        )
+        dom = Domain(lows=np.array([-0.05, -0.05]), highs=np.array([0.05, 0.05]))
         ens = build_ensemble(model, grid, schedule, dom, 50, NoiseSource("gaussian"), seed=6)
         for k in range(grid.n_steps + 1):
             assert np.array_equal(dom.project(ens.state(k)), ens.state(k))
@@ -352,10 +346,10 @@ def test_clip_error_matches_the_all_axes_formula(problem, bench20):
     lo, hi = state.min(axis=(0, 1)), state.max(axis=(0, 1))
     # From a box that clamps most points to one that clamps none.
     for shrink in (0.05, 0.3, 0.45, 0.5):
-        dom = Domain(lows=lo + shrink * (hi - lo), highs=hi - shrink * (hi - lo) + 1e-9, epsilon=1.0)
+        dom = Domain(lows=lo + shrink * (hi - lo), highs=hi - shrink * (hi - lo) + 1e-9)
         expected = clip_error_reference(state, dom.lows, dom.highs)
         assert _clip_error(state.transpose(2, 1, 0), dom) == expected
-    dom = Domain(lows=lo - 1.0, highs=hi + 1.0, epsilon=1.0)
+    dom = Domain(lows=lo - 1.0, highs=hi + 1.0)
     assert _clip_error(state.transpose(2, 1, 0), dom) == 0.0
 
 
@@ -370,7 +364,7 @@ class TestPayoffSup:
 
         thetas = np.zeros((11, 1, 1))
         schedule = CovarianceSchedule.from_thetas(thetas)
-        dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]))
         rule = build_quadrature(1, 8)
         sup = payoff_sup_on_domain(modes, dom, schedule, rule, grid)
         assert sup == pytest.approx(2.0, rel=1e-12)
@@ -378,7 +372,7 @@ class TestPayoffSup:
     def test_dispersion_increases_sup(self, bench20):
         model, modes, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]), epsilon=0.01)
+        dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]))
         rule = build_quadrature(1, 8)
         sup = payoff_sup_on_domain(modes, dom, schedule, rule, grid)
         assert sup >= 2.0
