@@ -401,35 +401,39 @@ def _write_output(config: RunConfig, command: str, name: str | None = None, cont
     ``content`` is a JSON object or a list of CSV rows, header first.  A JSON
     object is printed on stdout and stored as ``name`` without its volatile
     keys.  CSV (RFC 4180, CRLF line ends) is stored as ``name`` and its path
-    printed, or printed on stdout when there is no output directory.
+    printed, or printed on stdout when there is no output directory.  Files
+    are written first, and a failed write is an error at stage 'output'.
     """
     out_dir = config.output
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        files = {"manifest.json": config.manifest(command)}
-        if isinstance(content, dict):
-            files[name] = {k: v for k, v in content.items() if k not in _VOLATILE_KEYS}
-        for fname, payload in files.items():
-            with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            files = {"manifest.json": config.manifest(command)}
+            if isinstance(content, dict):
+                files[name] = {k: v for k, v in content.items() if k not in _VOLATILE_KEYS}
+            for fname, payload in files.items():
+                with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            if isinstance(content, list):
+                with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+                    csv.writer(fh).writerows(content)
+        except OSError as exc:
+            raise StageError("output", exc) from exc
     if isinstance(content, dict):
         print(json.dumps(content, indent=2, sort_keys=True))
     elif content is not None:
         if out_dir is None:
             csv.writer(sys.stdout).writerows(content)
         else:
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows(content)
-            print(path)
+            print(os.path.join(out_dir, name))
 
 
 def _cmd_validate(args, config: RunConfig) -> int:
     model, modes = _stage("load", _resolve_problem, config)
     report = _stage("validate", validate, model, modes, model.grid)
-    print(str(report))
     _write_output(config, "validate")
+    print(str(report))
     return 0 if report.ok else 1
 
 

@@ -4,7 +4,7 @@ The value of running the system from grid time t_k in mode i is approximated
 on the training ensemble by
 
     v_i(t_k, Z_ell) = max_j [ delta * fbar_j(Z_ell, t_k)
-                              + E[v_j(t_{k+1}) | cell(Z_ell)] - cbar_ij(t_k) ]
+                              + E[v_j(t_{k+1}) | cell(Z_ell)] - c_ij ]
 
 with terminal value zero, where the conditional expectation is the empirical
 cell average of next-step values and fbar_j is the belief-averaged payoff at
@@ -151,7 +151,7 @@ def backward_induction(
     values = np.zeros((n_steps + 1, d, M))
     coeffs: list = [None] * n_steps
     choice = np.empty((n_steps, d, R), dtype=np.int64)
-    path_order, times = np.arange(M), grid.times
+    path_order, times, cost = np.arange(M), grid.times, modes.costs
 
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
@@ -160,7 +160,6 @@ def backward_induction(
         cand, _ = _action_values(
             modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k), coeffs[k], ids
         )
-        cost = modes.cost_matrix(t)
         np.max(cand[None] - cost[:, :, None], axis=1, out=values[k])
         # A cell's policy entry is its first visitor's choice, so only those run the tie rule.
         first = np.full(R, M)
@@ -195,7 +194,7 @@ def value_at_origin(
         modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin,
         surface.coeffs[0], basis.cell_index(origin),
     )
-    return (cand[:, 0] - modes.cost_matrix(0.0)).max(axis=1)
+    return (cand[:, 0] - modes.costs).max(axis=1)
 
 
 def simulate_policy(
@@ -230,7 +229,7 @@ def simulate_policy(
     mode = np.full(M, int(start_mode), dtype=np.int64)
     total = np.zeros(M)
     switches = np.zeros(M, dtype=np.int64)
-    rows, times = np.arange(M), grid.times
+    rows, times, cost = np.arange(M), grid.times, modes.costs
 
     for k in range(grid.n_steps):
         t = float(times[k])
@@ -239,7 +238,6 @@ def simulate_policy(
         cand, fbars = _action_values(
             modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids
         )
-        cost = modes.cost_matrix(t)
         if pointwise_policy:
             _, jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
         else:

@@ -6,8 +6,9 @@ A problem instance is a linear signal/observation pair
     dY_t = G_t X_t dt + dU_t            (observation, dim n2)
 
 together with a finite set of operating modes, each carrying a running payoff
-f_i(x, y, t) and pairwise switching costs c(i, j, t).  Everything here is a
-plain immutable value object; the solver modules consume them read-only.
+f_i(x, y, t), and a (d, d) matrix of switching costs c(i, j), constant in
+time.  Everything here is a plain immutable value object; the solver modules
+consume them read-only.
 """
 
 from __future__ import annotations
@@ -205,14 +206,15 @@ def as_payoff(obj) -> PayoffSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """d operating modes: payoffs f_i(x, y, t) and switching costs c(i, j, t).
+    """d operating modes: payoffs f_i(x, y, t) and switching costs.
 
-    Costs are functions of time only: a (d, d) matrix, or a callable
-    (i, j, t) -> float.
+    ``costs`` is a (d, d) matrix, constant in time: costs[i, j] is the cost
+    of switching from mode i to mode j.  It is stored as a read-only float
+    copy.
     """
 
     payoffs: tuple
-    costs: Callable
+    costs: np.ndarray
     nu: float
 
     def __post_init__(self) -> None:
@@ -220,25 +222,18 @@ class ModeSet:
         if not payoffs:
             raise ValueError("ModeSet needs at least one mode")
         object.__setattr__(self, "payoffs", payoffs)
-        costs = self.costs
-        if not callable(costs):
-            matrix = np.asarray(costs, dtype=float)
-            d = len(payoffs)
-            if matrix.shape != (d, d):
-                raise ValueError(f"cost matrix must be ({d}, {d}), got {matrix.shape}")
-            object.__setattr__(self, "costs", lambda i, j, t, _m=matrix: float(_m[i, j]))
+        try:
+            costs = np.array(self.costs, dtype=float)
+        except (TypeError, ValueError):  # a callable, a string, a ragged list
+            costs = np.empty(0)
+        if costs.shape != (self.d, self.d):
+            raise ValueError(f"costs must be a ({self.d}, {self.d}) matrix of numbers, got {self.costs!r}")
+        costs.flags.writeable = False
+        object.__setattr__(self, "costs", costs)
 
     @property
     def d(self) -> int:
         return len(self.payoffs)
-
-    def cost_matrix(self, t: float) -> np.ndarray:
-        d = self.d
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = self.costs(i, j, t)
-        return out
 
 
 @dataclass
@@ -258,7 +253,10 @@ class ValidationReport:
 
 
 def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationReport:
-    """Check every structural assumption; report violations, never raise."""
+    """Check every structural assumption; report violations, never raise.
+
+    Of the cost checks (finite, zero diagonal, off-diagonal >= nu, triangle
+    inequality) only the first that fails is reported."""
     report = ValidationReport()
     add = report.violations.append
 
@@ -284,37 +282,25 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
     if not modes.nu > 0:
         add(f"nu must be positive, got {modes.nu}")
 
-    d = modes.d
-    try:
-        for t in grid.times:
-            c = modes.cost_matrix(float(t))
-            if not np.all(np.isfinite(c)):
-                add(f"switching cost not finite at t={t:g}")
-                break
-            diag = np.abs(np.diag(c))
-            if diag.max(initial=0.0) > _CHECK_ATOL:
-                add(f"diagonal cost nonzero at t={t:g} (max |c(i,i)| = {diag.max():.3e})")
-                break
-            off = c[~np.eye(d, dtype=bool)]
-            if d > 1 and off.min(initial=np.inf) < modes.nu - _CHECK_ATOL:
-                add(
-                    f"switching cost below nu at t={t:g} "
-                    f"(min off-diagonal {off.min():.3e} < nu={modes.nu:g})"
-                )
-                break
-            # violated[i1, i2, i3]: c(i1, i2) + c(i2, i3) < c(i1, i3); argwhere
-            # lists violations in (i1, i2, i3) order, so the first is reported.
-            violated = c[:, :, None] + c[None, :, :] < c[:, None, :] - _CHECK_ATOL
-            if violated.any():
-                i1, i2, i3 = np.argwhere(violated)[0]
-                add(
-                    f"triangle inequality violated at t={t:g}: "
-                    f"c({i1},{i2}) + c({i2},{i3}) = {c[i1, i2] + c[i2, i3]:g} "
-                    f"< c({i1},{i3}) = {c[i1, i3]:g}"
-                )
-                break
-    except Exception as exc:  # user cost callables may misbehave; report, don't raise
-        add(f"cost evaluation failed: {exc}")
+    c, d = modes.costs, modes.d
+    diag, off = np.abs(np.diag(c)).max(), c[~np.eye(d, dtype=bool)]
+    if not np.all(np.isfinite(c)):
+        add("switching cost not finite")
+    elif diag > _CHECK_ATOL:
+        add(f"diagonal cost nonzero (max |c(i,i)| = {diag:.3e})")
+    elif d > 1 and off.min() < modes.nu - _CHECK_ATOL:
+        add(f"switching cost below nu (min off-diagonal {off.min():.3e} < nu={modes.nu:g})")
+    else:
+        # violated[i1, i2, i3]: c(i1, i2) + c(i2, i3) < c(i1, i3); argwhere
+        # lists violations in (i1, i2, i3) order, so the first is reported.
+        violated = c[:, :, None] + c[None, :, :] < c[:, None, :] - _CHECK_ATOL
+        if violated.any():
+            i1, i2, i3 = np.argwhere(violated)[0]
+            add(
+                f"triangle inequality violated: "
+                f"c({i1},{i2}) + c({i2},{i3}) = {c[i1, i2] + c[i2, i3]:g} "
+                f"< c({i1},{i3}) = {c[i1, i3]:g}"
+            )
 
     return report
 
@@ -356,10 +342,7 @@ def load_problem(source) -> tuple:
         F=data["F"], C=data["C"], G=data["G"],
         m0=data["m0"], theta0=data["theta0"], y0=data["y0"],
     )
-    payoffs = [as_payoff(entry) for entry in data["modes"]]
-    modes = ModeSet(
-        payoffs=tuple(payoffs),
-        costs=np.asarray(data["costs"], dtype=float),
-        nu=float(data["nu"]),
-    )
+    if not isinstance(data["modes"], (list, tuple)):
+        raise ValueError(f"modes must be a list of payoffs, got {data['modes']!r}")
+    modes = ModeSet(payoffs=tuple(data["modes"]), costs=data["costs"], nu=float(data["nu"]))
     return model, modes

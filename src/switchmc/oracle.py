@@ -91,7 +91,7 @@ def tree_oracle_value(
         _, inverse = np.unique(pairs, axis=0, return_inverse=True)
         labels.append(inverse.astype(np.int64))
 
-    values = np.zeros((d, M))
+    values, cost = np.zeros((d, M)), modes.costs
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
         lab = labels[k]
@@ -108,11 +108,7 @@ def tree_oracle_value(
             fbar = effective_payoff_batch(modes, j, m_k, sqrt_theta, y_k, t, rule)
             cand[j] = delta * fbar + cont
 
-        cost = modes.cost_matrix(t)
-        new_values = np.empty((d, M))
-        for i in range(d):
-            new_values[i] = (cand - cost[i][:, None]).max(axis=0)
-        values = new_values
+        values = (cand[None] - cost[:, :, None]).max(axis=1)
 
     # At time zero every path shares the initial state and group.
     return values[:, 0].copy()

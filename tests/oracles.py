@@ -15,7 +15,8 @@ bugs:
   reduced at once, against which the solver's per-axis version must agree
   bit for bit;
 - the closed-form value of never switching, for registry payoffs with a
-  closed-form mean.
+  closed-form mean;
+- the first switching-cost violation, by plain loops over the entries.
 
 ``make_benchmark``, ``SIGNAL2D`` and ``belief_average`` are conveniences, not
 references: the last routes a Gaussian expectation through the solver's own
@@ -182,9 +183,8 @@ def tiny_tree_value(model, modes, schedule, rule) -> list:
     # Backward induction over information prefixes.  values[p][i] is the
     # mode-i value seen by path p at the current step; groups of paths that
     # share a dy prefix must agree on it by construction.
-    values = [[0.0] * d for _ in paths]
+    values, cost = [[0.0] * d for _ in paths], modes.costs
     for k in reversed(range(n)):
-        cost = np.asarray(modes.cost_matrix(float(grid.times[k])), dtype=float)
         groups: dict = {}
         for p, path in enumerate(paths):
             groups.setdefault(path["dy"][:k], []).append(p)
@@ -257,6 +257,33 @@ def no_switch_value(model, modes, start_mode: int) -> float:
     raise OracleRefusal(
         f"no closed-form no-switch value for payoff '{payoff.name}'"
     )
+
+
+def cost_violation(costs, nu: float, atol: float = 1e-10):
+    """The cost violation ``validate`` reports for a (d, d) matrix, or None.
+
+    Checks run in validate's order and the first that fails is reported:
+    every entry finite, every diagonal entry zero within ``atol``, every
+    off-diagonal entry at least ``nu`` - ``atol``, then the triangle
+    inequality over (i1, i2, i3) in lexicographic order.
+    """
+    c = [[float(v) for v in row] for row in costs]
+    d = len(c)
+    if not all(math.isfinite(v) for row in c for v in row):
+        return "switching cost not finite"
+    diag = max(abs(c[i][i]) for i in range(d))
+    if diag > atol:
+        return f"diagonal cost nonzero (max |c(i,i)| = {diag:.3e})"
+    off = [c[i][j] for i in range(d) for j in range(d) if i != j]
+    if off and min(off) < nu - atol:
+        return f"switching cost below nu (min off-diagonal {min(off):.3e} < nu={nu:g})"
+    for i1, i2, i3 in itertools.product(range(d), repeat=3):
+        if c[i1][i2] + c[i2][i3] < c[i1][i3] - atol:
+            return (
+                f"triangle inequality violated: c({i1},{i2}) + c({i2},{i3}) = "
+                f"{c[i1][i2] + c[i2][i3]:g} < c({i1},{i3}) = {c[i1][i3]:g}"
+            )
+    return None
 
 
 def make_benchmark(n_steps: int = 730, m0: float = 0.0, **overrides):

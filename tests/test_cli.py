@@ -223,7 +223,7 @@ class TestConfigPrecedence:
         assert "error at stage 'load'" in err
 
     def test_state_cost_key_is_ignored(self, tmp_path, capsys):
-        # Switching costs depend on time only, so load_problem ignores an
+        # Switching costs are one constant matrix, so load_problem ignores an
         # allow_state_costs key and the solve must not change.
         args = ["solve", "--M", "100", "--n-steps", "10", "--replications", "1", "--seed", "4"]
         plain = tmp_path / "plain"
@@ -276,6 +276,14 @@ class TestLoadErrors:
         path = write_problem(tmp_path, modes=["zero", mode])
         self.assert_load_error(["solve", "--problem", path], capsys)
 
+    @pytest.mark.parametrize("modes", ("zl", {"name": "zero"}), ids=("string", "mapping"))
+    def test_modes_not_a_list(self, modes, tmp_path, capsys):
+        # Each character or key used to be read as a payoff: "unknown payoff 'z'".
+        err = self.assert_load_error(
+            ["solve", "--problem", write_problem(tmp_path, modes=modes)], capsys
+        )
+        assert "modes must be a list" in err
+
     @pytest.mark.parametrize("command", ("solve", "bound", "paths"))
     def test_negative_seed(self, command, capsys):
         # SeedSequence used to reject it outside any stage, with no stage name.
@@ -314,6 +322,21 @@ def test_bad_epsilon_is_a_calibrate_error(command, epsilon, capsys):
     assert code == 2
     assert err.startswith("error at stage 'calibrate': ")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ("solve", "riccati", "paths"))
+def test_unwritable_output_is_an_output_error(command, tmp_path, capsys):
+    # An --out naming a file used to end in a bare "error: [Errno 17] File exists".
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    code, out, err = run_cli(
+        [command, "--M", "100", "--n-steps", "10", "--replications", "1", "--out", str(taken)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error at stage 'output': ")
+    assert out == ""
+    assert taken.read_text() == "kept"
 
 
 class TestSweep:

@@ -144,8 +144,8 @@ class TestTwoModeInvariants:
         # v_i >= v_j - c(i, j) pointwise: switching to j and following its
         # optimal continuation is one admissible candidate for mode i.
         model, modes, _, _, _, _, surface, _ = solved_benchmark
+        cost = modes.costs
         for k in range(model.grid.n_steps + 1):
-            cost = modes.cost_matrix(float(model.grid.times[k]))
             for i in range(modes.d):
                 for j in range(modes.d):
                     lhs = surface.values[k, i, :]
@@ -277,7 +277,7 @@ def test_policy_table_takes_each_cell_from_its_first_path():
         last = M - 1 - np.unique(ids[::-1], return_index=True)[1]
         unvisited += basis.R - cells.size
         for i in range(modes.d):
-            jstar = reference_choice(cand - modes.cost_matrix(t)[i][:, None], np.full(M, i))
+            jstar = reference_choice(cand - modes.costs[i][:, None], np.full(M, i))
             expected = np.full(basis.R, i)
             expected[cells] = jstar[first]
             assert np.array_equal(policy.choice[k, i], expected)

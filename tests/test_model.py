@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import SIGNAL2D, make_benchmark
+from oracles import SIGNAL2D, cost_violation, make_benchmark
 
 from switchmc import (
     ModeSet,
@@ -23,6 +26,27 @@ from switchmc import (
     validate,
 )
 from switchmc.benchmarks import benchmark_problem
+from switchmc.cli import main
+
+NU = 0.001
+# Entries that each break one cost assumption wherever they land: not
+# finite, negative, below NU, large enough to break the triangle inequality
+# (off the diagonal, d >= 3) or nonzero on the diagonal; 1e-12 and 0.0 are
+# within the diagonal's tolerance.
+ODD_COSTS = (math.nan, math.inf, -math.inf, -0.01, 0.0, 0.0005, 1e-12, 0.05, 0.1, 0.3, 0.5)
+
+
+@st.composite
+def cost_matrices(draw):
+    """A d x d cost matrix, d = 1..4: valid costs with up to two odd entries."""
+    d = draw(st.integers(1, 4))
+    # Off-diagonal costs within a factor 2 of each other satisfy the triangle
+    # inequality, so the matrix is valid before the odd entries go in.
+    valid = st.sampled_from((0.01, 0.012, 0.015, 0.02))
+    c = [[0.0 if i == j else draw(valid) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 2))):
+        c[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(st.sampled_from(ODD_COSTS))
+    return c
 
 
 class TestTimeGrid:
@@ -124,7 +148,7 @@ class TestModeSet:
     def test_matrix_costs_wrapped(self, small_problem):
         _, modes = small_problem
         assert modes.d == 2
-        cost = modes.cost_matrix(0.5)
+        cost = modes.costs
         assert cost.shape == (2, 2)
         assert cost[0, 1] == pytest.approx(0.01)
         assert cost[1, 0] == pytest.approx(0.001)
@@ -133,6 +157,24 @@ class TestModeSet:
     def test_needs_at_least_one_mode(self):
         with pytest.raises(ValueError):
             ModeSet(payoffs=(), costs=np.zeros((0, 0)), nu=0.001)
+
+    def test_costs_are_a_read_only_copy(self):
+        given_costs = np.array([[0.0, 0.01], [0.001, 0.0]])
+        modes = ModeSet(payoffs=("zero", "linear"), costs=given_costs, nu=0.001)
+        given_costs[0, 1] = 1.0
+        assert modes.costs[0, 1] == 0.01
+        assert modes.costs.dtype == np.float64
+        assert not modes.costs.flags.writeable
+        with pytest.raises(ValueError):
+            modes.costs[0, 1] = 1.0
+
+    @pytest.mark.parametrize("costs", (
+        lambda i, j, t: 0.0, "cheap", [[0.0, "x"], [0.001, 0.0]], [[0.0, 0.01], [0.001]],
+        [0.0, 0.01], None,
+    ), ids=("callable", "string", "non-numeric-entry", "ragged", "vector", "none"))
+    def test_costs_other_than_a_matrix_rejected(self, costs):
+        with pytest.raises(ValueError, match=r"costs must be a \(2, 2\) matrix"):
+            ModeSet(payoffs=("zero", "linear"), costs=costs, nu=0.001)
 
     def test_cost_shape_must_match_mode_count(self):
         with pytest.raises(ValueError):
@@ -181,7 +223,7 @@ class TestValidate:
 
     def test_triangle_report_names_the_first_violation(self, small_problem):
         # Two violations, (0, 1, 2) and (2, 1, 0); only the first in
-        # (i1, i2, i3) order is reported, at the first grid time.
+        # (i1, i2, i3) order is reported.
         model, _ = small_problem
         modes = ModeSet(
             payoffs=(as_payoff("zero"), as_payoff("linear"), as_payoff("zero")),
@@ -190,7 +232,7 @@ class TestValidate:
         )
         report = validate(model, modes, model.grid)
         assert report.violations == [
-            "triangle inequality violated at t=0: c(0,1) + c(1,2) = 0.03 < c(0,2) = 0.5"
+            "triangle inequality violated: c(0,1) + c(1,2) = 0.03 < c(0,2) = 0.5"
         ]
 
     def test_indefinite_theta0_flagged(self, small_problem):
@@ -200,7 +242,7 @@ class TestValidate:
         assert not report.ok
 
     @pytest.mark.parametrize("key, value, violation", [
-        ("costs", [[0.0, math.nan], [0.001, 0.0]], "switching cost not finite at t=0"),
+        ("costs", [[0.0, math.nan], [0.001, 0.0]], "switching cost not finite"),
         ("m0", math.nan, "m0 has non-finite entries"),
         ("y0", math.nan, "y0 has non-finite entries"),
         ("theta0", math.nan, "theta0 has non-finite entries"),
@@ -210,6 +252,26 @@ class TestValidate:
         # finiteness was tested first.
         model, modes = make_benchmark(n_steps=20, **{key: value})
         assert validate(model, modes, model.grid).violations == [violation]
+
+    @settings(max_examples=100, deadline=None)
+    @given(costs=cost_matrices())
+    def test_cost_violation_matches_the_reference_loop(self, tmp_path_factory, costs):
+        # validate and the CLI report what per-entry loops predict, and the
+        # CLI exits 0 or 1 with nothing on stderr, never 2.
+        expected = cost_violation(costs, NU)
+        problem = {
+            **benchmark_problem(), "n_steps": 10,
+            "modes": ["zero", "linear", "zero", "linear"][:len(costs)], "costs": costs, "nu": NU,
+        }
+        model, modes = load_problem(problem)
+        assert validate(model, modes, model.grid).violations == ([] if expected is None else [expected])
+        path = tmp_path_factory.getbasetemp() / "costs.json"
+        path.write_text(json.dumps(problem))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--problem", str(path)])
+        assert (code, err.getvalue()) == (int(expected is not None), "")
+        assert out.getvalue() == ("pass" if expected is None else f"violation: {expected}") + "\n"
 
     def test_grid_mismatch_flagged(self, small_problem):
         model, modes = small_problem
@@ -232,19 +294,6 @@ class TestValidate:
         assert validate(model, modes, model.grid).violations == [f"nu must be positive, got {nu}"]
         with pytest.raises(ValueError, match="nu must be > 0"):
             switch_count_bound(modes, f_sup=1.0, T=1.0)
-
-    def test_raising_cost_function_reported_not_raised(self, small_problem):
-        model, _ = small_problem
-
-        def bad_costs(t):
-            raise RuntimeError("boom")
-
-        modes = ModeSet(
-            payoffs=(as_payoff("zero"), as_payoff("linear")),
-            costs=bad_costs, nu=0.001,
-        )
-        report = validate(model, modes, model.grid)
-        assert not report.ok
 
 
 class TestSwitchCountBound:
