@@ -6,7 +6,8 @@ is Gaussian N(m_t, theta_t).  The covariance theta_t solves a matrix Riccati
 ODE and is deterministic, so it is integrated once per problem; the mean m_t
 follows a linear recursion driven by observation increments.  An affine
 payoff averages over the belief to its value at the mean; the belief average
-of any other payoff is a Gaussian quadrature.
+of any other payoff is a tensor Gauss-Hermite quadrature of at most 4 096
+nodes (8 per axis at n1 = 4, 5 at n1 = 5, 4 at n1 = 6; none above n1 = 12).
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ _BLOWUP = 1e12
 _EIG_FLOOR = 0.0
 # Tolerance for the sqrt factor consistency check.
 _SQRT_ATOL = 1e-10
-# Dimension above which tensorized Gauss-Hermite is replaced by Halton nodes.
-_TENSOR_MAX_DIM = 3
-# Number of Halton nodes used in high dimension.
-_HALTON_POINTS = 2 ** 12
+# Most nodes a quadrature rule may have; the per-axis order is lowered to fit.
+_MAX_NODES = 2 ** 12
 
 
 class IntegrationError(RuntimeError):
@@ -102,9 +101,9 @@ class CovarianceSchedule:
 class QuadratureRule:
     """Nodes z_q in R^dim and weights summing to one for N(0, I) expectations.
 
-    Gauss-Hermite rules keep the row-major tensor order, in which node
-    n-1-q is the exact reflection of node q through the origin (and the
-    middle node of an odd-sized rule is the origin itself).
+    Every rule has the mirror layout of a row-major tensor Gauss-Hermite
+    rule: node n-1-q is the exact reflection of node q through the origin
+    (and the middle node of an odd-sized rule is the origin itself).
     ``weighted_sum`` relies on that layout: integrands odd around a zero
     mean cancel exactly in floating point only because mirror nodes are
     added to each other first.
@@ -112,7 +111,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "gauss-hermite"
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -137,9 +135,9 @@ class QuadratureRule:
         """Weighted node sum over the last axis of ``vals`` (..., n_nodes).
 
         Node q is added to node n-1-q first, the pairs are summed, then the
-        middle node of an odd-sized rule is added.  Under the reversal layout
-        of Gauss-Hermite rules odd contributions therefore cancel bitwise
-        rather than accumulating roundoff.
+        middle node of an odd-sized rule is added.  Under the mirror layout
+        every rule has, odd contributions therefore cancel bitwise rather
+        than accumulating roundoff.
         """
         p = np.asarray(vals, dtype=float) * self.weights
         half = self.n_nodes // 2
@@ -152,39 +150,29 @@ class QuadratureRule:
 def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
     """Quadrature for standard Gaussian expectations in ``dim`` dimensions.
 
-    Up to dimension 3 this is the tensor product of one-dimensional
-    Gauss-Hermite rules with ``order`` nodes per axis (exact on polynomials of
-    per-axis degree <= 2*order - 1).  In higher dimension it falls back to a
-    fixed Halton sequence mapped through the Gaussian quantile function.
+    The tensor product of one-dimensional Gauss-Hermite rules with ``order``
+    nodes per axis, lowered to keep at most 4 096 nodes (8 at dim 4, 5 at
+    dim 5, 4 at dim 6); exact on polynomials of per-axis degree <= 2*q - 1
+    for the q used.  Above dim 12 no rule fits: ValueError.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if dim <= _TENSOR_MAX_DIM:
-        z1, w1 = hermegauss(order)
-        # Restore the exact +-z symmetry the rule has in exact arithmetic.
-        z1 = 0.5 * (z1 - z1[::-1])
-        w1 = 0.5 * (w1 + w1[::-1])
-        w1 = w1 / w1.sum()
-        grids = np.meshgrid(*([z1] * dim), indexing="ij")
-        nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
-        weights = np.ones(nodes.shape[0])
-        for wg in wgrids:
-            weights = weights * wg.reshape(-1)
-        weights = weights / weights.sum()
-        return QuadratureRule(nodes=nodes, weights=weights, kind="gauss-hermite")
-    # scipy.stats is slow to import, and only this fallback needs it.
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(1)  # skip the origin, whose quantile is -inf
-    u = sampler.random(_HALTON_POINTS)
-    nodes = ndtri(u)
-    weights = np.full(_HALTON_POINTS, 1.0 / _HALTON_POINTS)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="halton")
+    # Nodes per axis that fit the cap; 1e-9 absorbs the roundoff of exact roots.
+    per_axis = int(_MAX_NODES ** (1.0 / dim) + 1e-9)
+    if per_axis < 2:
+        raise ValueError(f"dim {dim} too large: 2 nodes per axis exceed the cap of {_MAX_NODES} nodes")
+    z1, w1 = hermegauss(min(order, per_axis))
+    # Restore the exact +-z symmetry the rule has in exact arithmetic.
+    z1 = 0.5 * (z1 - z1[::-1])
+    w1 = 0.5 * (w1 + w1[::-1])
+    w1 = w1 / w1.sum()
+    grids = np.meshgrid(*([z1] * dim), indexing="ij")
+    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    weights = np.prod(np.meshgrid(*([w1] * dim), indexing="ij"), axis=0).reshape(-1)
+    weights = weights / weights.sum()
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def default_substeps(grid: TimeGrid) -> int:
@@ -236,26 +224,28 @@ def solve_riccati(model: ModelSpec, grid: TimeGrid, substeps: int | None = None)
     theta = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
     thetas[0] = theta
     h = grid.delta / substeps
-    for k in range(n_steps):
-        F = model.F[k]
-        CC = model.C[k] @ model.C[k].T
-        GG = model.G[k].T @ model.G[k]
-        for _ in range(substeps):
-            k1 = _riccati_rhs(theta, F, CC, GG)
-            k2 = _riccati_rhs(theta + 0.5 * h * k1, F, CC, GG)
-            k3 = _riccati_rhs(theta + 0.5 * h * k2, F, CC, GG)
-            k4 = _riccati_rhs(theta + h * k3, F, CC, GG)
-            theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            theta = 0.5 * (theta + theta.T)
-            if not np.all(np.isfinite(theta)) or np.abs(theta).max() > _BLOWUP:
-                raise IntegrationError(
-                    f"Riccati integration diverged on interval [{grid.times[k]:g}, "
-                    f"{grid.times[k + 1]:g}] (max |entry| > {_BLOWUP:g})"
-                )
-            vals, vecs = np.linalg.eigh(theta)
-            if vals.min() < 0.0:
-                theta = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        thetas[k + 1] = theta
+    # Overflow is reported by the divergence check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            F = model.F[k]
+            CC = model.C[k] @ model.C[k].T
+            GG = model.G[k].T @ model.G[k]
+            for _ in range(substeps):
+                k1 = _riccati_rhs(theta, F, CC, GG)
+                k2 = _riccati_rhs(theta + 0.5 * h * k1, F, CC, GG)
+                k3 = _riccati_rhs(theta + 0.5 * h * k2, F, CC, GG)
+                k4 = _riccati_rhs(theta + h * k3, F, CC, GG)
+                theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                theta = 0.5 * (theta + theta.T)
+                if not np.all(np.isfinite(theta)) or np.abs(theta).max() > _BLOWUP:
+                    raise IntegrationError(
+                        f"Riccati integration diverged on interval [{grid.times[k]:g}, "
+                        f"{grid.times[k + 1]:g}] (max |entry| > {_BLOWUP:g})"
+                    )
+                vals, vecs = np.linalg.eigh(theta)
+                if vals.min() < 0.0:
+                    theta = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+            thetas[k + 1] = theta
     return CovarianceSchedule.from_thetas(thetas)
 
 

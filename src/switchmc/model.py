@@ -210,7 +210,7 @@ class ModeSet:
 
     ``costs`` is a (d, d) matrix, constant in time: costs[i, j] is the cost
     of switching from mode i to mode j.  It is stored as a read-only float
-    copy.
+    copy, and ``nu`` (the floor of the off-diagonal costs) as a float.
     """
 
     payoffs: tuple
@@ -230,6 +230,10 @@ class ModeSet:
             raise ValueError(f"costs must be a ({self.d}, {self.d}) matrix of numbers, got {self.costs!r}")
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
+        try:
+            object.__setattr__(self, "nu", float(self.nu))
+        except (TypeError, ValueError):  # None, a word, a list
+            raise ValueError(f"nu must be a number, got {self.nu!r}") from None
 
     @property
     def d(self) -> int:
@@ -344,5 +348,5 @@ def load_problem(source) -> tuple:
     )
     if not isinstance(data["modes"], (list, tuple)):
         raise ValueError(f"modes must be a list of payoffs, got {data['modes']!r}")
-    modes = ModeSet(payoffs=tuple(data["modes"]), costs=data["costs"], nu=float(data["nu"]))
+    modes = ModeSet(payoffs=tuple(data["modes"]), costs=data["costs"], nu=data["nu"])
     return model, modes

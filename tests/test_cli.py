@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +324,26 @@ def test_bad_epsilon_is_a_calibrate_error(command, epsilon, capsys):
     assert code == 2
     assert err.startswith("error at stage 'calibrate': ")
     assert out == ""
+
+
+@pytest.mark.parametrize("key", ("F", "C", "G", "theta0"))
+@pytest.mark.parametrize(
+    "value", (1e300, -1e300, 1e-300, -1e-300, 0.0, math.nan, math.inf, -math.inf)
+)
+def test_extreme_coefficient_solves_or_names_a_stage(key, value, tmp_path, capsys):
+    # Overflow in the Riccati integration used to print numpy's
+    # RuntimeWarning lines before the stage error.
+    path = write_problem(tmp_path, **{key: value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["solve", "--problem", path, "--M", "200", "--n-steps", "10"], capsys)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0:
+        assert np.all(np.isfinite(json.loads(out)["v"]))
+    else:
+        assert code == 2
+        assert err.startswith("error at stage '")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("command", ("solve", "riccati", "paths"))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import sys
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from oracles import SIGNAL2D, belief_average, gaussian_monomial_moment, make_benchmark
 
@@ -20,7 +24,7 @@ from switchmc import (
     solve_riccati,
 )
 from switchmc.benchmarks import default_solver_params
-from switchmc.cli import RunConfig, run_pipeline
+from switchmc.cli import RunConfig, main, run_pipeline
 from switchmc.filtering import (
     CovarianceSchedule,
     default_substeps,
@@ -28,6 +32,15 @@ from switchmc.filtering import (
     mean_step,
     rowwise_matvec,
 )
+
+
+def signal_problem(n1: int) -> dict:
+    """SIGNAL2D with ``n1`` independent signal axes, all observed through one sum."""
+    return {
+        **SIGNAL2D, "n1": n1, "m1": n1, "F": np.zeros((n1, n1)).tolist(),
+        "C": np.eye(n1).tolist(), "G": [[1.0] * n1], "m0": [0.0] * n1,
+        "theta0": np.zeros((n1, n1)).tolist(),
+    }
 
 
 class TestPsdSqrt:
@@ -146,16 +159,37 @@ class TestQuadrature:
                 assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
                 assert rule.nodes.shape == (rule.n_nodes, dim)
 
-    def test_gauss_kinds_and_halton_fallback(self):
-        assert build_quadrature(3, 4).kind == "gauss-hermite"
-        rule = build_quadrature(4, 16)
-        assert rule.kind == "halton"
-        assert rule.n_nodes == 4096
+    def test_dimension_above_12_refused(self):
+        assert build_quadrature(12).n_nodes == 4096
+        with pytest.raises(ValueError, match="dim 13 .* 4096 nodes"):
+            build_quadrature(13)
+
+    def test_dimension_above_12_is_a_quadrature_error(self, tmp_path, capsys):
+        path = tmp_path / "signal13.json"
+        path.write_text(json.dumps(signal_problem(13)))
+        code = main(["solve", "--problem", str(path), "--M", "100", "--n-steps", "4"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error at stage 'quadrature': ")
+        assert out == ""
+
+    def test_weights_are_axis_products_in_axis_order(self):
+        # The reference multiplies the per-axis weights in a loop, axis 0
+        # first; the rule's weights must match it bit for bit.
+        for dim, order in ((1, 16), (2, 5), (3, 16), (4, 16), (6, 3)):
+            rule = build_quadrature(dim, order)
+            w1 = hermegauss(round(rule.n_nodes ** (1.0 / dim)))[1]
+            w1 = 0.5 * (w1 + w1[::-1])
+            w1 = w1 / w1.sum()
+            weights = np.ones(rule.n_nodes)
+            for wg in np.meshgrid(*([w1] * dim), indexing="ij"):
+                weights = weights * wg.reshape(-1)
+            assert np.array_equal(rule.weights, weights / weights.sum())
 
     def test_node_set_is_sign_symmetric(self):
         # Tensor order puts the exact reflection of node q at index n-1-q,
         # the layout weighted_sum pairs by.
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 4, 5, 6):
             for order in (1, 4, 5, 16):
                 rule = build_quadrature(dim, order)
                 assert np.array_equal(rule.nodes[::-1], -rule.nodes)
@@ -166,6 +200,27 @@ class TestQuadrature:
             build_quadrature(1, 0)
         with pytest.raises(ValueError):
             build_quadrature(0, 4)
+
+    @staticmethod
+    def assert_exact_on_monomials(rule, m, theta, order, rng):
+        """Six random monomials of total degree <= 2 * order - 1 average to
+        their exact moments under ``rule``."""
+        dim = len(m)
+        for _ in range(6):
+            total = int(rng.integers(0, 2 * order))
+            cuts = np.sort(rng.integers(0, total + 1, size=dim - 1))
+            parts = np.diff(np.concatenate(([0], cuts, [total])))
+            alpha = tuple(int(v) for v in parts)
+            exact = gaussian_monomial_moment(m, theta, alpha)
+
+            def phi(x, alpha=alpha):
+                out = np.ones(x.shape[:-1])
+                for i, a_i in enumerate(alpha):
+                    out = out * x[..., i] ** a_i
+                return out
+
+            got = belief_average(phi, m, theta, rule)
+            assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_monomial_exactness_matches_moment_oracle(self):
         # Under the change of variables x = m + S z a monomial of total
@@ -179,35 +234,32 @@ class TestQuadrature:
             theta = a @ a.T
             m = rng.standard_normal(dim)
             for order in (2, 8):
-                rule = build_quadrature(dim, order)
-                for _ in range(6):
-                    total = int(rng.integers(0, 2 * order))
-                    cuts = np.sort(rng.integers(0, total + 1, size=dim - 1))
-                    parts = np.diff(np.concatenate(([0], cuts, [total])))
-                    alpha = tuple(int(v) for v in parts)
-                    exact = gaussian_monomial_moment(m, theta, alpha)
+                self.assert_exact_on_monomials(build_quadrature(dim, order), m, theta, order, rng)
 
-                    def phi(x, alpha=alpha):
-                        out = np.ones(x.shape[:-1])
-                        for i, a_i in enumerate(alpha):
-                            out = out * x[..., i] ** a_i
-                        return out
-
-                    got = belief_average(phi, m, theta, rule)
-                    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("dim, order, n_nodes", ((4, 8, 4096), (5, 5, 3125), (6, 4, 4096)))
+    def test_capped_rule_matches_moment_oracle(self, dim, order, n_nodes):
+        # The rule of the default order 16 is capped to ``order`` nodes per
+        # axis, so it is exact up to total degree 2 * order - 1.
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        theta = a @ a.T
+        m = rng.standard_normal(dim)
+        rule = build_quadrature(dim, 16)
+        assert rule.n_nodes == order ** dim == n_nodes
+        self.assert_exact_on_monomials(rule, m, theta, order, rng)
 
     def test_odd_moments_vanish_exactly_at_zero_mean(self):
         # Mirror-paired summation makes antisymmetric integrands cancel in
         # floating point, not just approximately.
         # Order 5 has a centre node, added after the pairs.
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 4, 5, 6):
             for order in (5, 16):
                 rule = build_quadrature(dim, order)
                 got = belief_average(lambda x: x[..., 0], np.zeros(dim), np.eye(dim), rule)
                 assert got == 0.0
 
     def test_weighted_sum_matches_plain_dot(self):
-        # Even and odd Gauss-Hermite rules and the Halton rule of dim 4.
+        # Even and odd Gauss-Hermite rules.
         rng = np.random.default_rng(4)
         for dim, order in ((2, 8), (2, 5), (4, 16)):
             rule = build_quadrature(dim, order)
@@ -412,3 +464,15 @@ class TestEffectivePayoff:
         result = run_pipeline(RunConfig(problem={**SIGNAL2D, "modes": modes}, solver=solver))
         assert np.all(np.isfinite(result.values))
         assert (len(calls) > 0) == expect_quadrature
+
+    def test_custom_payoff_in_dim_4_needs_only_numpy(self, monkeypatch):
+        # The quadrature of a custom payoff at n1 = 4 is the capped tensor
+        # rule, built without scipy.
+        # Submodules an earlier import left loaded are blocked too.
+        for name in {"scipy"} | {n for n in sys.modules if n.startswith("scipy.")}:
+            monkeypatch.setitem(sys.modules, name, None)
+        solver = {**default_solver_params(), "M": 300, "n_steps": 10, "seed": 3, "cells_per_dim": 2}
+        problem = {**signal_problem(4), "modes": ["zero", lambda x, y, t: np.tanh(x[..., 0])]}
+        result = run_pipeline(RunConfig(problem=problem, solver=solver))
+        assert result.rule.n_nodes == 4096
+        assert np.all(np.isfinite(result.values))

@@ -176,6 +176,18 @@ class TestModeSet:
         with pytest.raises(ValueError, match=r"costs must be a \(2, 2\) matrix"):
             ModeSet(payoffs=("zero", "linear"), costs=costs, nu=0.001)
 
+    def test_numeric_string_nu_is_stored_as_a_float(self, small_problem):
+        # validate used to compare the string with 0 and raise TypeError.
+        model, _ = small_problem
+        modes = ModeSet(payoffs=("zero", "linear"), costs=[[0.0, 0.01], [0.001, 0.0]], nu="0.001")
+        assert modes.nu == 0.001
+        assert validate(model, modes, model.grid).ok
+
+    @pytest.mark.parametrize("nu", (None, "abc", [1]), ids=("none", "word", "list"))
+    def test_nu_other_than_a_number_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu must be a number"):
+            ModeSet(payoffs=("zero", "linear"), costs=[[0.0, 0.01], [0.001, 0.0]], nu=nu)
+
     def test_cost_shape_must_match_mode_count(self):
         with pytest.raises(ValueError):
             ModeSet(
