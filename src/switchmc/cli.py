@@ -33,7 +33,7 @@ from .benchmarks import (
     default_solver_params,
 )
 from .dp import backward_induction, value_at_origin
-from .filtering import build_quadrature, solve_riccati
+from .filtering import payoff_quadrature, solve_riccati
 from .model import load_problem, switch_count_bound, validate
 from .oracle import TreeSpec, tree_oracle_value
 from .regress import HypercubeBasis, estimate_pmin, memberships
@@ -151,7 +151,7 @@ def _simulate(config: RunConfig, rep: int, n_paths: int):
     if not report.ok:
         raise StageError("validate", ValueError(str(report)))
     schedule = _stage("riccati", solve_riccati, model, grid)
-    rule = _stage("quadrature", build_quadrature, model.n1, int(params["quad_order"]))
+    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, int(params["quad_order"]))
     seeds = _seeds(params, rep)
     domain = _stage(
         "calibrate", calibrate_domain, model, grid, schedule, float(params["epsilon"]),
@@ -516,7 +516,7 @@ def _cmd_oracle(args, config: RunConfig) -> int:
     model, modes = _stage("load", _resolve_problem, config)
     spec = _stage("oracle", TreeSpec, model, modes)
     schedule = _stage("riccati", solve_riccati, model, model.grid)
-    rule = _stage("quadrature", build_quadrature, model.n1, int(config.solver["quad_order"]))
+    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, int(config.solver["quad_order"]))
     values = _stage("oracle", tree_oracle_value, spec, schedule, rule)
     payload = {
         "values": [float(v) for v in values],
@@ -547,7 +547,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-steps", type=int, dest="n_steps", help="time grid steps")
     parser.add_argument("--epsilon", type=float, help="domain clamp tolerance")
     parser.add_argument("--cells-per-dim", type=int, dest="cells_per_dim", help="regression cells per axis")
-    parser.add_argument("--quad-order", type=int, dest="quad_order", help="quadrature nodes per axis")
+    parser.add_argument("--quad-order", type=int, dest="quad_order", help="most quadrature nodes per axis")
 
 
 # Subcommands: name, handler, help, and the arguments it adds to the common ones.

@@ -27,6 +27,7 @@ __all__ = [
     "QuadratureRule",
     "psd_sqrt",
     "build_quadrature",
+    "payoff_quadrature",
     "solve_riccati",
     "default_substeps",
     "rowwise_matvec",
@@ -151,28 +152,41 @@ def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
     """Quadrature for standard Gaussian expectations in ``dim`` dimensions.
 
     The tensor product of one-dimensional Gauss-Hermite rules with ``order``
-    nodes per axis, lowered to keep at most 4 096 nodes (8 at dim 4, 5 at
-    dim 5, 4 at dim 6); exact on polynomials of per-axis degree <= 2*q - 1
-    for the q used.  Above dim 12 no rule fits: ValueError.
+    nodes per axis, lowered to keep at most 4 096 nodes (order 16 gives 16
+    at dims 1-3, 8 at dim 4, 5 at dim 5, 4 at dim 6); exact on polynomials
+    of per-axis degree <= 2*q - 1 for the q used.  Above dim 12 only order
+    1, the mean, fits; any higher order there is a ValueError.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    # Nodes per axis that fit the cap; 1e-9 absorbs the roundoff of exact roots.
-    per_axis = int(_MAX_NODES ** (1.0 / dim) + 1e-9)
-    if per_axis < 2:
+    # At most ``order`` per axis, within the cap; 1e-9 absorbs the roundoff of exact roots.
+    per_axis = min(order, int(_MAX_NODES ** (1.0 / dim) + 1e-9))
+    if per_axis < 2 <= order:
         raise ValueError(f"dim {dim} too large: 2 nodes per axis exceed the cap of {_MAX_NODES} nodes")
-    z1, w1 = hermegauss(min(order, per_axis))
+    z1, w1 = hermegauss(per_axis)
     # Restore the exact +-z symmetry the rule has in exact arithmetic.
     z1 = 0.5 * (z1 - z1[::-1])
     w1 = 0.5 * (w1 + w1[::-1])
     w1 = w1 / w1.sum()
     grids = np.meshgrid(*([z1] * dim), indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    weights = np.prod(np.meshgrid(*([w1] * dim), indexing="ij"), axis=0).reshape(-1)
+    wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
+    weights = np.ones(nodes.shape[0])
+    for wg in wgrids:
+        weights = weights * wg.reshape(-1)
     weights = weights / weights.sum()
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+def payoff_quadrature(modes: ModeSet, dim: int, order: int = 16) -> QuadratureRule:
+    """``build_quadrature(dim, order)`` for the belief averages of ``modes``.
+    Affine payoffs average exactly at the mean, so where no rule of 2 nodes
+    per axis fits (dim > 12) a set of affine payoffs gets its one node."""
+    if 2 ** dim > _MAX_NODES and all(p.is_affine for p in modes.payoffs):
+        order = 1
+    return build_quadrature(dim, order)
 
 
 def default_substeps(grid: TimeGrid) -> int:

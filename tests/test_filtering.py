@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite_e import hermegauss
 
 from oracles import SIGNAL2D, belief_average, gaussian_monomial_moment, make_benchmark
 
@@ -24,7 +23,7 @@ from switchmc import (
     solve_riccati,
 )
 from switchmc.benchmarks import default_solver_params
-from switchmc.cli import RunConfig, main, run_pipeline
+from switchmc.cli import RunConfig, StageError, main, run_pipeline
 from switchmc.filtering import (
     CovarianceSchedule,
     default_substeps,
@@ -163,28 +162,26 @@ class TestQuadrature:
         assert build_quadrature(12).n_nodes == 4096
         with pytest.raises(ValueError, match="dim 13 .* 4096 nodes"):
             build_quadrature(13)
+        # One node per axis, the mean, fits at any dimension.
+        assert np.array_equal(build_quadrature(13, 1).nodes, np.zeros((1, 13)))
 
-    def test_dimension_above_12_is_a_quadrature_error(self, tmp_path, capsys):
+    def test_custom_payoff_above_dim_12_is_a_quadrature_error(self):
+        problem = {**signal_problem(13), "modes": ["zero", lambda x, y, t: np.tanh(x[..., 0])]}
+        solver = {**default_solver_params(), "M": 100, "n_steps": 4, "cells_per_dim": 1}
+        with pytest.raises(StageError, match="dim 13 too large") as info:
+            run_pipeline(RunConfig(problem=problem, solver=solver))
+        assert info.value.stage == "quadrature"
+
+    def test_registry_payoffs_above_dim_12_solve(self, tmp_path, capsys):
+        # Affine payoffs average at the mean, so they need no rule wider
+        # than its one node; such a problem is not refused.
         path = tmp_path / "signal13.json"
         path.write_text(json.dumps(signal_problem(13)))
-        code = main(["solve", "--problem", str(path), "--M", "100", "--n-steps", "4"])
+        argv = ["solve", "--problem", str(path), "--M", "100", "--n-steps", "4", "--cells-per-dim", "2"]
+        code = main(argv)
         out, err = capsys.readouterr()
-        assert code == 2
-        assert err.startswith("error at stage 'quadrature': ")
-        assert out == ""
-
-    def test_weights_are_axis_products_in_axis_order(self):
-        # The reference multiplies the per-axis weights in a loop, axis 0
-        # first; the rule's weights must match it bit for bit.
-        for dim, order in ((1, 16), (2, 5), (3, 16), (4, 16), (6, 3)):
-            rule = build_quadrature(dim, order)
-            w1 = hermegauss(round(rule.n_nodes ** (1.0 / dim)))[1]
-            w1 = 0.5 * (w1 + w1[::-1])
-            w1 = w1 / w1.sum()
-            weights = np.ones(rule.n_nodes)
-            for wg in np.meshgrid(*([w1] * dim), indexing="ij"):
-                weights = weights * wg.reshape(-1)
-            assert np.array_equal(rule.weights, weights / weights.sum())
+        assert (code, err) == (0, "")
+        assert np.all(np.isfinite(json.loads(out)["v"]))
 
     def test_node_set_is_sign_symmetric(self):
         # Tensor order puts the exact reflection of node q at index n-1-q,
