@@ -124,7 +124,7 @@ class PipelineResult:
 
 def _resolve_problem(config: RunConfig):
     """The problem on the solver's grid: the solver's ``n_steps`` replaces the
-    problem's, so a per-step F, C or G table must match the solver's grid."""
+    problem's, and ``load_problem`` checks it like the problem's own."""
     problem = dict(config.problem)
     if config.solver["n_steps"] is not None:
         problem["n_steps"] = config.solver["n_steps"]

@@ -43,6 +43,8 @@ _EIG_FLOOR = 0.0
 _SQRT_ATOL = 1e-10
 # Most nodes a quadrature rule may have; the per-axis order is lowered to fit.
 _MAX_NODES = 2 ** 12
+# Most quadrature points (rows x nodes) one payoff call is given.
+_MAX_CHUNK_POINTS = 2 ** 18
 
 
 class IntegrationError(RuntimeError):
@@ -222,10 +224,9 @@ def solve_riccati(model: ModelSpec, grid: TimeGrid, substeps: int | None = None)
     """Integrate d theta/dt = F theta + theta F^T - theta G^T G theta + C C^T.
 
     Classical RK4 with ``substeps`` sub-intervals per grid interval
-    (default: enough for a step of at most 1e-3).  Coefficients are held at
-    their interval value.  After every substep the iterate is symmetrized and
-    eigenvalue-clipped back to the PSD cone.  Entries exceeding 1e12 in
-    magnitude raise IntegrationError.
+    (default: enough for a step of at most 1e-3).  After every substep the
+    iterate is symmetrized and eigenvalue-clipped back to the PSD cone.
+    Entries exceeding 1e12 in magnitude raise IntegrationError.
     """
     if substeps is None:
         substeps = default_substeps(grid)
@@ -240,10 +241,8 @@ def solve_riccati(model: ModelSpec, grid: TimeGrid, substeps: int | None = None)
     h = grid.delta / substeps
     # Overflow is reported by the divergence check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        F, CC, GG = model.F, model.C @ model.C.T, model.G.T @ model.G
         for k in range(n_steps):
-            F = model.F[k]
-            CC = model.C[k] @ model.C[k].T
-            GG = model.G[k].T @ model.G[k]
             for _ in range(substeps):
                 k1 = _riccati_rhs(theta, F, CC, GG)
                 k2 = _riccati_rhs(theta + 0.5 * h * k1, F, CC, GG)
@@ -296,16 +295,26 @@ def effective_payoff_batch(
     """Belief-averaged payoff of mode j at many (m, y) points sharing one
     covariance factor.  Returns shape (M,) for inputs (M, n1) and (M, n2).
     An affine payoff, or any payoff at zero covariance, averages exactly to
-    its value at the mean; other payoffs go through the quadrature rule."""
+    its value at the mean; other payoffs go through the quadrature rule, a
+    block of rows at a time so one payoff call sees at most 2^18 points."""
     m_batch = np.asarray(m_batch, dtype=float)
     y_batch = np.asarray(y_batch, dtype=float)
     payoff = modes.payoffs[j]
-    at_mean = payoff.is_affine or not np.any(sqrt_theta)
-    points, ys, where = m_batch, y_batch, "mean point"
-    if not at_mean:  # points: (M, n_nodes, n1)
-        points = m_batch[:, None, :] + (rule.nodes @ sqrt_theta.T)[None, :, :]
-        ys = np.broadcast_to(y_batch[:, None, :], points.shape[:-1] + (y_batch.shape[-1],))
-        where = "quadrature node"
+    if payoff.is_affine or not np.any(sqrt_theta):
+        return _payoff_values(payoff, j, m_batch, y_batch, t, "mean point")
+    offsets = rule.nodes @ sqrt_theta.T  # (n_nodes, n1)
+    rows = max(1, _MAX_CHUNK_POINTS // rule.n_nodes)
+    out = np.empty(m_batch.shape[0])
+    for start in range(0, m_batch.shape[0], rows):
+        points = m_batch[start:start + rows, None, :] + offsets[None, :, :]
+        ys = np.broadcast_to(y_batch[start:start + rows, None, :], points.shape[:-1] + y_batch.shape[-1:])
+        vals = _payoff_values(payoff, j, points, ys, t, "quadrature node")
+        out[start:start + rows] = rule.weighted_sum(vals)
+    return out
+
+
+def _payoff_values(payoff, j: int, points: np.ndarray, ys: np.ndarray, t: float, where: str) -> np.ndarray:
+    """``payoff`` at ``points`` (..., n1), checked for shape (...) and finiteness."""
     vals = np.asarray(payoff(points, ys, t), dtype=float)
     if vals.shape != points.shape[:-1]:
         raise ValueError(
@@ -313,4 +322,4 @@ def effective_payoff_batch(
         )
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"payoff of mode {j} not finite at some {where}")
-    return vals if at_mean else rule.weighted_sum(vals)
+    return vals

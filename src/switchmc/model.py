@@ -1,9 +1,9 @@
-"""Problem specification: dimensions, coefficient schedules, mode set, time grid.
+"""Problem specification: dimensions, coefficient matrices, mode set, time grid.
 
 A problem instance is a linear signal/observation pair
 
-    dX_t = F_t X_t dt + C_t dW_t        (hidden signal, dim n1)
-    dY_t = G_t X_t dt + dU_t            (observation, dim n2)
+    dX_t = F X_t dt + C dW_t        (hidden signal, dim n1; W of dim m1)
+    dY_t = G X_t dt + dU_t          (observation, dim n2; U of dim n2)
 
 together with a finite set of operating modes, each carrying a running payoff
 f_i(x, y, t), and a (d, d) matrix of switching costs c(i, j), constant in
@@ -14,6 +14,7 @@ consume them read-only.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -59,55 +60,32 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
-def _as_schedule(name: str, value, n_steps: int, rows: int, cols: int) -> np.ndarray:
-    """Coerce a coefficient input to a per-grid-point table (N+1, rows, cols).
-
-    Accepted forms: a scalar (only when rows == cols == 1), a constant matrix
-    (rows, cols), or a full table (N+1, rows, cols).  Row k is the value used
-    on the interval [t_k, t_{k+1}).
-    """
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        if (rows, cols) != (1, 1):
-            raise ValueError(
-                f"{name}: scalar shorthand only allowed for 1x1 coefficients, "
-                f"expected shape ({rows}, {cols})"
-            )
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 2:
-        if arr.shape != (rows, cols):
-            raise ValueError(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
-        return np.broadcast_to(arr, (n_steps + 1, rows, cols)).copy()
-    if arr.ndim == 3:
-        if arr.shape != (n_steps + 1, rows, cols):
-            raise ValueError(
-                f"{name}: per-grid table must have shape ({n_steps + 1}, {rows}, {cols}), "
-                f"got {arr.shape}"
-            )
-        return arr.astype(float, copy=True)
-    raise ValueError(f"{name}: cannot interpret input of shape {arr.shape}")
-
-
-def _as_vector(name: str, value, n: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape != (n,):
-        raise ValueError(f"{name}: expected shape ({n},), got {arr.shape}")
+def _as_array(name: str, value, shape: tuple) -> np.ndarray:
+    """Coerce ``value`` to a float array of ``shape``; a scalar stands for an
+    array of one entry.  Anything else is a ValueError naming ``name``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # a ragged list, a word
+        raise ValueError(f"{name}: expected numbers, got {value!r}") from None
+    if arr.ndim == 0 and np.prod(shape) == 1:
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Signal/observation model with piecewise-constant coefficient schedules.
+    """Signal/observation model with constant coefficients.
 
-    F, C, G may be given as scalars (1x1 case), constant matrices, or
-    per-grid-point tables of shape (n_steps+1, rows, cols); they are stored as
-    full tables, with row k the value on [t_k, t_{k+1}).
+    F (n1, n1), C (n1, m1) and G (n2, n1) are stored as matrices; a scalar
+    stands for a 1x1 matrix.  The observation noise U is a standard Brownian
+    motion of dimension n2.
     """
 
     n1: int
     m1: int
     n2: int
-    m2: int
     T: float
     n_steps: int
     F: np.ndarray
@@ -118,28 +96,17 @@ class ModelSpec:
     y0: np.ndarray
 
     def __post_init__(self) -> None:
-        for dim_name in ("n1", "m1", "n2", "m2"):
+        for dim_name in ("n1", "m1", "n2"):
             if getattr(self, dim_name) < 1:
                 raise ValueError(f"{dim_name} must be >= 1, got {getattr(self, dim_name)}")
         if self.m1 > self.n1:
             raise ValueError(f"m1 must be <= n1, got m1={self.m1}, n1={self.n1}")
-        if self.m2 > self.n2:
-            raise ValueError(f"m2 must be <= n2, got m2={self.m2}, n2={self.n2}")
         TimeGrid(self.T, self.n_steps)  # checks the horizon and the step count
-        objset = object.__setattr__
-        objset(self, "F", _as_schedule("F", self.F, self.n_steps, self.n1, self.n1))
-        objset(self, "C", _as_schedule("C", self.C, self.n_steps, self.n1, self.m1))
-        objset(self, "G", _as_schedule("G", self.G, self.n_steps, self.n2, self.n1))
-        objset(self, "m0", _as_vector("m0", self.m0, self.n1))
-        objset(self, "y0", _as_vector("y0", self.y0, self.n2))
-        theta0 = np.asarray(self.theta0, dtype=float)
-        if theta0.ndim == 0:
-            theta0 = theta0.reshape(1, 1)
-        if theta0.shape != (self.n1, self.n1):
-            raise ValueError(
-                f"theta0: expected shape ({self.n1}, {self.n1}), got {theta0.shape}"
-            )
-        objset(self, "theta0", theta0)
+        n1, m1, n2 = self.n1, self.m1, self.n2
+        shapes = {"F": (n1, n1), "C": (n1, m1), "G": (n2, n1),
+                  "m0": (n1,), "y0": (n2,), "theta0": (n1, n1)}
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, _as_array(name, getattr(self, name), shape))
 
     @property
     def grid(self) -> TimeGrid:
@@ -321,11 +288,19 @@ def switch_count_bound(modes: ModeSet, f_sup: float, T: float) -> float:
     return 2.0 * T * f_sup / modes.nu
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a fraction or a non-number is a ValueError naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def load_problem(source) -> tuple:
     """Build (ModelSpec, ModeSet) from the path of a JSON problem file or a mapping.
 
-    Expected keys: n1, m1, n2, m2, T, n_steps, F, C, G, m0, theta0, y0,
-    modes (list of payoff selectors), costs (d x d matrix), nu.
+    Expected keys: n1, m1, n2, m2 (must equal n2), T, n_steps, F, C, G, m0,
+    theta0, y0, modes (list of payoff selectors), costs (d x d matrix), nu.
+    The dimensions and n_steps are integers (730.0 counts, 10.7 and true not).
     """
     if isinstance(source, Mapping):
         data = dict(source)
@@ -338,11 +313,13 @@ def load_problem(source) -> tuple:
     missing = [k for k in required if k not in data]
     if missing:
         raise ValueError(f"problem file missing keys: {missing}")
+    ints = {k: _integer(k, data[k]) for k in ("n1", "m1", "n2", "m2", "n_steps")}
+    # The filter takes U as a standard Brownian motion of Y's own dimension.
+    if ints.pop("m2") != ints["n2"]:
+        raise ValueError(f"m2 must equal n2, got m2={data['m2']}, n2={data['n2']}")
 
     model = ModelSpec(
-        n1=int(data["n1"]), m1=int(data["m1"]),
-        n2=int(data["n2"]), m2=int(data["m2"]),
-        T=float(data["T"]), n_steps=int(data["n_steps"]),
+        **ints, T=float(data["T"]),
         F=data["F"], C=data["C"], G=data["G"],
         m0=data["m0"], theta0=data["theta0"], y0=data["y0"],
     )

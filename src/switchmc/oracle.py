@@ -33,7 +33,7 @@ class OracleRefusal(ValueError):
 class TreeSpec:
     """A scalar problem small enough for exhaustive two-point enumeration.
 
-    Requires n1 = m1 = n2 = m2 = 1 and at most 8 steps, so the full tree has
+    Requires n1 = m1 = n2 = 1 and at most 8 steps, so the full tree has
     4^n_steps <= 65536 leaves.
     """
 
@@ -42,10 +42,10 @@ class TreeSpec:
 
     def __post_init__(self) -> None:
         m = self.model
-        if (m.n1, m.m1, m.n2, m.m2) != (1, 1, 1, 1):
+        if (m.n1, m.m1, m.n2) != (1, 1, 1):
             raise OracleRefusal(
                 f"tree oracle requires a scalar model, got dimensions "
-                f"(n1, m1, n2, m2) = ({m.n1}, {m.m1}, {m.n2}, {m.m2})"
+                f"(n1, m1, n2) = ({m.n1}, {m.m1}, {m.n2})"
             )
         if m.n_steps > _MAX_TREE_STEPS:
             raise OracleRefusal(

@@ -164,12 +164,12 @@ class PathEnsemble:
 def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int]):
     """Per-path draws, each path keyed by (seed, path_id) alone.
 
-    Returns z0 (M, n1), dw (N, M, m1), du (N, M, m2) of standard normals:
+    Returns z0 (M, n1), dw (N, M, m1), du (N, M, n2) of standard normals:
     views of one (draw, path) array, filled a block of paths at a time.
     """
-    n1, m1, m2 = model.n1, model.m1, model.m2
+    n1, m1, n2 = model.n1, model.m1, model.n2
     M = len(path_ids)
-    draws = np.empty((n1 + n_steps * (m1 + m2), M))
+    draws = np.empty((n1 + n_steps * (m1 + n2), M))
     block = np.empty((min(M, _DRAW_BLOCK), draws.shape[0]))
     # Philox is counter-based: a fresh state under a path's key gives its stream.
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
@@ -183,21 +183,21 @@ def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequenc
         draws[:, start:start + len(ids)] = block[:len(ids)].T
     split = n1 + n_steps * m1
     dw = draws[n1:split].reshape(n_steps, m1, M).transpose(0, 2, 1)
-    du = draws[split:].reshape(n_steps, m2, M).transpose(0, 2, 1)
+    du = draws[split:].reshape(n_steps, n2, M).transpose(0, 2, 1)
     return draws[:n1].T, dw, du
 
 
 def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
     """Sign patterns +-1 read from the base-2 digits of each path index,
-    time-major: dw (N, M, m1) and du (N, M, m2).
+    time-major: dw (N, M, m1) and du (N, M, n2).
 
-    Bit k*(m1+m2)+c of the path index selects the sign of noise component c
+    Bit k*(m1+n2)+c of the path index selects the sign of noise component c
     at step k (signal components first, then observation components).  With
-    M = 2^(N*(m1+m2)) consecutive indices the ensemble enumerates every
+    M = 2^(N*(m1+n2)) consecutive indices the ensemble enumerates every
     pattern exactly once.
     """
     m1 = model.m1
-    width = m1 + model.m2
+    width = m1 + model.n2
     ids = np.asarray(path_ids, dtype=np.int64)
     bits = np.arange(n_steps * width).reshape(n_steps, 1, width)
     signs = np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
@@ -246,8 +246,8 @@ def simulate_paths(
     z[0, :, :n1] = model.m0
     z[0, :, n1:] = model.y0
 
+    F, C, G = model.F, model.C, model.G
     for k in range(n_steps):
-        F, C, G = model.F[k], model.C[k], model.G[k]
         xk = x[k]
         x[k + 1] = xk + rowwise_matvec(F, xk) * delta + rowwise_matvec(C, dw[k])
         dy = rowwise_matvec(G, xk) * delta + du[k]

@@ -141,9 +141,9 @@ def tiny_tree_value(model, modes, schedule, rule) -> list:
     root = math.sqrt(delta)
     d = modes.d
 
-    fcoef = float(np.asarray(model.F)[0, 0, 0])
-    ccoef = float(np.asarray(model.C)[0, 0, 0])
-    gcoef = float(np.asarray(model.G)[0, 0, 0])
+    fcoef = float(np.asarray(model.F)[0, 0])
+    ccoef = float(np.asarray(model.C)[0, 0])
+    gcoef = float(np.asarray(model.G)[0, 0])
     m0 = float(np.asarray(model.m0)[0])
     y0 = float(np.asarray(model.y0)[0])
 

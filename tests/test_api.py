@@ -4,6 +4,7 @@ shows in a diff."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import switchmc
+from switchmc.cli import RunConfig
 
 MODULES = ("model", "filtering", "simulate", "regress", "dp", "oracle", "benchmarks", "cli")
 
@@ -33,6 +35,18 @@ def test_package_exports_are_pinned():
         "simulate_policy", "value_at_origin",
         "OracleRefusal", "TreeSpec", "tree_oracle_value",
     ])
+
+
+def test_public_dataclass_fields_are_pinned():
+    # Each field is a settable value; a new one shows in this diff.
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
+        switchmc.ModelSpec, switchmc.ModeSet, switchmc.TimeGrid, RunConfig)}
+    assert fields == {
+        "ModelSpec": ["n1", "m1", "n2", "T", "n_steps", "F", "C", "G", "m0", "theta0", "y0"],
+        "ModeSet": ["payoffs", "costs", "nu"],
+        "TimeGrid": ["T", "n_steps"],
+        "RunConfig": ["problem", "solver", "output"],
+    }
 
 
 @pytest.mark.parametrize("name", ("switchmc",) + tuple(f"switchmc.{m}" for m in MODULES))
@@ -95,7 +109,7 @@ SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
 
 # Total lines of src/switchmc/*.py.  Lower it when code is removed; raising
 # it is a decision that shows in the diff, like a new exported name.
-SOURCE_LINES_MAX = 2373
+SOURCE_LINES_MAX = 2359
 
 
 def test_source_size_is_pinned():

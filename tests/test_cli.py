@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from switchmc.benchmarks import benchmark_problem
 from switchmc.cli import main
@@ -206,17 +211,15 @@ class TestConfigPrecedence:
         assert code == 0
         assert json.loads(out)["manifest"]["solver"]["n_steps"] == 14
 
-    def test_per_step_table_must_match_the_solver_grid(self, tmp_path, capsys):
-        # The solver's n_steps replaces the problem's; a per-step F table of
-        # the problem's grid does not fit a different one, even when constant.
+    def test_per_step_table_is_a_load_error(self, tmp_path, capsys):
+        # Coefficients are constant: a table of one row per grid point is
+        # refused even on its own grid.
         path = write_problem(tmp_path, n_steps=3, F=[[[0.0]]] * 4)
         code, out, err = run_cli(
-            ["solve", "--problem", path, "--n-steps", "6", "--M", "100",
-             "--replications", "1"],
-            capsys,
+            ["solve", "--problem", path, "--M", "100", "--replications", "1"], capsys
         )
         assert code == 2
-        assert err.startswith("error at stage 'load': ")
+        assert err.startswith("error at stage 'load': F: ")
         assert out == ""
 
     def test_missing_problem_file_is_a_load_error(self, capsys):
@@ -286,6 +289,36 @@ class TestLoadErrors:
         )
         assert "modes must be a list" in err
 
+    @pytest.mark.parametrize(
+        "dims", ({"n2": 2, "m2": 1}, {"n2": 3, "m2": 2}), ids=("n2=2-m2=1", "n2=3-m2=2")
+    )
+    def test_observation_noise_narrower_than_the_observation(self, dims, tmp_path, capsys):
+        # m2=1 with n2=2 used to solve with one noise broadcast to both
+        # channels; m2=2 with n2=3 failed at 'calibrate' on a numpy broadcast.
+        n2 = dims["n2"]
+        path = write_problem(tmp_path, **dims, G=[[1.0]] * n2, y0=[0.0] * n2)
+        err = self.assert_load_error(["solve", "--problem", path, "--M", "100"], capsys)
+        assert err.count("\n") == 1
+        assert f"m2={dims['m2']}" in err and f"n2={n2}" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        (("n_steps", 10.7), ("n1", 1.9), ("n_steps", True), ("m1", "1"), ("n2", [1])),
+        ids=("fractional-steps", "fractional-dimension", "bool", "string", "list"),
+    )
+    def test_non_integer_dimension_or_step_count(self, key, value, tmp_path, capsys):
+        # int() used to truncate: n_steps 10.7 solved on 10 steps, n1 1.9 as
+        # n1 = 1, and n_steps true on one step.
+        path = write_problem(tmp_path, **{key: value})
+        err = self.assert_load_error(["solve", "--problem", path, "--M", "100"], capsys)
+        assert f"{key} must be an integer" in err
+
+    def test_non_integer_solver_step_count(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solver": {"n_steps": 10.5, "M": 100}}))
+        err = self.assert_load_error(["solve", "--config", str(config)], capsys)
+        assert "n_steps must be an integer" in err
+
     @pytest.mark.parametrize("command", ("solve", "bound", "paths"))
     def test_negative_seed(self, command, capsys):
         # SeedSequence used to reject it outside any stage, with no stage name.
@@ -344,6 +377,68 @@ def test_extreme_coefficient_solves_or_names_a_stage(key, value, tmp_path, capsy
         assert code == 2
         assert err.startswith("error at stage '")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+_SMALL = st.floats(-2.0, 2.0)
+
+
+def _matrix(shape):
+    size = math.prod(shape)
+    return st.lists(_SMALL, min_size=size, max_size=size).map(lambda xs: np.reshape(xs, shape))
+
+
+@st.composite
+def _misshapen(draw):
+    """A nested list of random ndim 0-4 and random shape, sometimes ragged."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    value = draw(_matrix(shape)).tolist()
+    if shape and draw(st.booleans()):  # one extra entry of another depth
+        value.append(value[0] + [0.0] if len(shape) > 1 and value else [0.0])
+    return value
+
+
+@st.composite
+def _problem(draw):
+    """A small problem whose coefficients have the right shapes, except at
+    most one that is a scalar or misshapen; theta0 may be indefinite."""
+    n1, n2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    m1, d = draw(st.integers(1, n1)), draw(st.integers(1, 2))
+    shapes = {"F": (n1, n1), "C": (n1, m1), "G": (n2, n1), "m0": (n1,), "y0": (n2,)}
+    values = {k: draw(_matrix(shape)).tolist() for k, shape in shapes.items()}
+    psd = _matrix((n1, n1)).map(lambda a: (a @ a.T).tolist())
+    values["theta0"] = draw(st.one_of(psd, _matrix((n1, n1)).map(np.ndarray.tolist)))
+    spoiled = draw(st.sampled_from([None, *values]))
+    if spoiled is not None:
+        values[spoiled] = draw(st.one_of(_SMALL, _misshapen()))
+    return {
+        "n1": n1, "m1": m1, "n2": n2, "m2": n2, "T": 1.0, "n_steps": draw(st.integers(1, 3)),
+        **values, "modes": ["zero", "linear"][:d],
+        "costs": (0.01 * (1 - np.eye(d))).tolist(), "nu": 0.01,
+    }
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=_problem())
+def test_misshapen_problem_solves_or_names_a_stage(problem):
+    # A misshapen or ragged coefficient, an indefinite theta0, one mode or
+    # one step either solves to finite values or fails on one line naming a
+    # stage; a refusal at 'load' starts with the key it refuses.
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(problem, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--problem", path, "--M", "50", "--replications", "1"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert np.all(np.isfinite(json.loads(out)["v"]))
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error at stage '") and err.count("\n") == 1 and err.endswith("\n")
+        if err.startswith("error at stage 'load': "):
+            keys = ("F", "C", "G", "theta0", "m0", "y0")
+            assert any(err.startswith(f"error at stage 'load': {k}: ") for k in keys), err
 
 
 @pytest.mark.parametrize("command", ("solve", "riccati", "paths"))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -24,6 +26,7 @@ from switchmc import (
 )
 from switchmc.benchmarks import default_solver_params
 from switchmc.cli import RunConfig, StageError, main, run_pipeline
+import switchmc.filtering as filtering_module
 from switchmc.filtering import (
     CovarianceSchedule,
     default_substeps,
@@ -94,7 +97,7 @@ class TestRiccati:
 
     def test_constant_when_static(self):
         model = ModelSpec(
-            n1=2, m1=2, n2=1, m2=1, T=1.0, n_steps=50,
+            n1=2, m1=2, n2=1, T=1.0, n_steps=50,
             F=np.zeros((2, 2)), C=np.zeros((2, 2)), G=[[0.0, 0.0]],
             m0=[0.0, 0.0], theta0=np.eye(2), y0=[0.0],
         )
@@ -104,7 +107,7 @@ class TestRiccati:
 
     def test_symmetric_and_psd_along_the_way(self):
         model = ModelSpec(
-            n1=2, m1=2, n2=2, m2=2, T=1.0, n_steps=40,
+            n1=2, m1=2, n2=2, T=1.0, n_steps=40,
             F=[[0.1, 0.5], [-0.5, 0.1]], C=[[1.0, 0.2], [0.0, 0.7]],
             G=np.eye(2), m0=[0.0, 0.0],
             theta0=[[0.5, 0.1], [0.1, 0.5]], y0=[0.0, 0.0],
@@ -407,6 +410,39 @@ class TestEffectivePayoff:
                 modes, 1, ms[i:i + 1], sqrt_theta, ys[i:i + 1], 0.25, rule16
             )
             assert batch[i] == single[0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_quadrature_memory_is_bounded_by_row_blocks(self):
+        # All (M, 4 096, 4) points at once used to peak at about 600 MB for
+        # M = 2 000; blocks of rows keep the peak near the interpreter's own.
+        # The child reads VmHWM, the peak RSS of its own address space: its
+        # ru_maxrss would include the RSS of this process, which it was
+        # forked from.  The unblocked evaluation runs after the peak is read.
+        script = """
+import json
+import numpy as np
+from switchmc import ModeSet, build_quadrature
+from switchmc import filtering
+rng = np.random.default_rng(3)
+m, y = rng.standard_normal((2000, 4)), rng.standard_normal((2000, 1))
+modes = ModeSet(payoffs=(lambda x, y, t: np.sin(x).sum(axis=-1) * y[..., 0],), costs=[[0.0]], nu=1.0)
+rule, sqrt_theta = build_quadrature(4, 8), 0.3 * np.eye(4)
+blocked = filtering.effective_payoff_batch(modes, 0, m, sqrt_theta, y, 0.5, rule)
+with open("/proc/self/status") as fh:
+    peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+filtering._MAX_CHUNK_POINTS = 2 ** 62
+whole = filtering.effective_payoff_batch(modes, 0, m, sqrt_theta, y, 0.5, rule)
+print(json.dumps({"peak_mb": peak_mb, "equal": bool(np.array_equal(blocked, whole))}))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(filtering_module.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["equal"]
+        assert report["peak_mb"] <= 150.0
 
     @pytest.mark.parametrize("theta", (0.0, 0.5), ids=("mean-point", "quadrature"))
     def test_payoff_of_wrong_shape_rejected(self, theta, rule16):

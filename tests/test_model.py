@@ -65,44 +65,36 @@ class TestTimeGrid:
 
 
 class TestModelSpec:
-    def test_scalar_coefficients_become_schedules(self):
+    def test_scalar_coefficients_become_matrices(self):
         model, _ = make_benchmark(n_steps=5)
-        assert np.asarray(model.F).shape == (6, 1, 1)
-        assert np.asarray(model.C).shape == (6, 1, 1)
-        assert np.asarray(model.G).shape == (6, 1, 1)
+        assert np.asarray(model.F).shape == (1, 1)
+        assert np.asarray(model.C).shape == (1, 1)
+        assert np.asarray(model.G).shape == (1, 1)
         assert np.asarray(model.m0).shape == (1,)
         assert np.asarray(model.theta0).shape == (1, 1)
 
-    def test_matrix_coefficients_are_tiled(self):
+    def test_matrix_coefficients_are_stored_as_given(self):
+        F = [[0.0, 1.0], [0.0, 0.0]]
         model = ModelSpec(
-            n1=2, m1=2, n2=1, m2=1, T=1.0, n_steps=3,
-            F=[[0.0, 1.0], [0.0, 0.0]], C=np.eye(2), G=[[1.0, 0.0]],
+            n1=2, m1=2, n2=1, T=1.0, n_steps=3,
+            F=F, C=np.eye(2), G=[[1.0, 0.0]],
             m0=[0.0, 0.0], theta0=np.eye(2), y0=[0.0],
         )
-        F = np.asarray(model.F)
-        assert F.shape == (4, 2, 2)
-        assert np.all(F == F[0])
+        assert np.array_equal(model.F, F) and model.F.shape == (2, 2)
 
-    def test_per_step_table_accepted(self):
-        table = np.arange(4, dtype=float).reshape(4, 1, 1)
-        model = ModelSpec(
-            n1=1, m1=1, n2=1, m2=1, T=1.0, n_steps=3,
-            F=table, C=1.0, G=1.0, m0=[0.0], theta0=[[0.0]], y0=[0.0],
-        )
-        assert np.array_equal(np.asarray(model.F), table)
-
-    def test_wrong_table_length_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("key", ("F", "C", "G"))
+    def test_per_step_table_rejected_naming_the_key(self, key):
+        coefficients = {"F": 0.0, "C": 1.0, "G": 1.0, key: np.zeros((4, 1, 1))}
+        with pytest.raises(ValueError, match=f"^{key}: "):
             ModelSpec(
-                n1=1, m1=1, n2=1, m2=1, T=1.0, n_steps=3,
-                F=np.zeros((7, 1, 1)), C=1.0, G=1.0,
+                n1=1, m1=1, n2=1, T=1.0, n_steps=3, **coefficients,
                 m0=[0.0], theta0=[[0.0]], y0=[0.0],
             )
 
     def test_wrong_matrix_shape_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(
-                n1=2, m1=1, n2=1, m2=1, T=1.0, n_steps=2,
+                n1=2, m1=1, n2=1, T=1.0, n_steps=2,
                 F=np.zeros((2, 2)), C=np.zeros((2, 2)), G=[[1.0, 0.0]],
                 m0=[0.0, 0.0], theta0=np.eye(2), y0=[0.0],
             )
@@ -336,6 +328,11 @@ class TestLoadProblem:
         assert model.n_steps == 730
         assert float(np.asarray(model.m0)[0]) == 0.25
         assert modes.d == 2
+
+    def test_integral_floats_load_as_integers(self):
+        model, _ = load_problem({**benchmark_problem(), "n_steps": 730.0, "n1": 1.0})
+        assert (model.n_steps, model.n1) == (730, 1)
+        assert isinstance(model.n_steps, int) and isinstance(model.n1, int)
 
     def test_file_object_refused(self):
         # A problem comes as a path or a mapping; an open file is neither.

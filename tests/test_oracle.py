@@ -27,7 +27,7 @@ def rule8():
 class TestTreeSpec:
     def test_multivariate_problems_refused(self):
         model = ModelSpec(
-            n1=2, m1=2, n2=1, m2=1, T=1.0, n_steps=2,
+            n1=2, m1=2, n2=1, T=1.0, n_steps=2,
             F=np.zeros((2, 2)), C=np.eye(2), G=[[1.0, 0.0]],
             m0=[0.0, 0.0], theta0=np.eye(2), y0=[0.0],
         )

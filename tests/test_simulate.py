@@ -125,7 +125,7 @@ class TestSimulatePaths:
         n_steps, seed = 7, 2 ** 40 + 3
         ids = list(range(5, 5 + _DRAW_BLOCK + 2)) + [2 ** 32 + 9, 2 ** 64 - 1]
         z0, dw, du = _gaussian_draws(model, n_steps, seed, ids)
-        n_draws = model.n1 + n_steps * (model.m1 + model.m2)
+        n_draws = model.n1 + n_steps * (model.m1 + model.n2)
         for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, len(ids) - 2, len(ids) - 1):
             key = np.array([seed, ids[row]], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_draws)
