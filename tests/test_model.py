@@ -91,6 +91,14 @@ class TestModelSpec:
                 m0=[0.0], theta0=[[0.0]], y0=[0.0],
             )
 
+    def test_wrong_table_length_rejected(self):
+        with pytest.raises(ValueError, match="^F: "):
+            ModelSpec(
+                n1=1, m1=1, n2=1, T=1.0, n_steps=3,
+                F=np.zeros((7, 1, 1)), C=1.0, G=1.0,
+                m0=[0.0], theta0=[[0.0]], y0=[0.0],
+            )
+
     def test_wrong_matrix_shape_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(
