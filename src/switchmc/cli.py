@@ -149,7 +149,7 @@ def _simulate(config: RunConfig, rep: int, n_paths: int):
     grid = model.grid
     report = _stage("validate", validate, model, modes, grid)
     if not report.ok:
-        raise StageError("validate", ValueError(str(report)))
+        raise StageError("validate", ValueError("; ".join(report.violations)))
     schedule = _stage("riccati", solve_riccati, model, grid)
     rule = _stage("quadrature", payoff_quadrature, modes, model.n1, int(params["quad_order"]))
     seeds = _seeds(params, rep)

@@ -318,8 +318,12 @@ def load_problem(source) -> tuple:
     if ints.pop("m2") != ints["n2"]:
         raise ValueError(f"m2 must equal n2, got m2={data['m2']}, n2={data['n2']}")
 
+    try:
+        T = float(data["T"])
+    except (TypeError, ValueError):  # a word, a list
+        raise ValueError(f"T: expected a number, got {data['T']!r}") from None
     model = ModelSpec(
-        **ints, T=float(data["T"]),
+        **ints, T=T,
         F=data["F"], C=data["C"], G=data["G"],
         m0=data["m0"], theta0=data["theta0"], y0=data["y0"],
     )

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .filtering import CovarianceSchedule, mean_step, psd_sqrt, rowwise_matvec
+from .filtering import _MAX_CHUNK_POINTS, CovarianceSchedule, mean_step, psd_sqrt, rowwise_matvec
 from .model import ModelSpec, TimeGrid
 
 __all__ = [
@@ -204,6 +204,39 @@ def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
     return signs[..., :m1], signs[..., m1:]
 
 
+def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
+                  noise: NoiseSource, seed: int, path_ids: Sequence[int]):
+    """The recursion of ``simulate_paths`` one step at a time: yields fresh
+    (x_k, z_k), (M, n1) and unclamped (M, n1 + n2), for k = 0..N.  The noise
+    draws are made up front; a non-finite step raises before it is yielded."""
+    if schedule.n_steps != grid.n_steps:
+        raise ValueError(
+            f"covariance schedule has {schedule.n_steps} steps but grid has {grid.n_steps}"
+        )
+    n_steps, delta, n1 = grid.n_steps, grid.delta, model.n1
+    if noise.kind == "gaussian":
+        z0, dw, du = _gaussian_draws(model, n_steps, seed, path_ids)
+        x = model.m0[None, :] + rowwise_matvec(psd_sqrt(model.theta0), z0)
+    else:
+        dw, du = _two_point_draws(model, n_steps, path_ids)
+        x = np.tile(model.m0, (len(path_ids), 1))
+    dw *= math.sqrt(delta)
+    du *= math.sqrt(delta)
+    z = np.tile(np.concatenate([model.m0, model.y0]), (len(path_ids), 1))
+    yield x, z
+
+    F, C, G = model.F, model.C, model.G
+    for k in range(n_steps):
+        dy = rowwise_matvec(G, x) * delta + du[k]
+        x = x + rowwise_matvec(F, x) * delta + rowwise_matvec(C, dw[k])
+        z = np.hstack([mean_step(z[:, :n1], dy, schedule.thetas[k], F, G, delta), z[:, n1:] + dy])
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+            raise SimulationError(
+                f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
+            )
+        yield x, z
+
+
 def simulate_paths(
     model: ModelSpec,
     grid: TimeGrid,
@@ -222,42 +255,10 @@ def simulate_paths(
     draws the signal start from N(m0, theta0); two-point noise starts the
     signal at m0 exactly.
     """
-    if schedule.n_steps != grid.n_steps:
-        raise ValueError(
-            f"covariance schedule has {schedule.n_steps} steps but grid has {grid.n_steps}"
-        )
-    n_steps, delta = grid.n_steps, grid.delta
-    n1, n2 = model.n1, model.n2
-    M = len(path_ids)
-    sqrt_delta = math.sqrt(delta)
-
-    if noise.kind == "gaussian":
-        z0, dw, du = _gaussian_draws(model, n_steps, seed, path_ids)
-        x0 = model.m0[None, :] + rowwise_matvec(psd_sqrt(model.theta0), z0)
-    else:
-        dw, du = _two_point_draws(model, n_steps, path_ids)
-        x0 = model.m0
-    dw *= sqrt_delta
-    du *= sqrt_delta
-
-    x = np.empty((n_steps + 1, M, n1))
-    z = np.empty((n_steps + 1, M, n1 + n2))
-    x[0] = x0
-    z[0, :, :n1] = model.m0
-    z[0, :, n1:] = model.y0
-
-    F, C, G = model.F, model.C, model.G
-    for k in range(n_steps):
-        xk = x[k]
-        x[k + 1] = xk + rowwise_matvec(F, xk) * delta + rowwise_matvec(C, dw[k])
-        dy = rowwise_matvec(G, xk) * delta + du[k]
-        z[k + 1, :, :n1] = mean_step(z[k, :, :n1], dy, schedule.thetas[k], F, G, delta)
-        z[k + 1, :, n1:] = z[k, :, n1:] + dy
-        if not (np.isfinite(x[k + 1]).all() and np.isfinite(z[k + 1]).all()):
-            raise SimulationError(
-                f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
-            )
-
+    shape = (grid.n_steps + 1, len(path_ids))
+    x, z = np.empty(shape + (model.n1,)), np.empty(shape + (model.n1 + model.n2,))
+    for k, (xk, zk) in enumerate(_euler_states(model, grid, schedule, noise, seed, path_ids)):
+        x[k], z[k] = xk, zk
     return z.transpose(1, 0, 2), x.transpose(1, 0, 2)
 
 
@@ -272,18 +273,18 @@ def build_ensemble(
     store_signal: bool = False,
 ) -> PathEnsemble:
     """Simulate M paths (indices 0..M-1) and clamp the regression state into
-    ``domain``.  Signal paths are stored unclamped when requested."""
+    ``domain``, one step at a time.  Signal paths are stored unclamped when
+    requested, and not allocated otherwise."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    z, x = simulate_paths(model, grid, schedule, noise, seed, range(M))
-    np.clip(z, domain.lows, domain.highs, out=z)
-    return PathEnsemble(
-        grid=grid,
-        domain=domain,
-        z_paths=z,
-        n1=model.n1,
-        x_paths=x if store_signal else None,
-    )
+    z = np.empty((grid.n_steps + 1, M, model.n1 + model.n2))
+    x = np.empty((grid.n_steps + 1, M, model.n1)) if store_signal else None
+    for k, (xk, zk) in enumerate(_euler_states(model, grid, schedule, noise, seed, range(M))):
+        np.clip(zk, domain.lows, domain.highs, out=z[k])
+        if store_signal:
+            x[k] = xk
+    return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1,
+                        x_paths=x.transpose(1, 0, 2) if store_signal else None)
 
 
 def _clip_error(cols: np.ndarray, domain: Domain) -> float:
@@ -364,14 +365,17 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
 
     f_sup = 0.0
     times = grid.times
+    # A block of corners shifted by every node is at most _MAX_CHUNK_POINTS points.
+    rows = max(1, _MAX_CHUNK_POINTS // rule.n_nodes)
     for k in range(grid.n_steps + 1):
         sqrt_theta = schedule.sqrt_thetas[min(k, schedule.n_steps)]
         shifts = rule.nodes @ sqrt_theta.T  # (Qn, n1)
-        xs = m_pts[:, None, :] + shifts[None, :, :]  # (P, Qn, n1)
-        ys = np.broadcast_to(y_pts[:, None, :], xs.shape[:-1] + (n2,))
         t = float(times[k])
-        for payoff in modes.payoffs:
-            vals = np.asarray(payoff(xs, ys, t), dtype=float)
-            if vals.size:
-                f_sup = max(f_sup, float(np.abs(vals).max()))
+        for start in range(0, len(points), rows):
+            xs = m_pts[start:start + rows, None, :] + shifts[None, :, :]  # (rows, Qn, n1)
+            ys = np.broadcast_to(y_pts[start:start + rows, None, :], xs.shape[:-1] + (n2,))
+            for payoff in modes.payoffs:
+                vals = np.asarray(payoff(xs, ys, t), dtype=float)
+                if vals.size:
+                    f_sup = max(f_sup, float(np.abs(vals).max()))
     return f_sup

@@ -18,20 +18,26 @@ bugs:
   closed-form mean;
 - the first switching-cost violation, by plain loops over the entries.
 
-``make_benchmark``, ``SIGNAL2D`` and ``belief_average`` are conveniences, not
-references: the last routes a Gaussian expectation through the solver's own
-belief average (its quadrature path, since phi is a callable) so it can be
-compared with the exact moments above.
+``make_benchmark``, ``SIGNAL2D``, ``belief_average`` and ``run_child`` are
+conveniences, not references: ``belief_average`` routes a Gaussian
+expectation through the solver's own belief average (its quadrature path,
+since phi is a callable) so it can be compared with the exact moments above,
+and ``run_child`` runs a memory probe in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 
+import switchmc
 from switchmc import ModeSet, OracleRefusal, load_problem, psd_sqrt
 from switchmc.benchmarks import benchmark_problem
 from switchmc.filtering import effective_payoff_batch
@@ -305,3 +311,24 @@ def belief_average(phi, m, theta, rule) -> float:
     return float(
         effective_payoff_batch(modes, 0, m[None, :], sqrt_theta, np.zeros((1, 1)), 0.0, rule)[0]
     )
+
+
+# Script lines that set ``peak_mb`` to the peak RSS of the running process.
+# They read VmHWM, the peak of the process's own address space: a forked
+# child's ru_maxrss would include the RSS of the test process it came from.
+READ_PEAK_MB = """
+with open("/proc/self/status") as fh:
+    peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+"""
+
+
+def run_child(script: str) -> dict:
+    """Run ``script`` in a fresh single-threaded interpreter that imports the
+    switchmc under test; returns the JSON object it prints."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(switchmc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)

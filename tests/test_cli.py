@@ -67,6 +67,26 @@ class TestValidate:
         assert err.startswith("error at stage 'validate': ")
         assert out == ""
 
+    def test_every_violation_on_one_stderr_line(self, tmp_path, capsys):
+        # Each violation used to print on its own line after the stage prefix.
+        path = write_problem(tmp_path, theta0=-1.0, nu=0.0)
+        code, out, err = run_cli(
+            ["solve", "--problem", path, "--M", "200", "--n-steps", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error at stage 'validate': theta0 is not positive semi-definite "
+            "(min eigenvalue -1.000e+00); nu must be positive, got 0.0\n"
+        )
+        # The validate subcommand's report keeps one violation a line.
+        code, out, _ = run_cli(["validate", "--problem", path], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            "violation: theta0 is not positive semi-definite (min eigenvalue -1.000e+00)",
+            "violation: nu must be positive, got 0.0",
+        ]
+
     def test_missing_key_is_a_load_error(self, tmp_path, capsys):
         path = write_problem(tmp_path, nu=None)
         code, _, err = run_cli(["validate", "--problem", path], capsys)
@@ -273,6 +293,12 @@ class TestLoadErrors:
     def test_infinite_horizon(self, tmp_path, capsys):
         path = write_problem(tmp_path, T=float("inf"))
         self.assert_load_error(["solve", "--problem", path], capsys)
+
+    @pytest.mark.parametrize("T", ("x", [1.0]), ids=("word", "list"))
+    def test_non_numeric_horizon_names_T(self, T, tmp_path, capsys):
+        # float() used to fail with a message that did not name T.
+        err = self.assert_load_error(["solve", "--problem", write_problem(tmp_path, T=T)], capsys)
+        assert err.startswith(f"error at stage 'load': T: expected a number, got {T!r}")
 
     @pytest.mark.parametrize(
         "mode", (3, {"payoff": "affine", "a": 1.0}), ids=("number", "mapping-without-name")

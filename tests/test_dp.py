@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from oracles import make_benchmark
+from oracles import READ_PEAK_MB, make_benchmark, run_child
 
 from switchmc import (
     Domain,
@@ -13,11 +15,13 @@ from switchmc import (
     IndexingError,
     ModeSet,
     NoiseSource,
+    SimulationError,
     as_payoff,
     backward_induction,
     build_ensemble,
     build_quadrature,
     calibrate_domain,
+    simulate_paths,
     simulate_policy,
     solve_riccati,
     value_at_origin,
@@ -42,6 +46,49 @@ def solved_benchmark():
         ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
     )
     return model, modes, schedule, rule, ensemble, basis, surface, policy
+
+
+def train_surface(model, modes):
+    """Rule, surface and policy of a 200-path solve of ``model``."""
+    grid = model.grid
+    schedule = solve_riccati(model, grid)
+    rule = build_quadrature(1, 16)
+    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=71)
+    ensemble = build_ensemble(model, grid, schedule, domain, 200, NoiseSource("gaussian"), seed=72)
+    basis = HypercubeBasis(domain, (8, 8))
+    surface, policy = backward_induction(
+        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
+    )
+    return rule, surface, policy
+
+
+def replay_over_ensemble(model, modes, schedule, surface, policy, rule, start_mode, M, seed,
+                         pointwise_policy):
+    """The policy replay over a stored ensemble: all M paths are simulated
+    and clamped by ``build_ensemble`` first, then walked with 2-D gathers.
+    Returns the per-path rewards and switch counts."""
+    grid, basis, cost = surface.grid, surface.basis, modes.costs
+    ensemble = build_ensemble(
+        model, grid, schedule, basis.domain, M, NoiseSource("gaussian"), seed
+    )
+    mode = np.full(M, start_mode, dtype=np.int64)
+    total, switches, rows = np.zeros(M), np.zeros(M, dtype=np.int64), np.arange(M)
+    for k in range(grid.n_steps):
+        pts = ensemble.state(k)
+        ids = basis.cell_index(pts)
+        cand, fbars = _action_values(
+            modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts,
+            surface.coeffs[k], ids,
+        )
+        if pointwise_policy:
+            jstar = _stay_biased_argmax(cand - cost[mode].T, mode)[1]
+        else:
+            jstar = policy.choice[k][mode, ids]
+        total -= cost[mode, jstar]
+        total += grid.delta * fbars[jstar, rows]
+        switches += jstar != mode
+        mode = jstar
+    return total, switches
 
 
 def single_mode_setup(kappa, n_steps=16, M=200):
@@ -331,3 +378,72 @@ class TestSimulatePolicy:
             simulate_policy(
                 model, modes, schedule, surface, policy, rule, start_mode=start_mode, M=10, seed=13
             )
+
+    @pytest.mark.parametrize("pointwise_policy", (True, False), ids=("pointwise", "cell-table"))
+    def test_streamed_replay_matches_a_replay_over_the_ensemble(
+        self, solved_benchmark, pointwise_policy
+    ):
+        # The replay simulates one step at a time and stores no path; it must
+        # give the numbers of a replay over the whole clamped ensemble.
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        args = (model, modes, schedule, surface, policy, rule)
+        ev = simulate_policy(
+            *args, start_mode=1, M=300, seed=14, pointwise_policy=pointwise_policy
+        )
+        total, switches = replay_over_ensemble(*args, 1, 300, 14, pointwise_policy)
+        assert ev.mean == float(total.mean())
+        assert ev.stderr == float(total.std(ddof=1) / np.sqrt(300))
+        assert ev.mean_switches == float(switches.mean())
+        assert ev.mean_switches > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize(
+        "n_steps, m0, step", ((20, 1e300, 5), (2, 1e303, 2)), ids=("mid-replay", "final-step")
+    )
+    def test_blowing_up_model_raises_simulation_error(self, n_steps, m0, step):
+        # The surface is trained on the sane problem on the same grid.  The
+        # signal grows by 1 + F * delta a step; with two steps only the last
+        # overflows, a step no decision reads.
+        sane, modes = make_benchmark(n_steps=n_steps)
+        rule, surface, policy = train_surface(sane, modes)
+        model, _ = make_benchmark(n_steps=n_steps, m0=m0, F=1000.0)
+        schedule = solve_riccati(model, model.grid)
+        with pytest.raises(SimulationError) as paths_err:
+            simulate_paths(
+                model, model.grid, schedule, NoiseSource("gaussian"), seed=15, path_ids=range(50)
+            )
+        assert f"step {step} " in str(paths_err.value)
+        with pytest.raises(SimulationError) as replay_err:
+            simulate_policy(
+                model, modes, schedule, surface, policy, rule, start_mode=0, M=50, seed=15
+            )
+        assert str(replay_err.value) == str(paths_err.value)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_replay_memory_holds_no_paths(self):
+        # A 20 000-path replay at N = 365 used to store the clamped state and
+        # the signal of every path, a peak of about 320 MB; streamed, only
+        # the noise draws (about 117 MB) scale with the path count.
+        script = """
+import json
+from switchmc import (HypercubeBasis, NoiseSource, backward_induction, build_ensemble,
+                      build_quadrature, calibrate_domain, load_problem, simulate_policy,
+                      solve_riccati)
+from switchmc.benchmarks import benchmark_problem
+from switchmc.regress import memberships
+model, modes = load_problem({**benchmark_problem(), "n_steps": 365})
+grid = model.grid
+schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
+domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=1)
+ensemble = build_ensemble(model, grid, schedule, domain, 200, NoiseSource("gaussian"), seed=2)
+basis = HypercubeBasis(domain, (10, 10))
+surface, policy = backward_induction(
+    ensemble, basis, memberships(ensemble, basis), modes, schedule, rule)
+replay = simulate_policy(
+    model, modes, schedule, surface, policy, rule, start_mode=0, M=20000, seed=3)
+""" + READ_PEAK_MB + """
+print(json.dumps({"peak_mb": peak_mb, "n_paths": replay.n_paths}))
+"""
+        report = run_child(script)
+        assert report["n_paths"] == 20000
+        assert report["peak_mb"] <= 220.0

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from oracles import SIGNAL2D, belief_average, gaussian_monomial_moment, make_benchmark
+from oracles import (
+    READ_PEAK_MB, SIGNAL2D, belief_average, gaussian_monomial_moment, make_benchmark, run_child,
+)
 
 from switchmc import (
     EvaluationError,
@@ -26,7 +26,6 @@ from switchmc import (
 )
 from switchmc.benchmarks import default_solver_params
 from switchmc.cli import RunConfig, StageError, main, run_pipeline
-import switchmc.filtering as filtering_module
 from switchmc.filtering import (
     CovarianceSchedule,
     default_substeps,
@@ -415,9 +414,7 @@ class TestEffectivePayoff:
     def test_quadrature_memory_is_bounded_by_row_blocks(self):
         # All (M, 4 096, 4) points at once used to peak at about 600 MB for
         # M = 2 000; blocks of rows keep the peak near the interpreter's own.
-        # The child reads VmHWM, the peak RSS of its own address space: its
-        # ru_maxrss would include the RSS of this process, which it was
-        # forked from.  The unblocked evaluation runs after the peak is read.
+        # The unblocked evaluation runs after the peak is read.
         script = """
 import json
 import numpy as np
@@ -428,19 +425,12 @@ m, y = rng.standard_normal((2000, 4)), rng.standard_normal((2000, 1))
 modes = ModeSet(payoffs=(lambda x, y, t: np.sin(x).sum(axis=-1) * y[..., 0],), costs=[[0.0]], nu=1.0)
 rule, sqrt_theta = build_quadrature(4, 8), 0.3 * np.eye(4)
 blocked = filtering.effective_payoff_batch(modes, 0, m, sqrt_theta, y, 0.5, rule)
-with open("/proc/self/status") as fh:
-    peak_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+""" + READ_PEAK_MB + """
 filtering._MAX_CHUNK_POINTS = 2 ** 62
 whole = filtering.effective_payoff_batch(modes, 0, m, sqrt_theta, y, 0.5, rule)
 print(json.dumps({"peak_mb": peak_mb, "equal": bool(np.array_equal(blocked, whole))}))
 """
-        src = os.path.dirname(os.path.dirname(os.path.abspath(filtering_module.__file__)))
-        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        report = json.loads(done.stdout)
+        report = run_child(script)
         assert report["equal"]
         assert report["peak_mb"] <= 150.0
 

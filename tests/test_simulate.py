@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from oracles import SIGNAL2D, clip_error_reference, make_benchmark
+from oracles import READ_PEAK_MB, SIGNAL2D, clip_error_reference, make_benchmark, run_child
 
 from switchmc import (
     Domain,
@@ -376,3 +377,30 @@ class TestPayoffSup:
         rule = build_quadrature(1, 8)
         sup = payoff_sup_on_domain(modes, dom, schedule, rule, grid)
         assert sup >= 2.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_sup_memory_is_bounded_by_corner_blocks(self):
+        # At n1 = 10 the 2 049 corner and center points times 1 024 nodes
+        # used to be one array, a peak of about 380 MB; blocks of corners
+        # keep it near 80 MB.  The unblocked evaluation runs after the peak
+        # is read, and a max over blocks is the same max.
+        script = """
+import json
+import numpy as np
+from switchmc import CovarianceSchedule, Domain, ModeSet, TimeGrid, build_quadrature
+from switchmc import simulate
+n1 = 10
+modes = ModeSet(payoffs=(lambda x, y, t: np.sin(x).sum(axis=-1) * y[..., 0],), costs=[[0.0]], nu=1.0)
+schedule = CovarianceSchedule.from_thetas(np.stack([0.09 * np.eye(n1)] * 2))
+domain = Domain(lows=-np.ones(n1 + 1), highs=np.ones(n1 + 1))
+rule, grid = build_quadrature(n1, 8), TimeGrid(1.0, 1)
+blocked = simulate.payoff_sup_on_domain(modes, domain, schedule, rule, grid)
+""" + READ_PEAK_MB + """
+simulate._MAX_CHUNK_POINTS = 2 ** 62
+whole = simulate.payoff_sup_on_domain(modes, domain, schedule, rule, grid)
+print(json.dumps({"peak_mb": peak_mb, "nodes": rule.n_nodes, "equal": blocked == whole}))
+"""
+        report = run_child(script)
+        assert report["nodes"] == 1024
+        assert report["equal"]
+        assert report["peak_mb"] <= 150.0
