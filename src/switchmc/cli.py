@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -34,9 +35,9 @@ from .benchmarks import (
 )
 from .dp import backward_induction, value_at_origin
 from .filtering import payoff_quadrature, solve_riccati
-from .model import load_problem, switch_count_bound, validate
+from .model import _integer, load_problem, switch_count_bound, validate
 from .oracle import TreeSpec, tree_oracle_value
-from .regress import HypercubeBasis, estimate_pmin, memberships
+from .regress import HypercubeBasis, estimate_pmin
 from .simulate import (
     NoiseSource,
     build_ensemble,
@@ -171,12 +172,9 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, int(params["M"]))
     grid, domain = ensemble.grid, ensemble.domain
     basis = _stage("regress", HypercubeBasis, domain, params["cells_per_dim"])
-    cell_ids = _stage("regress", memberships, ensemble, basis)
-    surface, policy = _stage(
-        "induction", backward_induction, ensemble, basis, cell_ids, modes, schedule, rule
-    )
+    surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
     values = _stage("evaluate", value_at_origin, surface, model, modes, schedule, rule)
-    pmin = _stage("diagnostics", estimate_pmin, cell_ids, basis.R)
+    pmin = _stage("diagnostics", estimate_pmin, surface.coeffs)
     f_sup = _stage(
         "diagnostics", payoff_sup_on_domain, modes, domain, schedule, rule, grid
     )
@@ -294,28 +292,19 @@ def run_sweep(config: RunConfig, axis: str, values=None, threads: int = 1) -> li
 
 
 def run_bound(config: RunConfig) -> dict:
-    """A-priori error-bound terms for the configured discretization."""
-    params = config.solver
-    M = int(params["M"])
-    model, _, _, _, ensemble, _ = _simulate(config, 0, M)
-    basis = _stage("regress", HypercubeBasis, ensemble.domain, params["cells_per_dim"])
-    cell_ids = _stage("regress", memberships, ensemble, basis)
-    pmin = _stage("diagnostics", estimate_pmin, cell_ids, basis.R)
-
-    delta = model.grid.delta
-    p = pmin.raw_min
-    if p > 0:
-        noise_term = 1.0 / (delta * math.sqrt(M * p))
-        bias_term = 1.0 / (delta * M * p)
-    else:
-        noise_term = math.inf
-        bias_term = math.inf
+    """A-priori error-bound terms for the configured discretization, in terms
+    of the first solve replication's own run: its grid step, its cell sides
+    and the cell occupancy of its induction, so ``pmin_hat`` is the solve's."""
+    res = run_pipeline(config, 0)
+    M, delta, p = res.surface.M, res.model.grid.delta, res.pmin_raw
+    noise_term = 1.0 / (delta * math.sqrt(M * p)) if p > 0 else math.inf
+    bias_term = 1.0 / (delta * M * p) if p > 0 else math.inf
     terms = {
-        "sqrt_delta_log_term": math.sqrt(delta * math.log(2.0 * model.T / delta)),
+        "sqrt_delta_log_term": math.sqrt(delta * math.log(2.0 * res.model.T / delta)),
         "sqrt_delta_term": math.sqrt(delta),
         "delta_term": delta,
-        "epsilon_term": float(params["epsilon"]),
-        "cell_over_delta_term": float(np.max(basis.delta_side)) / delta,
+        "epsilon_term": float(config.solver["epsilon"]),
+        "cell_over_delta_term": float(np.max(res.surface.basis.delta_side)) / delta,
         "regression_noise_term": noise_term,
         "regression_bias_term": bias_term,
     }
@@ -328,7 +317,7 @@ def run_bound(config: RunConfig) -> dict:
             "constant that is not tracked; regression terms use the raw "
             "empirical minimum cell probability"
         ),
-        "pmin_hat": {"raw_min": pmin.raw_min, "occupied_min": pmin.occupied_min},
+        "pmin_hat": {"raw_min": p, "occupied_min": res.pmin_occupied},
         "infinite_terms": [k for k, v in terms.items() if math.isinf(v)],
         "manifest": config.manifest("bound"),
     }
@@ -367,7 +356,14 @@ def _resolve_config(args) -> RunConfig:
             solver[key] = val
     if not isinstance(problem, dict):
         raise TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
-    if int(solver["seed"]) < 0:
+    for key in ("M", "replications", "quad_order", "seed"):
+        _integer(key, solver[key])
+    cells = solver["cells_per_dim"]
+    for c in cells if isinstance(cells, list) else [cells]:
+        _integer("cells_per_dim", c)
+    if isinstance(solver["epsilon"], bool) or not isinstance(solver["epsilon"], numbers.Real):
+        raise ValueError(f"epsilon must be a number, got {solver['epsilon']!r}")
+    if solver["seed"] < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {solver['seed']}")
     # The grid comes from the problem unless a config or flag overrides it.
     if solver.get("n_steps") is None:
@@ -453,7 +449,9 @@ def _cmd_riccati(args, config: RunConfig) -> int:
 
 
 def _cmd_paths(args, config: RunConfig) -> int:
-    n_paths = int(args.n_paths)
+    n_paths = args.n_paths
+    if n_paths < 1:
+        raise StageError("load", ValueError(f"--n-paths must be >= 1, got {n_paths}"))
     model, _, _, _, ensemble, _ = _simulate(config, 0, n_paths)
     grid = model.grid
     header = (

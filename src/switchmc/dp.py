@@ -20,7 +20,7 @@ import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
-from .regress import HypercubeBasis, IndexingError, empirical_coefficients, regress_eval
+from .regress import HypercubeBasis, empirical_coefficients, memberships, regress_eval
 from .simulate import NoiseSource, PathEnsemble, _euler_states
 
 __all__ = [
@@ -127,26 +127,23 @@ def _action_values(modes, rule, sqrt_theta, t, delta, points, level, ids):
 def backward_induction(
     ensemble: PathEnsemble,
     basis: HypercubeBasis,
-    cell_ids: np.ndarray,
     modes: ModeSet,
     schedule: CovarianceSchedule,
     rule: QuadratureRule,
 ):
-    """Run the backward recursion on the training ensemble, whose paths sit
-    in the cells ``cell_ids`` = ``memberships(ensemble, basis)``.
+    """Run the backward recursion on the training ensemble, regressing on
+    the cells of ``basis`` that ``memberships`` assigns to its paths.
 
     Returns (ValueSurface, Policy).  Terminal values are zero; at each time
-    the continuation is the per-cell empirical average of next-step values,
+    the continuation is the per-cell empirical average of next-step values
+    (``surface.coeffs[k].counts``, the cell counts, give ``estimate_pmin``),
     the running payoff is integrated against the belief at the exact path
     point, and ties prefer staying then the smallest mode index.
     """
     grid = ensemble.grid
     n_steps = grid.n_steps
     d, M, R = modes.d, ensemble.M, basis.R
-    if cell_ids.shape != (n_steps + 1, M):
-        raise ValueError(f"cell_ids must have shape {(n_steps + 1, M)}, got {cell_ids.shape}")
-    if cell_ids.min() < 0 or cell_ids.max() >= R:
-        raise IndexingError(f"cell ids outside [0, {R}): {cell_ids.min()} to {cell_ids.max()}")
+    cell_ids = memberships(ensemble, basis)
 
     values = np.zeros((n_steps + 1, d, M))
     coeffs: list = [None] * n_steps

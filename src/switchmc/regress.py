@@ -174,14 +174,13 @@ class PminEstimate:
     occupied_min: float
 
 
-def estimate_pmin(cell_ids: np.ndarray, R: int) -> PminEstimate:
+def estimate_pmin(coeffs) -> PminEstimate:
     """Empirical minimum cell probability over training times 0..N-1, from
-    the (N+1, M) cell ids of ``memberships`` on an R-cell basis."""
-    M = cell_ids.shape[1]
-    raw_min = np.inf
-    occ_min = np.inf
-    for ids in cell_ids[:-1]:
-        counts = np.bincount(ids, minlength=R)
-        raw_min = min(raw_min, counts.min() / M)
-        occ_min = min(occ_min, counts[counts > 0].min() / M)
-    return PminEstimate(raw_min=float(raw_min), occupied_min=float(occ_min))
+    the per-cell path counts of the N coefficient levels ``surface.coeffs``
+    that ``backward_induction`` returns: each figure is the smallest integer
+    count divided by the path count M."""
+    counts = np.stack([level.counts for level in coeffs])
+    M = counts[0].sum()
+    return PminEstimate(
+        raw_min=float(counts.min() / M), occupied_min=float(counts[counts > 0].min() / M)
+    )

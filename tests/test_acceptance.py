@@ -157,7 +157,7 @@ def test_criterion_3_oracle_equivalence():
         np.unique(ensemble.state(k), axis=0).shape[0] == np.unique(ids[k]).shape[0]
         for k in range(grid.n_steps + 1)
     )
-    surface, _ = backward_induction(ensemble, basis, ids, modes, schedule, rule)
+    surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
     origin = value_at_origin(surface, model, modes, schedule, rule)
     tree = tree_oracle_value(TreeSpec(model, modes), schedule, rule)
     diff = float(np.max(np.abs(origin - tree)))
@@ -222,9 +222,7 @@ def test_criterion_5_degenerate_closed_forms():
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=7)
     ensemble = build_ensemble(model, grid, schedule, domain, 300, NoiseSource("gaussian"), seed=8)
     basis = HypercubeBasis(domain, (10, 10))
-    surface, _ = backward_induction(
-        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-    )
+    surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
     origin = value_at_origin(surface, model, modes, schedule, rule)
     kappa_dev = abs(float(origin[0]) - kappa * model.T)
 
@@ -240,9 +238,7 @@ def test_criterion_5_degenerate_closed_forms():
         model2, model2.grid, schedule2, domain2, 300, NoiseSource("gaussian"), seed=10
     )
     basis2 = HypercubeBasis(domain2, (10, 10))
-    surface2, policy2 = backward_induction(
-        ensemble2, basis2, memberships(ensemble2, basis2), modes2, schedule2, rule
-    )
+    surface2, policy2 = backward_induction(ensemble2, basis2, modes2, schedule2, rule)
     zero_values_ok = bool(np.all(surface2.values == 0.0))
     stay_ok = all(
         np.all(policy2.choice[:, i, :] == i) for i in range(modes2.d)

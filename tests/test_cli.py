@@ -345,6 +345,35 @@ class TestLoadErrors:
         err = self.assert_load_error(["solve", "--config", str(config)], capsys)
         assert "n_steps must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        (
+            ("M", 200.7), ("M", True), ("replications", 2.9), ("quad_order", "16"),
+            ("seed", 1.5), ("cells_per_dim", True), ("cells_per_dim", 4.5),
+            ("cells_per_dim", [4, 4.5]), ("epsilon", "0.01"), ("epsilon", True),
+        ),
+        ids=(
+            "fractional-M", "bool-M", "fractional-replications", "string-quad-order",
+            "fractional-seed", "bool-cells", "fractional-cells", "fractional-cell-in-list",
+            "string-epsilon", "bool-epsilon",
+        ),
+    )
+    def test_non_integer_or_non_numeric_solver_key(self, key, value, tmp_path, capsys):
+        # int() used to truncate: M 200.7 solved with 200 paths (the manifest
+        # said 200.7), M true with one path, replications 2.9 ran 2, and
+        # cells_per_dim 4.5 failed at 'regress'; epsilon "0.01" was stored
+        # as a string.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solver": {"M": 100, "n_steps": 10, key: value}}))
+        err = self.assert_load_error(["solve", "--config", str(config)], capsys)
+        assert err.startswith(f"error at stage 'load': {key} must be ")
+
+    @pytest.mark.parametrize("n_paths", ("0", "-2"))
+    def test_non_positive_path_count_names_the_flag(self, n_paths, capsys):
+        # It used to fail at 'simulate' with "M must be >= 1", naming no flag.
+        err = self.assert_load_error(["paths", "--n-paths", n_paths, "--n-steps", "2"], capsys)
+        assert "--n-paths" in err
+
     @pytest.mark.parametrize("command", ("solve", "bound", "paths"))
     def test_negative_seed(self, command, capsys):
         # SeedSequence used to reject it outside any stage, with no stage name.
@@ -578,6 +607,16 @@ class TestBound:
         assert terms["regression_noise_term"] == pytest.approx(1.0 / (delta * 200 ** 0.5))
         assert terms["regression_bias_term"] == pytest.approx(1.0 / (delta * 200))
         assert payload["infinite_terms"] == []
+
+    def test_pmin_is_the_solves(self, capsys):
+        # bound reads pmin_hat off the same induction that solve runs.
+        argv = ["--M", "150", "--n-steps", "12", "--seed", "7"]
+        pmins = [
+            json.loads(run_cli([command, *argv], capsys)[1])["pmin_hat"]
+            for command in ("solve", "bound")
+        ]
+        assert pmins[0] == pmins[1]
+        assert 0.0 < pmins[0]["occupied_min"] < 1.0
 
     def test_empty_partition_is_a_regress_error(self, capsys):
         code, _, err = run_cli(["bound", *FAST, "--cells-per-dim", "0"], capsys)

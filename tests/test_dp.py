@@ -12,7 +12,6 @@ from oracles import READ_PEAK_MB, make_benchmark, run_child
 from switchmc import (
     Domain,
     HypercubeBasis,
-    IndexingError,
     ModeSet,
     NoiseSource,
     SimulationError,
@@ -42,9 +41,7 @@ def solved_benchmark():
         model, grid, schedule, domain, 500, NoiseSource("gaussian"), seed=22
     )
     basis = HypercubeBasis(domain, (8, 8))
-    surface, policy = backward_induction(
-        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-    )
+    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return model, modes, schedule, rule, ensemble, basis, surface, policy
 
 
@@ -56,9 +53,7 @@ def train_surface(model, modes):
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=71)
     ensemble = build_ensemble(model, grid, schedule, domain, 200, NoiseSource("gaussian"), seed=72)
     basis = HypercubeBasis(domain, (8, 8))
-    surface, policy = backward_induction(
-        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-    )
+    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return rule, surface, policy
 
 
@@ -112,9 +107,7 @@ class TestSingleMode:
     def test_constant_payoff_value_is_remaining_time(self):
         kappa = 2.5
         model, modes, grid, schedule, rule, ensemble, basis = single_mode_setup(kappa)
-        surface, policy = backward_induction(
-            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-        )
+        surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
         for k in range(grid.n_steps + 1):
             expected = kappa * (grid.T - grid.times[k])
             assert np.allclose(surface.values[k, 0, :], expected, rtol=1e-12, atol=1e-12)
@@ -124,9 +117,7 @@ class TestSingleMode:
 
     def test_single_mode_never_switches(self):
         model, modes, grid, schedule, rule, ensemble, basis = single_mode_setup(1.0)
-        surface, policy = backward_induction(
-            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-        )
+        surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
         assert np.all(policy.choice == 0)
         ev = simulate_policy(
             model, modes, schedule, surface, policy, rule,
@@ -151,9 +142,7 @@ def zero_setup():
         model, grid, schedule, domain, 300, NoiseSource("gaussian"), seed=42
     )
     basis = HypercubeBasis(domain, (5, 5))
-    surface, policy = backward_induction(
-        ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-    )
+    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return model, modes, schedule, rule, surface, policy
 
 
@@ -208,9 +197,7 @@ class TestTwoModeInvariants:
 
     def test_backward_induction_is_deterministic(self, solved_benchmark):
         _, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
-        surface2, policy2 = backward_induction(
-            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-        )
+        surface2, policy2 = backward_induction(ensemble, basis, modes, schedule, rule)
         assert np.array_equal(surface.values, surface2.values)
         assert np.array_equal(policy.choice, policy2.choice)
 
@@ -223,25 +210,6 @@ class TestTwoModeInvariants:
         for i in range(modes.d):
             assert origin[i] == pytest.approx(surface.values[0, i, 0], rel=1e-12, abs=1e-12)
             assert np.allclose(surface.values[0, i, :], origin[i], rtol=1e-12, atol=1e-12)
-
-
-def test_cell_ids_must_cover_every_path_and_time(solved_benchmark):
-    _, modes, schedule, rule, ensemble, basis, _, _ = solved_benchmark
-    ids = memberships(ensemble, basis)
-    with pytest.raises(ValueError, match="cell_ids"):
-        backward_induction(ensemble, basis, ids[:-1], modes, schedule, rule)
-
-
-@pytest.mark.parametrize("k", (0, 9, 20), ids=("first-step", "mid-step", "last-step"))
-@pytest.mark.parametrize("bad", ("R", -1))
-def test_cell_ids_out_of_range_are_an_indexing_error(solved_benchmark, k, bad):
-    # The id range is checked once for the whole table, including the row
-    # of the last grid time, which no regression step reads.
-    _, modes, schedule, rule, ensemble, basis, _, _ = solved_benchmark
-    ids = memberships(ensemble, basis).copy()
-    ids[k, 17] = basis.R if bad == "R" else bad
-    with pytest.raises(IndexingError, match=rf"outside \[0, {basis.R}\)"):
-        backward_induction(ensemble, basis, ids, modes, schedule, rule)
 
 
 class TestTieBreaking:
@@ -261,9 +229,7 @@ class TestTieBreaking:
             model, grid, schedule, domain, 100, NoiseSource("gaussian"), seed=52
         )
         basis = HypercubeBasis(domain, (4, 4))
-        _, policy = backward_induction(
-            ensemble, basis, memberships(ensemble, basis), modes, schedule, rule
-        )
+        _, policy = backward_induction(ensemble, basis, modes, schedule, rule)
         for i in range(3):
             assert np.all(policy.choice[:, i, :] == i)
 
@@ -309,8 +275,8 @@ def test_policy_table_takes_each_cell_from_its_first_path():
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=61)
     ensemble = build_ensemble(model, grid, schedule, domain, 200, NoiseSource("gaussian"), seed=62)
     basis = HypercubeBasis(domain, (6, 6))
+    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     cell_ids = memberships(ensemble, basis)
-    surface, policy = backward_induction(ensemble, basis, cell_ids, modes, schedule, rule)
     M = ensemble.M
     unvisited = first_last_differ = 0
     for k in range(grid.n_steps):
@@ -430,7 +396,6 @@ from switchmc import (HypercubeBasis, NoiseSource, backward_induction, build_ens
                       build_quadrature, calibrate_domain, load_problem, simulate_policy,
                       solve_riccati)
 from switchmc.benchmarks import benchmark_problem
-from switchmc.regress import memberships
 model, modes = load_problem({**benchmark_problem(), "n_steps": 365})
 grid = model.grid
 schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
@@ -438,7 +403,7 @@ domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=1)
 ensemble = build_ensemble(model, grid, schedule, domain, 200, NoiseSource("gaussian"), seed=2)
 basis = HypercubeBasis(domain, (10, 10))
 surface, policy = backward_induction(
-    ensemble, basis, memberships(ensemble, basis), modes, schedule, rule)
+    ensemble, basis, modes, schedule, rule)
 replay = simulate_policy(
     model, modes, schedule, surface, policy, rule, start_mode=0, M=20000, seed=3)
 """ + READ_PEAK_MB + """

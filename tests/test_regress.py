@@ -15,7 +15,10 @@ from switchmc import (
     HypercubeBasis,
     IndexingError,
     NoiseSource,
+    PathEnsemble,
+    backward_induction,
     build_ensemble,
+    build_quadrature,
     empirical_coefficients,
     estimate_pmin,
     regress_eval,
@@ -215,8 +218,8 @@ class TestMemberships:
 
 
 def test_one_solve_indexes_each_training_step_once(monkeypatch):
-    # memberships indexes the N+1 grid times and value_at_origin the origin;
-    # backward induction and estimate_pmin reuse the memberships table.
+    # Backward induction indexes the N+1 grid times once, through memberships,
+    # and value_at_origin the origin; estimate_pmin reads the induction's counts.
     calls = []
     cell_index = HypercubeBasis.cell_index
 
@@ -230,14 +233,20 @@ def test_one_solve_indexes_each_training_step_once(monkeypatch):
     assert len(calls) <= 20 + 2
 
 
+def induction_pmin(ens, basis):
+    """``estimate_pmin`` of a benchmark-mode induction on ``ens``."""
+    model, modes = make_benchmark(n_steps=ens.grid.n_steps)
+    schedule = solve_riccati(model, ens.grid)
+    surface, _ = backward_induction(ens, basis, modes, schedule, build_quadrature(1, 4))
+    return estimate_pmin(surface.coeffs)
+
+
 class TestEstimatePmin:
     def test_known_counts(self):
         model, _ = make_benchmark(n_steps=1)
         grid = model.grid
         dom = Domain(lows=np.zeros(2), highs=np.ones(2))
         basis = HypercubeBasis(dom, (2, 1))
-        from switchmc import PathEnsemble
-
         # Four paths, two grid points; at k = 0 three paths sit in cell 0 and
         # one in cell 1, at k = 1 (terminal, excluded) all sit in cell 1.
         m = np.array([[[0.1], [0.9]], [[0.2], [0.9]], [[0.3], [0.9]], [[0.8], [0.9]]])
@@ -245,7 +254,7 @@ class TestEstimatePmin:
         ens = PathEnsemble(
             grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )
-        est = estimate_pmin(memberships(ens, basis), basis.R)
+        est = induction_pmin(ens, basis)
         assert est.raw_min == pytest.approx(0.25)
         assert est.occupied_min == pytest.approx(0.25)
 
@@ -254,13 +263,18 @@ class TestEstimatePmin:
         grid = model.grid
         dom = Domain(lows=np.zeros(2), highs=np.ones(2))
         basis = HypercubeBasis(dom, (3, 1))
-        from switchmc import PathEnsemble
-
         m = np.array([[[0.1], [0.9]], [[0.9], [0.9]]])
         y = np.full((2, 2, 1), 0.5)
         ens = PathEnsemble(
             grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )
-        est = estimate_pmin(memberships(ens, basis), basis.R)
+        est = induction_pmin(ens, basis)
         assert est.raw_min == 0.0
         assert est.occupied_min == pytest.approx(0.5)
+
+    def test_reads_the_per_step_counts_of_the_induction(self, small_ensemble):
+        ens, basis = small_ensemble
+        counts = [np.bincount(ids, minlength=basis.R) for ids in memberships(ens, basis)[:-1]]
+        est = induction_pmin(ens, basis)
+        assert est.raw_min == min(c.min() for c in counts) / ens.M
+        assert est.occupied_min == min(c[c > 0].min() for c in counts) / ens.M
