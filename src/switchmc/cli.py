@@ -1,7 +1,8 @@
 """Command line interface: validate, riccati, paths, solve, table2, sweep,
 oracle, and bound subcommands.
 
-Every run resolves a full configuration (problem plus solver parameters),
+Every run resolves a full configuration (problem plus solver parameters,
+which one check turns into the ``SolverParams`` that every stage reads),
 derives all random streams from one master seed, and emits a manifest
 carrying the resolved configuration and a content hash so reruns can be
 checked for reproducibility.  Thread count never changes numerical output;
@@ -21,7 +22,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .simulate import (
 
 __all__ = [
     "StageError",
+    "SolverParams",
     "RunConfig",
     "PipelineResult",
     "run_pipeline",
@@ -81,13 +83,58 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def _solver_value(key: str, value, name: str):
+    """``value`` under solver key ``key``'s one rule, an error naming ``name``;
+    the ranges of M, cells, quad_order and epsilon are left to their stages."""
+    if key == "epsilon":
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        return float(value)
+    if key == "n_steps" and value is None:
+        return None
+    if key == "cells_per_dim" and isinstance(value, (list, tuple)):
+        return tuple(_integer(name, c) for c in value)
+    value = _integer(name, value)
+    low = {"seed": 0, "replications": 1}.get(key)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+@dataclass(frozen=True)
+class SolverParams:
+    """The solver's settings, each checked by its key's rule; an integer key
+    takes 200.0 and refuses 200.7, true and "200".  ``n_steps`` None means
+    the problem's grid; ``cells_per_dim`` is one count or one per axis."""
+
+    M: int
+    n_steps: int | None
+    epsilon: float
+    cells_per_dim: int | tuple
+    quad_order: int
+    seed: int
+    replications: int = 1
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _solver_value(f.name, getattr(self, f.name), f.name))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration: problem dict, solver params, output dir."""
+    """Resolved run configuration: problem dict, solver params, output dir.
+    ``solver`` stays as given, for the manifest; ``params`` is its checked
+    ``SolverParams``, and an unknown or refused key is a ValueError naming it."""
 
     problem: dict
     solver: dict
     output: str | None = None
+
+    def __post_init__(self) -> None:
+        for key in self.solver:
+            if key not in {f.name for f in fields(SolverParams)}:
+                raise ValueError(f"unknown solver key {key!r}")
+        object.__setattr__(self, "params", SolverParams(**self.solver))
 
     def content_hash(self) -> str:
         payload = {"problem": self.problem, "solver": self.solver}
@@ -98,7 +145,7 @@ class RunConfig:
         return {
             "command": command,
             "package_version": __version__,
-            "seed": int(self.solver["seed"]),
+            "seed": self.params.seed,
             "solver": dict(self.solver),
             "problem": copy.deepcopy(self.problem),
             "inputs_sha256": self.content_hash(),
@@ -123,19 +170,17 @@ class PipelineResult:
     eval_seed: int
 
 
-def _resolve_problem(config: RunConfig):
-    """The problem on the solver's grid: the solver's ``n_steps`` replaces the
-    problem's, and ``load_problem`` checks it like the problem's own."""
+def _load(config: RunConfig, refuse: bool = True):
+    """Stages load and validate: (model, modes, report) on the solver's grid;
+    with ``refuse``, an invalid problem is one error at stage 'validate'."""
     problem = dict(config.problem)
-    if config.solver["n_steps"] is not None:
-        problem["n_steps"] = config.solver["n_steps"]
-    return load_problem(problem)
-
-
-def _seeds(solver: dict, rep: int) -> dict:
-    """Seed of every labelled random stream of replication ``rep``."""
-    master = int(solver["seed"])
-    return {name: derive_seed(master, rep, label) for name, label in _SEED_LABELS.items()}
+    if config.params.n_steps is not None:
+        problem["n_steps"] = config.params.n_steps
+    model, modes = _stage("load", load_problem, problem)
+    report = _stage("validate", validate, model, modes, model.grid)
+    if refuse and not report.ok:
+        raise StageError("validate", ValueError("; ".join(report.violations)))
+    return model, modes, report
 
 
 def _simulate(config: RunConfig, rep: int, n_paths: int):
@@ -145,18 +190,15 @@ def _simulate(config: RunConfig, rep: int, n_paths: int):
     Returns (model, modes, schedule, rule, ensemble, seeds); the calibrated
     domain is ``ensemble.domain``.
     """
-    params = config.solver
-    model, modes = _stage("load", _resolve_problem, config)
+    params = config.params
+    model, modes, _ = _load(config)
     grid = model.grid
-    report = _stage("validate", validate, model, modes, grid)
-    if not report.ok:
-        raise StageError("validate", ValueError("; ".join(report.violations)))
     schedule = _stage("riccati", solve_riccati, model, grid)
-    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, int(params["quad_order"]))
-    seeds = _seeds(params, rep)
+    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, params.quad_order)
+    seeds = {name: derive_seed(params.seed, rep, label) for name, label in _SEED_LABELS.items()}
     domain = _stage(
-        "calibrate", calibrate_domain, model, grid, schedule, float(params["epsilon"]),
-        pilot_M=max(100, min(int(params["M"]), 1000)), seed=seeds["pilot"],
+        "calibrate", calibrate_domain, model, grid, schedule, params.epsilon,
+        pilot_M=max(100, min(params.M, 1000)), seed=seeds["pilot"],
     )
     ensemble = _stage(
         "simulate", build_ensemble, model, grid, schedule, domain, n_paths,
@@ -168,10 +210,9 @@ def _simulate(config: RunConfig, rep: int, n_paths: int):
 def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     """One full solve replication: validate, integrate the covariance,
     calibrate the domain, simulate, regress, and run backward induction."""
-    params = config.solver
-    model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, int(params["M"]))
+    model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, config.params.M)
     grid, domain = ensemble.grid, ensemble.domain
-    basis = _stage("regress", HypercubeBasis, domain, params["cells_per_dim"])
+    basis = _stage("regress", HypercubeBasis, domain, config.params.cells_per_dim)
     surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
     values = _stage("evaluate", value_at_origin, surface, model, modes, schedule, rule)
     pmin = _stage("diagnostics", estimate_pmin, surface.coeffs)
@@ -195,24 +236,16 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     )
 
 
-def _replications(solver: dict) -> int:
-    """The configured replication count; at least one."""
-    reps = int(solver.get("replications", 1))
-    if reps < 1:
-        raise ValueError(f"replications must be >= 1, got {reps}")
-    return reps
-
-
-def _replicate(problems: list, solver: dict, threads: int) -> list:
-    """Every replication of every problem under one solver dict, spread over
-    up to ``threads`` threads.
+def _replicate(config: RunConfig, problems: list, threads: int) -> list:
+    """Every replication of every problem under ``config``'s solver
+    parameters, spread over up to ``threads`` threads.
 
     Returns, per problem, the headline numbers of each of its replications:
     values, the two pmin figures and the switch bound.  Only those are kept,
     so finished replications do not hold their paths and value surfaces.
     """
-    reps = _stage("load", _replications, solver)
-    jobs = [(RunConfig(problem, solver), rep) for problem in problems for rep in range(reps)]
+    reps = config.params.replications
+    jobs = [(replace(config, problem=problem), rep) for problem in problems for rep in range(reps)]
 
     def one(job):
         result = run_pipeline(*job)
@@ -245,7 +278,7 @@ def _mean_stderr(per_rep: np.ndarray) -> tuple:
 def run_solve(config: RunConfig, threads: int = 1) -> dict:
     """Solve the configured problem over the configured replications."""
     start = time.perf_counter()
-    rows = _replicate([config.problem], config.solver, threads)[0]
+    rows = _replicate(config, [config.problem], threads)[0]
     per_rep = [row["v"] for row in rows]
     v_mean, stderr = _mean_stderr(np.array(per_rep))
     runtime = time.perf_counter() - start
@@ -283,7 +316,7 @@ def run_sweep(config: RunConfig, axis: str, values=None, threads: int = 1) -> li
     values = [float(val) for val in values]
     problems = [{**config.problem, axis: val} for val in values]
     rows = []
-    for val, group in zip(values, _replicate(problems, config.solver, threads)):
+    for val, group in zip(values, _replicate(config, problems, threads)):
         v, stderr = _mean_stderr(np.array([row["v"] for row in group]))
         rows.append(
             {"value": val, "v1": float(v[ACTIVE_MODE]), "stderr": float(stderr[ACTIVE_MODE])}
@@ -303,7 +336,7 @@ def run_bound(config: RunConfig) -> dict:
         "sqrt_delta_log_term": math.sqrt(delta * math.log(2.0 * res.model.T / delta)),
         "sqrt_delta_term": math.sqrt(delta),
         "delta_term": delta,
-        "epsilon_term": float(config.solver["epsilon"]),
+        "epsilon_term": config.params.epsilon,
         "cell_over_delta_term": float(np.max(res.surface.basis.delta_side)) / delta,
         "regression_noise_term": noise_term,
         "regression_bias_term": bias_term,
@@ -332,7 +365,7 @@ def _read_json(path: str, base: str = ""):
 
 def _resolve_config(args) -> RunConfig:
     """Built-in defaults, overridden by the --config file, then by --problem,
-    then by the solver flags."""
+    then by the solver flags; an error names a flag only for the flag's value."""
     problem = benchmark_problem()
     solver = default_solver_params()
     solver.pop("n_steps", None)
@@ -350,21 +383,17 @@ def _resolve_config(args) -> RunConfig:
             output = data.get("output")
     if args.problem:
         problem = _read_json(args.problem)
-    for key in ("seed", "replications", "M", "n_steps", "epsilon", "cells_per_dim", "quad_order"):
+    for key in (f.name for f in fields(SolverParams)):
         val = getattr(args, key)
         if val is not None:
-            solver[key] = val
+            solver[key] = _solver_value(key, val, "--" + key.replace("_", "-"))
     if not isinstance(problem, dict):
         raise TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
-    for key in ("M", "replications", "quad_order", "seed"):
-        _integer(key, solver[key])
-    cells = solver["cells_per_dim"]
-    for c in cells if isinstance(cells, list) else [cells]:
-        _integer("cells_per_dim", c)
-    if isinstance(solver["epsilon"], bool) or not isinstance(solver["epsilon"], numbers.Real):
-        raise ValueError(f"epsilon must be a number, got {solver['epsilon']!r}")
-    if solver["seed"] < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {solver['seed']}")
+    if args.command == "oracle":
+        # The tree's leaf count is exponential in n_steps, so the oracle runs
+        # on a short grid of its own unless --n-steps sets one.
+        problem = {**problem, "n_steps": 4 if args.n_steps is None else args.n_steps}
+        solver["n_steps"] = problem["n_steps"]
     # The grid comes from the problem unless a config or flag overrides it.
     if solver.get("n_steps") is None:
         # A problem without n_steps fails at stage 'load', naming the key.
@@ -426,15 +455,14 @@ def _write_output(config: RunConfig, command: str, name: str | None = None, cont
 
 
 def _cmd_validate(args, config: RunConfig) -> int:
-    model, modes = _stage("load", _resolve_problem, config)
-    report = _stage("validate", validate, model, modes, model.grid)
+    _, _, report = _load(config, refuse=False)
     _write_output(config, "validate")
     print(str(report))
     return 0 if report.ok else 1
 
 
 def _cmd_riccati(args, config: RunConfig) -> int:
-    model, _ = _stage("load", _resolve_problem, config)
+    model, _, _ = _load(config)
     grid = model.grid
     schedule = _stage("riccati", solve_riccati, model, grid, args.substeps)
     n1 = model.n1
@@ -503,18 +531,10 @@ def _cmd_sweep(args, config: RunConfig) -> int:
 
 
 def _cmd_oracle(args, config: RunConfig) -> int:
-    # The tree's leaf count is exponential in n_steps, so the oracle runs on
-    # a short grid of its own unless --n-steps sets one.
-    tree_steps = int(args.n_steps if args.n_steps is not None else 4)
-    config = RunConfig(
-        problem={**config.problem, "n_steps": tree_steps},
-        solver={**config.solver, "n_steps": tree_steps},
-        output=config.output,
-    )
-    model, modes = _stage("load", _resolve_problem, config)
+    model, modes, _ = _load(config)
     spec = _stage("oracle", TreeSpec, model, modes)
     schedule = _stage("riccati", solve_riccati, model, model.grid)
-    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, int(config.solver["quad_order"]))
+    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, config.params.quad_order)
     values = _stage("oracle", tree_oracle_value, spec, schedule, rule)
     payload = {
         "values": [float(v) for v in values],

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import switchmc
-from switchmc.cli import RunConfig
+from switchmc.cli import RunConfig, SolverParams
 
 MODULES = ("model", "filtering", "simulate", "regress", "dp", "oracle", "benchmarks", "cli")
 
@@ -40,12 +40,15 @@ def test_package_exports_are_pinned():
 def test_public_dataclass_fields_are_pinned():
     # Each field is a settable value; a new one shows in this diff.
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
-        switchmc.ModelSpec, switchmc.ModeSet, switchmc.TimeGrid, RunConfig)}
+        switchmc.ModelSpec, switchmc.ModeSet, switchmc.TimeGrid, RunConfig, SolverParams)}
     assert fields == {
         "ModelSpec": ["n1", "m1", "n2", "T", "n_steps", "F", "C", "G", "m0", "theta0", "y0"],
         "ModeSet": ["payoffs", "costs", "nu"],
         "TimeGrid": ["T", "n_steps"],
         "RunConfig": ["problem", "solver", "output"],
+        "SolverParams": [
+            "M", "n_steps", "epsilon", "cells_per_dim", "quad_order", "seed", "replications",
+        ],
     }
 
 
@@ -109,7 +112,7 @@ SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
 
 # Total lines of src/switchmc/*.py.  Lower it when code is removed; raising
 # it is a decision that shows in the diff, like a new exported name.
-SOURCE_LINES_MAX = 2360
+SOURCE_LINES_MAX = 2380
 
 
 def test_source_size_is_pinned():

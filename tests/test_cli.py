@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -15,10 +16,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from switchmc.benchmarks import benchmark_problem
-from switchmc.cli import main
+from switchmc.benchmarks import benchmark_problem, default_solver_params
+from switchmc.cli import RunConfig, main, run_solve
 
 FAST = ["--M", "150", "--n-steps", "12", "--replications", "2", "--seed", "7"]
+
+# Solver settings refused before any work, and the whole error, which names
+# the key: a library caller and a config file get the same rule.  M 200.7
+# with replications 2.9 used to run 2 replications of 200 paths and record
+# 200.7; a negative seed failed in numpy naming no key, or, from a config
+# file, was reported as --seed; and an unknown key "m" was ignored, so the
+# solve ran with M = 5 000 and recorded "m": 100.
+REFUSED_SOLVERS = (
+    ({"M": 200.7, "n_steps": 5, "replications": 2.9}, "M must be an integer, got 200.7"),
+    ({"seed": -3}, "seed must be >= 0, got -3"),
+    ({"m": 100, "n_steps": 5}, "unknown solver key 'm'"),
+)
+REFUSED_IDS = ("fractional-M-and-replications", "negative-seed", "unknown-key")
 
 
 def run_cli(argv, capsys):
@@ -93,6 +107,25 @@ class TestValidate:
         assert code == 2
         assert "error at stage 'load'" in err
         assert "nu" in err
+
+    @pytest.mark.parametrize(
+        "command, change",
+        (
+            ("oracle", {"costs": [[0.0, -0.5], [0.001, 0.0]]}),
+            ("oracle", {"theta0": -1.0}),
+            ("riccati", {"theta0": -1.0}),
+        ),
+        ids=("oracle-negative-cost", "oracle-negative-theta0", "riccati-negative-theta0"),
+    )
+    def test_oracle_and_riccati_refuse_an_invalid_problem(self, command, change, tmp_path, capsys):
+        # Both used to skip stage 'validate' and exit 0: oracle printed values,
+        # riccati wrote a schedule starting at 0,0.
+        path = write_problem(tmp_path, **change)
+        code, out, err = run_cli([command, "--problem", path, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error at stage 'validate': ")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestRiccati:
@@ -287,8 +320,26 @@ class TestLoadErrors:
         path.write_text("[1, 2]")
         self.assert_load_error(["solve", "--problem", str(path)], capsys)
 
-    def test_zero_replications(self, capsys):
-        self.assert_load_error(["solve", "--replications", "0"], capsys)
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["validate"], ["riccati"], ["paths", "--n-paths", "1", "--n-steps", "2"], ["solve"],
+            ["table2"], ["sweep", "--axis", "G"], ["oracle"],
+            ["bound", "--M", "100", "--n-steps", "5"],
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_replications(self, argv, capsys):
+        # Only solve, table2 and sweep used to check it; the others exited 0.
+        err = self.assert_load_error(argv + ["--replications", "0"], capsys)
+        assert "--replications must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("solver, message", REFUSED_SOLVERS, ids=REFUSED_IDS)
+    def test_config_file_error_names_the_key(self, solver, message, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solver": solver}))
+        err = self.assert_load_error(["solve", "--config", str(config)], capsys)
+        assert err == f"error at stage 'load': {message}\n"
 
     def test_infinite_horizon(self, tmp_path, capsys):
         path = write_problem(tmp_path, T=float("inf"))
@@ -399,6 +450,30 @@ class TestLoadErrors:
         # pass there silently.
         err = self.assert_load_error(argv + ["--n-steps", "2", "--threads", "0"], capsys)
         assert "--threads" in err
+
+
+@pytest.mark.parametrize("solver, message", REFUSED_SOLVERS, ids=REFUSED_IDS)
+def test_library_solve_error_names_the_key(solver, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_solve(RunConfig(benchmark_problem(), {**default_solver_params(), **solver}))
+
+
+def test_integral_float_path_count_solves_as_its_integer(tmp_path, capsys):
+    # 200.0 counts as 200: the same result.json apart from its manifest,
+    # which records the value as given.
+    results = []
+    for M in (200, 200.0):
+        out = tmp_path / f"out-{M!r}"
+        config = tmp_path / f"config-{M!r}.json"
+        config.write_text(json.dumps({"solver": {"M": M, "n_steps": 10, "seed": 3}}))
+        code, _, err = run_cli(["solve", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 0, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert repr(manifest["solver"]["M"]) == repr(M)
+        result = json.loads((out / "result.json").read_text())
+        assert result.pop("manifest") == manifest
+        results.append(result)
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("command", ("solve", "bound"))
