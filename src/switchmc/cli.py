@@ -5,8 +5,8 @@ Every run resolves a full configuration (problem plus solver parameters,
 which one check turns into the ``SolverParams`` that every stage reads),
 derives all random streams from one master seed, and emits a manifest
 carrying the resolved configuration and a content hash so reruns can be
-checked for reproducibility.  Thread count never changes numerical output;
-it only spreads independent replications, and sweep points, over threads.
+checked for reproducibility.  The worker count never changes numerical output;
+it only spreads replications, and sweep points, over worker processes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import sys
@@ -72,6 +73,10 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # A worker process's failure reaches the parent pickled.
+        return StageError, (self.stage, self.cause)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -214,7 +219,7 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     grid, domain = ensemble.grid, ensemble.domain
     basis = _stage("regress", HypercubeBasis, domain, config.params.cells_per_dim)
     surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
-    values = _stage("evaluate", value_at_origin, surface, model, modes, schedule, rule)
+    values = _stage("evaluate", value_at_origin, surface)
     pmin = _stage("diagnostics", estimate_pmin, surface.coeffs)
     f_sup = _stage(
         "diagnostics", payoff_sup_on_domain, modes, domain, schedule, rule, grid
@@ -228,7 +233,7 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
         rule=rule,
         surface=surface,
         policy=policy,
-        values=np.asarray(values),
+        values=values,
         pmin_raw=pmin.raw_min,
         pmin_occupied=pmin.occupied_min,
         switch_bound=float(bound),
@@ -236,31 +241,37 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     )
 
 
-def _replicate(config: RunConfig, problems: list, threads: int) -> list:
-    """Every replication of every problem under ``config``'s solver
-    parameters, spread over up to ``threads`` threads.
+def _headline(job) -> dict:
+    """Run one (config, rep) job and keep only its headline numbers: values,
+    the two pmin figures and the switch bound, not its paths and surface."""
+    result = run_pipeline(*job)
+    return {
+        "v": [float(x) for x in result.values],
+        "pmin_raw": result.pmin_raw,
+        "pmin_occupied": result.pmin_occupied,
+        "switch_bound": result.switch_bound,
+    }
 
-    Returns, per problem, the headline numbers of each of its replications:
-    values, the two pmin figures and the switch bound.  Only those are kept,
-    so finished replications do not hold their paths and value surfaces.
+
+def _replicate(config: RunConfig, problems: list, workers: int) -> list:
+    """Every replication of every problem under ``config``'s solver
+    parameters, spread over up to ``workers`` worker processes (no more than
+    the CPUs or the jobs; one runs in this process).
+
+    Returns, per problem, the headline numbers of each of its replications.
     """
     reps = config.params.replications
     jobs = [(replace(config, problem=problem), rep) for problem in problems for rep in range(reps)]
-
-    def one(job):
-        result = run_pipeline(*job)
-        return {
-            "v": [float(x) for x in result.values],
-            "pmin_raw": result.pmin_raw,
-            "pmin_occupied": result.pmin_occupied,
-            "switch_bound": result.switch_bound,
-        }
-
-    if threads <= 1 or len(jobs) <= 1:
-        rows = [one(job) for job in jobs]
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
+        rows = [_headline(job) for job in jobs]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, jobs))
+        # A solve is a loop of small numpy calls that holds the GIL, so
+        # threads would serialize; forkserver starts each worker from a
+        # single-threaded server rather than a copy of this process.
+        context = multiprocessing.get_context("forkserver")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+            rows = list(pool.map(_headline, jobs))
     return [rows[i:i + reps] for i in range(0, len(rows), reps)]
 
 
@@ -391,9 +402,10 @@ def _resolve_config(args) -> RunConfig:
         raise TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
     if args.command == "oracle":
         # The tree's leaf count is exponential in n_steps, so the oracle runs
-        # on a short grid of its own unless --n-steps sets one.
-        problem = {**problem, "n_steps": 4 if args.n_steps is None else args.n_steps}
-        solver["n_steps"] = problem["n_steps"]
+        # on a short grid of its own unless --n-steps or the config sets one.
+        if solver.get("n_steps") is None:
+            solver["n_steps"] = 4
+        problem = {**problem, "n_steps": solver["n_steps"]}
     # The grid comes from the problem unless a config or flag overrides it.
     if solver.get("n_steps") is None:
         # A problem without n_steps fails at stage 'load', naming the key.
@@ -402,7 +414,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _resolve_threads(args) -> int:
-    """Worker threads from --threads, else from $SWITCHMC_THREADS, else 1."""
+    """Worker processes from --threads, else from $SWITCHMC_THREADS, else 1."""
     name, text = "--threads", args.threads
     if text is None:
         name, text = _ENV_THREADS, os.environ.get(_ENV_THREADS) or "1"
@@ -416,7 +428,7 @@ def _resolve_threads(args) -> int:
 
 # Keys printed on stdout but kept out of stored files: wall-clock time
 # differs between identical runs, and stored files must be byte-identical
-# across reruns and thread counts.
+# across reruns and worker counts.
 _VOLATILE_KEYS = ("runtime_s",)
 
 
@@ -559,7 +571,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replications", type=int, help="independent replications")
     parser.add_argument(
         "--threads", type=int,
-        help=f"worker threads (default: ${_ENV_THREADS} or 1); never changes results",
+        help=f"worker processes (default: ${_ENV_THREADS} or 1); never changes results",
     )
     parser.add_argument("--M", type=int, dest="M", help="training paths per replication")
     parser.add_argument("--n-steps", type=int, dest="n_steps", help="time grid steps")

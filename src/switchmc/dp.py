@@ -35,12 +35,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ValueSurface:
-    """Pathwise value estimates and per-time regression coefficients.
+    """The estimate at the origin and per-time regression coefficients.
 
-    ``values`` has shape (N+1, d, M): values[k, i, ell] estimates the value
-    at grid time t_k in mode i at training path ell.  ``coeffs[k]`` is the
-    (d, R) CoefficientVector regressing values at t_{k+1} on cells at t_k,
-    for k = 0..N-1; ``coeffs[k][j]`` is mode j's row.
+    ``values`` has shape (d,): values[i] estimates the time-0 value in mode i
+    at the initial state, where every training path starts.  ``coeffs[k]`` is
+    the (d, R) CoefficientVector regressing values at t_{k+1} on cells at
+    t_k, for k = 0..N-1; ``coeffs[k][j]`` is mode j's row.
     """
 
     grid: TimeGrid
@@ -50,11 +50,9 @@ class ValueSurface:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"values must have shape (d,), got {values.shape}")
         n_steps = self.grid.n_steps
-        if values.ndim != 3 or values.shape[0] != n_steps + 1:
-            raise ValueError(
-                f"values must have shape (N+1, d, M) with N={n_steps}, got {values.shape}"
-            )
         if len(self.coeffs) != n_steps:
             raise ValueError(f"need {n_steps} coefficient levels, got {len(self.coeffs)}")
         object.__setattr__(self, "values", values)
@@ -62,7 +60,8 @@ class ValueSurface:
 
     @property
     def M(self) -> int:
-        return self.values.shape[2]
+        """Training path count: every path sits in one cell at time 0."""
+        return int(self.coeffs[0].counts.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +144,8 @@ def backward_induction(
     d, M, R = modes.d, ensemble.M, basis.R
     cell_ids = memberships(ensemble, basis)
 
-    values = np.zeros((n_steps + 1, d, M))
+    # Values at t_{k+1} and at t_k; the recursion reads only the level above.
+    above, values = np.zeros((d, M)), np.empty((d, M))
     coeffs: list = [None] * n_steps
     choice = np.empty((n_steps, d, R), dtype=np.int64)
     path_order, times, cost = np.arange(M), grid.times, modes.costs
@@ -153,11 +153,11 @@ def backward_induction(
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
         ids = cell_ids[k]
-        coeffs[k] = empirical_coefficients(values[k + 1], ids, R)
+        coeffs[k] = empirical_coefficients(above, ids, R)
         cand, _ = _action_values(
             modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k), coeffs[k], ids
         )
-        np.max(cand[None] - cost[:, :, None], axis=1, out=values[k])
+        np.max(cand[None] - cost[:, :, None], axis=1, out=values)
         # A cell's policy entry is its first visitor's choice, so only those run the tie rule.
         first = np.full(R, M)
         np.minimum.at(first, ids, path_order)
@@ -166,32 +166,18 @@ def backward_induction(
         for i in range(d):
             choice[k, i, :] = i
             choice[k, i, cells] = _stay_biased_argmax(visitors - cost[i, :, None], i)[1]
+        above, values = values, above
 
-    surface = ValueSurface(grid=grid, basis=basis, values=values, coeffs=tuple(coeffs))
+    # Every path starts at the clamped origin, so each column of level 0 is its value.
+    surface = ValueSurface(grid=grid, basis=basis, values=above[:, 0].copy(), coeffs=tuple(coeffs))
     policy = Policy(grid=grid, basis=basis, choice=choice)
     return surface, policy
 
 
-def value_at_origin(
-    surface: ValueSurface,
-    model: ModelSpec,
-    modes: ModeSet,
-    schedule: CovarianceSchedule,
-    rule: QuadratureRule,
-) -> np.ndarray:
-    """Value estimate per starting mode at the exact initial state (m0, y0).
-
-    Applies the time-zero recursion formula at the origin point itself: the
-    belief-averaged payoffs are evaluated at (m0, y0) and the continuation is
-    read from the time-zero regression coefficients at the origin's cell.
-    """
-    basis = surface.basis
-    origin = basis.domain.project(np.concatenate([model.m0, model.y0]))[None, :]
-    cand, _ = _action_values(
-        modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin,
-        surface.coeffs[0], basis.cell_index(origin),
-    )
-    return (cand[:, 0] - modes.costs).max(axis=1)
+def value_at_origin(surface: ValueSurface) -> np.ndarray:
+    """Value estimate per starting mode at the exact initial state (m0, y0):
+    the time-zero level of the backward induction, shape (d,)."""
+    return surface.values.copy()
 
 
 def simulate_policy(

@@ -15,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .filtering import _MAX_CHUNK_POINTS, CovarianceSchedule, mean_step, psd_sqrt, rowwise_matvec
+from .filtering import (
+    _MAX_CHUNK_POINTS, CovarianceSchedule, _payoff_values, mean_step, psd_sqrt, rowwise_matvec,
+)
 from .model import ModelSpec, TimeGrid
 
 __all__ = [
@@ -353,7 +355,8 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
     Used for the switch-count bound; payoffs are evaluated at box corners and
     the center, which bounds the belief-averaged payoffs there for payoffs
     monotone in each coordinate and is reported as the working constant
-    otherwise.
+    otherwise.  A payoff value that is not finite is an EvaluationError
+    naming the mode.
     """
     n1 = schedule.thetas.shape[1]
     n2 = domain.dim - n1
@@ -374,8 +377,7 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
         for start in range(0, len(points), rows):
             xs = m_pts[start:start + rows, None, :] + shifts[None, :, :]  # (rows, Qn, n1)
             ys = np.broadcast_to(y_pts[start:start + rows, None, :], xs.shape[:-1] + (n2,))
-            for payoff in modes.payoffs:
-                vals = np.asarray(payoff(xs, ys, t), dtype=float)
-                if vals.size:
-                    f_sup = max(f_sup, float(np.abs(vals).max()))
+            for j, payoff in enumerate(modes.payoffs):
+                vals = _payoff_values(payoff, j, xs, ys, t, "domain point")
+                f_sup = max(f_sup, float(np.abs(vals).max()))
     return f_sup

@@ -18,11 +18,13 @@ bugs:
   closed-form mean;
 - the first switching-cost violation, by plain loops over the entries.
 
-``make_benchmark``, ``SIGNAL2D``, ``belief_average`` and ``run_child`` are
-conveniences, not references: ``belief_average`` routes a Gaussian
-expectation through the solver's own belief average (its quadrature path,
-since phi is a callable) so it can be compared with the exact moments above,
-and ``run_child`` runs a memory probe in a fresh interpreter.
+``make_benchmark``, ``SIGNAL2D``, ``belief_average``, ``pathwise_values`` and
+``run_child`` are conveniences, not references: ``belief_average`` routes a
+Gaussian expectation through the solver's own belief average (its quadrature
+path, since phi is a callable) so it can be compared with the exact moments
+above, ``pathwise_values`` rebuilds one step of the induction's per-path
+values, which the value surface does not keep, and ``run_child`` runs a
+memory probe in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 import switchmc
 from switchmc import ModeSet, OracleRefusal, load_problem, psd_sqrt
 from switchmc.benchmarks import benchmark_problem
+from switchmc.dp import _action_values
 from switchmc.filtering import effective_payoff_batch
 
 
@@ -311,6 +314,21 @@ def belief_average(phi, m, theta, rule) -> float:
     return float(
         effective_payoff_batch(modes, 0, m[None, :], sqrt_theta, np.zeros((1, 1)), 0.0, rule)[0]
     )
+
+
+def pathwise_values(surface, ensemble, modes, schedule, rule, k: int) -> np.ndarray:
+    """The induction's (d, M) values at grid time t_k on the training paths,
+    rebuilt with its own step formula from the step-k coefficients; zero at
+    the horizon k = N."""
+    grid, basis = surface.grid, surface.basis
+    if k == grid.n_steps:
+        return np.zeros((modes.d, ensemble.M))
+    points = ensemble.state(k)
+    cand, _ = _action_values(
+        modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, points,
+        surface.coeffs[k], basis.cell_index(points),
+    )
+    return (cand[None] - modes.costs[:, :, None]).max(axis=1)
 
 
 # Script lines that set ``peak_mb`` to the peak RSS of the running process.

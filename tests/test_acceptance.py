@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import belief_average, gaussian_monomial_moment, make_benchmark
+from oracles import belief_average, gaussian_monomial_moment, make_benchmark, pathwise_values
 
 from switchmc import (
     Domain,
@@ -158,7 +158,7 @@ def test_criterion_3_oracle_equivalence():
         for k in range(grid.n_steps + 1)
     )
     surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
-    origin = value_at_origin(surface, model, modes, schedule, rule)
+    origin = value_at_origin(surface)
     tree = tree_oracle_value(TreeSpec(model, modes), schedule, rule)
     diff = float(np.max(np.abs(origin - tree)))
     elapsed = time.perf_counter() - start
@@ -223,7 +223,7 @@ def test_criterion_5_degenerate_closed_forms():
     ensemble = build_ensemble(model, grid, schedule, domain, 300, NoiseSource("gaussian"), seed=8)
     basis = HypercubeBasis(domain, (10, 10))
     surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
-    origin = value_at_origin(surface, model, modes, schedule, rule)
+    origin = value_at_origin(surface)
     kappa_dev = abs(float(origin[0]) - kappa * model.T)
 
     # Zero payoffs: zero values and a stay-everywhere policy.
@@ -239,7 +239,10 @@ def test_criterion_5_degenerate_closed_forms():
     )
     basis2 = HypercubeBasis(domain2, (10, 10))
     surface2, policy2 = backward_induction(ensemble2, basis2, modes2, schedule2, rule)
-    zero_values_ok = bool(np.all(surface2.values == 0.0))
+    zero_values_ok = all(
+        np.all(pathwise_values(surface2, ensemble2, modes2, schedule2, rule, k) == 0.0)
+        for k in range(model2.grid.n_steps + 1)
+    )
     stay_ok = all(
         np.all(policy2.choice[:, i, :] == i) for i in range(modes2.d)
     )

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import tempfile
 import warnings
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from switchmc.benchmarks import benchmark_problem, default_solver_params
-from switchmc.cli import RunConfig, main, run_solve
+from switchmc.cli import RunConfig, StageError, main, run_solve
 
 FAST = ["--M", "150", "--n-steps", "12", "--replications", "2", "--seed", "7"]
 
@@ -216,6 +217,22 @@ class TestSolve:
         monkeypatch.delenv("SWITCHMC_THREADS")
         run_cli(["solve", *FAST, "--threads", "1", "--out", str(out_b)], capsys)
         assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
+
+    def test_worker_failure_is_reported_as_in_a_serial_run(self, capsys):
+        # Both replications fail at calibrate; with two workers the failure
+        # crosses a process boundary and must keep its stage and cause.
+        argv = ["solve", "--epsilon", "0", "--replications", "2", "--n-steps", "5"]
+        serial = run_cli(argv + ["--threads", "1"], capsys)
+        workers = run_cli(argv + ["--threads", "2"], capsys)
+        assert serial == workers
+        assert serial[0] == 2
+        assert serial[2] == (
+            "error at stage 'calibrate': epsilon must be positive and finite, got 0.0\n"
+        )
+
+    def test_stage_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(StageError("simulate", ValueError("x"))))
+        assert (err.stage, str(err.cause), str(err)) == ("simulate", "x", "stage 'simulate' failed: x")
 
     def test_stdout_is_json_with_runtime(self, capsys):
         code, out, _ = run_cli(["solve", *FAST], capsys)
@@ -620,6 +637,18 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--n-steps", "3"], capsys)
         assert code == 0
         assert json.loads(out)["n_leaves"] == 64
+
+    def test_tree_depth_follows_config_n_steps(self, tmp_path, capsys):
+        # A config file's n_steps used to be replaced by the 4-step default.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solver": {"n_steps": 3}}))
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(["oracle", "--config", str(config), "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert json.loads(out)["n_leaves"] == 64
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["solver"]["n_steps"] == 3
+        assert manifest["problem"]["n_steps"] == 3
 
     def test_too_deep_tree_is_an_oracle_error(self, capsys):
         code, _, err = run_cli(["oracle", "--n-steps", "9"], capsys)

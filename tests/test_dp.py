@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import READ_PEAK_MB, make_benchmark, run_child
+from oracles import READ_PEAK_MB, make_benchmark, pathwise_values, run_child
 
 from switchmc import (
     Domain,
@@ -110,8 +110,9 @@ class TestSingleMode:
         surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
         for k in range(grid.n_steps + 1):
             expected = kappa * (grid.T - grid.times[k])
-            assert np.allclose(surface.values[k, 0, :], expected, rtol=1e-12, atol=1e-12)
-        origin = value_at_origin(surface, model, modes, schedule, rule)
+            values = pathwise_values(surface, ensemble, modes, schedule, rule, k)
+            assert np.allclose(values[0], expected, rtol=1e-12, atol=1e-12)
+        origin = value_at_origin(surface)
         assert origin.shape == (1,)
         assert origin[0] == pytest.approx(kappa * grid.T, rel=1e-12)
 
@@ -143,22 +144,24 @@ def zero_setup():
     )
     basis = HypercubeBasis(domain, (5, 5))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
-    return model, modes, schedule, rule, surface, policy
+    return model, modes, schedule, rule, surface, policy, ensemble
 
 
 class TestZeroPayoffs:
     def test_values_are_exactly_zero(self, zero_setup):
-        _, _, _, _, surface, _ = zero_setup
+        _, modes, schedule, rule, surface, _, ensemble = zero_setup
         assert np.all(surface.values == 0.0)
+        for k in range(surface.grid.n_steps + 1):
+            assert np.all(pathwise_values(surface, ensemble, modes, schedule, rule, k) == 0.0)
 
     def test_policy_stays_everywhere(self, zero_setup):
-        _, _, _, _, _, policy = zero_setup
+        _, _, _, _, _, policy, _ = zero_setup
         n_steps, d, R = policy.choice.shape
         for i in range(d):
             assert np.all(policy.choice[:, i, :] == i)
 
     def test_replay_is_exactly_zero(self, zero_setup):
-        model, modes, schedule, rule, surface, policy = zero_setup
+        model, modes, schedule, rule, surface, policy, _ = zero_setup
         ev = simulate_policy(
             model, modes, schedule, surface, policy, rule,
             start_mode=1, M=200, seed=8,
@@ -170,28 +173,36 @@ class TestZeroPayoffs:
 
 class TestTwoModeInvariants:
     def test_value_surface_shapes(self, solved_benchmark):
-        model, modes, _, _, ensemble, basis, surface, policy = solved_benchmark
+        model, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
         N = model.grid.n_steps
-        assert surface.values.shape == (N + 1, modes.d, ensemble.M)
+        assert surface.values.shape == (modes.d,)
+        assert surface.M == ensemble.M
+        assert len(surface.coeffs) == N
+        assert all(level.lambdas.shape == (modes.d, basis.R) for level in surface.coeffs)
         assert policy.choice.shape == (N, modes.d, basis.R)
-        assert np.all(surface.values[N] == 0.0)
+        # The last level regresses the zero terminal values.
+        assert np.all(surface.coeffs[N - 1].lambdas == 0.0)
+        values = pathwise_values(surface, ensemble, modes, schedule, rule, N - 1)
+        assert values.shape == (modes.d, ensemble.M)
 
     def test_pairwise_switching_inequality(self, solved_benchmark):
         # v_i >= v_j - c(i, j) pointwise: switching to j and following its
         # optimal continuation is one admissible candidate for mode i.
-        model, modes, _, _, _, _, surface, _ = solved_benchmark
+        model, modes, schedule, rule, ensemble, _, surface, _ = solved_benchmark
         cost = modes.costs
         for k in range(model.grid.n_steps + 1):
+            values = pathwise_values(surface, ensemble, modes, schedule, rule, k)
             for i in range(modes.d):
                 for j in range(modes.d):
-                    lhs = surface.values[k, i, :]
-                    rhs = surface.values[k, j, :] - cost[i, j]
+                    lhs = values[i]
+                    rhs = values[j] - cost[i, j]
                     assert np.all(lhs >= rhs - 1e-12)
 
     def test_mode_values_differ_by_at_most_the_switching_costs(self, solved_benchmark):
         # The pairwise inequality pins v1 - v0 into [-c(1,0), c(0,1)].
-        _, modes, _, _, _, _, surface, _ = solved_benchmark
-        gap = surface.values[0, 1, :] - surface.values[0, 0, :]
+        _, modes, schedule, rule, ensemble, _, surface, _ = solved_benchmark
+        values = pathwise_values(surface, ensemble, modes, schedule, rule, 0)
+        gap = values[1] - values[0]
         assert np.all(gap <= 0.01 + 1e-12)
         assert np.all(gap >= -0.001 - 1e-12)
 
@@ -199,17 +210,55 @@ class TestTwoModeInvariants:
         _, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
         surface2, policy2 = backward_induction(ensemble, basis, modes, schedule, rule)
         assert np.array_equal(surface.values, surface2.values)
+        for level, level2 in zip(surface.coeffs, surface2.coeffs, strict=True):
+            assert np.array_equal(level.lambdas, level2.lambdas)
+            assert np.array_equal(level.counts, level2.counts)
         assert np.array_equal(policy.choice, policy2.choice)
 
     def test_value_at_origin_matches_initial_column(self, solved_benchmark):
-        # Every training path starts at the exact origin, so the re-evaluated
-        # origin value must agree with the k = 0 surface column.
-        model, modes, schedule, rule, _, _, surface, _ = solved_benchmark
-        origin = value_at_origin(surface, model, modes, schedule, rule)
+        # Every training path starts at the exact origin, so the time-zero
+        # recursion formula applied at the origin itself must give the stored
+        # value, and every path's k = 0 column, bit for bit.
+        model, modes, schedule, rule, ensemble, basis, surface, _ = solved_benchmark
+        origin_point = basis.domain.project(np.concatenate([model.m0, model.y0]))[None, :]
+        cand, _ = _action_values(
+            modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin_point,
+            surface.coeffs[0], basis.cell_index(origin_point),
+        )
+        expected = (cand[:, 0] - modes.costs).max(axis=1)
+        origin = value_at_origin(surface)
         assert origin.shape == (modes.d,)
-        for i in range(modes.d):
-            assert origin[i] == pytest.approx(surface.values[0, i, 0], rel=1e-12, abs=1e-12)
-            assert np.allclose(surface.values[0, i, :], origin[i], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(origin, expected)
+        values = pathwise_values(surface, ensemble, modes, schedule, rule, 0)
+        assert np.array_equal(values, np.repeat(expected[:, None], ensemble.M, axis=1))
+        origin[:] = np.nan  # a copy: the surface keeps its values
+        assert np.array_equal(surface.values, expected)
+
+
+def test_induction_keeps_two_value_levels():
+    # At bench1d size (N = 730, M = 5 000) a per-path value history of all
+    # N + 1 levels is 58 MB, and with it the induction's allocation peak was
+    # 87 MB.  Two (d, M) levels leave the 29 MB cell-id table and per-step
+    # temporaries.
+    script = """
+import json, tracemalloc
+from switchmc import (HypercubeBasis, NoiseSource, backward_induction, build_ensemble,
+                      build_quadrature, calibrate_domain, load_problem, solve_riccati)
+from switchmc.benchmarks import benchmark_problem
+model, modes = load_problem({**benchmark_problem(), "n_steps": 730})
+grid = model.grid
+schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
+domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=1000, seed=1)
+ensemble = build_ensemble(model, grid, schedule, domain, 5000, NoiseSource("gaussian"), seed=2)
+basis = HypercubeBasis(domain, (10, 10))
+tracemalloc.start()
+surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
+peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
+"""
+    report = run_child(script)
+    assert report["M"] == 5000
+    assert report["peak_mb"] <= 45.0
 
 
 class TestTieBreaking:

@@ -12,10 +12,13 @@ from oracles import READ_PEAK_MB, SIGNAL2D, clip_error_reference, make_benchmark
 
 from switchmc import (
     Domain,
+    EvaluationError,
     HypercubeBasis,
+    ModeSet,
     NoiseSource,
     PathEnsemble,
     SimulationError,
+    as_payoff,
     build_ensemble,
     build_quadrature,
     calibrate_domain,
@@ -377,6 +380,24 @@ class TestPayoffSup:
         rule = build_quadrature(1, 8)
         sup = payoff_sup_on_domain(modes, dom, schedule, rule, grid)
         assert sup >= 2.0
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf), ids=("nan", "inf"))
+    def test_non_finite_payoff_names_the_mode(self, bench20, bad):
+        # The nodes of the belief reach past x = 3 from the box's top edge.
+        # A NaN there used to drop out of the max (2.84 here) and an inf
+        # became the sup, and so a switch bound that is not strict JSON.
+        model, _, schedule = bench20
+        modes = ModeSet(
+            payoffs=(
+                as_payoff("zero"),
+                lambda x, y, t: np.where(x[..., 0] > 3.0, bad, x[..., 0]),
+            ),
+            costs=[[0.0, 0.01], [0.001, 0.0]], nu=0.001,
+        )
+        dom = Domain(lows=np.array([-1.0, -2.0]), highs=np.array([1.0, 2.0]))
+        rule = build_quadrature(1, 8)
+        with pytest.raises(EvaluationError, match="^payoff of mode 1 not finite at some domain point$"):
+            payoff_sup_on_domain(modes, dom, schedule, rule, model.grid)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_sup_memory_is_bounded_by_corner_blocks(self):
