@@ -21,7 +21,7 @@ import numpy as np
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
 from .regress import HypercubeBasis, empirical_coefficients, memberships, regress_eval
-from .simulate import NoiseSource, PathEnsemble, _euler_states
+from .simulate import NoiseSource, PathEnsemble, _chunked_states
 
 __all__ = [
     "ValueSurface",
@@ -199,36 +199,37 @@ def simulate_policy(
     and dropped once acted on.  With ``pointwise_policy`` (default) decisions
     re-run the time-k maximization at the fresh path's exact point, using the
     stored regression coefficients for continuations; otherwise decisions are
-    looked up from the per-cell policy table.
+    looked up from the per-cell policy table.  Paths are replayed a chunk at
+    a time, so a SimulationError is reported as ``simulate_paths`` reports it.
     """
     if not 0 <= start_mode < modes.d:
         raise ValueError(f"start_mode must lie in [0, {modes.d}), got {start_mode}")
     grid = surface.grid
     basis = surface.basis
-    states = _euler_states(model, grid, schedule, NoiseSource("gaussian"), seed, range(M))
-
-    mode = np.full(M, int(start_mode), dtype=np.int64)
     total = np.zeros(M)
     switches = np.zeros(M, dtype=np.int64)
-    rows, times, cost, d = np.arange(M), grid.times, modes.costs, modes.d
+    times, cost, d = grid.times, modes.costs, modes.d
 
-    for k in range(grid.n_steps):
-        t = float(times[k])
-        pts = basis.domain.project(next(states)[1])
-        ids = basis.cell_index(pts)
-        cand, fbars = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids
-        )
-        if pointwise_policy:
-            _, jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
-        else:
-            jstar = policy.choice[k].take(mode * basis.R + ids)
+    for sl, states in _chunked_states(model, grid, schedule, NoiseSource("gaussian"), seed, range(M)):
+        P = sl.stop - sl.start
+        mode, rows = np.full(P, int(start_mode), dtype=np.int64), np.arange(P)
+        for k in range(grid.n_steps):
+            t = float(times[k])
+            pts = basis.domain.project(next(states)[1])
+            ids = basis.cell_index(pts)
+            cand, fbars = _action_values(
+                modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids
+            )
+            if pointwise_policy:
+                _, jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
+            else:
+                jstar = policy.choice[k].take(mode * basis.R + ids)
 
-        total -= cost.take(mode * d + jstar)
-        total += grid.delta * fbars.take(jstar * M + rows)
-        switches += jstar != mode
-        mode = jstar
-    next(states)  # step N is never acted on, but a non-finite one still raises
+            total[sl] -= cost.take(mode * d + jstar)
+            total[sl] += grid.delta * fbars.take(jstar * P + rows)
+            switches[sl] += jstar != mode
+            mode = jstar
+        next(states)  # step N is never acted on, but a non-finite one still raises
 
     mean = float(total.mean())
     stderr = float(total.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0

@@ -207,6 +207,8 @@ def rowwise_matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     r, n = mat.shape
+    if r == n == 1:  # one multiply: a 1-D model's stepper calls this 6 times a step
+        return vecs[..., 0, None] * mat[0, 0]
     out = np.empty(vecs.shape[:-1] + (r,))
     for i in range(r):
         acc = mat[i, 0] * vecs[..., 0]

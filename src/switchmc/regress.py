@@ -8,6 +8,7 @@ exactly one cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ class HypercubeBasis:
             )
         if any(c < 1 for c in cells):
             raise ValueError(f"cells_per_dim entries must be >= 1, got {cells}")
+        if math.prod(cells) > np.iinfo(np.int32).max:  # memberships stores int32 ids
+            raise ValueError(f"cells_per_dim {cells} makes {math.prod(cells)} cells, more than int32 ids can name")
         object.__setattr__(self, "cells_per_dim", cells)
         # Interior edges: a right searchsorted over them is the cell; the top edge is in the last.
         edges = tuple(
@@ -154,9 +157,9 @@ def regress_eval(coeffs: CoefficientVector, cell_ids: np.ndarray) -> np.ndarray:
 
 
 def memberships(ensemble: PathEnsemble, basis: HypercubeBasis) -> np.ndarray:
-    """Flat cell index of every path at every grid time, shape (N+1, M)."""
+    """Flat int32 cell index of every path at every grid time, shape (N+1, M)."""
     n_steps = ensemble.grid.n_steps
-    out = np.empty((n_steps + 1, ensemble.M), dtype=np.int64)
+    out = np.empty((n_steps + 1, ensemble.M), dtype=np.int32)
     for k in range(n_steps + 1):
         out[k] = basis.cell_index(ensemble.state(k))
     return out

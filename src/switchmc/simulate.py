@@ -45,6 +45,8 @@ _WIDEN_FACTOR = 1.1
 _MAX_WIDENINGS = 10
 # Paths whose Gaussian streams are drawn before one transposed copy.
 _DRAW_BLOCK = 64
+# Noise draws one chunk of paths may hold at once: 2**21 floats, 16 MB.
+_DRAW_BUDGET = 2 ** 21
 
 
 class SimulationError(RuntimeError):
@@ -163,15 +165,17 @@ class PathEnsemble:
         return self.z_paths[:, k, :]
 
 
-def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int]):
+def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int],
+                    buf: np.ndarray):
     """Per-path draws, each path keyed by (seed, path_id) alone.
 
     Returns z0 (M, n1), dw (N, M, m1), du (N, M, n2) of standard normals:
-    views of one (draw, path) array, filled a block of paths at a time.
+    views of one (draw, path) array at the head of the flat ``buf``, filled
+    a block of paths at a time.
     """
     n1, m1, n2 = model.n1, model.m1, model.n2
-    M = len(path_ids)
-    draws = np.empty((n1 + n_steps * (m1 + n2), M))
+    M, rows = len(path_ids), n1 + n_steps * (m1 + n2)
+    draws = buf[:rows * M].reshape(rows, M)
     block = np.empty((min(M, _DRAW_BLOCK), draws.shape[0]))
     # Philox is counter-based: a fresh state under a path's key gives its stream.
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
@@ -206,18 +210,37 @@ def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
     return signs[..., :m1], signs[..., m1:]
 
 
+def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
+                    noise: NoiseSource, seed: int, path_ids: Sequence[int]):
+    """``path_ids`` a chunk at a time: yields (sl, states), ``states`` being
+    ``_euler_states`` of the paths path_ids[sl], for consecutive slices sl.
+
+    A chunk is the most paths (whole blocks of _DRAW_BLOCK, at least one)
+    whose noise draws fit in _DRAW_BUDGET floats.  Every chunk draws into one
+    buffer, so a caller steps each chunk to its end before taking the next.
+    """
+    per_path = model.n1 + grid.n_steps * (model.m1 + model.n2)
+    size = max(1, _DRAW_BUDGET // (per_path * _DRAW_BLOCK)) * _DRAW_BLOCK
+    n_paths = len(path_ids)
+    buf = np.empty(per_path * min(size, n_paths)) if noise.kind == "gaussian" else None
+    for start in range(0, n_paths, size):
+        sl = slice(start, min(start + size, n_paths))
+        yield sl, _euler_states(model, grid, schedule, noise, seed, path_ids[sl], buf)
+
+
 def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                  noise: NoiseSource, seed: int, path_ids: Sequence[int]):
+                  noise: NoiseSource, seed: int, path_ids: Sequence[int], buf: np.ndarray | None):
     """The recursion of ``simulate_paths`` one step at a time: yields fresh
     (x_k, z_k), (M, n1) and unclamped (M, n1 + n2), for k = 0..N.  The noise
-    draws are made up front; a non-finite step raises before it is yielded."""
+    draws are made up front, Gaussian ones into ``buf``; a non-finite step
+    raises before it is yielded."""
     if schedule.n_steps != grid.n_steps:
         raise ValueError(
             f"covariance schedule has {schedule.n_steps} steps but grid has {grid.n_steps}"
         )
     n_steps, delta, n1 = grid.n_steps, grid.delta, model.n1
     if noise.kind == "gaussian":
-        z0, dw, du = _gaussian_draws(model, n_steps, seed, path_ids)
+        z0, dw, du = _gaussian_draws(model, n_steps, seed, path_ids, buf)
         x = model.m0[None, :] + rowwise_matvec(psd_sqrt(model.theta0), z0)
     else:
         dw, du = _two_point_draws(model, n_steps, path_ids)
@@ -255,12 +278,15 @@ def simulate_paths(
     contiguous block.  Path row ell is a function of (seed, path_ids[ell])
     only, so ensembles of different sizes agree pathwise.  Gaussian noise
     draws the signal start from N(m0, theta0); two-point noise starts the
-    signal at m0 exactly.
+    signal at m0 exactly.  Paths run a chunk at a time, so a SimulationError
+    names the first non-finite step of the first chunk that has one (a later
+    chunk may have failed at an earlier step).
     """
     shape = (grid.n_steps + 1, len(path_ids))
     x, z = np.empty(shape + (model.n1,)), np.empty(shape + (model.n1 + model.n2,))
-    for k, (xk, zk) in enumerate(_euler_states(model, grid, schedule, noise, seed, path_ids)):
-        x[k], z[k] = xk, zk
+    for sl, states in _chunked_states(model, grid, schedule, noise, seed, path_ids):
+        for k, (xk, zk) in enumerate(states):
+            x[k, sl], z[k, sl] = xk, zk
     return z.transpose(1, 0, 2), x.transpose(1, 0, 2)
 
 
@@ -274,17 +300,18 @@ def build_ensemble(
     seed: int,
     store_signal: bool = False,
 ) -> PathEnsemble:
-    """Simulate M paths (indices 0..M-1) and clamp the regression state into
-    ``domain``, one step at a time.  Signal paths are stored unclamped when
-    requested, and not allocated otherwise."""
+    """Simulate M paths (indices 0..M-1) as ``simulate_paths`` does and clamp
+    the regression state into ``domain``.  Signal paths are stored unclamped
+    when requested, and not allocated otherwise."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     z = np.empty((grid.n_steps + 1, M, model.n1 + model.n2))
     x = np.empty((grid.n_steps + 1, M, model.n1)) if store_signal else None
-    for k, (xk, zk) in enumerate(_euler_states(model, grid, schedule, noise, seed, range(M))):
-        np.clip(zk, domain.lows, domain.highs, out=z[k])
-        if store_signal:
-            x[k] = xk
+    for sl, states in _chunked_states(model, grid, schedule, noise, seed, range(M)):
+        for k, (xk, zk) in enumerate(states):
+            np.clip(zk, domain.lows, domain.highs, out=z[k, sl])
+            if store_signal:
+                x[k, sl] = xk
     return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1,
                         x_paths=x.transpose(1, 0, 2) if store_signal else None)
 

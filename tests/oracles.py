@@ -340,13 +340,13 @@ with open("/proc/self/status") as fh:
 """
 
 
-def run_child(script: str) -> dict:
-    """Run ``script`` in a fresh single-threaded interpreter that imports the
-    switchmc under test; returns the JSON object it prints."""
+def run_child(script: str, *args: str) -> dict:
+    """Run ``script`` with ``args`` in a fresh single-threaded interpreter
+    that imports the switchmc under test; returns the JSON object it prints."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(switchmc.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)

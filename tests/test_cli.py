@@ -230,6 +230,14 @@ class TestSolve:
             "error at stage 'calibrate': epsilon must be positive and finite, got 0.0\n"
         )
 
+    def test_more_cells_than_int32_ids_is_a_regress_error(self, capsys):
+        # 50 000 cells per axis make 2.5e9 cells, more than an int32 cell id
+        # can name; the basis refuses them before the induction allocates.
+        code, out, err = run_cli(["solve", *FAST, "--cells-per-dim", "50000"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error at stage 'regress': cells_per_dim (50000, 50000) makes ")
+        assert err.count("\n") == 1
+
     def test_stage_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(StageError("simulate", ValueError("x"))))
         assert (err.stage, str(err.cause), str(err)) == ("simulate", "x", "stage 'simulate' failed: x")

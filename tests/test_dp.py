@@ -25,6 +25,7 @@ from switchmc import (
     solve_riccati,
     value_at_origin,
 )
+from switchmc import simulate
 from switchmc.dp import _action_values, _stay_biased_argmax
 from switchmc.regress import memberships
 
@@ -238,8 +239,8 @@ class TestTwoModeInvariants:
 def test_induction_keeps_two_value_levels():
     # At bench1d size (N = 730, M = 5 000) a per-path value history of all
     # N + 1 levels is 58 MB, and with it the induction's allocation peak was
-    # 87 MB.  Two (d, M) levels leave the 29 MB cell-id table and per-step
-    # temporaries.
+    # 87 MB.  Two (d, M) levels leave the 14.6 MB int32 cell-id table (29 MB
+    # as int64, a 31.6 MB peak) and per-step temporaries: about 17.6 MB.
     script = """
 import json, tracemalloc
 from switchmc import (HypercubeBasis, NoiseSource, backward_induction, build_ensemble,
@@ -258,7 +259,29 @@ print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
 """
     report = run_child(script)
     assert report["M"] == 5000
-    assert report["peak_mb"] <= 45.0
+    assert report["peak_mb"] <= 25.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_solve_memory_per_path():
+    # A bench1d solve (N = 730) stores 11.4 KiB of clamped state and 2.9 KiB
+    # of int32 cell ids a path; its noise draws are held one chunk of paths
+    # at a time.  With every draw held at once and int64 ids, the peak grew
+    # by 22.8 KiB a path from M = 5 000 to M = 20 000.
+    script = """
+import contextlib, io, json, sys
+from switchmc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["solve", "--seed", "1", "--n-steps", "730", "--threads", "1", "--M", sys.argv[1]])
+""" + READ_PEAK_MB + """
+print(json.dumps({"code": code, "peak_kib": peak_mb * 1024}))
+"""
+    peaks = {}
+    for M in (5000, 20000):
+        report = run_child(script, str(M))
+        assert report["code"] == 0
+        peaks[M] = report["peak_kib"]
+    assert (peaks[20000] - peaks[5000]) / 15000 <= 15.0
 
 
 class TestTieBreaking:
@@ -434,11 +457,60 @@ class TestSimulatePolicy:
             )
         assert str(replay_err.value) == str(paths_err.value)
 
+    @pytest.mark.parametrize("pointwise_policy", (True, False), ids=("pointwise", "cell-table"))
+    def test_replay_is_the_same_across_chunk_seams(
+        self, solved_benchmark, monkeypatch, pointwise_policy
+    ):
+        # 300 replay paths in chunks of 64, the last one ragged, against one chunk.
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        args = (model, modes, schedule, surface, policy, rule)
+        kwargs = dict(start_mode=1, M=300, seed=14, pointwise_policy=pointwise_policy)
+        whole = simulate_policy(*args, **kwargs)
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
+        assert simulate_policy(*args, **kwargs) == whole
+
+    def test_non_finite_step_is_the_first_failing_chunks(self, solved_benchmark, monkeypatch):
+        # Each chunk runs to its horizon before the next starts, so the error
+        # names the first failing step of the first chunk that has one, and
+        # a path of a later chunk may have failed earlier.  Path 0's signal
+        # noise is infinite at step index 8 and path 64's at 3.
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        draws = simulate._gaussian_draws
+
+        def poisoned(model, n_steps, seed, path_ids, buf):
+            z0, dw, du = draws(model, n_steps, seed, path_ids, buf)
+            for row, pid in enumerate(path_ids):
+                if pid in (0, 64):
+                    dw[8 if pid == 0 else 3, row] = np.inf
+            return z0, dw, du
+
+        def messages():
+            out = []
+            for run in (
+                lambda: simulate_paths(
+                    model, model.grid, schedule, NoiseSource("gaussian"), seed=0, path_ids=range(65)
+                ),
+                lambda: simulate_policy(
+                    model, modes, schedule, surface, policy, rule, start_mode=0, M=65, seed=0
+                ),
+            ):
+                with pytest.raises(SimulationError) as err:
+                    run()
+                out.append(str(err.value).split(" (")[0])
+            return out
+
+        monkeypatch.setattr(simulate, "_gaussian_draws", poisoned)
+        assert messages() == ["non-finite path value at step 4"] * 2
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
+        assert messages() == ["non-finite path value at step 9"] * 2
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_replay_memory_holds_no_paths(self):
         # A 20 000-path replay at N = 365 used to store the clamped state and
-        # the signal of every path, a peak of about 320 MB; streamed, only
-        # the noise draws (about 117 MB) scale with the path count.
+        # the signal of every path, a peak of about 320 MB.  Streamed, it
+        # peaked at 157 MB with every path's noise drawn at once (about
+        # 117 MB); drawn one chunk at a time, no stored array grows with the
+        # path count by more than a few numbers a path, and it peaks near 58 MB.
         script = """
 import json
 from switchmc import (HypercubeBasis, NoiseSource, backward_induction, build_ensemble,
@@ -460,4 +532,4 @@ print(json.dumps({"peak_mb": peak_mb, "n_paths": replay.n_paths}))
 """
         report = run_child(script)
         assert report["n_paths"] == 20000
-        assert report["peak_mb"] <= 220.0
+        assert report["peak_mb"] <= 100.0

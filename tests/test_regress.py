@@ -64,6 +64,14 @@ class TestHypercubeBasis:
         with pytest.raises(IndexingError, match="nan"):
             basis.cell_index(np.array([[0.5], [np.nan]]))
 
+    def test_refuses_more_cells_than_int32_ids_can_name(self):
+        # memberships stores int32 ids, so R may be at most 2**31 - 1:
+        # 46 340 x 46 341 cells fit and 46 341 x 46 341 do not.
+        dom = Domain(lows=np.zeros(2), highs=np.ones(2))
+        assert HypercubeBasis(dom, (46340, 46341)).R == 2147441940
+        with pytest.raises(ValueError, match=r"^cells_per_dim \(46341, 46341\) makes 2147488281 "):
+            HypercubeBasis(dom, (46341, 46341))
+
     def test_r_and_delta_side(self):
         dom = Domain(lows=np.array([0.0, -1.0]), highs=np.array([2.0, 1.0]))
         basis = HypercubeBasis(dom, (4, 5))
@@ -215,6 +223,13 @@ class TestMemberships:
         ids = memberships(ens, basis)
         for k in (0, 7, 12):
             assert np.array_equal(ids[k], basis.cell_index(ens.state(k)))
+
+    def test_ids_are_int32(self, small_ensemble):
+        # Half the bytes of int64 ids, for the (N+1, M) table the induction holds.
+        ens, basis = small_ensemble
+        ids = memberships(ens, basis)
+        assert ids.dtype == np.int32
+        assert all(np.array_equal(ids[k], basis.cell_index(ens.state(k))) for k in range(13))
 
 
 def test_one_solve_indexes_each_training_step_once(monkeypatch):

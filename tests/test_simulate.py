@@ -28,8 +28,9 @@ from switchmc import (
     simulate_paths,
     solve_riccati,
 )
+from switchmc import simulate
 from switchmc.regress import memberships
-from switchmc.simulate import _DRAW_BLOCK, _clip_error, _gaussian_draws
+from switchmc.simulate import _DRAW_BLOCK, _chunked_states, _clip_error, _gaussian_draws
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +129,8 @@ class TestSimulatePaths:
         model = bench20[0]
         n_steps, seed = 7, 2 ** 40 + 3
         ids = list(range(5, 5 + _DRAW_BLOCK + 2)) + [2 ** 32 + 9, 2 ** 64 - 1]
-        z0, dw, du = _gaussian_draws(model, n_steps, seed, ids)
         n_draws = model.n1 + n_steps * (model.m1 + model.n2)
+        z0, dw, du = _gaussian_draws(model, n_steps, seed, ids, np.empty(n_draws * len(ids)))
         for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, len(ids) - 2, len(ids) - 1):
             key = np.array([seed, ids[row]], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_draws)
@@ -239,6 +240,55 @@ class TestSimulatePaths:
         with pytest.raises(SimulationError) as err:
             simulate_paths(model, grid, schedule, NoiseSource("gaussian"), seed=0, path_ids=range(2))
         assert "step" in str(err.value)
+
+
+def chunk_sizes(model, schedule, n_paths):
+    """Path counts of the chunks ``_chunked_states`` cuts n_paths into, in order."""
+    slices = [sl for sl, _ in _chunked_states(
+        model, model.grid, schedule, NoiseSource("gaussian"), 0, range(n_paths)
+    )]
+    assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
+    return [sl.stop - sl.start for sl in slices]
+
+
+class TestPathChunks:
+    def test_chunks_are_whole_draw_blocks_within_the_budget(self, monkeypatch):
+        # 2**21 floats hold the draws of 1 435 paths at N = 730 (1 461 draws a
+        # path) and 2 868 at N = 365, rounded down to whole blocks of 64.
+        model, _ = make_benchmark(n_steps=730)
+        schedule = solve_riccati(model, model.grid)
+        assert chunk_sizes(model, schedule, 5000) == [1408, 1408, 1408, 776]
+        half, _ = make_benchmark(n_steps=365)
+        assert chunk_sizes(half, solve_riccati(half, half.grid), 5000) == [2816, 2184]
+        signal, _ = load_problem(SIGNAL2D)
+        assert chunk_sizes(signal, solve_riccati(signal, signal.grid), 1500) == [1500]
+        # One block of paths is the floor, whatever the budget.
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
+        assert chunk_sizes(model, schedule, 150) == [64, 64, 22]
+
+    @pytest.mark.parametrize("budget", (1, 41 * 128 + 40), ids=("64-path", "128-path"))
+    @pytest.mark.parametrize("kind", ("gaussian", "two_point"))
+    def test_paths_are_the_same_across_chunk_seams(self, bench20, monkeypatch, kind, budget):
+        # At N = 20 a path draws 41 numbers; 300 paths span several chunks
+        # and the last one is ragged.
+        model, _, schedule = bench20
+        noise = NoiseSource(kind)
+        whole = simulate_paths(model, model.grid, schedule, noise, seed=9, path_ids=range(5, 305))
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
+        assert len(chunk_sizes(model, schedule, 300)) >= 3
+        chunked = simulate_paths(model, model.grid, schedule, noise, seed=9, path_ids=range(5, 305))
+        assert np.array_equal(chunked[0], whole[0])
+        assert np.array_equal(chunked[1], whole[1])
+
+    def test_ensemble_is_the_same_across_chunk_seams(self, bench20, monkeypatch):
+        model, _, schedule = bench20
+        dom = Domain(lows=np.array([-0.5, -1.0]), highs=np.array([0.5, 1.0]))
+        args = (model, model.grid, schedule, dom, 300, NoiseSource("gaussian"), 4, True)
+        whole = build_ensemble(*args)
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
+        chunked = build_ensemble(*args)
+        assert np.array_equal(chunked.z_paths, whole.z_paths)
+        assert np.array_equal(chunked.x_paths, whole.x_paths)
 
 
 class TestPathEnsemble:
