@@ -204,6 +204,8 @@ def simulate_policy(
     """
     if not 0 <= start_mode < modes.d:
         raise ValueError(f"start_mode must lie in [0, {modes.d}), got {start_mode}")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     grid = surface.grid
     basis = surface.basis
     total = np.zeros(M)

@@ -85,9 +85,19 @@ class Domain:
     def dim(self) -> int:
         return self.lows.shape[0]
 
-    def project(self, points: np.ndarray) -> np.ndarray:
-        """Componentwise clamp onto the box (idempotent, 1-Lipschitz)."""
-        return np.clip(np.asarray(points, dtype=float), self.lows, self.highs)
+    def project(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Componentwise clamp onto the box (idempotent, 1-Lipschitz), written
+        into ``out`` if given.  One axis at a time with scalar bounds, which
+        is one flat loop an axis rather than one short loop a point; maximum
+        then minimum gives np.clip's bits, signed zeros and NaNs included."""
+        points = np.asarray(points, dtype=float)
+        if out is None:
+            out = np.empty_like(points)
+        for i, (lo, hi) in enumerate(zip(self.lows.tolist(), self.highs.tolist())):
+            col = out[..., i]
+            np.maximum(points[..., i], lo, out=col)
+            np.minimum(col, hi, out=col)
+        return out
 
     def widened(self, factor: float) -> "Domain":
         center = 0.5 * (self.lows + self.highs)
@@ -309,7 +319,7 @@ def build_ensemble(
     x = np.empty((grid.n_steps + 1, M, model.n1)) if store_signal else None
     for sl, states in _chunked_states(model, grid, schedule, noise, seed, range(M)):
         for k, (xk, zk) in enumerate(states):
-            np.clip(zk, domain.lows, domain.highs, out=z[k, sl])
+            domain.project(zk, out=z[k, sl])
             if store_signal:
                 x[k, sl] = xk
     return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,18 @@ class TestSimulatePolicy:
             simulate_policy(
                 model, modes, schedule, surface, policy, rule, start_mode=start_mode, M=10, seed=13
             )
+
+    @pytest.mark.parametrize("M", (0, -3))
+    def test_path_count_below_one_is_rejected(self, solved_benchmark, M):
+        # M = 0 used to give a NaN mean with two RuntimeWarnings, and M = -3
+        # numpy's "negative dimensions are not allowed".
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^M must be >= 1, got {M}$"):
+                simulate_policy(
+                    model, modes, schedule, surface, policy, rule, start_mode=0, M=M, seed=13
+                )
 
     @pytest.mark.parametrize("pointwise_policy", (True, False), ids=("pointwise", "cell-table"))
     def test_streamed_replay_matches_a_replay_over_the_ensemble(
