@@ -213,7 +213,7 @@ def _simulate(config: RunConfig, rep: int, n_paths: int):
 
 
 def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
-    """One full solve replication: validate, integrate the covariance,
+    """One full solve replication: validate, propagate the covariance,
     calibrate the domain, simulate, regress, and run backward induction."""
     model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, config.params.M)
     grid, domain = ensemble.grid, ensemble.domain
@@ -476,7 +476,7 @@ def _cmd_validate(args, config: RunConfig) -> int:
 def _cmd_riccati(args, config: RunConfig) -> int:
     model, _, _ = _load(config)
     grid = model.grid
-    schedule = _stage("riccati", solve_riccati, model, grid, args.substeps)
+    schedule = _stage("riccati", solve_riccati, model, grid)
     n1 = model.n1
     header = ["t"] + [f"theta_{i + 1}{j + 1}" for i in range(n1) for j in range(n1)]
     times = grid.times
@@ -583,9 +583,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # Subcommands: name, handler, help, and the arguments it adds to the common ones.
 _COMMANDS = (
     ("validate", _cmd_validate, "check a problem's structural assumptions", ()),
-    ("riccati", _cmd_riccati, "integrate the covariance schedule to CSV", (
-        ("--substeps", dict(type=int, default=None, help="RK4 substeps per grid interval")),
-    )),
+    ("riccati", _cmd_riccati, "write the exact covariance schedule to CSV", ()),
     ("paths", _cmd_paths, "simulate a small path ensemble to CSV", (
         ("--n-paths", dict(type=int, default=10, help="paths to emit")),
     )),

@@ -86,17 +86,14 @@ class Domain:
         return self.lows.shape[0]
 
     def project(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Componentwise clamp onto the box (idempotent, 1-Lipschitz), written
-        into ``out`` if given.  One axis at a time with scalar bounds, which
-        is one flat loop an axis rather than one short loop a point; maximum
-        then minimum gives np.clip's bits, signed zeros and NaNs included."""
+        """Componentwise clamp onto the box (idempotent, 1-Lipschitz), into
+        ``out`` if given.  Maximum then minimum with one axis's scalar bounds
+        gives np.clip's bits (signed zeros and NaNs too) in one flat loop an
+        axis, not one short loop a point."""
         points = np.asarray(points, dtype=float)
-        if out is None:
-            out = np.empty_like(points)
+        out = np.empty_like(points) if out is None else out
         for i, (lo, hi) in enumerate(zip(self.lows.tolist(), self.highs.tolist())):
-            col = out[..., i]
-            np.maximum(points[..., i], lo, out=col)
-            np.minimum(col, hi, out=col)
+            np.minimum(np.maximum(points[..., i], lo, out=out[..., i]), hi, out=out[..., i])
         return out
 
     def widened(self, factor: float) -> "Domain":
@@ -262,9 +259,11 @@ def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule
 
     F, C, G = model.F, model.C, model.G
     for k in range(n_steps):
-        dy = rowwise_matvec(G, x) * delta + du[k]
-        x = x + rowwise_matvec(F, x) * delta + rowwise_matvec(C, dw[k])
-        z = np.hstack([mean_step(z[:, :n1], dy, schedule.thetas[k], F, G, delta), z[:, n1:] + dy])
+        # Overflow is reported by the finiteness check below, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = rowwise_matvec(G, x) * delta + du[k]
+            x = x + rowwise_matvec(F, x) * delta + rowwise_matvec(C, dw[k])
+            z = np.hstack([mean_step(z[:, :n1], dy, schedule.thetas[k], F, G, delta), z[:, n1:] + dy])
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"

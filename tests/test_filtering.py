@@ -1,9 +1,11 @@
-"""Covariance integration, quadrature, and conditional-payoff evaluation."""
+"""Covariance propagation, quadrature, and conditional-payoff evaluation."""
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from switchmc import (
     ModelSpec,
     ModeSet,
     QuadratureRule,
-    TimeGrid,
     build_quadrature,
     payoff_from_registry,
     psd_sqrt,
@@ -28,7 +29,6 @@ from switchmc.benchmarks import default_solver_params
 from switchmc.cli import RunConfig, StageError, main, run_pipeline
 from switchmc.filtering import (
     CovarianceSchedule,
-    default_substeps,
     effective_payoff_batch,
     mean_step,
     rowwise_matvec,
@@ -85,7 +85,30 @@ class TestRiccati:
         schedule = solve_riccati(model, model.grid)
         expected = np.tanh(model.grid.times)
         got = np.array([schedule.thetas[k][0, 0] for k in range(731)])
-        assert np.max(np.abs(got - expected)) <= 1e-8
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
+    def test_tanh_closed_form_2d(self):
+        # F = 0, C = G = I and theta0 = 0 decouple into two tanh axes.
+        model = ModelSpec(
+            n1=2, m1=2, n2=2, T=1.0, n_steps=730, F=np.zeros((2, 2)), C=np.eye(2),
+            G=np.eye(2), m0=[0.0, 0.0], theta0=np.zeros((2, 2)), y0=[0.0, 0.0],
+        )
+        thetas = solve_riccati(model, model.grid).thetas
+        expected = np.tanh(model.grid.times)[:, None, None] * np.eye(2)
+        assert np.max(np.abs(thetas - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("F", (-1500.0, -5000.0, -1e5))
+    def test_stiff_drift_reaches_the_steady_value(self, F):
+        # The RK4 integrator this replaced (1e-3 steps) left its stability
+        # region near F = -1 400, and its eigenvalue clip held theta at 0.  At
+        # F = -1e5, exp(delta H) has entries near e^2000, which must not
+        # overflow the propagation.
+        model, _ = make_benchmark(n_steps=100, F=F)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta_T = solve_riccati(model, model.grid).thetas[-1, 0, 0]
+        steady = 1.0 / (math.sqrt(F * F + 1.0) - F)
+        assert theta_T == pytest.approx(steady, rel=1e-12)
 
     def test_linear_growth_when_unobserved(self):
         # G = 0 removes the quadratic term: theta(t) = theta0 + C C' t.
@@ -122,16 +145,6 @@ class TestRiccati:
         with pytest.raises(IntegrationError) as err:
             solve_riccati(model, model.grid)
         assert "interval" in str(err.value)
-
-    def test_substeps_validation(self):
-        model, _ = make_benchmark(n_steps=10)
-        with pytest.raises(ValueError):
-            solve_riccati(model, model.grid, substeps=0)
-
-    def test_default_substeps(self):
-        assert default_substeps(TimeGrid(T=1.0, n_steps=730)) == 2
-        assert default_substeps(TimeGrid(T=1.0, n_steps=2)) == 500
-        assert default_substeps(TimeGrid(T=1.0, n_steps=2000)) == 1
 
     def test_schedule_square_roots_consistent(self):
         model, _ = make_benchmark(n_steps=50)
