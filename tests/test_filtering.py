@@ -101,7 +101,7 @@ class TestRiccati:
     def test_stiff_drift_reaches_the_steady_value(self, F):
         # The RK4 integrator this replaced (1e-3 steps) left its stability
         # region near F = -1 400, and its eigenvalue clip held theta at 0.  At
-        # F = -1e5, exp(delta H) has entries near e^2000, which must not
+        # F = -1e5, exp(delta H) has entries near e^1000, which must not
         # overflow the propagation.
         model, _ = make_benchmark(n_steps=100, F=F)
         with warnings.catch_warnings():
