@@ -475,15 +475,10 @@ def _cmd_validate(args, config: RunConfig) -> int:
 
 def _cmd_riccati(args, config: RunConfig) -> int:
     model, _, _ = _load(config)
-    grid = model.grid
-    schedule = _stage("riccati", solve_riccati, model, grid)
-    n1 = model.n1
-    header = ["t"] + [f"theta_{i + 1}{j + 1}" for i in range(n1) for j in range(n1)]
-    times = grid.times
-    rows = [
-        [f"{times[k]:.12g}"] + [f"{schedule.thetas[k, i, j]:.17g}" for i in range(n1) for j in range(n1)]
-        for k in range(grid.n_steps + 1)
-    ]
+    thetas = _stage("riccati", solve_riccati, model, model.grid).thetas
+    header = ["t"] + [f"theta_{i + 1}{j + 1}" for i in range(model.n1) for j in range(model.n1)]
+    rows = [[f"{t:.12g}"] + [f"{v:.17g}" for v in theta.reshape(-1)]
+            for t, theta in zip(model.grid.times, thetas)]
     _write_output(config, "riccati", "riccati.csv", [header] + rows)
     return 0
 

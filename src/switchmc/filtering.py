@@ -2,14 +2,12 @@
 and Gaussian quadrature for belief-averaged payoffs.
 
 Under the linear model the conditional law of the signal given observations
-is Gaussian N(m_t, theta_t).  The covariance theta_t solves a matrix Riccati
-ODE with constant coefficients and is deterministic, so it is propagated once
-per problem, exactly, by the linear-fractional map of one matrix exponential
-per grid interval; the mean m_t follows a linear recursion driven by
-observation increments.  An affine payoff averages over the belief to its
-value at the mean; the belief average of any other payoff is a tensor
-Gauss-Hermite quadrature of at most 4 096 nodes (8 per axis at n1 = 4, 5 at
-n1 = 5, 4 at n1 = 6; none above n1 = 12).
+is Gaussian N(m_t, theta_t).  The covariance theta_t solves a constant-
+coefficient matrix Riccati ODE, so it is propagated exactly, once per problem;
+the mean m_t follows a linear recursion driven by observation increments.  An
+affine payoff averages over the belief to its value at the mean; the belief
+average of any other payoff is a tensor Gauss-Hermite quadrature of at most
+4 096 nodes (8 per axis at n1 = 4, 5 at n1 = 5, 4 at n1 = 6; none above 12).
 """
 
 from __future__ import annotations
@@ -38,17 +36,14 @@ __all__ = [
 
 # Entry magnitude beyond which Riccati propagation is declared divergent.
 _BLOWUP = 1e12
-# Eigenvalue floor when clipping covariance matrices to the PSD cone.
-_EIG_FLOOR = 0.0
 # Tolerance for the sqrt factor consistency check.
 _SQRT_ATOL = 1e-10
 # Most nodes a quadrature rule may have; the per-axis order is lowered to fit.
 _MAX_NODES = 2 ** 12
 # Most quadrature points (rows x nodes) one payoff call is given.
 _MAX_CHUNK_POINTS = 2 ** 18
-# Coefficients of the [13/13] Pade approximant to exp, and the largest 1-norm
-# at which it is accurate to double precision (Higham, "The scaling and
-# squaring method for the matrix exponential revisited", SIMAX 2005).
+# The [13/13] Pade approximant to exp and the largest 1-norm at which it is
+# accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 2005).
 _PADE13 = [math.comb(13, j) * math.factorial(26 - j) / math.factorial(26) for j in range(14)]
 _THETA13 = 5.371920351148152
 
@@ -62,13 +57,10 @@ class EvaluationError(RuntimeError):
 
 
 def psd_sqrt(theta: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition with eigenvalue
-    clipping; a stack (..., n, n) takes one stacked ``eigh``."""
+    """Symmetric PSD square root(s) of (..., n, n) by eigenvalue clipping."""
     theta = np.asarray(theta, dtype=float)
-    sym = 0.5 * (theta + np.swapaxes(theta, -1, -2))
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.clip(vals, _EIG_FLOOR, None)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    vals, vecs = np.linalg.eigh(0.5 * (theta + np.swapaxes(theta, -1, -2)))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +90,6 @@ class CovarianceSchedule:
 
     @classmethod
     def from_thetas(cls, thetas: np.ndarray) -> "CovarianceSchedule":
-        thetas = np.asarray(thetas, dtype=float)
         return cls(thetas=thetas, sqrt_thetas=psd_sqrt(thetas))
 
     @property
@@ -219,37 +210,30 @@ def rowwise_matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm_minus_identity(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """(w, D) with exp(a) = c (w I + D) for some c > 0, by Pade [13/13]
-    scaling and squaring that carries D = exp(a) - I, which keeps its relative
-    accuracy where exp(a) is near I.  Each squaring, (w I + D)^2 =
-    w^2 I + 2 w D + D^2, is divided by the power of two (exact) that keeps
-    max(w, max |D|) in [1, 2), so a stiff exp(a) stays finite; w = c = 1
-    unless D grows past 2."""
+def _expm_minus_identity(a: np.ndarray) -> np.ndarray:
+    """exp(a) - I by Pade [13/13] scaling and squaring, carried in that form,
+    (I + D)^2 - I = 2 D + D^2, to keep its relative accuracy near I."""
     squarings = max(0, math.frexp(float(np.abs(a).sum(axis=0).max()) / _THETA13)[1])
     a = np.ldexp(a, -squarings)
     powers = [np.linalg.matrix_power(a @ a, i) for i in range(7)]  # a^0, a^2, ..., a^12
     u = a @ sum(_PADE13[2 * i + 1] * p for i, p in enumerate(powers))
     v = sum(_PADE13[2 * i] * p for i, p in enumerate(powers))
-    d, w = np.linalg.solve(v - u, 2.0 * u), 1.0  # (v - u)^{-1} (v + u) - I
+    d = np.linalg.solve(v - u, 2.0 * u)  # (v - u)^{-1} (v + u) - I
     for _ in range(squarings):
-        d, w = 2.0 * w * d + d @ d, w * w
-        shift = math.frexp(max(w, float(np.abs(d).max())))[1] - 1
-        d, w = np.ldexp(d, -shift), math.ldexp(w, -shift)
-    return w, d
+        d = 2.0 * d + d @ d
+    return d
 
 
 def solve_riccati(model: ModelSpec, grid: TimeGrid) -> CovarianceSchedule:
     """Propagate d theta/dt = F theta + theta F^T - theta G^T G theta + C C^T.
 
-    With constant coefficients one interval's flow is exactly the map
-    theta <- (E11 theta + E12)(E21 theta + E22)^{-1} of the blocks of
-    E = exp(delta H), H = [[F, C C^T], [G^T G, -F^T]] (Davison & Maki, IEEE
-    TAC 1973).  E = w I + D is computed once; each interval adds the map's
-    increment (D11 theta + D12 - theta T)(w I + T)^{-1}, T = D21 theta + D22,
-    and symmetrizes.  theta0 is clipped to the PSD cone once.  A non-finite E
-    or iterate, or an entry above 1e12, is an IntegrationError naming the
-    interval (the first, for E).
+    One interval's flow is exactly theta <- (E11 theta + E12)(E21 theta +
+    E22)^{-1}, from the blocks of E = exp(delta H), H = [[F, C C^T], [G^T G,
+    -F^T]] (Davison & Maki, IEEE TAC 1973).  With E = I + D, computed once,
+    each interval adds (D11 theta + D12 - theta T)(I + T)^{-1}, T = D21 theta
+    + D22, and symmetrizes.  theta0 is clipped to the PSD cone once.  A
+    non-finite E or theta, or an entry above 1e12, is an IntegrationError
+    naming the interval (the first, for E).
     """
     n_steps, n1 = grid.n_steps, model.n1
     thetas = np.empty((n_steps + 1, n1, n1))
@@ -259,22 +243,20 @@ def solve_riccati(model: ModelSpec, grid: TimeGrid) -> CovarianceSchedule:
     with np.errstate(over="ignore", invalid="ignore"):
         F = model.F
         a = grid.delta * np.block([[F, model.C @ model.C.T], [model.G.T @ model.G, -F.T]])
-        w, d = _expm_minus_identity(a)
+        d = _expm_minus_identity(a)
         finite = np.isfinite(a).all() and np.isfinite(d).all()
         d11, d12, d21, d22 = d[:n1, :n1], d[:n1, n1:], d[n1:, :n1], d[n1:, n1:]
-        w_eye = w * np.eye(n1)
         for k in range(n_steps):
             tail = d21 @ theta + d22
             try:  # solve gives the increment's transpose, which symmetrizing undoes
-                step = np.linalg.solve((w_eye + tail).T, (d11 @ theta + d12 - theta @ tail).T)
+                step = np.linalg.solve((np.eye(n1) + tail).T, (d11 @ theta + d12 - theta @ tail).T)
             except np.linalg.LinAlgError:  # a singular denominator: theta is unbounded
                 step = np.full((n1, n1), np.inf)
             theta = theta + 0.5 * (step + step.T)
             if not (finite and np.abs(theta).max() <= _BLOWUP):
                 raise IntegrationError(
-                    f"Riccati propagation diverged on interval [{grid.times[k]:g}, "
-                    f"{grid.times[k + 1]:g}] (exp(delta H) or theta not finite, "
-                    f"or max |entry| > {_BLOWUP:g})"
+                    f"Riccati propagation diverged on interval [{grid.times[k]:g}, {grid.times[k + 1]:g}]"
+                    f" (exp(delta H) or theta not finite, or max |entry| > {_BLOWUP:g})"
                 )
             thetas[k + 1] = theta
     return CovarianceSchedule.from_thetas(thetas)

@@ -85,15 +85,12 @@ class Domain:
     def dim(self) -> int:
         return self.lows.shape[0]
 
-    def project(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Componentwise clamp onto the box (idempotent, 1-Lipschitz), into
-        ``out`` if given.  Maximum then minimum with one axis's scalar bounds
-        gives np.clip's bits (signed zeros and NaNs too) in one flat loop an
-        axis, not one short loop a point."""
-        points = np.asarray(points, dtype=float)
-        out = np.empty_like(points) if out is None else out
+    def project(self, points: np.ndarray) -> np.ndarray:
+        """Componentwise clamp onto the box (idempotent, 1-Lipschitz), one flat
+        loop an axis with scalar bounds: np.clip's bits, signed zeros and NaNs too."""
+        out = np.array(points, dtype=float)
         for i, (lo, hi) in enumerate(zip(self.lows.tolist(), self.highs.tolist())):
-            np.minimum(np.maximum(points[..., i], lo, out=out[..., i]), hi, out=out[..., i])
+            np.minimum(np.maximum(out[..., i], lo, out=out[..., i]), hi, out=out[..., i])
         return out
 
     def widened(self, factor: float) -> "Domain":
@@ -259,11 +256,9 @@ def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule
 
     F, C, G = model.F, model.C, model.G
     for k in range(n_steps):
-        # Overflow is reported by the finiteness check below, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dy = rowwise_matvec(G, x) * delta + du[k]
-            x = x + rowwise_matvec(F, x) * delta + rowwise_matvec(C, dw[k])
-            z = np.hstack([mean_step(z[:, :n1], dy, schedule.thetas[k], F, G, delta), z[:, n1:] + dy])
+        dy = rowwise_matvec(G, x) * delta + du[k]
+        x = x + rowwise_matvec(F, x) * delta + rowwise_matvec(C, dw[k])
+        z = np.hstack([mean_step(z[:, :n1], dy, schedule.thetas[k], F, G, delta), z[:, n1:] + dy])
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
@@ -318,7 +313,7 @@ def build_ensemble(
     x = np.empty((grid.n_steps + 1, M, model.n1)) if store_signal else None
     for sl, states in _chunked_states(model, grid, schedule, noise, seed, range(M)):
         for k, (xk, zk) in enumerate(states):
-            domain.project(zk, out=z[k, sl])
+            z[k, sl] = domain.project(zk)
             if store_signal:
                 x[k, sl] = xk
     return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1,

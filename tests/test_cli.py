@@ -511,7 +511,7 @@ def test_bad_epsilon_is_a_calibrate_error(command, epsilon, capsys):
     "value", (1e300, -1e300, 1e-300, -1e-300, 0.0, math.nan, math.inf, -math.inf)
 )
 def test_extreme_coefficient_solves_or_names_a_stage(key, value, tmp_path, capsys):
-    # Overflow in the Riccati propagation used to print numpy's
+    # Overflow in the Riccati integration used to print numpy's
     # RuntimeWarning lines before the stage error.
     path = write_problem(tmp_path, **{key: value})
     with warnings.catch_warnings(record=True) as caught:
