@@ -246,17 +246,19 @@ def solve_riccati(model: ModelSpec, grid: TimeGrid) -> CovarianceSchedule:
         d = _expm_minus_identity(a)
         finite = np.isfinite(a).all() and np.isfinite(d).all()
         d11, d12, d21, d22 = d[:n1, :n1], d[:n1, n1:], d[n1:, :n1], d[n1:, n1:]
+        eye = np.eye(n1)
         for k in range(n_steps):
             tail = d21 @ theta + d22
             try:  # solve gives the increment's transpose, which symmetrizing undoes
-                step = np.linalg.solve((np.eye(n1) + tail).T, (d11 @ theta + d12 - theta @ tail).T)
+                step = np.linalg.solve((eye + tail).T, (d11 @ theta + d12 - theta @ tail).T)
             except np.linalg.LinAlgError:  # a singular denominator: theta is unbounded
                 step = np.full((n1, n1), np.inf)
             theta = theta + 0.5 * (step + step.T)
             if not (finite and np.abs(theta).max() <= _BLOWUP):
                 raise IntegrationError(
-                    f"Riccati propagation diverged on interval [{grid.times[k]:g}, {grid.times[k + 1]:g}]"
-                    f" (exp(delta H) or theta not finite, or max |entry| > {_BLOWUP:g})"
+                    f"Riccati propagation diverged on interval [{grid.times[k]:g}, "
+                    f"{grid.times[k + 1]:g}] (exp(delta H) or theta not finite, "
+                    f"or max |entry| > {_BLOWUP:g})"
                 )
             thetas[k + 1] = theta
     return CovarianceSchedule.from_thetas(thetas)

@@ -1,4 +1,4 @@
-"""Covariance propagation, quadrature, and conditional-payoff evaluation."""
+"""Covariance integration, quadrature, and conditional-payoff evaluation."""
 
 from __future__ import annotations
 
