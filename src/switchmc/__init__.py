@@ -34,7 +34,6 @@ from .filtering import (
 from .simulate import (
     CalibrationError,
     Domain,
-    NoiseSource,
     PathEnsemble,
     SimulationError,
     build_ensemble,
@@ -62,7 +61,6 @@ from .dp import (
 )
 from .oracle import (
     OracleRefusal,
-    TreeSpec,
     tree_oracle_value,
 )
 
@@ -74,12 +72,12 @@ __all__ = [
     "CovarianceSchedule", "EvaluationError",
     "IntegrationError", "QuadratureRule", "build_quadrature", "psd_sqrt",
     "solve_riccati",
-    "CalibrationError", "Domain", "NoiseSource", "PathEnsemble",
+    "CalibrationError", "Domain", "PathEnsemble",
     "SimulationError", "build_ensemble", "calibrate_domain", "derive_seed",
     "payoff_sup_on_domain", "simulate_paths",
     "CoefficientVector", "HypercubeBasis", "IndexingError", "PminEstimate",
     "empirical_coefficients", "estimate_pmin", "regress_eval",
     "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",
     "simulate_policy", "value_at_origin",
-    "OracleRefusal", "TreeSpec", "tree_oracle_value",
+    "OracleRefusal", "tree_oracle_value",
 ]

@@ -38,10 +38,9 @@ from .benchmarks import (
 from .dp import backward_induction, value_at_origin
 from .filtering import payoff_quadrature, solve_riccati
 from .model import _integer, load_problem, switch_count_bound, validate
-from .oracle import TreeSpec, tree_oracle_value
+from .oracle import tree_oracle_value
 from .regress import HypercubeBasis, estimate_pmin
 from .simulate import (
-    NoiseSource,
     build_ensemble,
     calibrate_domain,
     derive_seed,
@@ -206,8 +205,7 @@ def _simulate(config: RunConfig, rep: int, n_paths: int):
         pilot_M=max(100, min(params.M, 1000)), seed=seeds["pilot"],
     )
     ensemble = _stage(
-        "simulate", build_ensemble, model, grid, schedule, domain, n_paths,
-        NoiseSource("gaussian"), seeds["train"],
+        "simulate", build_ensemble, model, grid, schedule, domain, n_paths, seeds["train"],
     )
     return model, modes, schedule, rule, ensemble, seeds
 
@@ -539,14 +537,13 @@ def _cmd_sweep(args, config: RunConfig) -> int:
 
 def _cmd_oracle(args, config: RunConfig) -> int:
     model, modes, _ = _load(config)
-    spec = _stage("oracle", TreeSpec, model, modes)
     schedule = _stage("riccati", solve_riccati, model, model.grid)
     rule = _stage("quadrature", payoff_quadrature, modes, model.n1, config.params.quad_order)
-    values = _stage("oracle", tree_oracle_value, spec, schedule, rule)
+    values = _stage("oracle", tree_oracle_value, model, modes, schedule, rule)
     payload = {
         "values": [float(v) for v in values],
         "n_steps": model.n_steps,
-        "n_leaves": spec.n_leaves,
+        "n_leaves": 4 ** model.n_steps,
         "manifest": config.manifest("oracle"),
     }
     _write_output(config, "oracle", "oracle.json", payload)

@@ -21,7 +21,7 @@ import numpy as np
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
 from .regress import HypercubeBasis, empirical_coefficients, memberships, regress_eval
-from .simulate import NoiseSource, PathEnsemble, _chunked_states
+from .simulate import PathEnsemble, _check_schedule, _chunked_states
 
 __all__ = [
     "ValueSurface",
@@ -93,7 +93,6 @@ class PolicyEvaluation:
     mean: float
     stderr: float
     mean_switches: float
-    n_paths: int
 
 
 def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray | int):
@@ -140,6 +139,7 @@ def backward_induction(
     point, and ties prefer staying then the smallest mode index.
     """
     grid = ensemble.grid
+    _check_schedule(schedule, grid)
     n_steps = grid.n_steps
     d, M, R = modes.d, ensemble.M, basis.R
     cell_ids = memberships(ensemble, basis)
@@ -212,7 +212,7 @@ def simulate_policy(
     switches = np.zeros(M, dtype=np.int64)
     times, cost, d = grid.times, modes.costs, modes.d
 
-    for sl, states in _chunked_states(model, grid, schedule, NoiseSource("gaussian"), seed, range(M)):
+    for sl, states in _chunked_states(model, grid, schedule, seed, range(M)):
         P = sl.stop - sl.start
         mode, rows = np.full(P, int(start_mode), dtype=np.int64), np.arange(P)
         for k in range(grid.n_steps):
@@ -239,5 +239,4 @@ def simulate_policy(
         mean=mean,
         stderr=stderr,
         mean_switches=float(switches.mean()),
-        n_paths=M,
     )

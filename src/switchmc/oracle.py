@@ -1,24 +1,24 @@
 """Exact small-instance oracles used to validate the Monte Carlo solver.
 
-For scalar models driven by two-point noise the full noise tree (4 branches
-per step) can be enumerated, so the dynamic program can be solved with exact
+For scalar models driven by two-point noise (increments of +-sqrt(delta))
+the full noise tree (4 branches per step) can be enumerated through the
+solver's own Euler recursion, so the dynamic program can be solved with exact
 conditional expectations: paths are grouped by their observation-increment
 history and continuation values are averaged within each group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet
-from .simulate import NoiseSource, simulate_paths
+from .simulate import _euler_states
 
 __all__ = [
     "OracleRefusal",
-    "TreeSpec",
     "tree_oracle_value",
 ]
 
@@ -29,37 +29,35 @@ class OracleRefusal(ValueError):
     """The oracle does not cover the requested configuration."""
 
 
-@dataclass(frozen=True, eq=False)
-class TreeSpec:
-    """A scalar problem small enough for exhaustive two-point enumeration.
+def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
+    """Sign patterns +-1 read from the base-2 digits of each path index,
+    time-major: dw (N, M, m1) and du (N, M, n2).
 
-    Requires n1 = m1 = n2 = 1 and at most 8 steps, so the full tree has
-    4^n_steps <= 65536 leaves.
+    Bit k*(m1+n2)+c of the path index selects the sign of noise component c
+    at step k (signal components first, then observation components).  With
+    M = 2^(N*(m1+n2)) consecutive indices the ensemble enumerates every
+    pattern exactly once.
     """
+    m1 = model.m1
+    width = m1 + model.n2
+    ids = np.asarray(path_ids, dtype=np.int64)
+    bits = np.arange(n_steps * width).reshape(n_steps, 1, width)
+    signs = np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
+    return signs[..., :m1], signs[..., m1:]
 
-    model: ModelSpec
-    modes: ModeSet
 
-    def __post_init__(self) -> None:
-        m = self.model
-        if (m.n1, m.m1, m.n2) != (1, 1, 1):
-            raise OracleRefusal(
-                f"tree oracle requires a scalar model, got dimensions "
-                f"(n1, m1, n2) = ({m.n1}, {m.m1}, {m.n2})"
-            )
-        if m.n_steps > _MAX_TREE_STEPS:
-            raise OracleRefusal(
-                f"tree oracle limited to {_MAX_TREE_STEPS} steps "
-                f"(4^{m.n_steps} leaves requested)"
-            )
-
-    @property
-    def n_leaves(self) -> int:
-        return 4 ** self.model.n_steps
+def _tree_paths(model: ModelSpec, schedule: CovarianceSchedule, path_ids: Sequence[int]):
+    """Two-point paths of the given indices on ``model.grid``, the signal
+    starting at m0: (z, x) with the shapes ``simulate_paths`` returns."""
+    dw, du = _two_point_draws(model, model.n_steps, path_ids)
+    x0 = np.tile(model.m0, (len(path_ids), 1))
+    states = list(_euler_states(model, model.grid, schedule, x0, dw, du))
+    return np.stack([z for _, z in states], axis=1), np.stack([x for x, _ in states], axis=1)
 
 
 def tree_oracle_value(
-    spec: TreeSpec,
+    model: ModelSpec,
+    modes: ModeSet,
     schedule: CovarianceSchedule,
     rule: QuadratureRule,
 ) -> np.ndarray:
@@ -68,19 +66,27 @@ def tree_oracle_value(
     All 4^N sign patterns are simulated with the solver's own recursions;
     the backward induction then uses exact conditional expectations, grouping
     paths by their observation-increment history and averaging continuation
-    values within each group (every pattern is equally likely).
+    values within each group (every pattern is equally likely).  A problem
+    that is not scalar (n1 = m1 = n2 = 1) or has over 8 steps is refused.
     """
-    model, modes = spec.model, spec.modes
+    if (model.n1, model.m1, model.n2) != (1, 1, 1):
+        raise OracleRefusal(
+            f"tree oracle requires a scalar model, got dimensions "
+            f"(n1, m1, n2) = ({model.n1}, {model.m1}, {model.n2})"
+        )
+    if model.n_steps > _MAX_TREE_STEPS:
+        raise OracleRefusal(
+            f"tree oracle limited to {_MAX_TREE_STEPS} steps "
+            f"(4^{model.n_steps} leaves requested)"
+        )
     grid = model.grid
     n_steps, delta = grid.n_steps, grid.delta
     d = modes.d
-    M = spec.n_leaves
+    M = 4 ** n_steps
     times = grid.times
 
     n1 = model.n1
-    state, _ = simulate_paths(
-        model, grid, schedule, NoiseSource("two_point"), seed=0, path_ids=range(M)
-    )
+    state, _ = _tree_paths(model, schedule, range(M))
     dy = np.diff(state[:, :, n1], axis=1)  # (M, N)
 
     # labels[k][ell]: group of path ell under equality of its first k

@@ -24,7 +24,6 @@ __all__ = [
     "SimulationError",
     "CalibrationError",
     "Domain",
-    "NoiseSource",
     "PathEnsemble",
     "derive_seed",
     "simulate_paths",
@@ -33,7 +32,6 @@ __all__ = [
     "payoff_sup_on_domain",
 ]
 
-_NOISE_KINDS = ("gaussian", "two_point")
 # Padding for coordinates that never move during the calibration pilot.
 _DEGENERATE_PAD = 1e-9
 # Quantile ladder tried during calibration, tightest box first.
@@ -97,18 +95,6 @@ class Domain:
         center = 0.5 * (self.lows + self.highs)
         half = 0.5 * (self.highs - self.lows) * factor
         return Domain(lows=center - half, highs=center + half)
-
-
-@dataclass(frozen=True)
-class NoiseSource:
-    """Driving noise: 'gaussian' Brownian increments, or 'two_point' increments
-    of +-sqrt(delta) read off the path index bits for exhaustive enumeration."""
-
-    kind: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {_NOISE_KINDS}, got '{self.kind}'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,25 +183,8 @@ def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequenc
     return draws[:n1].T, dw, du
 
 
-def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
-    """Sign patterns +-1 read from the base-2 digits of each path index,
-    time-major: dw (N, M, m1) and du (N, M, n2).
-
-    Bit k*(m1+n2)+c of the path index selects the sign of noise component c
-    at step k (signal components first, then observation components).  With
-    M = 2^(N*(m1+n2)) consecutive indices the ensemble enumerates every
-    pattern exactly once.
-    """
-    m1 = model.m1
-    width = m1 + model.n2
-    ids = np.asarray(path_ids, dtype=np.int64)
-    bits = np.arange(n_steps * width).reshape(n_steps, 1, width)
-    signs = np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
-    return signs[..., :m1], signs[..., m1:]
-
-
 def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                    noise: NoiseSource, seed: int, path_ids: Sequence[int]):
+                    seed: int, path_ids: Sequence[int]):
     """``path_ids`` a chunk at a time: yields (sl, states), ``states`` being
     ``_euler_states`` of the paths path_ids[sl], for consecutive slices sl.
 
@@ -226,32 +195,58 @@ def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedu
     per_path = model.n1 + grid.n_steps * (model.m1 + model.n2)
     size = max(1, _DRAW_BUDGET // (per_path * _DRAW_BLOCK)) * _DRAW_BLOCK
     n_paths = len(path_ids)
-    buf = np.empty(per_path * min(size, n_paths)) if noise.kind == "gaussian" else None
+    buf = np.empty(per_path * min(size, n_paths))
+    sqrt_theta0 = psd_sqrt(model.theta0)
     for start in range(0, n_paths, size):
         sl = slice(start, min(start + size, n_paths))
-        yield sl, _euler_states(model, grid, schedule, noise, seed, path_ids[sl], buf)
+        z0, dw, du = _gaussian_draws(model, grid.n_steps, seed, path_ids[sl], buf)
+        x0 = model.m0[None, :] + rowwise_matvec(sqrt_theta0, z0)
+        yield sl, _euler_states(model, grid, schedule, x0, dw, du)
 
 
-def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                  noise: NoiseSource, seed: int, path_ids: Sequence[int], buf: np.ndarray | None):
-    """The recursion of ``simulate_paths`` one step at a time: yields fresh
-    (x_k, z_k), (M, n1) and unclamped (M, n1 + n2), for k = 0..N.  The noise
-    draws are made up front, Gaussian ones into ``buf``; a non-finite step
-    raises before it is yielded."""
+def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
+    """A covariance schedule is read on the grid it was propagated on."""
     if schedule.n_steps != grid.n_steps:
         raise ValueError(
             f"covariance schedule has {schedule.n_steps} steps but grid has {grid.n_steps}"
         )
+
+
+def _check_euler_stability(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule) -> None:
+    """Refuse a grid on which an explicit Euler step amplifies a damped mode:
+    an eigenvalue mu with Re mu < 0 and |1 + delta mu| > 1 of F (the signal)
+    or of F - theta_k G^T G (the conditional mean), k = 0..N-1."""
+    delta = grid.delta
+    drifts = (
+        ("signal", model.F[None]),
+        ("conditional mean", model.F - schedule.thetas[:-1] @ (model.G.T @ model.G)),
+    )
+    for name, drift in drifts:
+        mu = np.linalg.eigvals(drift)
+        factor = np.abs(1.0 + delta * mu)
+        amplified = (mu.real < 0) & (factor > 1.0)
+        if amplified.any():
+            k = int(np.argmax(amplified.any(axis=1)))
+            raise SimulationError(
+                f"explicit Euler step of the {name} amplifies a damped mode at "
+                f"t = {grid.times[k]:g}: |1 + delta mu| = {factor[k][amplified[k]].max():.3g} > 1"
+            )
+
+
+def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
+                  x0: np.ndarray, dw: np.ndarray, du: np.ndarray):
+    """The recursion of ``simulate_paths`` one step at a time, from the signal
+    start ``x0`` (M, n1) and the unit-variance increments dw (N, M, m1) and
+    du (N, M, n2), which it scales by sqrt(delta) in place: yields fresh
+    (x_k, z_k), (M, n1) and unclamped (M, n1 + n2), for k = 0..N.  A grid
+    whose step amplifies a damped mode raises before any step, and a
+    non-finite step raises before it is yielded."""
+    _check_schedule(schedule, grid)
+    _check_euler_stability(model, grid, schedule)
     n_steps, delta, n1 = grid.n_steps, grid.delta, model.n1
-    if noise.kind == "gaussian":
-        z0, dw, du = _gaussian_draws(model, n_steps, seed, path_ids, buf)
-        x = model.m0[None, :] + rowwise_matvec(psd_sqrt(model.theta0), z0)
-    else:
-        dw, du = _two_point_draws(model, n_steps, path_ids)
-        x = np.tile(model.m0, (len(path_ids), 1))
     dw *= math.sqrt(delta)
     du *= math.sqrt(delta)
-    z = np.tile(np.concatenate([model.m0, model.y0]), (len(path_ids), 1))
+    x, z = x0, np.tile(np.concatenate([model.m0, model.y0]), (len(x0), 1))
     yield x, z
 
     F, C, G = model.F, model.C, model.G
@@ -270,25 +265,25 @@ def simulate_paths(
     model: ModelSpec,
     grid: TimeGrid,
     schedule: CovarianceSchedule,
-    noise: NoiseSource,
     seed: int,
     path_ids: Sequence[int],
 ):
-    """Simulate raw (unclamped) Euler paths for the given path indices.
+    """Simulate raw (unclamped) Gaussian Euler paths for the given path indices.
 
     Returns (z, x) with shapes (M, N+1, n1 + n2) and (M, N+1, n1): the
     regression state (conditional mean, then observation) and the signal,
     as transposed views of time-major arrays, so one grid time is one
     contiguous block.  Path row ell is a function of (seed, path_ids[ell])
-    only, so ensembles of different sizes agree pathwise.  Gaussian noise
-    draws the signal start from N(m0, theta0); two-point noise starts the
-    signal at m0 exactly.  Paths run a chunk at a time, so a SimulationError
-    names the first non-finite step of the first chunk that has one (a later
-    chunk may have failed at an earlier step).
+    only, so ensembles of different sizes agree pathwise.  The signal starts
+    from N(m0, theta0).  A grid whose Euler step amplifies a damped mode of
+    the signal or the conditional mean is a SimulationError before any step.
+    Paths run a chunk at a time, so a SimulationError names the first
+    non-finite step of the first chunk that has one (a later chunk may have
+    failed at an earlier step).
     """
     shape = (grid.n_steps + 1, len(path_ids))
     x, z = np.empty(shape + (model.n1,)), np.empty(shape + (model.n1 + model.n2,))
-    for sl, states in _chunked_states(model, grid, schedule, noise, seed, path_ids):
+    for sl, states in _chunked_states(model, grid, schedule, seed, path_ids):
         for k, (xk, zk) in enumerate(states):
             x[k, sl], z[k, sl] = xk, zk
     return z.transpose(1, 0, 2), x.transpose(1, 0, 2)
@@ -300,18 +295,17 @@ def build_ensemble(
     schedule: CovarianceSchedule,
     domain: Domain,
     M: int,
-    noise: NoiseSource,
     seed: int,
     store_signal: bool = False,
 ) -> PathEnsemble:
-    """Simulate M paths (indices 0..M-1) as ``simulate_paths`` does and clamp
-    the regression state into ``domain``.  Signal paths are stored unclamped
-    when requested, and not allocated otherwise."""
+    """Simulate M Gaussian paths (indices 0..M-1) as ``simulate_paths`` does
+    and clamp the regression state into ``domain``.  Signal paths are stored
+    unclamped when requested, and not allocated otherwise."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     z = np.empty((grid.n_steps + 1, M, model.n1 + model.n2))
     x = np.empty((grid.n_steps + 1, M, model.n1)) if store_signal else None
-    for sl, states in _chunked_states(model, grid, schedule, noise, seed, range(M)):
+    for sl, states in _chunked_states(model, grid, schedule, seed, range(M)):
         for k, (xk, zk) in enumerate(states):
             z[k, sl] = domain.project(zk)
             if store_signal:
@@ -349,10 +343,9 @@ def calibrate_domain(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if pilot_M < 100:
         raise ValueError(f"pilot_M must be >= 100, got {pilot_M}")
-    noise = NoiseSource("gaussian")
     pilot_seed = derive_seed(seed, 101)
     verify_seed = derive_seed(seed, 102)
-    state, _ = simulate_paths(model, grid, schedule, noise, pilot_seed, range(pilot_M))
+    state, _ = simulate_paths(model, grid, schedule, pilot_seed, range(pilot_M))
     cols = state.transpose(2, 1, 0)  # (dim, N+1, M) views of time-major storage
     center = 0.5 * (np.array([col.min() for col in cols]) + np.array([col.max() for col in cols]))
     # (M, dim): per-path sup over time of the distance to the center.
@@ -368,7 +361,7 @@ def calibrate_domain(
             f"no quantile box met the pilot distortion target {_CALIBRATION_MARGIN * epsilon:g}"
         )
 
-    verify_state, _ = simulate_paths(model, grid, schedule, noise, verify_seed, range(pilot_M))
+    verify_state, _ = simulate_paths(model, grid, schedule, verify_seed, range(pilot_M))
     for _ in range(_MAX_WIDENINGS + 1):
         if _clip_error(verify_state.transpose(2, 1, 0), domain) <= epsilon:
             return domain
@@ -389,6 +382,7 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
     otherwise.  A payoff value that is not finite is an EvaluationError
     naming the mode.
     """
+    _check_schedule(schedule, grid)
     n1 = schedule.thetas.shape[1]
     n2 = domain.dim - n1
     # Corner r takes the high end of axis c where bit c of r is set.
@@ -402,7 +396,7 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
     # A block of corners shifted by every node is at most _MAX_CHUNK_POINTS points.
     rows = max(1, _MAX_CHUNK_POINTS // rule.n_nodes)
     for k in range(grid.n_steps + 1):
-        sqrt_theta = schedule.sqrt_thetas[min(k, schedule.n_steps)]
+        sqrt_theta = schedule.sqrt_thetas[k]
         shifts = rule.nodes @ sqrt_theta.T  # (Qn, n1)
         t = float(times[k])
         for start in range(0, len(points), rows):

@@ -28,8 +28,7 @@ from switchmc import (
     Domain,
     HypercubeBasis,
     ModeSet,
-    NoiseSource,
-    TreeSpec,
+    PathEnsemble,
     as_payoff,
     backward_induction,
     build_ensemble,
@@ -50,6 +49,7 @@ from switchmc.benchmarks import (
     default_solver_params,
 )
 from switchmc.cli import RunConfig, main, run_pipeline, run_solve, run_sweep
+from switchmc.oracle import _tree_paths
 from switchmc.regress import memberships
 
 ACCEPTANCE_SEEDS = (20260819, 20260820, 20260821, 20260822, 20260823)
@@ -148,9 +148,8 @@ def test_criterion_3_oracle_equivalence():
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
     domain = Domain(lows=np.array([-3.0, -3.0]), highs=np.array([3.0, 3.0]))
-    ensemble = build_ensemble(
-        model, grid, schedule, domain, 256, NoiseSource("two_point"), seed=0
-    )
+    z, _ = _tree_paths(model, schedule, range(256))
+    ensemble = PathEnsemble(grid, domain, domain.project(z), n1=1)
     basis = HypercubeBasis(domain, (1024, 1024))
     ids = memberships(ensemble, basis)
     separated = all(
@@ -159,7 +158,7 @@ def test_criterion_3_oracle_equivalence():
     )
     surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
     origin = value_at_origin(surface)
-    tree = tree_oracle_value(TreeSpec(model, modes), schedule, rule)
+    tree = tree_oracle_value(model, modes, schedule, rule)
     diff = float(np.max(np.abs(origin - tree)))
     elapsed = time.perf_counter() - start
     ok = separated and diff <= 1e-10 and elapsed <= 1.0
@@ -220,7 +219,7 @@ def test_criterion_5_degenerate_closed_forms():
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=7)
-    ensemble = build_ensemble(model, grid, schedule, domain, 300, NoiseSource("gaussian"), seed=8)
+    ensemble = build_ensemble(model, grid, schedule, domain, 300, seed=8)
     basis = HypercubeBasis(domain, (10, 10))
     surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
     origin = value_at_origin(surface)
@@ -234,9 +233,7 @@ def test_criterion_5_degenerate_closed_forms():
     )
     schedule2 = solve_riccati(model2, model2.grid)
     domain2 = calibrate_domain(model2, model2.grid, schedule2, 0.01, pilot_M=300, seed=9)
-    ensemble2 = build_ensemble(
-        model2, model2.grid, schedule2, domain2, 300, NoiseSource("gaussian"), seed=10
-    )
+    ensemble2 = build_ensemble(model2, model2.grid, schedule2, domain2, 300, seed=10)
     basis2 = HypercubeBasis(domain2, (10, 10))
     surface2, policy2 = backward_induction(ensemble2, basis2, modes2, schedule2, rule)
     zero_values_ok = all(

@@ -493,6 +493,20 @@ def test_integral_float_path_count_solves_as_its_integer(tmp_path, capsys):
     assert results[0] == results[1]
 
 
+def test_amplifying_euler_step_is_a_calibrate_error(tmp_path, capsys):
+    # F = -250 at N = 100 used to solve with exit 0 to v = 5.1e11.
+    path = write_problem(tmp_path, F=-250.0)
+    code, out, err = run_cli(
+        ["solve", "--problem", path, "--M", "300", "--n-steps", "100", "--seed", "1"], capsys
+    )
+    assert code == 2
+    assert err == (
+        "error at stage 'calibrate': explicit Euler step of the signal amplifies a damped "
+        "mode at t = 0: |1 + delta mu| = 1.5 > 1\n"
+    )
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ("solve", "bound"))
 @pytest.mark.parametrize("epsilon", ("inf", "nan", "0"))
 def test_bad_epsilon_is_a_calibrate_error(command, epsilon, capsys):

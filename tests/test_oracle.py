@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,12 @@ from switchmc import (
     ModeSet,
     ModelSpec,
     OracleRefusal,
-    TreeSpec,
     as_payoff,
     build_quadrature,
     solve_riccati,
     tree_oracle_value,
 )
+from switchmc.oracle import _tree_paths
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +26,47 @@ def rule8():
     return build_quadrature(1, 8)
 
 
-class TestTreeSpec:
-    def test_multivariate_problems_refused(self):
+class TestTreePaths:
+    def test_two_point_enumerates_all_sign_patterns(self):
+        model, _ = make_benchmark(n_steps=3)
+        grid = model.grid
+        schedule = solve_riccati(model, grid)
+        n_paths = 4 ** 3
+        z, x = _tree_paths(model, schedule, range(n_paths))
+        root = math.sqrt(grid.delta)
+        # Observation increments at step 0 are G x0 delta + dU = +-sqrt(delta)
+        # exactly, since x0 = m0 = 0 under two-point noise.
+        first = np.unique(z[:, 1, 1])
+        assert np.array_equal(first, [-root, root])
+        # Every sign pattern must be realized exactly once.  The final signal
+        # increment never reaches the observations, so distinctness needs the
+        # signal path included.
+        flat = np.concatenate([z.reshape(n_paths, -1), x.reshape(n_paths, -1)], axis=1)
+        assert np.unique(flat, axis=0).shape[0] == n_paths
+
+    def test_two_point_signs_are_the_path_index_bits(self):
+        # Loop reference: bit k*(m1+m2)+c of the path id is the sign of noise
+        # component c at step k.  With F = 0, C = 1 and G = 0 the signal and
+        # observation steps are the signed increments themselves.
+        model, _ = make_benchmark(n_steps=3, G=0.0)
+        schedule = solve_riccati(model, model.grid)
+        ids = [0, 5, 37, 63, 2 ** 40 + 9]
+        z, x = _tree_paths(model, schedule, ids)
+        steps = np.stack([np.diff(x[..., 0], axis=1), np.diff(z[..., 1], axis=1)], axis=-1)
+        for row, pid in enumerate(ids):
+            for k in range(3):
+                for c in range(2):
+                    expected = 1.0 if (pid >> (k * 2 + c)) & 1 else -1.0
+                    assert np.sign(steps[row, k, c]) == expected
+
+    def test_two_point_starts_signal_at_the_mean(self):
+        model, _ = make_benchmark(n_steps=2)
+        _, x = _tree_paths(model, solve_riccati(model, model.grid), range(16))
+        assert np.array_equal(x[:, 0, 0], np.zeros(16))
+
+
+class TestTreeOracleValue:
+    def test_multivariate_problems_refused(self, rule8):
         model = ModelSpec(
             n1=2, m1=2, n2=1, T=1.0, n_steps=2,
             F=np.zeros((2, 2)), C=np.eye(2), G=[[1.0, 0.0]],
@@ -36,20 +77,13 @@ class TestTreeSpec:
             costs=[[0.0, 0.01], [0.001, 0.0]], nu=0.001,
         )
         with pytest.raises(OracleRefusal):
-            TreeSpec(model, modes)
+            tree_oracle_value(model, modes, solve_riccati(model, model.grid), rule8)
 
-    def test_deep_trees_refused(self):
+    def test_deep_trees_refused(self, rule8):
         model, modes = make_benchmark(n_steps=9)
         with pytest.raises(OracleRefusal):
-            TreeSpec(model, modes)
+            tree_oracle_value(model, modes, solve_riccati(model, model.grid), rule8)
 
-    def test_leaf_count(self):
-        model, modes = make_benchmark(n_steps=4)
-        spec = TreeSpec(model, modes)
-        assert spec.n_leaves == 256
-
-
-class TestTreeOracleValue:
     def test_single_constant_mode_integrates_the_clock(self, rule8):
         kappa = 0.75
         model, _ = make_benchmark(n_steps=4)
@@ -58,7 +92,7 @@ class TestTreeOracleValue:
             costs=[[0.0]], nu=0.001,
         )
         schedule = solve_riccati(model, model.grid)
-        values = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
+        values = tree_oracle_value(model, modes, schedule, rule8)
         assert values.shape == (1,)
         assert values[0] == pytest.approx(kappa * model.T, rel=1e-12)
 
@@ -69,13 +103,13 @@ class TestTreeOracleValue:
             costs=[[0.0, 0.01], [0.001, 0.0]], nu=0.001,
         )
         schedule = solve_riccati(model, model.grid)
-        values = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
+        values = tree_oracle_value(model, modes, schedule, rule8)
         assert np.array_equal(values, [0.0, 0.0])
 
     def test_switching_dominates_never_switching(self, rule8):
         model, modes = make_benchmark(n_steps=4, m0=0.3)
         schedule = solve_riccati(model, model.grid)
-        values = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
+        values = tree_oracle_value(model, modes, schedule, rule8)
         assert values[1] >= no_switch_value(model, modes, 1) - 1e-12
         assert values[0] >= -1e-12
 
@@ -86,7 +120,7 @@ class TestTreeOracleValue:
             costs=[[0.0, 1e6], [1e6, 0.0]], nu=0.001,
         )
         schedule = solve_riccati(model, model.grid)
-        values = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
+        values = tree_oracle_value(model, modes, schedule, rule8)
         assert values[1] == pytest.approx(no_switch_value(model, modes, 1), abs=1e-12)
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -95,14 +129,14 @@ class TestTreeOracleValue:
             model, modes = make_benchmark(n_steps=n)
             schedule = solve_riccati(model, model.grid)
             mine = tiny_tree_value(model, modes, schedule, rule8)
-            theirs = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
+            theirs = tree_oracle_value(model, modes, schedule, rule8)
             assert np.allclose(theirs, mine, atol=1e-12)
 
     def test_deterministic(self, rule8):
         model, modes = make_benchmark(n_steps=4)
         schedule = solve_riccati(model, model.grid)
-        a = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
-        b = tree_oracle_value(TreeSpec(model, modes), schedule, rule8)
+        a = tree_oracle_value(model, modes, schedule, rule8)
+        b = tree_oracle_value(model, modes, schedule, rule8)
         assert np.array_equal(a, b)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import make_benchmark, reduced_reference_values
 
-from switchmc import TreeSpec, build_quadrature, solve_riccati, tree_oracle_value
+from switchmc import build_quadrature, solve_riccati, tree_oracle_value
 from switchmc.benchmarks import benchmark_problem, default_solver_params
 from switchmc.cli import RunConfig, run_solve
 
@@ -71,7 +71,7 @@ class TestFrozenOracleValues:
         model, modes = make_benchmark(n_steps=4)
         schedule = solve_riccati(model, model.grid)
         rule = build_quadrature(1, 16)
-        values = tree_oracle_value(TreeSpec(model, modes), schedule, rule)
+        values = tree_oracle_value(model, modes, schedule, rule)
         assert values[0] == pytest.approx(FROZEN_TREE_N4[0], abs=1e-12)
         assert values[1] == pytest.approx(FROZEN_TREE_N4[1], abs=1e-12)
 

@@ -14,7 +14,6 @@ from switchmc import (
     Domain,
     HypercubeBasis,
     IndexingError,
-    NoiseSource,
     PathEnsemble,
     backward_induction,
     build_ensemble,
@@ -206,7 +205,7 @@ def small_ensemble():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     dom = Domain(lows=np.array([-4.0, -4.0]), highs=np.array([4.0, 4.0]))
-    ens = build_ensemble(model, grid, schedule, dom, 300, NoiseSource("gaussian"), seed=3)
+    ens = build_ensemble(model, grid, schedule, dom, 300, seed=3)
     basis = HypercubeBasis(dom, (6, 6))
     return ens, basis
 

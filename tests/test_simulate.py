@@ -11,11 +11,11 @@ import pytest
 from oracles import READ_PEAK_MB, SIGNAL2D, clip_error_reference, make_benchmark, run_child
 
 from switchmc import (
+    CalibrationError,
     Domain,
     EvaluationError,
     HypercubeBasis,
     ModeSet,
-    NoiseSource,
     PathEnsemble,
     SimulationError,
     as_payoff,
@@ -86,39 +86,26 @@ class TestDomain:
         assert np.array_equal(wide.project(np.array([[2.4]])), np.array([[2.4]]))
 
 
-class TestNoiseSource:
-    def test_kinds(self):
-        assert NoiseSource("gaussian").kind == "gaussian"
-        assert NoiseSource("two_point").kind == "two_point"
-        with pytest.raises(ValueError):
-            NoiseSource("bernoulli")
-
-
 class TestSimulatePaths:
     def test_path_is_a_function_of_seed_and_id_alone(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        noise = NoiseSource("gaussian")
-        z_all, x_all = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=range(64))
-        z_one, x_one = simulate_paths(model, grid, schedule, noise, seed=42, path_ids=[17])
+        z_all, x_all = simulate_paths(model, grid, schedule, seed=42, path_ids=range(64))
+        z_one, x_one = simulate_paths(model, grid, schedule, seed=42, path_ids=[17])
         assert np.array_equal(z_all[17], z_one[0])
         assert np.array_equal(x_all[17], x_one[0])
-        z_sub, _ = simulate_paths(
-            model, grid, schedule, noise, seed=42, path_ids=[17, 3, 99]
-        )
+        z_sub, _ = simulate_paths(model, grid, schedule, seed=42, path_ids=[17, 3, 99])
         assert np.array_equal(z_sub[0], z_one[0])
 
-    @pytest.mark.parametrize("kind", ("gaussian", "two_point"))
-    def test_rows_agree_across_draw_block_seams(self, bench20, kind):
+    def test_rows_agree_across_draw_block_seams(self, bench20):
         # Gaussian streams are drawn a block of paths at a time; the rows on
         # either side of each block boundary must match one-path calls.
         model, _, schedule = bench20
         grid = model.grid
-        noise = NoiseSource(kind)
         ids = range(3, 3 + 2 * _DRAW_BLOCK + 7)
-        z_all, x_all = simulate_paths(model, grid, schedule, noise, seed=9, path_ids=ids)
+        z_all, x_all = simulate_paths(model, grid, schedule, seed=9, path_ids=ids)
         for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK - 1, 2 * _DRAW_BLOCK, len(ids) - 1):
-            z_one, x_one = simulate_paths(model, grid, schedule, noise, seed=9, path_ids=[ids[row]])
+            z_one, x_one = simulate_paths(model, grid, schedule, seed=9, path_ids=[ids[row]])
             assert np.array_equal(z_all[row], z_one[0])
             assert np.array_equal(x_all[row], x_one[0])
 
@@ -140,74 +127,22 @@ class TestSimulatePaths:
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        noise = NoiseSource("gaussian")
-        a, _ = simulate_paths(model, grid, schedule, noise, seed=1, path_ids=range(4))
-        b, _ = simulate_paths(model, grid, schedule, noise, seed=2, path_ids=range(4))
+        a, _ = simulate_paths(model, grid, schedule, seed=1, path_ids=range(4))
+        b, _ = simulate_paths(model, grid, schedule, seed=2, path_ids=range(4))
         assert not np.array_equal(a[..., :1], b[..., :1])
 
     def test_initial_conditions(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        z, _ = simulate_paths(
-            model, grid, schedule, NoiseSource("gaussian"), seed=3, path_ids=range(8)
-        )
+        z, _ = simulate_paths(model, grid, schedule, seed=3, path_ids=range(8))
         assert np.array_equal(z[:, 0, :], np.zeros((8, 2)))
 
     def test_shapes(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        z, x = simulate_paths(
-            model, grid, schedule, NoiseSource("gaussian"), seed=3, path_ids=range(5)
-        )
+        z, x = simulate_paths(model, grid, schedule, seed=3, path_ids=range(5))
         assert z.shape == (5, 21, 2)
         assert x.shape == (5, 21, 1)
-
-    def test_two_point_enumerates_all_sign_patterns(self):
-        model, _ = make_benchmark(n_steps=3)
-        grid = model.grid
-        schedule = solve_riccati(model, grid)
-        n_paths = 4 ** 3
-        z, x = simulate_paths(
-            model, grid, schedule, NoiseSource("two_point"), seed=0,
-            path_ids=range(n_paths),
-        )
-        root = math.sqrt(grid.delta)
-        # Observation increments at step 0 are G x0 delta + dU = +-sqrt(delta)
-        # exactly, since x0 = m0 = 0 under two-point noise.
-        first = np.unique(z[:, 1, 1])
-        assert np.array_equal(first, [-root, root])
-        # Every sign pattern must be realized exactly once.  The final signal
-        # increment never reaches the observations, so distinctness needs the
-        # signal path included.
-        flat = np.concatenate([z.reshape(n_paths, -1), x.reshape(n_paths, -1)], axis=1)
-        assert np.unique(flat, axis=0).shape[0] == n_paths
-
-    def test_two_point_signs_are_the_path_index_bits(self):
-        # Loop reference: bit k*(m1+m2)+c of the path id is the sign of noise
-        # component c at step k.  With F = 0, C = 1 and G = 0 the signal and
-        # observation steps are the signed increments themselves.
-        model, _ = make_benchmark(n_steps=3, G=0.0)
-        grid = model.grid
-        schedule = solve_riccati(model, grid)
-        ids = [0, 5, 37, 63, 2 ** 40 + 9]
-        z, x = simulate_paths(
-            model, grid, schedule, NoiseSource("two_point"), seed=0, path_ids=ids
-        )
-        steps = np.stack([np.diff(x[..., 0], axis=1), np.diff(z[..., 1], axis=1)], axis=-1)
-        for row, pid in enumerate(ids):
-            for k in range(3):
-                for c in range(2):
-                    expected = 1.0 if (pid >> (k * 2 + c)) & 1 else -1.0
-                    assert np.sign(steps[row, k, c]) == expected
-
-    def test_two_point_starts_signal_at_the_mean(self):
-        model, _ = make_benchmark(n_steps=2)
-        grid = model.grid
-        schedule = solve_riccati(model, grid)
-        noise = NoiseSource("two_point")
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 16, noise, seed=0, store_signal=True)
-        assert np.array_equal(ens.x_paths[:, 0, 0], np.zeros(16))
 
     def test_terminal_signal_variance_matches_theory(self):
         # With F = 0 and C = 1 the signal is a Brownian motion plus its
@@ -220,11 +155,10 @@ class TestSimulatePaths:
         dom = Domain(lows=np.array([-50.0, -50.0]), highs=np.array([50.0, 50.0]))
         n_total = 100_000
         chunk = 20_000
-        noise = NoiseSource("gaussian")
         terminal = np.empty(n_total)
         for start in range(0, n_total, chunk):
             ens = build_ensemble(
-                model, grid, schedule, dom, chunk, noise,
+                model, grid, schedule, dom, chunk,
                 seed=derive_seed(2026, start), store_signal=True,
             )
             terminal[start:start + chunk] = ens.x_paths[:, -1, 0]
@@ -234,19 +168,41 @@ class TestSimulatePaths:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_step_reported(self):
-        model, _ = make_benchmark(n_steps=5, m0=1e300, F=1000.0)
+        # F = 4 grows the signal without an Euler step that amplifies a damped mode.
+        model, _ = make_benchmark(n_steps=5, m0=1e307, F=4.0)
         grid = model.grid
         schedule = solve_riccati(model, grid)
         with pytest.raises(SimulationError) as err:
-            simulate_paths(model, grid, schedule, NoiseSource("gaussian"), seed=0, path_ids=range(2))
-        assert "step" in str(err.value)
+            simulate_paths(model, grid, schedule, seed=0, path_ids=range(2))
+        assert "non-finite path value at step" in str(err.value)
+
+    @pytest.mark.parametrize("n_steps, change, refusal", (
+        (100, {"F": -250.0}, "signal amplifies a damped mode at t = 0: |1 + delta mu| = 1.5 > 1"),
+        (10, {"G": 100.0},
+         "conditional mean amplifies a damped mode at t = 0.1: |1 + delta mu| = 9 > 1"),
+        (10, {"G": 30.0},
+         "conditional mean amplifies a damped mode at t = 0.1: |1 + delta mu| = 1.99 > 1"),
+        (100, {"F": -150.0}, None),
+        (10, {"G": 16.0}, None),
+    ), ids=("F-250", "G100", "G30", "F-150", "G16"))
+    def test_euler_step_that_amplifies_a_damped_mode_is_refused(self, n_steps, change, refusal):
+        # An explicit Euler step multiplies a mode of eigenvalue mu by
+        # 1 + delta mu.  The refused cases used to run on and solve to
+        # v = 5.1e11, 6.6e5 and 8.1; factors 0.5 and 0.6 are stable.
+        model, _ = make_benchmark(n_steps=n_steps, **change)
+        schedule = solve_riccati(model, model.grid)
+        if refusal is None:
+            z, x = simulate_paths(model, model.grid, schedule, seed=1, path_ids=range(300))
+            assert np.isfinite(z).all() and np.abs(x).max() < 10.0
+            return
+        with pytest.raises(SimulationError) as err:
+            simulate_paths(model, model.grid, schedule, seed=1, path_ids=range(4))
+        assert str(err.value) == "explicit Euler step of the " + refusal
 
 
 def chunk_sizes(model, schedule, n_paths):
     """Path counts of the chunks ``_chunked_states`` cuts n_paths into, in order."""
-    slices = [sl for sl, _ in _chunked_states(
-        model, model.grid, schedule, NoiseSource("gaussian"), 0, range(n_paths)
-    )]
+    slices = [sl for sl, _ in _chunked_states(model, model.grid, schedule, 0, range(n_paths))]
     assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
     return [sl.stop - sl.start for sl in slices]
 
@@ -267,23 +223,21 @@ class TestPathChunks:
         assert chunk_sizes(model, schedule, 150) == [64, 64, 22]
 
     @pytest.mark.parametrize("budget", (1, 41 * 128 + 40), ids=("64-path", "128-path"))
-    @pytest.mark.parametrize("kind", ("gaussian", "two_point"))
-    def test_paths_are_the_same_across_chunk_seams(self, bench20, monkeypatch, kind, budget):
+    def test_paths_are_the_same_across_chunk_seams(self, bench20, monkeypatch, budget):
         # At N = 20 a path draws 41 numbers; 300 paths span several chunks
         # and the last one is ragged.
         model, _, schedule = bench20
-        noise = NoiseSource(kind)
-        whole = simulate_paths(model, model.grid, schedule, noise, seed=9, path_ids=range(5, 305))
+        whole = simulate_paths(model, model.grid, schedule, seed=9, path_ids=range(5, 305))
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
         assert len(chunk_sizes(model, schedule, 300)) >= 3
-        chunked = simulate_paths(model, model.grid, schedule, noise, seed=9, path_ids=range(5, 305))
+        chunked = simulate_paths(model, model.grid, schedule, seed=9, path_ids=range(5, 305))
         assert np.array_equal(chunked[0], whole[0])
         assert np.array_equal(chunked[1], whole[1])
 
     def test_ensemble_is_the_same_across_chunk_seams(self, bench20, monkeypatch):
         model, _, schedule = bench20
         dom = Domain(lows=np.array([-0.5, -1.0]), highs=np.array([0.5, 1.0]))
-        args = (model, model.grid, schedule, dom, 300, NoiseSource("gaussian"), 4, True)
+        args = (model, model.grid, schedule, dom, 300, 4, True)
         whole = build_ensemble(*args)
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
         chunked = build_ensemble(*args)
@@ -308,7 +262,7 @@ class TestPathEnsemble:
         model, _, schedule = bench20
         grid = model.grid
         dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
+        ens = build_ensemble(model, grid, schedule, dom, 6, seed=5)
         st = ens.state(3)
         assert st.shape == (6, 2)
         assert np.array_equal(st[:, 0], ens.m_paths[:, 3, 0])
@@ -318,7 +272,7 @@ class TestPathEnsemble:
         model, _, schedule = bench20
         grid = model.grid
         dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
+        ens = build_ensemble(model, grid, schedule, dom, 6, seed=5)
         assert ens.z_paths.shape == (6, 21, 2)
         for k in (0, 3, 20):
             assert ens.state(k).flags.c_contiguous
@@ -327,7 +281,7 @@ class TestPathEnsemble:
         model, _, schedule = bench20
         grid = model.grid
         dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 6, NoiseSource("gaussian"), seed=5)
+        ens = build_ensemble(model, grid, schedule, dom, 6, seed=5)
         for view in (ens.m_paths, ens.y_paths, ens.state(3)):
             assert np.shares_memory(view, ens.z_paths)
             with pytest.raises(ValueError):
@@ -337,7 +291,7 @@ class TestPathEnsemble:
         model, _, schedule = bench20
         grid = model.grid
         dom = Domain(lows=np.array([-0.05, -0.05]), highs=np.array([0.05, 0.05]))
-        ens = build_ensemble(model, grid, schedule, dom, 50, NoiseSource("gaussian"), seed=6)
+        ens = build_ensemble(model, grid, schedule, dom, 50, seed=6)
         for k in range(grid.n_steps + 1):
             assert np.array_equal(dom.project(ens.state(k)), ens.state(k))
 
@@ -349,10 +303,7 @@ class TestCalibrateDomain:
         epsilon = 0.01
         dom = calibrate_domain(model, grid, schedule, epsilon, pilot_M=500, seed=11)
         # Measure the mean clamp distortion on a third, unrelated sample.
-        st, _ = simulate_paths(
-            model, grid, schedule, NoiseSource("gaussian"), seed=987654,
-            path_ids=range(2000),
-        )
+        st, _ = simulate_paths(model, grid, schedule, seed=987654, path_ids=range(2000))
         clipped = np.clip(st, dom.lows, dom.highs)
         worst = float(
             np.max(np.mean(np.linalg.norm(st - clipped, axis=2), axis=0))
@@ -378,6 +329,25 @@ class TestCalibrateDomain:
         with pytest.raises(ValueError):
             calibrate_domain(model, grid, schedule, epsilon=0.01, pilot_M=10)
 
+    def test_no_quantile_box_meets_a_vanishing_epsilon(self, bench20):
+        model, _, schedule = bench20
+        with pytest.raises(CalibrationError, match="^no quantile box met the pilot distortion target"):
+            calibrate_domain(model, model.grid, schedule, 1e-300, pilot_M=100, seed=1)
+
+    def test_verification_widens_the_box_a_bounded_number_of_times(self, bench20, monkeypatch):
+        # At seed 24 the pilot's box fails verification twice and holds on
+        # the third try; with one widening allowed calibration gives up.
+        model, _, schedule = bench20
+        widened, real = [], Domain.widened
+        monkeypatch.setattr(Domain, "widened", lambda self, f: widened.append(f) or real(self, f))
+        calibrate_domain(model, model.grid, schedule, 0.01, pilot_M=100, seed=24)
+        assert len(widened) == 2
+        monkeypatch.setattr(simulate, "_MAX_WIDENINGS", 1)
+        with pytest.raises(
+            CalibrationError, match="^verification distortion still above epsilon=0.01 after 1 widenings$"
+        ):
+            calibrate_domain(model, model.grid, schedule, 0.01, pilot_M=100, seed=24)
+
     def test_deterministic_in_seed(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
@@ -394,9 +364,7 @@ def test_clip_error_matches_the_all_axes_formula(problem, bench20):
     else:
         model, _ = load_problem(dict(SIGNAL2D, n_steps=20))
         schedule = solve_riccati(model, model.grid)
-    state, _ = simulate_paths(
-        model, model.grid, schedule, NoiseSource("gaussian"), seed=21, path_ids=range(400)
-    )
+    state, _ = simulate_paths(model, model.grid, schedule, seed=21, path_ids=range(400))
     lo, hi = state.min(axis=(0, 1)), state.max(axis=(0, 1))
     # From a box that clamps most points to one that clamps none.
     for shrink in (0.05, 0.3, 0.45, 0.5):
@@ -448,6 +416,17 @@ class TestPayoffSup:
         rule = build_quadrature(1, 8)
         with pytest.raises(EvaluationError, match="^payoff of mode 1 not finite at some domain point$"):
             payoff_sup_on_domain(modes, dom, schedule, rule, model.grid)
+
+    def test_refuses_the_schedule_of_another_grid(self, bench20):
+        # A 10-step schedule on a 20-step grid used to reuse its last
+        # covariance for the later times and return 7.2554.
+        model, modes, _ = bench20
+        short, _ = make_benchmark(n_steps=10)
+        dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]))
+        with pytest.raises(ValueError, match="^covariance schedule has 10 steps but grid has 20$"):
+            payoff_sup_on_domain(
+                modes, dom, solve_riccati(short, short.grid), build_quadrature(1, 8), model.grid
+            )
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_sup_memory_is_bounded_by_corner_blocks(self):
