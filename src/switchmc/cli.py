@@ -543,7 +543,7 @@ def _cmd_oracle(args, config: RunConfig) -> int:
     payload = {
         "values": [float(v) for v in values],
         "n_steps": model.n_steps,
-        "n_leaves": 4 ** model.n_steps,
+        "n_leaves": 2 ** model.n_steps,
         "manifest": config.manifest("oracle"),
     }
     _write_output(config, "oracle", "oracle.json", payload)

@@ -217,7 +217,7 @@ def simulate_policy(
         mode, rows = np.full(P, int(start_mode), dtype=np.int64), np.arange(P)
         for k in range(grid.n_steps):
             t = float(times[k])
-            pts = basis.domain.project(next(states)[1])
+            pts = basis.domain.project(next(states))
             ids = basis.cell_index(pts)
             cand, fbars = _action_values(
                 modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids

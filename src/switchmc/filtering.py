@@ -1,13 +1,14 @@
-"""Conditional-law propagation: Riccati covariance schedule, mean updates,
-and Gaussian quadrature for belief-averaged payoffs.
+"""Conditional-law propagation: Riccati covariance schedule and Gaussian
+quadrature for belief-averaged payoffs.
 
 Under the linear model the conditional law of the signal given observations
 is Gaussian N(m_t, theta_t).  The covariance theta_t solves a constant-
 coefficient matrix Riccati ODE, so it is propagated exactly, once per problem;
-the mean m_t follows a linear recursion driven by observation increments.  An
-affine payoff averages over the belief to its value at the mean; the belief
-average of any other payoff is a tensor Gauss-Hermite quadrature of at most
-4 096 nodes (8 per axis at n1 = 4, 5 at n1 = 5, 4 at n1 = 6; none above 12).
+the mean m_t follows a linear SDE driven by the innovation, which ``simulate``
+steps.  An affine payoff averages over the belief to its value at the mean;
+the belief average of any other payoff is a tensor Gauss-Hermite quadrature of
+at most 4 096 nodes (8 per axis at n1 = 4, 5 at n1 = 5, 4 at n1 = 6; none
+above 12).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "payoff_quadrature",
     "solve_riccati",
     "rowwise_matvec",
-    "mean_step",
     "effective_payoff_batch",
 ]
 
@@ -199,7 +199,7 @@ def rowwise_matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     r, n = mat.shape
-    if r == n == 1:  # one multiply: a 1-D model's stepper calls this 6 times a step
+    if r == n == 1:  # one multiply: a 1-D model's stepper calls this 3 times a step
         return vecs[..., 0, None] * mat[0, 0]
     out = np.empty(vecs.shape[:-1] + (r,))
     for i in range(r):
@@ -262,27 +262,6 @@ def solve_riccati(model: ModelSpec, grid: TimeGrid) -> CovarianceSchedule:
                 )
             thetas[k + 1] = theta
     return CovarianceSchedule.from_thetas(thetas)
-
-
-def mean_step(
-    m: np.ndarray,
-    dy: np.ndarray,
-    theta: np.ndarray,
-    F: np.ndarray,
-    G: np.ndarray,
-    delta: float,
-) -> np.ndarray:
-    """One Euler step of the conditional mean recursion.
-
-    m_next = m + F m delta + theta G^T (dy - G m delta), vectorized over
-    leading axes of ``m`` (..., n1) and ``dy`` (..., n2).
-    """
-    m = np.asarray(m, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    drift = rowwise_matvec(F, m)
-    innov = dy - rowwise_matvec(G, m) * delta
-    gain = np.asarray(theta, dtype=float) @ np.asarray(G, dtype=float).T
-    return m + drift * delta + rowwise_matvec(gain, innov)
 
 
 def effective_payoff_batch(

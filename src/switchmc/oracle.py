@@ -1,10 +1,11 @@
 """Exact small-instance oracles used to validate the Monte Carlo solver.
 
-For scalar models driven by two-point noise (increments of +-sqrt(delta))
-the full noise tree (4 branches per step) can be enumerated through the
-solver's own Euler recursion, so the dynamic program can be solved with exact
-conditional expectations: paths are grouped by their observation-increment
-history and continuation values are averaged within each group.
+For scalar models driven by two-point innovations (increments of
++-sqrt(delta)) the full noise tree (2 branches per step) can be enumerated
+through the solver's own Euler recursion, so the dynamic program can be
+solved with exact conditional expectations: paths are grouped by their
+observation-increment history and continuation values are averaged within
+each group.
 """
 
 from __future__ import annotations
@@ -22,37 +23,32 @@ __all__ = [
     "tree_oracle_value",
 ]
 
-_MAX_TREE_STEPS = 8
+_MAX_TREE_STEPS = 16
 
 
 class OracleRefusal(ValueError):
     """The oracle does not cover the requested configuration."""
 
 
-def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]):
-    """Sign patterns +-1 read from the base-2 digits of each path index,
-    time-major: dw (N, M, m1) and du (N, M, n2).
+def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]) -> np.ndarray:
+    """Innovation signs +-1 read from the base-2 digits of each path index,
+    time-major: di (N, M, n2).
 
-    Bit k*(m1+n2)+c of the path index selects the sign of noise component c
-    at step k (signal components first, then observation components).  With
-    M = 2^(N*(m1+n2)) consecutive indices the ensemble enumerates every
-    pattern exactly once.
+    Bit k*n2+c of the path index selects the sign of innovation component c
+    at step k.  With M = 2^(N*n2) consecutive indices the ensemble
+    enumerates every pattern exactly once.
     """
-    m1 = model.m1
-    width = m1 + model.n2
+    n2 = model.n2
     ids = np.asarray(path_ids, dtype=np.int64)
-    bits = np.arange(n_steps * width).reshape(n_steps, 1, width)
-    signs = np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
-    return signs[..., :m1], signs[..., m1:]
+    bits = np.arange(n_steps * n2).reshape(n_steps, 1, n2)
+    return np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
 
 
-def _tree_paths(model: ModelSpec, schedule: CovarianceSchedule, path_ids: Sequence[int]):
-    """Two-point paths of the given indices on ``model.grid``, the signal
-    starting at m0: (z, x) with the shapes ``simulate_paths`` returns."""
-    dw, du = _two_point_draws(model, model.n_steps, path_ids)
-    x0 = np.tile(model.m0, (len(path_ids), 1))
-    states = list(_euler_states(model, model.grid, schedule, x0, dw, du))
-    return np.stack([z for _, z in states], axis=1), np.stack([x for x, _ in states], axis=1)
+def _tree_paths(model: ModelSpec, schedule: CovarianceSchedule, path_ids: Sequence[int]) -> np.ndarray:
+    """Two-point paths of the given indices on ``model.grid``, with the shape
+    ``simulate_paths`` returns."""
+    di = _two_point_draws(model, model.n_steps, path_ids)
+    return np.stack(list(_euler_states(model, model.grid, schedule, di)), axis=1)
 
 
 def tree_oracle_value(
@@ -63,11 +59,11 @@ def tree_oracle_value(
 ) -> np.ndarray:
     """Value per starting mode from the exhaustive two-point noise tree.
 
-    All 4^N sign patterns are simulated with the solver's own recursions;
+    All 2^N sign patterns are simulated with the solver's own recursions;
     the backward induction then uses exact conditional expectations, grouping
     paths by their observation-increment history and averaging continuation
     values within each group (every pattern is equally likely).  A problem
-    that is not scalar (n1 = m1 = n2 = 1) or has over 8 steps is refused.
+    that is not scalar (n1 = m1 = n2 = 1) or has over 16 steps is refused.
     """
     if (model.n1, model.m1, model.n2) != (1, 1, 1):
         raise OracleRefusal(
@@ -77,16 +73,16 @@ def tree_oracle_value(
     if model.n_steps > _MAX_TREE_STEPS:
         raise OracleRefusal(
             f"tree oracle limited to {_MAX_TREE_STEPS} steps "
-            f"(4^{model.n_steps} leaves requested)"
+            f"(2^{model.n_steps} leaves requested)"
         )
     grid = model.grid
     n_steps, delta = grid.n_steps, grid.delta
     d = modes.d
-    M = 4 ** n_steps
+    M = 2 ** n_steps
     times = grid.times
 
     n1 = model.n1
-    state, _ = _tree_paths(model, schedule, range(M))
+    state = _tree_paths(model, schedule, range(M))
     dy = np.diff(state[:, :, n1], axis=1)  # (M, N)
 
     # labels[k][ell]: group of path ell under equality of its first k

@@ -1,5 +1,6 @@
-"""Path simulation: Euler schemes for signal, observation, and conditional
-mean, plus domain calibration and projection for the regression state.
+"""Path simulation: an Euler scheme for the filter state (conditional mean
+and observation) driven by its innovation, plus domain calibration and
+projection for the regression state.
 
 The regression state is the pair (conditional mean, observation) in
 R^{n1 + n2}.  Training paths are simulated freely and then clamped onto a
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .filtering import (
-    _MAX_CHUNK_POINTS, CovarianceSchedule, _payoff_values, mean_step, psd_sqrt, rowwise_matvec,
+    _MAX_CHUNK_POINTS, CovarianceSchedule, _expm_minus_identity, _payoff_values, rowwise_matvec,
 )
 from .model import ModelSpec, TimeGrid
 
@@ -109,7 +110,8 @@ class PathEnsemble:
     ``m_paths``, ``y_paths`` and ``state(k)`` are views of it.  Points
     outside ``domain`` are not looked for here: ``build_ensemble`` clamps
     every point, and ``HypercubeBasis.cell_index`` rejects any point outside
-    the domain when the ensemble is indexed.
+    the domain when the ensemble is indexed.  No signal is simulated, so
+    ``x_paths`` is always None; the field stays for callers that read it.
     """
 
     grid: TimeGrid
@@ -156,17 +158,15 @@ class PathEnsemble:
 
 
 def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int],
-                    buf: np.ndarray):
-    """Per-path draws, each path keyed by (seed, path_id) alone.
+                    buf: np.ndarray) -> np.ndarray:
+    """Per-path innovation draws, each path keyed by (seed, path_id) alone.
 
-    Returns z0 (M, n1), dw (N, M, m1), du (N, M, n2) of standard normals:
-    views of one (draw, path) array at the head of the flat ``buf``, filled
-    a block of paths at a time.
+    Returns di (N, M, n2) of standard normals: a view of one (draw, path)
+    array at the head of the flat ``buf``, filled a block of paths at a time.
     """
-    n1, m1, n2 = model.n1, model.m1, model.n2
-    M, rows = len(path_ids), n1 + n_steps * (m1 + n2)
+    M, rows = len(path_ids), n_steps * model.n2
     draws = buf[:rows * M].reshape(rows, M)
-    block = np.empty((min(M, _DRAW_BLOCK), draws.shape[0]))
+    block = np.empty((min(M, _DRAW_BLOCK), rows))
     # Philox is counter-based: a fresh state under a path's key gives its stream.
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
     gen, fresh = np.random.Generator(bitgen), bitgen.state
@@ -177,10 +177,7 @@ def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequenc
             bitgen.state = fresh
             gen.standard_normal(out=row)
         draws[:, start:start + len(ids)] = block[:len(ids)].T
-    split = n1 + n_steps * m1
-    dw = draws[n1:split].reshape(n_steps, m1, M).transpose(0, 2, 1)
-    du = draws[split:].reshape(n_steps, n2, M).transpose(0, 2, 1)
-    return draws[:n1].T, dw, du
+    return draws.reshape(n_steps, model.n2, M).transpose(0, 2, 1)
 
 
 def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
@@ -189,19 +186,18 @@ def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedu
     ``_euler_states`` of the paths path_ids[sl], for consecutive slices sl.
 
     A chunk is the most paths (whole blocks of _DRAW_BLOCK, at least one)
-    whose noise draws fit in _DRAW_BUDGET floats.  Every chunk draws into one
-    buffer, so a caller steps each chunk to its end before taking the next.
+    whose N n2 innovation draws fit in _DRAW_BUDGET floats.  Every chunk
+    draws into one buffer, so a caller steps each chunk to its end before
+    taking the next.
     """
-    per_path = model.n1 + grid.n_steps * (model.m1 + model.n2)
+    per_path = grid.n_steps * model.n2
     size = max(1, _DRAW_BUDGET // (per_path * _DRAW_BLOCK)) * _DRAW_BLOCK
     n_paths = len(path_ids)
     buf = np.empty(per_path * min(size, n_paths))
-    sqrt_theta0 = psd_sqrt(model.theta0)
     for start in range(0, n_paths, size):
         sl = slice(start, min(start + size, n_paths))
-        z0, dw, du = _gaussian_draws(model, grid.n_steps, seed, path_ids[sl], buf)
-        x0 = model.m0[None, :] + rowwise_matvec(sqrt_theta0, z0)
-        yield sl, _euler_states(model, grid, schedule, x0, dw, du)
+        di = _gaussian_draws(model, grid.n_steps, seed, path_ids[sl], buf)
+        yield sl, _euler_states(model, grid, schedule, di)
 
 
 def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
@@ -212,53 +208,31 @@ def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
         )
 
 
-def _check_euler_stability(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule) -> None:
-    """Refuse a grid on which an explicit Euler step amplifies a damped mode:
-    an eigenvalue mu with Re mu < 0 and |1 + delta mu| > 1 of F (the signal)
-    or of F - theta_k G^T G (the conditional mean), k = 0..N-1."""
-    delta = grid.delta
-    drifts = (
-        ("signal", model.F[None]),
-        ("conditional mean", model.F - schedule.thetas[:-1] @ (model.G.T @ model.G)),
-    )
-    for name, drift in drifts:
-        mu = np.linalg.eigvals(drift)
-        factor = np.abs(1.0 + delta * mu)
-        amplified = (mu.real < 0) & (factor > 1.0)
-        if amplified.any():
-            k = int(np.argmax(amplified.any(axis=1)))
-            raise SimulationError(
-                f"explicit Euler step of the {name} amplifies a damped mode at "
-                f"t = {grid.times[k]:g}: |1 + delta mu| = {factor[k][amplified[k]].max():.3g} > 1"
-            )
-
-
 def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                  x0: np.ndarray, dw: np.ndarray, du: np.ndarray):
-    """The recursion of ``simulate_paths`` one step at a time, from the signal
-    start ``x0`` (M, n1) and the unit-variance increments dw (N, M, m1) and
-    du (N, M, n2), which it scales by sqrt(delta) in place: yields fresh
-    (x_k, z_k), (M, n1) and unclamped (M, n1 + n2), for k = 0..N.  A grid
-    whose step amplifies a damped mode raises before any step, and a
-    non-finite step raises before it is yielded."""
+                  di: np.ndarray):
+    """The recursion of ``simulate_paths`` one step at a time, from the
+    unit-variance innovation draws di (N, M, n2), which it scales by
+    sqrt(delta) in place: yields fresh unclamped z_k (M, n1 + n2), k = 0..N.
+    A non-finite step raises before it is yielded."""
     _check_schedule(schedule, grid)
-    _check_euler_stability(model, grid, schedule)
-    n_steps, delta, n1 = grid.n_steps, grid.delta, model.n1
-    dw *= math.sqrt(delta)
-    du *= math.sqrt(delta)
-    x, z = x0, np.tile(np.concatenate([model.m0, model.y0]), (len(x0), 1))
-    yield x, z
+    n_steps, delta = grid.n_steps, grid.delta
+    di *= math.sqrt(delta)
+    G = model.G
+    exp_f = np.eye(model.n1) + _expm_minus_identity(model.F * delta)
+    gains = schedule.thetas[:-1] @ G.T  # theta_k G^T, (N, n1, n2)
+    m = np.tile(model.m0, (di.shape[1], 1))
+    y = np.tile(model.y0, (di.shape[1], 1))
+    yield np.hstack([m, y])
 
-    F, C, G = model.F, model.C, model.G
     for k in range(n_steps):
-        dy = rowwise_matvec(G, x) * delta + du[k]
-        x = x + rowwise_matvec(F, x) * delta + rowwise_matvec(C, dw[k])
-        z = np.hstack([mean_step(z[:, :n1], dy, schedule.thetas[k], F, G, delta), z[:, n1:] + dy])
-        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+        y = y + rowwise_matvec(G, m) * delta + di[k]
+        m = rowwise_matvec(exp_f, m + rowwise_matvec(gains[k], di[k]))
+        z = np.hstack([m, y])
+        if not np.isfinite(z).all():
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
             )
-        yield x, z
+        yield z
 
 
 def simulate_paths(
@@ -267,26 +241,27 @@ def simulate_paths(
     schedule: CovarianceSchedule,
     seed: int,
     path_ids: Sequence[int],
-):
-    """Simulate raw (unclamped) Gaussian Euler paths for the given path indices.
+) -> np.ndarray:
+    """Simulate raw (unclamped) Gaussian paths of the filter for the given
+    path indices.
 
-    Returns (z, x) with shapes (M, N+1, n1 + n2) and (M, N+1, n1): the
-    regression state (conditional mean, then observation) and the signal,
-    as transposed views of time-major arrays, so one grid time is one
-    contiguous block.  Path row ell is a function of (seed, path_ids[ell])
-    only, so ensembles of different sizes agree pathwise.  The signal starts
-    from N(m0, theta0).  A grid whose Euler step amplifies a damped mode of
-    the signal or the conditional mean is a SimulationError before any step.
+    The filter state (m, y) is stepped from its innovation dI = dY - G m dt,
+    a Brownian motion of the observation filtration: y_{k+1} = y_k + G m_k
+    delta + dI_k and m_{k+1} = exp(F delta) (m_k + theta_k G^T dI_k), from
+    (m0, y0), with N n2 normals a path and no signal.  Returns the
+    regression state (conditional mean, then observation), shape (M, N+1,
+    n1 + n2), as a transposed view of a time-major array, so one grid time
+    is one contiguous block.  Path row ell is a function of (seed,
+    path_ids[ell]) only, so ensembles of different sizes agree pathwise.
     Paths run a chunk at a time, so a SimulationError names the first
     non-finite step of the first chunk that has one (a later chunk may have
     failed at an earlier step).
     """
-    shape = (grid.n_steps + 1, len(path_ids))
-    x, z = np.empty(shape + (model.n1,)), np.empty(shape + (model.n1 + model.n2,))
+    z = np.empty((grid.n_steps + 1, len(path_ids), model.n1 + model.n2))
     for sl, states in _chunked_states(model, grid, schedule, seed, path_ids):
-        for k, (xk, zk) in enumerate(states):
-            x[k, sl], z[k, sl] = xk, zk
-    return z.transpose(1, 0, 2), x.transpose(1, 0, 2)
+        for k, zk in enumerate(states):
+            z[k, sl] = zk
+    return z.transpose(1, 0, 2)
 
 
 def build_ensemble(
@@ -296,22 +271,16 @@ def build_ensemble(
     domain: Domain,
     M: int,
     seed: int,
-    store_signal: bool = False,
 ) -> PathEnsemble:
     """Simulate M Gaussian paths (indices 0..M-1) as ``simulate_paths`` does
-    and clamp the regression state into ``domain``.  Signal paths are stored
-    unclamped when requested, and not allocated otherwise."""
+    and clamp the regression state into ``domain``."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     z = np.empty((grid.n_steps + 1, M, model.n1 + model.n2))
-    x = np.empty((grid.n_steps + 1, M, model.n1)) if store_signal else None
     for sl, states in _chunked_states(model, grid, schedule, seed, range(M)):
-        for k, (xk, zk) in enumerate(states):
+        for k, zk in enumerate(states):
             z[k, sl] = domain.project(zk)
-            if store_signal:
-                x[k, sl] = xk
-    return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1,
-                        x_paths=x.transpose(1, 0, 2) if store_signal else None)
+    return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1)
 
 
 def _clip_error(cols: np.ndarray, domain: Domain) -> float:
@@ -345,7 +314,7 @@ def calibrate_domain(
         raise ValueError(f"pilot_M must be >= 100, got {pilot_M}")
     pilot_seed = derive_seed(seed, 101)
     verify_seed = derive_seed(seed, 102)
-    state, _ = simulate_paths(model, grid, schedule, pilot_seed, range(pilot_M))
+    state = simulate_paths(model, grid, schedule, pilot_seed, range(pilot_M))
     cols = state.transpose(2, 1, 0)  # (dim, N+1, M) views of time-major storage
     center = 0.5 * (np.array([col.min() for col in cols]) + np.array([col.max() for col in cols]))
     # (M, dim): per-path sup over time of the distance to the center.
@@ -361,7 +330,7 @@ def calibrate_domain(
             f"no quantile box met the pilot distortion target {_CALIBRATION_MARGIN * epsilon:g}"
         )
 
-    verify_state, _ = simulate_paths(model, grid, schedule, verify_seed, range(pilot_M))
+    verify_state = simulate_paths(model, grid, schedule, verify_seed, range(pilot_M))
     for _ in range(_MAX_WIDENINGS + 1):
         if _clip_error(verify_state.transpose(2, 1, 0), domain) <= epsilon:
             return domain

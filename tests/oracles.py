@@ -9,7 +9,7 @@ bugs:
   arithmetic;
 - a dense-grid dynamic program for the scalar benchmark problem, using the
   closed-form filter variance instead of simulation or regression;
-- a dictionary-based exhaustive tree valuation for small two-point-noise
+- a dictionary-based exhaustive tree valuation for small two-point-innovation
   instances;
 - the clamp-distortion formula on path-major state, with all coordinates
   reduced at once, against which the solver's per-axis version must agree
@@ -135,42 +135,41 @@ def reduced_reference_values(
 
 
 def tiny_tree_value(model, modes, schedule, rule) -> list:
-    """Exhaustive valuation of a scalar two-point-noise instance, organized
-    as plain Python dictionaries keyed by observation-increment prefixes.
+    """Exhaustive valuation of a scalar two-point-innovation instance,
+    organized as plain Python dictionaries keyed by observation-increment
+    prefixes.
 
     Independent of the package's tree oracle (which vectorizes over numpy
-    unique labels); only the model coefficients and the quadrature nodes are
-    shared.  Practical for n_steps <= 3 (4^n paths).
+    unique labels and steps through the solver's recursion); only the model
+    coefficients, the covariance schedule and the quadrature nodes are
+    shared.  Each step draws an innovation of +-sqrt(delta), so the tree
+    has 2^n paths; practical for n_steps <= 8.
     """
     grid = model.grid
     n = grid.n_steps
-    if n > 3:
-        raise ValueError("tiny_tree_value is for n_steps <= 3")
+    if n > 8:
+        raise ValueError("tiny_tree_value is for n_steps <= 8")
     delta = grid.delta
     root = math.sqrt(delta)
     d = modes.d
 
-    fcoef = float(np.asarray(model.F)[0, 0])
-    ccoef = float(np.asarray(model.C)[0, 0])
+    decay = math.exp(float(np.asarray(model.F)[0, 0]) * delta)
     gcoef = float(np.asarray(model.G)[0, 0])
     m0 = float(np.asarray(model.m0)[0])
     y0 = float(np.asarray(model.y0)[0])
 
     paths = []
-    for signs in itertools.product((-1.0, 1.0), repeat=2 * n):
-        x = m0
+    for signs in itertools.product((-1.0, 1.0), repeat=n):
         m = m0
         y = y0
         m_hist = [m]
         y_hist = [y]
         dy_hist = []
         for k in range(n):
-            dw = signs[2 * k] * root
-            du = signs[2 * k + 1] * root
+            innovation = signs[k] * root
             theta_k = float(schedule.thetas[k][0, 0])
-            dy = gcoef * x * delta + du
-            x = x + fcoef * x * delta + ccoef * dw
-            m = m + fcoef * m * delta + theta_k * gcoef * (dy - gcoef * m * delta)
+            dy = gcoef * m * delta + innovation
+            m = decay * (m + theta_k * gcoef * innovation)
             y = y + dy
             m_hist.append(m)
             y_hist.append(y)

@@ -143,12 +143,12 @@ def test_criterion_2_covariance_accuracy():
 
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
-    model, modes = make_benchmark(n_steps=4)
+    model, modes = make_benchmark(n_steps=8)
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
     domain = Domain(lows=np.array([-3.0, -3.0]), highs=np.array([3.0, 3.0]))
-    z, _ = _tree_paths(model, schedule, range(256))
+    z = _tree_paths(model, schedule, range(256))
     ensemble = PathEnsemble(grid, domain, domain.project(z), n1=1)
     basis = HypercubeBasis(domain, (1024, 1024))
     ids = memberships(ensemble, basis)

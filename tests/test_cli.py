@@ -493,18 +493,28 @@ def test_integral_float_path_count_solves_as_its_integer(tmp_path, capsys):
     assert results[0] == results[1]
 
 
-def test_amplifying_euler_step_is_a_calibrate_error(tmp_path, capsys):
-    # F = -250 at N = 100 used to solve with exit 0 to v = 5.1e11.
-    path = write_problem(tmp_path, F=-250.0)
+@pytest.mark.parametrize("n_steps, change", (
+    ("100", {"F": -250.0}), ("100", {"F": -1500.0}), ("10", {"G": 100.0}), ("10", {"G": 30.0}),
+), ids=("F-250", "F-1500", "G100", "G30"))
+def test_stiff_grid_solves(tmp_path, capsys, n_steps, change):
+    # An explicit Euler step of the signal (F) or of the conditional mean
+    # (G) amplifies a damped mode on these grids: F = -250 at N = 100 used
+    # to solve to v = 5.1e11, and then to fail at stage 'calibrate'.  The
+    # innovation step damps at any step size.  With F = -250 or -1500 the
+    # mean hardly leaves m0 = 0, so both values are 0 (a dense-grid
+    # reference of the scalar-F problem gives 0 to within 1e-21).
+    path = write_problem(tmp_path, **change)
     code, out, err = run_cli(
-        ["solve", "--problem", path, "--M", "300", "--n-steps", "100", "--seed", "1"], capsys
+        ["solve", "--problem", path, "--M", "300", "--n-steps", n_steps, "--seed", "1"], capsys
     )
-    assert code == 2
-    assert err == (
-        "error at stage 'calibrate': explicit Euler step of the signal amplifies a damped "
-        "mode at t = 0: |1 + delta mu| = 1.5 > 1\n"
-    )
-    assert out == ""
+    assert (code, err) == (0, "")
+    v = json.loads(out)["v"]
+    assert all(math.isfinite(x) for x in v)
+    if "F" in change:
+        assert max(abs(x) for x in v) <= 1e-6
+    # A start in mode i may switch to mode j at once: v_i >= v_j - c(i, j).
+    costs = benchmark_problem()["costs"]
+    assert all(v[i] >= v[j] - costs[i][j] for i in range(2) for j in range(2))
 
 
 @pytest.mark.parametrize("command", ("solve", "bound"))
@@ -644,13 +654,13 @@ class TestOracleCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["n_steps"] == 4
-        assert payload["n_leaves"] == 256
+        assert payload["n_leaves"] == 16
         assert len(payload["values"]) == 2
 
     def test_tree_depth_follows_n_steps_flag(self, capsys):
         code, out, _ = run_cli(["oracle", "--n-steps", "3"], capsys)
         assert code == 0
-        assert json.loads(out)["n_leaves"] == 64
+        assert json.loads(out)["n_leaves"] == 8
 
     def test_tree_depth_follows_config_n_steps(self, tmp_path, capsys):
         # A config file's n_steps used to be replaced by the 4-step default.
@@ -659,13 +669,13 @@ class TestOracleCommand:
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(["oracle", "--config", str(config), "--out", str(out_dir)], capsys)
         assert code == 0
-        assert json.loads(out)["n_leaves"] == 64
+        assert json.loads(out)["n_leaves"] == 8
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["solver"]["n_steps"] == 3
         assert manifest["problem"]["n_steps"] == 3
 
     def test_too_deep_tree_is_an_oracle_error(self, capsys):
-        code, _, err = run_cli(["oracle", "--n-steps", "9"], capsys)
+        code, _, err = run_cli(["oracle", "--n-steps", "17"], capsys)
         assert code == 2
         assert "error at stage 'oracle'" in err
 

@@ -274,10 +274,12 @@ print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_solve_memory_per_path():
-    # A bench1d solve (N = 730) stores 11.4 KiB of clamped state and 2.9 KiB
-    # of int32 cell ids a path; its noise draws are held one chunk of paths
-    # at a time.  With every draw held at once and int64 ids, the peak grew
-    # by 22.8 KiB a path from M = 5 000 to M = 20 000.
+    # A bench1d solve (N = 730) stores 731 * 2 floats of clamped state (11.4
+    # KiB) and 731 int32 cell ids (2.9 KiB) a path, 14.3 KiB in all; its 730
+    # innovation draws a path are held one chunk of 2 816 paths at a time,
+    # at most 16 MB whatever M is.  Three fresh pairs of runs grew by
+    # 14.18-14.19 KiB a path from M = 5 000 to M = 20 000.  With every draw
+    # held at once and int64 ids, the peak grew by 22.8 KiB a path.
     script = """
 import contextlib, io, json, sys
 from switchmc.cli import main
@@ -455,14 +457,14 @@ class TestSimulatePolicy:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize(
-        "n_steps, m0, F, step", ((20, 1e306, 20.0, 5), (2, 5e307, 2.0, 2)),
+        "n_steps, m0, F, step", ((20, 1e306, 20.0, 6), (2, 5e307, 2.0, 2)),
         ids=("mid-replay", "final-step"),
     )
     def test_blowing_up_model_raises_simulation_error(self, n_steps, m0, F, step):
         # The surface is trained on the sane problem on the same grid.  The
-        # signal grows by 1 + F * delta a step; with two steps only the last
-        # overflows, a step no decision reads.  F is small enough that no
-        # Euler step amplifies the conditional mean's damped mode.
+        # conditional mean grows by exp(F delta) = e a step (the innovation
+        # adds next to nothing), so 1e306 e^6 is the first to overflow; with
+        # two steps only the last overflows, a step no decision reads.
         sane, modes = make_benchmark(n_steps=n_steps)
         rule, surface, policy = train_surface(sane, modes)
         model, _ = make_benchmark(n_steps=n_steps, m0=m0, F=F)
@@ -491,17 +493,18 @@ class TestSimulatePolicy:
     def test_non_finite_step_is_the_first_failing_chunks(self, solved_benchmark, monkeypatch):
         # Each chunk runs to its horizon before the next starts, so the error
         # names the first failing step of the first chunk that has one, and
-        # a path of a later chunk may have failed earlier.  Path 0's signal
-        # noise is infinite at step index 8 and path 64's at 3.
+        # a path of a later chunk may have failed earlier.  Path 0's
+        # innovation is infinite at step index 8 and path 64's at 3, and an
+        # innovation reaches m and y in the step it drives.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
         draws = simulate._gaussian_draws
 
         def poisoned(model, n_steps, seed, path_ids, buf):
-            z0, dw, du = draws(model, n_steps, seed, path_ids, buf)
+            di = draws(model, n_steps, seed, path_ids, buf)
             for row, pid in enumerate(path_ids):
                 if pid in (0, 64):
-                    dw[8 if pid == 0 else 3, row] = np.inf
-            return z0, dw, du
+                    di[8 if pid == 0 else 3, row] = np.inf
+            return di
 
         def messages():
             out = []

@@ -30,9 +30,9 @@ from switchmc.cli import RunConfig, StageError, main, run_pipeline
 from switchmc.filtering import (
     CovarianceSchedule,
     effective_payoff_batch,
-    mean_step,
     rowwise_matvec,
 )
+from switchmc.simulate import _euler_states
 
 
 def signal_problem(n1: int) -> dict:
@@ -345,28 +345,43 @@ class TestGaussExpectation:
             assert belief_average(low, m, theta, rule) <= belief_average(high, m, theta, rule)
 
 
+def mean_steps(model, theta, di):
+    """The simulator's innovation recursion on ``model``'s grid with the
+    covariance held at ``theta``, from unit-variance draws di (N, M, n2):
+    the conditional means (N+1, M, n1) and observations (N+1, M, n2)."""
+    schedule = CovarianceSchedule.from_thetas(np.stack([theta] * (model.n_steps + 1)))
+    z = np.stack(list(_euler_states(model, model.grid, schedule, np.array(di, dtype=float))))
+    return z[..., :model.n1], z[..., model.n1:]
+
+
+def one_step_model(F, G, m0, theta, delta):
+    """A one-step model of horizon delta with the shapes of F and G."""
+    n2, n1 = np.shape(G)
+    return ModelSpec(
+        n1=n1, m1=n1, n2=n2, T=delta, n_steps=1, F=F, C=np.eye(n1), G=G,
+        m0=m0, theta0=theta, y0=np.zeros(n2),
+    )
+
+
 class TestMeanStep:
     def test_scalar_example(self):
-        m = np.array([1.0])
-        dy = np.array([0.3])
+        # gain = theta G' = 2; innovation 0.2; m = 1 + 2 * 0.2, y = 1 * 1 * 0.1 + 0.2
         theta = np.array([[2.0]])
-        F = np.array([[0.0]])
-        G = np.array([[1.0]])
-        got = mean_step(m, dy, theta, F, G, delta=0.1)
-        # gain = theta G' = 2; innovation = 0.3 - 1 * 0.1 = 0.2; m + 2 * 0.2
-        assert got[0] == pytest.approx(1.4)
+        model = one_step_model([[0.0]], [[1.0]], [1.0], theta, 0.1)
+        m, y = mean_steps(model, theta, [[[0.2 / math.sqrt(0.1)]]])
+        assert m[1, 0, 0] == pytest.approx(1.4)
+        assert y[1, 0, 0] == pytest.approx(0.3)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
         theta = np.array([[0.5, 0.1], [0.1, 0.3]])
-        F = np.array([[0.0, 1.0], [0.0, 0.0]])
-        G = np.array([[1.0, 0.0]])
-        ms = rng.standard_normal((20, 2))
-        dys = rng.standard_normal((20, 1)) * 0.1
-        batch = mean_step(ms, dys, theta, F, G, delta=0.05)
+        model = one_step_model([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]], [0.4, -0.2], theta, 0.05)
+        di = rng.standard_normal((1, 20, 1))
+        batch = mean_steps(model, theta, di)
         for i in range(20):
-            single = mean_step(ms[i], dys[i], theta, F, G, delta=0.05)
-            assert np.array_equal(batch[i], single)
+            single = mean_steps(model, theta, di[:, i:i + 1])
+            for b, s in zip(batch, single):
+                assert np.array_equal(b[:, i], s[:, 0])
 
     def test_matches_closed_formula(self):
         rng = np.random.default_rng(6)
@@ -374,24 +389,28 @@ class TestMeanStep:
         F = rng.standard_normal((2, 2))
         G = rng.standard_normal((1, 2))
         m = rng.standard_normal(2)
-        dy = rng.standard_normal(1) * 0.1
+        di = rng.standard_normal(1)
         delta = 0.02
-        expected = m + F @ m * delta + theta @ G.T @ (dy - G @ m * delta)
-        assert np.allclose(mean_step(m, dy, theta, F, G, delta), expected, atol=1e-14)
+        model = one_step_model(F, G, m, theta, delta)
+        got_m, got_y = mean_steps(model, theta, di[None, None])
+        exp_f = sum(np.linalg.matrix_power(F * delta, j) / math.factorial(j) for j in range(20))
+        d_innov = math.sqrt(delta) * di
+        assert np.allclose(got_m[1, 0], exp_f @ (m + theta @ G.T @ d_innov), rtol=0, atol=1e-14)
+        assert np.allclose(got_y[1, 0], G @ m * delta + d_innov, rtol=0, atol=1e-14)
 
     def test_unobserved_mean_ignores_observations(self):
-        # With G = 0 the gain vanishes, so any two observation paths give
+        # With G = 0 the gain vanishes, so any two innovation paths give
         # bit-identical conditional-mean sequences.
         theta = np.array([[0.8]])
-        F = np.array([[0.3]])
-        G = np.array([[0.0]])
+        model = ModelSpec(
+            n1=1, m1=1, n2=1, T=1.0, n_steps=25, F=[[0.3]], C=[[1.0]], G=[[0.0]],
+            m0=[0.5], theta0=theta, y0=[0.0],
+        )
         rng = np.random.default_rng(9)
-        m_a = np.array([0.5])
-        m_b = np.array([0.5])
-        for _ in range(25):
-            m_a = mean_step(m_a, rng.standard_normal(1), theta, F, G, delta=0.04)
-            m_b = mean_step(m_b, rng.standard_normal(1), theta, F, G, delta=0.04)
+        m_a, y_a = mean_steps(model, theta, rng.standard_normal((25, 1, 1)))
+        m_b, y_b = mean_steps(model, theta, rng.standard_normal((25, 1, 1)))
         assert np.array_equal(m_a, m_b)
+        assert not np.array_equal(y_a, y_b)
 
 
 class TestEffectivePayoff:

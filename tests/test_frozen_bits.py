@@ -23,23 +23,23 @@ SMALL = {"M": 400, "n_steps": 20, "seed": 5}
 
 # run_solve "v" per starting mode.
 FROZEN_V = {
-    "builtin": ["0x1.afa86add931f8p-5", "0x1.d429bcb203160p-5"],
-    "signal2d": ["0x1.d1f1659290103p-5", "0x1.f329e89030f58p-5"],
+    "builtin": ["0x1.c062a6843153cp-5", "0x1.ea5db9b810e0cp-5"],
+    "signal2d": ["0x1.9c3e42f293b97p-5", "0x1.c6bacd6958b86p-5"],
 }
 
 # simulate_policy (mean, stderr) from mode 0 on 1000 fresh paths, with a
 # callable payoff in mode 1, for pointwise decisions and the policy table.
 FROZEN_REPLAY = {
-    True: ("0x1.95eaab1baf971p-3", "0x1.431627f6025e0p-9"),
-    False: ("0x1.95eab288e31dep-3", "0x1.43161c57e3ac9p-9"),
+    True: ("0x1.8de648e78a62fp-3", "0x1.2c56786cd28a8p-9"),
+    False: ("0x1.8de41102a3b12p-3", "0x1.2c5e9b601d64fp-9"),
 }
 
 
 # calibrate_domain on the 2-D signal problem (regression state of three
 # coordinates), epsilon 0.01, 500 pilot paths, seed 3: lows, then highs.
 FROZEN_DOMAIN = (
-    ["-0x1.0f480f94954e0p+0", "-0x1.0f480f94954e0p+0", "-0x1.7c30efb641df4p+1"],
-    ["0x1.112206e5dc94cp+0", "0x1.112206e5dc94cp+0", "0x1.9033707f4c688p+1"],
+    ["-0x1.200680b0cd204p+0", "-0x1.200680b0cd204p+0", "-0x1.c98af197cc54bp+1"],
+    ["0x1.516c78bc6cbd6p+0", "0x1.516c78bc6cbd6p+0", "0x1.aba9649cf8253p+1"],
 )
 
 

@@ -31,38 +31,37 @@ class TestTreePaths:
         model, _ = make_benchmark(n_steps=3)
         grid = model.grid
         schedule = solve_riccati(model, grid)
-        n_paths = 4 ** 3
-        z, x = _tree_paths(model, schedule, range(n_paths))
+        n_paths = 2 ** 3
+        z = _tree_paths(model, schedule, range(n_paths))
         root = math.sqrt(grid.delta)
-        # Observation increments at step 0 are G x0 delta + dU = +-sqrt(delta)
-        # exactly, since x0 = m0 = 0 under two-point noise.
+        # Observation increments at step 0 are G m0 delta + dI = +-sqrt(delta)
+        # exactly, since m0 = 0.
         first = np.unique(z[:, 1, 1])
         assert np.array_equal(first, [-root, root])
-        # Every sign pattern must be realized exactly once.  The final signal
-        # increment never reaches the observations, so distinctness needs the
-        # signal path included.
-        flat = np.concatenate([z.reshape(n_paths, -1), x.reshape(n_paths, -1)], axis=1)
-        assert np.unique(flat, axis=0).shape[0] == n_paths
+        # Every sign pattern must be realized exactly once; the last
+        # innovation reaches the observation, so the state paths differ.
+        assert np.unique(z.reshape(n_paths, -1), axis=0).shape[0] == n_paths
 
     def test_two_point_signs_are_the_path_index_bits(self):
-        # Loop reference: bit k*(m1+m2)+c of the path id is the sign of noise
-        # component c at step k.  With F = 0, C = 1 and G = 0 the signal and
-        # observation steps are the signed increments themselves.
+        # Loop reference: bit k*n2+c of the path id is the sign of innovation
+        # component c at step k.  With G = 0 the observation steps are the
+        # signed innovations themselves.
         model, _ = make_benchmark(n_steps=3, G=0.0)
         schedule = solve_riccati(model, model.grid)
-        ids = [0, 5, 37, 63, 2 ** 40 + 9]
-        z, x = _tree_paths(model, schedule, ids)
-        steps = np.stack([np.diff(x[..., 0], axis=1), np.diff(z[..., 1], axis=1)], axis=-1)
+        ids = [0, 5, 6, 7, 2 ** 40 + 9]
+        z = _tree_paths(model, schedule, ids)
+        steps = np.diff(z[..., 1], axis=1)
         for row, pid in enumerate(ids):
             for k in range(3):
-                for c in range(2):
-                    expected = 1.0 if (pid >> (k * 2 + c)) & 1 else -1.0
-                    assert np.sign(steps[row, k, c]) == expected
+                expected = 1.0 if (pid >> k) & 1 else -1.0
+                assert np.sign(steps[row, k]) == expected
 
     def test_two_point_starts_signal_at_the_mean(self):
-        model, _ = make_benchmark(n_steps=2)
-        _, x = _tree_paths(model, solve_riccati(model, model.grid), range(16))
-        assert np.array_equal(x[:, 0, 0], np.zeros(16))
+        # The filter starts every path at (m0, y0): its estimate of the
+        # signal is the prior mean.
+        model, _ = make_benchmark(n_steps=2, m0=0.3, y0=-0.2)
+        z = _tree_paths(model, solve_riccati(model, model.grid), range(4))
+        assert np.array_equal(z[:, 0], np.tile([0.3, -0.2], (4, 1)))
 
 
 class TestTreeOracleValue:
@@ -80,8 +79,8 @@ class TestTreeOracleValue:
             tree_oracle_value(model, modes, solve_riccati(model, model.grid), rule8)
 
     def test_deep_trees_refused(self, rule8):
-        model, modes = make_benchmark(n_steps=9)
-        with pytest.raises(OracleRefusal):
+        model, modes = make_benchmark(n_steps=17)
+        with pytest.raises(OracleRefusal, match=r"limited to 16 steps \(2\^17 leaves requested\)$"):
             tree_oracle_value(model, modes, solve_riccati(model, model.grid), rule8)
 
     def test_single_constant_mode_integrates_the_clock(self, rule8):
@@ -125,8 +124,8 @@ class TestTreeOracleValue:
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_dictionary_tree(self, rule8):
-        for n in (2, 3):
-            model, modes = make_benchmark(n_steps=n)
+        for n, change in ((2, {}), (3, {}), (6, {}), (4, {"F": -0.5, "m0": 0.3})):
+            model, modes = make_benchmark(n_steps=n, **change)
             schedule = solve_riccati(model, model.grid)
             mine = tiny_tree_value(model, modes, schedule, rule8)
             theirs = tree_oracle_value(model, modes, schedule, rule8)

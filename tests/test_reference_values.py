@@ -39,8 +39,8 @@ CONVERGED = {
     0.5: {"idle": 0.49558398, "earn": 0.50558398},
 }
 
-# Exhaustive two-point tree on the 4-step benchmark, 16-node quadrature.
-FROZEN_TREE_N4 = (0.03774787389484578, 0.04224787389484584)
+# Exhaustive two-point innovation tree on the 4-step benchmark, 16-node quadrature.
+FROZEN_TREE_N4 = (0.03643973872898242, 0.04093973872898242)
 
 
 class TestFrozenOracleValues:
