@@ -278,7 +278,8 @@ def validate(model: ModelSpec, modes: ModeSet, grid: TimeGrid) -> ValidationRepo
 
 def switch_count_bound(modes: ModeSet, f_sup: float, T: float) -> float:
     """Upper bound 2*T*f_sup/nu on the mean number of switches of an optimal
-    strategy, given a bound f_sup on sup_i |f_i| over the working domain."""
+    strategy, given a bound f_sup on sup_i |f̄_i| over the working domain,
+    f̄_i being mode i's belief-averaged payoff."""
     if not modes.nu > 0:
         raise ValueError(f"invalid ModeSet: nu must be > 0, got {modes.nu}")
     if f_sup < 0:

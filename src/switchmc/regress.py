@@ -113,7 +113,7 @@ class CoefficientVector:
             raise ValueError(
                 f"lambdas (..., R) and counts (R,) disagree: {lambdas.shape} and {counts.shape}"
             )
-        if np.any(lambdas[..., counts == 0] != 0.0):
+        if np.any((lambdas != 0.0) & (counts == 0)):
             raise ValueError("empty cells must carry a zero coefficient")
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "counts", counts)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .filtering import (
-    _MAX_CHUNK_POINTS, CovarianceSchedule, _expm_minus_identity, _payoff_values, rowwise_matvec,
+    CovarianceSchedule, _expm_minus_identity, effective_payoff_batch, rowwise_matvec,
 )
 from .model import ModelSpec, TimeGrid
 
@@ -303,10 +303,10 @@ def calibrate_domain(
     """Choose a box for the regression state with clamp distortion <= epsilon.
 
     A pilot ensemble picks per-coordinate half-widths from a quantile ladder
-    (tightest box whose pilot distortion is at most 0.8 * epsilon), then a
-    fresh verification ensemble must show distortion <= epsilon at every
-    grid time; the box is widened by 10% at most 10 times before giving up
-    with CalibrationError.
+    (tightest box whose pilot distortion is at most 0.8 * epsilon; the last,
+    q = 0, holds every pilot path), then a fresh verification ensemble must
+    show distortion <= epsilon at every grid time; the box is widened by 10%
+    at most 10 times before giving up with CalibrationError.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -325,10 +325,6 @@ def calibrate_domain(
         domain = Domain(lows=center - half, highs=center + half)
         if _clip_error(cols, domain) <= _CALIBRATION_MARGIN * epsilon:
             break
-    else:
-        raise CalibrationError(
-            f"no quantile box met the pilot distortion target {_CALIBRATION_MARGIN * epsilon:g}"
-        )
 
     verify_state = simulate_paths(model, grid, schedule, verify_seed, range(pilot_M))
     for _ in range(_MAX_WIDENINGS + 1):
@@ -342,18 +338,17 @@ def calibrate_domain(
 
 
 def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, rule, grid: TimeGrid) -> float:
-    """Bound on sup |f_i| over domain corners and centers, with the signal
-    argument shifted through the quadrature nodes of the belief at each time.
+    """Bound on sup |f̄_i| over the box's corners and center at every grid
+    time, f̄_i being mode i's belief-averaged payoff from
+    ``effective_payoff_batch``.
 
-    Used for the switch-count bound; payoffs are evaluated at box corners and
-    the center, which bounds the belief-averaged payoffs there for payoffs
-    monotone in each coordinate and is reported as the working constant
-    otherwise.  A payoff value that is not finite is an EvaluationError
-    naming the mode.
+    Used for the switch-count bound; it bounds |f̄_i| on the box for
+    payoffs whose belief averages are monotone in each coordinate (affine
+    payoffs among them) and is reported as the working constant otherwise.
+    A payoff value that is not finite is an EvaluationError naming the mode.
     """
     _check_schedule(schedule, grid)
     n1 = schedule.thetas.shape[1]
-    n2 = domain.dim - n1
     # Corner r takes the high end of axis c where bit c of r is set.
     high = (np.arange(2 ** domain.dim)[:, None] >> np.arange(domain.dim)) & 1
     center = 0.5 * (domain.lows + domain.highs)
@@ -361,17 +356,8 @@ def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, ru
     m_pts, y_pts = points[:, :n1], points[:, n1:]
 
     f_sup = 0.0
-    times = grid.times
-    # A block of corners shifted by every node is at most _MAX_CHUNK_POINTS points.
-    rows = max(1, _MAX_CHUNK_POINTS // rule.n_nodes)
-    for k in range(grid.n_steps + 1):
-        sqrt_theta = schedule.sqrt_thetas[k]
-        shifts = rule.nodes @ sqrt_theta.T  # (Qn, n1)
-        t = float(times[k])
-        for start in range(0, len(points), rows):
-            xs = m_pts[start:start + rows, None, :] + shifts[None, :, :]  # (rows, Qn, n1)
-            ys = np.broadcast_to(y_pts[start:start + rows, None, :], xs.shape[:-1] + (n2,))
-            for j, payoff in enumerate(modes.payoffs):
-                vals = _payoff_values(payoff, j, xs, ys, t, "domain point")
-                f_sup = max(f_sup, float(np.abs(vals).max()))
+    for sqrt_theta, t in zip(schedule.sqrt_thetas, grid.times.tolist()):
+        for j in range(len(modes.payoffs)):
+            vals = effective_payoff_batch(modes, j, m_pts, sqrt_theta, y_pts, t, rule)
+            f_sup = max(f_sup, float(np.abs(vals).max()))
     return f_sup

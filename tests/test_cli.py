@@ -194,6 +194,20 @@ class TestSolve:
         assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
         assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
 
+    def test_quad_order_leaves_registry_payoff_results_alone(self, tmp_path, capsys):
+        # The built-in problem's payoffs are registry payoffs, whose belief
+        # averages are exact at the mean: the quadrature order reaches only
+        # the manifest.
+        results = []
+        for order in ("2", "64"):
+            out = tmp_path / order
+            code, _, _ = run_cli(["solve", *FAST, "--quad-order", order, "--out", str(out)], capsys)
+            assert code == 0
+            results.append(json.loads((out / "result.json").read_text()))
+        manifests = [result.pop("manifest") for result in results]
+        assert manifests[0] != manifests[1]
+        assert json.dumps(results[0]) == json.dumps(results[1])
+
     def test_thread_count_does_not_change_results(self, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -185,9 +185,12 @@ class TestEmpiricalCoefficients:
             empirical_coefficients(np.ones(2), np.array([0, 5]), R=3)
 
     def test_empty_cells_must_carry_zero(self):
-        with pytest.raises(ValueError):
-            CoefficientVector(lambdas=np.array([1.0, 2.0]), counts=np.array([3, 0]))
-        CoefficientVector(lambdas=np.array([1.0, 0.0]), counts=np.array([3, 0]))
+        counts = np.array([3, 0])
+        for lambdas in ([1.0, 2.0], [1.0, np.nan], [[1.0, 0.0], [1.0, 2.0]]):
+            with pytest.raises(ValueError, match="^empty cells must carry a zero coefficient$"):
+                CoefficientVector(lambdas=np.array(lambdas), counts=counts)
+        CoefficientVector(lambdas=np.array([1.0, 0.0]), counts=counts)
+        CoefficientVector(lambdas=np.array([[np.nan, 0.0], [1.0, -0.0]]), counts=counts)
 
     def test_regress_eval_is_lookup(self):
         coeffs = CoefficientVector(

@@ -12,6 +12,7 @@ from oracles import READ_PEAK_MB, SIGNAL2D, clip_error_reference, make_benchmark
 
 from switchmc import (
     CalibrationError,
+    CovarianceSchedule,
     Domain,
     EvaluationError,
     HypercubeBasis,
@@ -321,15 +322,14 @@ class TestCalibrateDomain:
         with pytest.raises(ValueError):
             calibrate_domain(model, grid, schedule, epsilon=0.01, pilot_M=10)
 
-    def test_no_quantile_box_meets_a_vanishing_epsilon(self, bench20, monkeypatch):
-        # The box is centered, so the paths of the lowest and the highest
-        # value tie for the widest deviation: of 100 pilot paths, every box
-        # from q = 0.01 on holds them all and clamps nothing.  The ladder is
-        # cut to its two tightest boxes, which clamp.
+    @pytest.mark.parametrize("pilot_M", (100, 1000))
+    def test_a_vanishing_epsilon_gets_a_box_holding_every_pilot_path(self, bench20, pilot_M):
+        # The ladder ends at q = 0, whose box holds every pilot path, so no
+        # epsilon is too small for the pilot.
         model, _, schedule = bench20
-        monkeypatch.setattr(simulate, "_Q_LADDER", simulate._Q_LADDER[:2])
-        with pytest.raises(CalibrationError, match="^no quantile box met the pilot distortion target"):
-            calibrate_domain(model, model.grid, schedule, 1e-300, pilot_M=100, seed=1)
+        dom = calibrate_domain(model, model.grid, schedule, 1e-300, pilot_M=pilot_M, seed=1)
+        pilot = simulate_paths(model, model.grid, schedule, derive_seed(1, 101), range(pilot_M))
+        assert np.array_equal(dom.project(pilot), pilot)
 
     def test_verification_widens_the_box_a_bounded_number_of_times(self, bench20, monkeypatch):
         # At seed 10 the pilot's box fails verification twice and holds on
@@ -379,22 +379,32 @@ class TestPayoffSup:
         grid = model.grid
         # Degenerate covariance: quadrature nodes collapse onto the corner
         # points, so the sup is exactly the largest |m| corner.
-        from switchmc.filtering import CovarianceSchedule
-
         thetas = np.zeros((11, 1, 1))
         schedule = CovarianceSchedule.from_thetas(thetas)
         dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]))
         rule = build_quadrature(1, 8)
         sup = payoff_sup_on_domain(modes, dom, schedule, rule, grid)
         assert sup == pytest.approx(2.0, rel=1e-12)
+        # A linear payoff averages over any belief to its value at the mean,
+        # so dispersion (theta > 0) leaves the sup at the corner value.
+        model20, _, schedule20 = bench20
+        sup = payoff_sup_on_domain(modes, dom, schedule20, rule, model20.grid)
+        assert sup == pytest.approx(2.0, rel=1e-12)
 
     def test_dispersion_increases_sup(self, bench20):
-        model, modes, schedule = bench20
-        grid = model.grid
+        # For the convex max(x, 0) - 0.05 Jensen's inequality puts the belief
+        # average above the value at the mean: the sup is 1.45, at the corner
+        # m = 1.5, at zero covariance and more under the benchmark's beliefs.
+        model, _, schedule = bench20
+        modes = ModeSet(
+            payoffs=(lambda x, y, t: np.maximum(x[..., 0], 0.0) - 0.05,),
+            costs=[[0.0]], nu=1.0,
+        )
         dom = Domain(lows=np.array([-2.0, -5.0]), highs=np.array([1.5, 5.0]))
         rule = build_quadrature(1, 8)
-        sup = payoff_sup_on_domain(modes, dom, schedule, rule, grid)
-        assert sup >= 2.0
+        point = CovarianceSchedule.from_thetas(np.zeros((21, 1, 1)))
+        assert payoff_sup_on_domain(modes, dom, point, rule, model.grid) == 1.45
+        assert payoff_sup_on_domain(modes, dom, schedule, rule, model.grid) > 1.45
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf), ids=("nan", "inf"))
     def test_non_finite_payoff_names_the_mode(self, bench20, bad):
@@ -411,7 +421,7 @@ class TestPayoffSup:
         )
         dom = Domain(lows=np.array([-1.0, -2.0]), highs=np.array([1.0, 2.0]))
         rule = build_quadrature(1, 8)
-        with pytest.raises(EvaluationError, match="^payoff of mode 1 not finite at some domain point$"):
+        with pytest.raises(EvaluationError, match="^payoff of mode 1 not finite at some quadrature node$"):
             payoff_sup_on_domain(modes, dom, schedule, rule, model.grid)
 
     def test_refuses_the_schedule_of_another_grid(self, bench20):
@@ -428,14 +438,15 @@ class TestPayoffSup:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_sup_memory_is_bounded_by_corner_blocks(self):
         # At n1 = 10 the 2 049 corner and center points times 1 024 nodes
-        # used to be one array, a peak of about 380 MB; blocks of corners
-        # keep it near 80 MB.  The unblocked evaluation runs after the peak
-        # is read, and a max over blocks is the same max.
+        # used to be one array, a peak of about 380 MB; the row blocks of
+        # effective_payoff_batch keep it near 80 MB.  The unblocked
+        # evaluation runs after the peak is read, and blocked rows average
+        # to the same bits.
         script = """
 import json
 import numpy as np
 from switchmc import CovarianceSchedule, Domain, ModeSet, TimeGrid, build_quadrature
-from switchmc import simulate
+from switchmc import filtering, simulate
 n1 = 10
 modes = ModeSet(payoffs=(lambda x, y, t: np.sin(x).sum(axis=-1) * y[..., 0],), costs=[[0.0]], nu=1.0)
 schedule = CovarianceSchedule.from_thetas(np.stack([0.09 * np.eye(n1)] * 2))
@@ -443,7 +454,7 @@ domain = Domain(lows=-np.ones(n1 + 1), highs=np.ones(n1 + 1))
 rule, grid = build_quadrature(n1, 8), TimeGrid(1.0, 1)
 blocked = simulate.payoff_sup_on_domain(modes, domain, schedule, rule, grid)
 """ + READ_PEAK_MB + """
-simulate._MAX_CHUNK_POINTS = 2 ** 62
+filtering._MAX_CHUNK_POINTS = 2 ** 62
 whole = simulate.payoff_sup_on_domain(modes, domain, schedule, rule, grid)
 print(json.dumps({"peak_mb": peak_mb, "nodes": rule.n_nodes, "equal": blocked == whole}))
 """
