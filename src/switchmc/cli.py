@@ -45,6 +45,7 @@ from .simulate import (
     calibrate_domain,
     derive_seed,
     payoff_sup_on_domain,
+    simulate_paths,
 )
 
 __all__ = [
@@ -187,35 +188,34 @@ def _load(config: RunConfig, refuse: bool = True):
     return model, modes, report
 
 
-def _simulate(config: RunConfig, rep: int, n_paths: int):
-    """Stages load, validate, riccati, quadrature, calibrate and simulate:
-    ``n_paths`` training paths of replication ``rep``.
-
-    Returns (model, modes, schedule, rule, ensemble, seeds); the calibrated
-    domain is ``ensemble.domain``.
-    """
-    params = config.params
+def _prepare(config: RunConfig):
+    """Stages load, validate, riccati and quadrature: (model, modes, schedule,
+    rule) on the solver's grid."""
     model, modes, _ = _load(config)
-    grid = model.grid
-    schedule = _stage("riccati", solve_riccati, model, grid)
-    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, params.quad_order)
-    seeds = {name: derive_seed(params.seed, rep, label) for name, label in _SEED_LABELS.items()}
-    domain = _stage(
-        "calibrate", calibrate_domain, model, grid, schedule, params.epsilon,
-        pilot_M=max(100, min(params.M, 1000)), seed=seeds["pilot"],
-    )
-    ensemble = _stage(
-        "simulate", build_ensemble, model, grid, schedule, domain, n_paths, seeds["train"],
-    )
-    return model, modes, schedule, rule, ensemble, seeds
+    schedule = _stage("riccati", solve_riccati, model, model.grid)
+    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, config.params.quad_order)
+    return model, modes, schedule, rule
+
+
+def _seed(config: RunConfig, rep: int, name: str) -> int:
+    """Seed of random stream ``name`` of replication ``rep``."""
+    return derive_seed(config.params.seed, rep, _SEED_LABELS[name])
 
 
 def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     """One full solve replication: validate, propagate the covariance,
-    calibrate the domain, simulate, regress, and run backward induction."""
-    model, modes, schedule, rule, ensemble, seeds = _simulate(config, rep, config.params.M)
-    grid, domain = ensemble.grid, ensemble.domain
-    basis = _stage("regress", HypercubeBasis, domain, config.params.cells_per_dim)
+    calibrate the box, simulate, regress, and run backward induction."""
+    params = config.params
+    model, modes, schedule, rule = _prepare(config)
+    grid = model.grid
+    domain = _stage(
+        "calibrate", calibrate_domain, model, grid, schedule, params.epsilon,
+        pilot_M=max(100, min(params.M, 1000)), seed=_seed(config, rep, "pilot"),
+    )
+    ensemble = _stage(
+        "simulate", build_ensemble, model, grid, schedule, params.M, _seed(config, rep, "train"),
+    )
+    basis = _stage("regress", HypercubeBasis, domain, params.cells_per_dim)
     surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
     values = _stage("evaluate", value_at_origin, surface)
     pmin = _stage("diagnostics", estimate_pmin, surface.coeffs)
@@ -235,7 +235,7 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
         pmin_raw=pmin.raw_min,
         pmin_occupied=pmin.occupied_min,
         switch_bound=float(bound),
-        eval_seed=seeds["eval"],
+        eval_seed=_seed(config, rep, "eval"),
     )
 
 
@@ -485,8 +485,11 @@ def _cmd_paths(args, config: RunConfig) -> int:
     n_paths = args.n_paths
     if n_paths < 1:
         raise StageError("load", ValueError(f"--n-paths must be >= 1, got {n_paths}"))
-    model, _, _, _, ensemble, _ = _simulate(config, 0, n_paths)
+    model, _, schedule, _ = _prepare(config)
     grid = model.grid
+    z = _stage(
+        "simulate", simulate_paths, model, grid, schedule, _seed(config, 0, "train"), range(n_paths)
+    )
     header = (
         ["path", "k", "t"]
         + [f"m_{i + 1}" for i in range(model.n1)]
@@ -496,10 +499,7 @@ def _cmd_paths(args, config: RunConfig) -> int:
     rows = [header]
     for ell in range(n_paths):
         for k in range(grid.n_steps + 1):
-            rows.append(
-                [ell, k, f"{times[k]:.12g}"]
-                + [f"{v:.17g}" for v in ensemble.z_paths[ell, k]]
-            )
+            rows.append([ell, k, f"{times[k]:.12g}"] + [f"{v:.17g}" for v in z[ell, k]])
     _write_output(config, "paths", "paths.csv", rows)
     return 0
 
@@ -536,9 +536,7 @@ def _cmd_sweep(args, config: RunConfig) -> int:
 
 
 def _cmd_oracle(args, config: RunConfig) -> int:
-    model, modes, _ = _load(config)
-    schedule = _stage("riccati", solve_riccati, model, model.grid)
-    rule = _stage("quadrature", payoff_quadrature, modes, model.n1, config.params.quad_order)
+    model, modes, schedule, rule = _prepare(config)
     values = _stage("oracle", tree_oracle_value, model, modes, schedule, rule)
     payload = {
         "values": [float(v) for v in values],
@@ -567,7 +565,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--M", type=int, dest="M", help="training paths per replication")
     parser.add_argument("--n-steps", type=int, dest="n_steps", help="time grid steps")
-    parser.add_argument("--epsilon", type=float, help="domain clamp tolerance")
+    parser.add_argument("--epsilon", type=float, help="box calibration tolerance (mean distance from a path to the box)")
     parser.add_argument("--cells-per-dim", type=int, dest="cells_per_dim", help="regression cells per axis")
     parser.add_argument("--quad-order", type=int, dest="quad_order", help="most quadrature nodes per axis")
 

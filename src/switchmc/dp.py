@@ -40,7 +40,7 @@ class ValueSurface:
     ``values`` has shape (d,): values[i] estimates the time-0 value in mode i
     at the initial state, where every training path starts.  ``coeffs[k]`` is
     the (d, R) CoefficientVector regressing values at t_{k+1} on cells at
-    t_k, for k = 0..N-1; ``coeffs[k][j]`` is mode j's row.
+    t_k, for k = 0..N-1; ``coeffs[k].lambdas[j]`` is mode j's row.
     """
 
     grid: TimeGrid
@@ -168,7 +168,7 @@ def backward_induction(
             choice[k, i, cells] = _stay_biased_argmax(visitors - cost[i, :, None], i)[1]
         above, values = values, above
 
-    # Every path starts at the clamped origin, so each column of level 0 is its value.
+    # Every path starts at the origin, so each column of level 0 is its value.
     surface = ValueSurface(grid=grid, basis=basis, values=above[:, 0].copy(), coeffs=tuple(coeffs))
     policy = Policy(grid=grid, basis=basis, choice=choice)
     return surface, policy
@@ -195,12 +195,13 @@ def simulate_policy(
     """Replay the estimated policy on fresh paths and average the reward.
 
     Fresh paths come from the given seed, which callers must keep disjoint
-    from the training seed; each step is clamped into the regression domain
-    and dropped once acted on.  With ``pointwise_policy`` (default) decisions
-    re-run the time-k maximization at the fresh path's exact point, using the
-    stored regression coefficients for continuations; otherwise decisions are
-    looked up from the per-cell policy table.  Paths are replayed a chunk at
-    a time, so a SimulationError is reported as ``simulate_paths`` reports it.
+    from the training seed; each step is acted on, and paid at, the filter
+    state as simulated, then dropped.  With ``pointwise_policy`` (default)
+    decisions re-run the time-k maximization at the fresh path's exact
+    point, using the stored regression coefficients for continuations;
+    otherwise decisions are looked up from the per-cell policy table.  Paths
+    are replayed a chunk at a time, so a SimulationError is reported as
+    ``simulate_paths`` reports it.
     """
     if not 0 <= start_mode < modes.d:
         raise ValueError(f"start_mode must lie in [0, {modes.d}), got {start_mode}")
@@ -217,7 +218,7 @@ def simulate_policy(
         mode, rows = np.full(P, int(start_mode), dtype=np.int64), np.arange(P)
         for k in range(grid.n_steps):
             t = float(times[k])
-            pts = basis.domain.project(next(states))
+            pts = next(states)
             ids = basis.cell_index(pts)
             cand, fbars = _action_values(
                 modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids

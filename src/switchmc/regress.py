@@ -1,9 +1,9 @@
-"""Piecewise-constant regression on a hypercube partition of the domain.
+"""Piecewise-constant regression on a hypercube partition placed by a box.
 
 Conditional expectations are estimated by averaging next-step values within
-each cell of a regular grid over the regression state.  Cells are half-open
-(closed on top at the domain boundary) so every in-domain point belongs to
-exactly one cell.
+each cell of a regular grid over the regression state.  Cells are half-open,
+and the outer cells of each axis extend past the box, so every finite point
+belongs to exactly one cell: the cell that its clipped point lies in.
 """
 
 from __future__ import annotations
@@ -28,16 +28,18 @@ __all__ = [
 
 
 class IndexingError(ValueError):
-    """A point fell outside the domain; it should have been projected first."""
+    """A point has a non-finite coordinate, or a cell id is out of range."""
 
 
 @dataclass(frozen=True, eq=False)
 class HypercubeBasis:
     """Regular partition of ``domain`` into cells_per_dim pieces per axis.
 
-    Cell r along an axis is [edge_r, edge_{r+1}), except the topmost cell
-    which also contains the upper boundary.  ``delta_side`` holds the nominal
-    side lengths (width / cells); ``R`` is the total number of cells.
+    Cell r along an axis is [edge_r, edge_{r+1}), except the outer cells:
+    the first takes every value below edge_1 and the last every value from
+    its lower edge up, the box's top edge and beyond included.
+    ``delta_side`` holds the nominal side lengths (width / cells); ``R`` is
+    the total number of cells.
     """
 
     domain: Domain
@@ -79,19 +81,19 @@ class HypercubeBasis:
         return (self.domain.highs - self.domain.lows) / np.asarray(self.cells_per_dim, dtype=float)
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat cell index in row-major order, shape (...).  Errors off-domain."""
+        """Flat cell index in row-major order, shape (...).  Errors on a
+        non-finite coordinate."""
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[-1]}, expected {self.dim}")
         flat = pts.reshape(-1, self.dim)
         idx = np.zeros(flat.shape[0], dtype=np.int64)
         for c in range(self.dim):
-            col, lo, hi = flat[:, c], self.domain.lows[c], self.domain.highs[c]
-            # Written as "not inside" so that a NaN coordinate is rejected too.
-            if col.size and not (lo <= col.min() and col.max() <= hi):
+            col = flat[:, c]
+            # A right searchsorted would put a NaN in the top cell; it makes both extremes NaN.
+            if col.size and not (math.isfinite(col.min()) and math.isfinite(col.max())):
                 raise IndexingError(
-                    f"point {flat[np.argmax(~((col >= lo) & (col <= hi)))]} lies outside the "
-                    f"domain [{self.domain.lows}, {self.domain.highs}]; project before indexing"
+                    f"point {flat[np.argmax(~np.isfinite(col))]} has a non-finite coordinate"
                 )
             idx *= self.cells_per_dim[c]
             idx += np.searchsorted(self._inner_edges[c], col, side="right")
@@ -101,7 +103,8 @@ class HypercubeBasis:
 @dataclass(frozen=True, eq=False)
 class CoefficientVector:
     """Per-cell empirical means (..., R), one row per value series, with the
-    occupancy counts (R,); empty cells carry 0.  ``vector[j]`` is row j."""
+    occupancy counts (R,); empty cells carry 0.  ``vector[j]`` is row j, so
+    iterating a (d, R) vector yields its d rows."""
 
     lambdas: np.ndarray
     counts: np.ndarray

@@ -1,11 +1,14 @@
 """Path simulation: an Euler scheme for the filter state (conditional mean
-and observation) driven by its innovation, plus domain calibration and
-projection for the regression state.
+and observation) driven by its innovation, plus the calibrated box that
+places the regression cells.
 
 The regression state is the pair (conditional mean, observation) in
-R^{n1 + n2}.  Training paths are simulated freely and then clamped onto a
-compact box so that hypercube regression sees a bounded state; the box is
-calibrated so the expected clamp distortion stays below a tolerance.
+R^{n1 + n2}.  Training and replay paths are the filter states as simulated;
+no point is moved.  The box only places the edges of the hypercube
+partition, whose outer cells extend past it.  It is calibrated so that the
+mean distance from a path point to the box stays below a tolerance, which
+is the projection error of the regression: a point beyond the box reads
+the continuation of the cell that its clipped point lies in.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class SimulationError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """Domain calibration could not meet the clamp-distortion tolerance."""
+    """Domain calibration could not meet the clip-distortion tolerance."""
 
 
 def derive_seed(master: int, *labels: int) -> int:
@@ -84,14 +87,6 @@ class Domain:
     def dim(self) -> int:
         return self.lows.shape[0]
 
-    def project(self, points: np.ndarray) -> np.ndarray:
-        """Componentwise clamp onto the box (idempotent, 1-Lipschitz), one flat
-        loop an axis with scalar bounds: np.clip's bits, signed zeros and NaNs too."""
-        out = np.array(points, dtype=float)
-        for i, (lo, hi) in enumerate(zip(self.lows.tolist(), self.highs.tolist())):
-            np.minimum(np.maximum(out[..., i], lo, out=out[..., i]), hi, out=out[..., i])
-        return out
-
     def widened(self, factor: float) -> "Domain":
         center = 0.5 * (self.lows + self.highs)
         half = 0.5 * (self.highs - self.lows) * factor
@@ -101,21 +96,19 @@ class Domain:
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Training paths for regression: the regression state (conditional mean,
-    observation) on the grid, clamped into ``domain``.  Row ell depends only
-    on the simulation seed and ell.
+    observation) on the grid.  Row ell depends only on the simulation seed
+    and ell.
 
     ``z_paths`` has shape (M, N+1, n1 + n2), conditional mean first; from
     ``build_ensemble`` it is a transposed view of time-major storage, so
     ``state(k)`` is one contiguous block.  It is stored read-only;
-    ``m_paths``, ``y_paths`` and ``state(k)`` are views of it.  Points
-    outside ``domain`` are not looked for here: ``build_ensemble`` clamps
-    every point, and ``HypercubeBasis.cell_index`` rejects any point outside
-    the domain when the ensemble is indexed.  No signal is simulated, so
+    ``m_paths``, ``y_paths`` and ``state(k)`` are views of it.  A
+    non-finite point is not looked for here: ``HypercubeBasis.cell_index``
+    rejects it when the ensemble is indexed.  No signal is simulated, so
     ``x_paths`` is always None; the field stays for callers that read it.
     """
 
     grid: TimeGrid
-    domain: Domain
     z_paths: np.ndarray
     n1: int
     x_paths: np.ndarray | None = None
@@ -127,10 +120,6 @@ class PathEnsemble:
         if z.shape[1] != self.grid.n_steps + 1:
             raise ValueError(
                 f"paths have {z.shape[1]} points but grid has {self.grid.n_steps + 1}"
-            )
-        if z.shape[2] != self.domain.dim:
-            raise ValueError(
-                f"state dimension {z.shape[2]} does not match domain dim {self.domain.dim}"
             )
         if not 0 < self.n1 < z.shape[2]:
             raise ValueError(f"n1 must lie in [1, {z.shape[2]}), got {self.n1}")
@@ -212,7 +201,7 @@ def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule
                   di: np.ndarray):
     """The recursion of ``simulate_paths`` one step at a time, from the
     unit-variance innovation draws di (N, M, n2), which it scales by
-    sqrt(delta) in place: yields fresh unclamped z_k (M, n1 + n2), k = 0..N.
+    sqrt(delta) in place: yields fresh z_k (M, n1 + n2), k = 0..N.
     A non-finite step raises before it is yielded."""
     _check_schedule(schedule, grid)
     n_steps, delta = grid.n_steps, grid.delta
@@ -242,8 +231,7 @@ def simulate_paths(
     seed: int,
     path_ids: Sequence[int],
 ) -> np.ndarray:
-    """Simulate raw (unclamped) Gaussian paths of the filter for the given
-    path indices.
+    """Simulate Gaussian paths of the filter for the given path indices.
 
     The filter state (m, y) is stepped from its innovation dI = dY - G m dt,
     a Brownian motion of the observation filtration: y_{k+1} = y_k + G m_k
@@ -268,23 +256,18 @@ def build_ensemble(
     model: ModelSpec,
     grid: TimeGrid,
     schedule: CovarianceSchedule,
-    domain: Domain,
     M: int,
     seed: int,
 ) -> PathEnsemble:
-    """Simulate M Gaussian paths (indices 0..M-1) as ``simulate_paths`` does
-    and clamp the regression state into ``domain``."""
+    """The M paths of ``simulate_paths`` (indices 0..M-1) as a PathEnsemble."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    z = np.empty((grid.n_steps + 1, M, model.n1 + model.n2))
-    for sl, states in _chunked_states(model, grid, schedule, seed, range(M)):
-        for k, zk in enumerate(states):
-            z[k, sl] = domain.project(zk)
-    return PathEnsemble(grid=grid, domain=domain, z_paths=z.transpose(1, 0, 2), n1=model.n1)
+    z = simulate_paths(model, grid, schedule, seed, range(M))
+    return PathEnsemble(grid=grid, z_paths=z, n1=model.n1)
 
 
 def _clip_error(cols: np.ndarray, domain: Domain) -> float:
-    """Worst mean Euclidean clamp distortion over grid times, from one
+    """Worst mean Euclidean distance to the box over grid times, from one
     time-major (N+1, M) array per regression axis in ``cols``."""
     gaps = (col - np.clip(col, lo, hi) for col, lo, hi in zip(cols, domain.lows, domain.highs))
     # Axes add left to right and paths in index order, so the sums are fixed.
@@ -300,7 +283,7 @@ def calibrate_domain(
     pilot_M: int = 1000,
     seed: int = 0,
 ) -> Domain:
-    """Choose a box for the regression state with clamp distortion <= epsilon.
+    """Choose a box for the regression state with clip distortion <= epsilon.
 
     A pilot ensemble picks per-coordinate half-widths from a quantile ladder
     (tightest box whose pilot distortion is at most 0.8 * epsilon; the last,

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from switchmc import derive_seed, load_problem, simulate_paths, solve_riccati
 from switchmc.benchmarks import benchmark_problem, default_solver_params
 from switchmc.cli import RunConfig, StageError, main, run_solve
 
@@ -164,6 +165,22 @@ class TestPaths:
         lines = raw_a.decode().strip().splitlines()
         assert lines[0] == "path,k,t,m_1,y_1"
         assert len(lines) == 1 + 4 * 7
+
+
+    def test_writes_the_filter_states_without_calibrating(self, tmp_path, capsys):
+        # paths runs no calibrate stage, so an epsilon that calibration
+        # refuses does not stop it, and it writes the training stream's
+        # filter states of replication 0 as simulated.
+        args = ["paths", "--n-paths", "3", "--n-steps", "6", "--seed", "3", "--epsilon", "0"]
+        code, _, err = run_cli(args + ["--out", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "paths.csv").read_text().strip().splitlines()[1:]
+        written = np.array([[float(v) for v in row.split(",")[3:]] for row in rows])
+        model, _ = load_problem({**benchmark_problem(), "n_steps": 6})
+        z = simulate_paths(
+            model, model.grid, solve_riccati(model, model.grid), derive_seed(3, 0, 0), range(3)
+        )
+        assert np.array_equal(written, z.reshape(-1, 2))
 
 
 class TestSolve:

@@ -39,7 +39,7 @@ def solved_benchmark():
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=400, seed=21)
-    ensemble = build_ensemble(model, grid, schedule, domain, 500, seed=22)
+    ensemble = build_ensemble(model, grid, schedule, 500, seed=22)
     basis = HypercubeBasis(domain, (8, 8))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return model, modes, schedule, rule, ensemble, basis, surface, policy
@@ -51,7 +51,7 @@ def train_surface(model, modes):
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=71)
-    ensemble = build_ensemble(model, grid, schedule, domain, 200, seed=72)
+    ensemble = build_ensemble(model, grid, schedule, 200, seed=72)
     basis = HypercubeBasis(domain, (8, 8))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return rule, surface, policy
@@ -60,10 +60,10 @@ def train_surface(model, modes):
 def replay_over_ensemble(model, modes, schedule, surface, policy, rule, start_mode, M, seed,
                          pointwise_policy):
     """The policy replay over a stored ensemble: all M paths are simulated
-    and clamped by ``build_ensemble`` first, then walked with 2-D gathers.
+    by ``build_ensemble`` first, then walked with 2-D gathers.
     Returns the per-path rewards and switch counts."""
     grid, basis, cost = surface.grid, surface.basis, modes.costs
-    ensemble = build_ensemble(model, grid, schedule, basis.domain, M, seed)
+    ensemble = build_ensemble(model, grid, schedule, M, seed)
     mode = np.full(M, start_mode, dtype=np.int64)
     total, switches, rows = np.zeros(M), np.zeros(M, dtype=np.int64), np.arange(M)
     for k in range(grid.n_steps):
@@ -94,7 +94,7 @@ def single_mode_setup(kappa, n_steps=16, M=200):
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 8)
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=31)
-    ensemble = build_ensemble(model, grid, schedule, domain, M, seed=32)
+    ensemble = build_ensemble(model, grid, schedule, M, seed=32)
     basis = HypercubeBasis(domain, (5, 5))
     return model, modes, grid, schedule, rule, ensemble, basis
 
@@ -123,6 +123,42 @@ class TestSingleMode:
         assert ev.mean_switches == 0.0
 
 
+def linear_one_cell(n_steps=10):
+    """One linear mode, free to stay, on a one-cell basis whose box, +-0.05
+    on both axes, many paths leave."""
+    model, _ = make_benchmark(n_steps=n_steps)
+    modes = ModeSet(payoffs=(as_payoff("linear"),), costs=[[0.0]], nu=0.001)
+    schedule = solve_riccati(model, model.grid)
+    basis = HypercubeBasis(Domain(lows=np.full(2, -0.05), highs=np.full(2, 0.05)), 1)
+    return model, modes, schedule, basis, build_quadrature(1, 4)
+
+
+class TestRewardsAtTheFilterState:
+    # A linear payoff's belief average is the conditional mean m, and one
+    # cell's continuation is the mean over every path, so both figures are
+    # delta sum_{k<N} m_k averaged over paths.  Read at the box edge
+    # instead, they were -0.000355 (against -0.012062) and 0.002151
+    # (against 0.008765).
+    def test_one_cell_induction_value(self):
+        model, modes, schedule, basis, rule = linear_one_cell()
+        ensemble = build_ensemble(model, model.grid, schedule, 200, 3)
+        surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
+        m = simulate_paths(model, model.grid, schedule, 3, range(200))[:, :-1, 0]
+        expected = model.grid.delta * m.mean(axis=0).sum()
+        assert surface.values[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_replay_mean(self):
+        model, modes, schedule, basis, rule = linear_one_cell()
+        ensemble = build_ensemble(model, model.grid, schedule, 200, 3)
+        surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+        ev = simulate_policy(
+            model, modes, schedule, surface, policy, rule, start_mode=0, M=300, seed=9
+        )
+        m = simulate_paths(model, model.grid, schedule, 9, range(300))[:, :-1, 0]
+        expected = model.grid.delta * m.sum(axis=1).mean()
+        assert ev.mean == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def zero_setup():
     model, _ = make_benchmark(n_steps=12)
@@ -135,7 +171,7 @@ def zero_setup():
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 8)
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=41)
-    ensemble = build_ensemble(model, grid, schedule, domain, 300, seed=42)
+    ensemble = build_ensemble(model, grid, schedule, 300, seed=42)
     basis = HypercubeBasis(domain, (5, 5))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return model, modes, schedule, rule, surface, policy, ensemble
@@ -214,7 +250,8 @@ class TestTwoModeInvariants:
         # recursion formula applied at the origin itself must give the stored
         # value, and every path's k = 0 column, bit for bit.
         model, modes, schedule, rule, ensemble, basis, surface, _ = solved_benchmark
-        origin_point = basis.domain.project(np.concatenate([model.m0, model.y0]))[None, :]
+        origin_point = np.concatenate([model.m0, model.y0])[None, :]
+        assert np.all((basis.domain.lows <= origin_point) & (origin_point <= basis.domain.highs))
         cand, _ = _action_values(
             modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin_point,
             surface.coeffs[0], basis.cell_index(origin_point),
@@ -236,7 +273,7 @@ def test_induction_refuses_the_schedule_of_another_grid(schedule_steps, grid_ste
     model, modes = make_benchmark(n_steps=grid_steps)
     other, _ = make_benchmark(n_steps=schedule_steps)
     domain = Domain(lows=np.array([-1.0, -1.0]), highs=np.array([1.0, 1.0]))
-    ensemble = PathEnsemble(model.grid, domain, np.zeros((5, grid_steps + 1, 2)), n1=1)
+    ensemble = PathEnsemble(model.grid, np.zeros((5, grid_steps + 1, 2)), n1=1)
     with pytest.raises(
         ValueError, match=f"^covariance schedule has {schedule_steps} steps but grid has {grid_steps}$"
     ):
@@ -260,7 +297,7 @@ model, modes = load_problem({**benchmark_problem(), "n_steps": 730})
 grid = model.grid
 schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
 domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=1000, seed=1)
-ensemble = build_ensemble(model, grid, schedule, domain, 5000, seed=2)
+ensemble = build_ensemble(model, grid, schedule, 5000, seed=2)
 basis = HypercubeBasis(domain, (10, 10))
 tracemalloc.start()
 surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
@@ -274,7 +311,7 @@ print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_solve_memory_per_path():
-    # A bench1d solve (N = 730) stores 731 * 2 floats of clamped state (11.4
+    # A bench1d solve (N = 730) stores 731 * 2 floats of filter state (11.4
     # KiB) and 731 int32 cell ids (2.9 KiB) a path, 14.3 KiB in all; its 730
     # innovation draws a path are held one chunk of 2 816 paths at a time,
     # at most 16 MB whatever M is.  Three fresh pairs of runs grew by
@@ -309,7 +346,7 @@ class TestTieBreaking:
         schedule = solve_riccati(model, grid)
         rule = build_quadrature(1, 4)
         domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=51)
-        ensemble = build_ensemble(model, grid, schedule, domain, 100, seed=52)
+        ensemble = build_ensemble(model, grid, schedule, 100, seed=52)
         basis = HypercubeBasis(domain, (4, 4))
         _, policy = backward_induction(ensemble, basis, modes, schedule, rule)
         for i in range(3):
@@ -355,7 +392,7 @@ def test_policy_table_takes_each_cell_from_its_first_path():
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 4)
     domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=61)
-    ensemble = build_ensemble(model, grid, schedule, domain, 200, seed=62)
+    ensemble = build_ensemble(model, grid, schedule, 200, seed=62)
     basis = HypercubeBasis(domain, (6, 6))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     cell_ids = memberships(ensemble, basis)
@@ -443,7 +480,7 @@ class TestSimulatePolicy:
         self, solved_benchmark, pointwise_policy
     ):
         # The replay simulates one step at a time and stores no path; it must
-        # give the numbers of a replay over the whole clamped ensemble.
+        # give the numbers of a replay over the whole ensemble.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
         args = (model, modes, schedule, surface, policy, rule)
         ev = simulate_policy(
@@ -541,7 +578,7 @@ model, modes = load_problem({**benchmark_problem(), "n_steps": 365})
 grid = model.grid
 schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
 domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=1)
-ensemble = build_ensemble(model, grid, schedule, domain, 200, seed=2)
+ensemble = build_ensemble(model, grid, schedule, 200, seed=2)
 basis = HypercubeBasis(domain, (10, 10))
 surface, policy = backward_induction(
     ensemble, basis, modes, schedule, rule)

@@ -56,12 +56,13 @@ class TestHypercubeBasis:
         assert basis.cell_index(np.array([[0.1, 0.9]]))[0] == 1
 
     def test_off_domain_point_named_in_error(self):
+        # Only a non-finite coordinate has no cell; a finite point beyond
+        # the box lies in an outer cell.
         basis = unit_basis(4)
-        with pytest.raises(IndexingError) as err:
-            basis.cell_index(np.array([[1.5]]))
-        assert "1.5" in str(err.value)
-        with pytest.raises(IndexingError, match="nan"):
-            basis.cell_index(np.array([[0.5], [np.nan]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(IndexingError) as err:
+                basis.cell_index(np.array([[0.5], [bad]]))
+            assert str(np.array([bad])) in str(err.value)
 
     def test_refuses_more_cells_than_int32_ids_can_name(self):
         # memberships stores int32 ids, so R may be at most 2**31 - 1:
@@ -97,10 +98,11 @@ def reference_cell_index(points, lows, highs, cells) -> np.ndarray:
 
 @st.composite
 def basis_and_points(draw):
-    """A box with 1 to 3 axes and 1 to 12 cells per axis, and points on it:
-    random in-domain points, every edge, and each edge's float neighbours
-    that still lie in the domain.  Edge coordinates are set on one axis,
-    the other axes keep a random in-domain value."""
+    """A box with 1 to 3 axes and 1 to 12 cells per axis, and points on and
+    around it: random in-domain points, every edge, each edge's float
+    neighbours, half a width beyond either end and +-1e300.  These
+    coordinates are set on one axis, the other axes keep a random in-domain
+    value."""
     dim = draw(st.integers(1, 3))
     lows, highs, cells = [], [], []
     for _ in range(dim):
@@ -118,11 +120,13 @@ def basis_and_points(draw):
     rows = [random_pts]
     for c in range(dim):
         edges = np.linspace(lows[c], highs[c], cells[c] + 1)
-        for coord in np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]):
-            if lows[c] <= coord <= highs[c]:
-                pt = random_pts[0].copy()
-                pt[c] = coord
-                rows.append(pt[None, :])
+        half = 0.5 * (highs[c] - lows[c])
+        neighbours = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        beyond = [lows[c] - half, highs[c] + half, -1e300, 1e300]
+        for coord in np.concatenate([edges, *neighbours, beyond]):
+            pt = random_pts[0].copy()
+            pt[c] = coord
+            rows.append(pt[None, :])
     return Domain(lows=lows, highs=highs), tuple(cells), np.vstack(rows)
 
 
@@ -130,9 +134,13 @@ class TestCellIndexProperty:
     @settings(max_examples=150, deadline=None)
     @given(basis_and_points())
     def test_matches_per_axis_searchsorted(self, case):
+        # The outer cells extend past the box: a point beyond it lies in
+        # the cell of its clipped point.
         domain, cells, points = case
         basis = HypercubeBasis(domain, cells)
-        expected = reference_cell_index(points, domain.lows, domain.highs, cells)
+        clipped = np.clip(points, domain.lows, domain.highs)
+        assert np.any(clipped != points)
+        expected = reference_cell_index(clipped, domain.lows, domain.highs, cells)
         assert np.array_equal(basis.cell_index(points), expected)
 
     @settings(max_examples=60, deadline=None)
@@ -142,9 +150,7 @@ class TestCellIndexProperty:
         basis = HypercubeBasis(domain, cells)
         row = data.draw(st.integers(0, points.shape[0] - 1))
         axis = data.draw(st.integers(0, domain.dim - 1))
-        bad = data.draw(st.sampled_from([
-            np.nan, np.nextafter(domain.lows[axis], -np.inf), np.nextafter(domain.highs[axis], np.inf),
-        ]))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         points = points.copy()
         points[row, axis] = bad
         with pytest.raises(IndexingError) as err:
@@ -172,9 +178,17 @@ class TestEmpiricalCoefficients:
         for j in range(3):
             sums = np.bincount(cells, weights=values[j], minlength=10)
             expected = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-            assert np.array_equal(coeffs[j].lambdas, expected)
-            assert np.array_equal(coeffs[j].counts, counts)
+            assert np.array_equal(coeffs.lambdas[j], expected)
         assert np.array_equal(regress_eval(coeffs, cells), coeffs.lambdas[:, cells])
+
+    def test_iterating_a_vector_yields_its_rows(self):
+        # perfbench's surface-bytes count iterates each (d, R) level.
+        coeffs = empirical_coefficients(np.arange(6.0).reshape(2, 3), np.array([0, 2, 2]), R=4)
+        rows = list(coeffs)
+        assert len(rows) == 2
+        for row, lambdas in zip(rows, coeffs.lambdas):
+            assert np.array_equal(row.lambdas, lambdas)
+            assert np.array_equal(row.counts, coeffs.counts)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -208,7 +222,7 @@ def small_ensemble():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     dom = Domain(lows=np.array([-4.0, -4.0]), highs=np.array([4.0, 4.0]))
-    ens = build_ensemble(model, grid, schedule, dom, 300, seed=3)
+    ens = build_ensemble(model, grid, schedule, 300, seed=3)
     basis = HypercubeBasis(dom, (6, 6))
     return ens, basis
 
@@ -269,7 +283,7 @@ class TestEstimatePmin:
         m = np.array([[[0.1], [0.9]], [[0.2], [0.9]], [[0.3], [0.9]], [[0.8], [0.9]]])
         y = np.full((4, 2, 1), 0.5)
         ens = PathEnsemble(
-            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1
+            grid=grid, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )
         est = induction_pmin(ens, basis)
         assert est.raw_min == pytest.approx(0.25)
@@ -283,7 +297,7 @@ class TestEstimatePmin:
         m = np.array([[[0.1], [0.9]], [[0.9], [0.9]]])
         y = np.full((2, 2, 1), 0.5)
         ens = PathEnsemble(
-            grid=grid, domain=dom, z_paths=np.concatenate([m, y], axis=-1), n1=1
+            grid=grid, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )
         est = induction_pmin(ens, basis)
         assert est.raw_min == 0.0

@@ -57,34 +57,13 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]))
 
-    def test_project_is_clipping(self):
-        dom = Domain(lows=np.array([-1.0, 0.0]), highs=np.array([1.0, 2.0]))
-        pts = np.array([[0.5, 1.0], [-3.0, 5.0]])
-        proj = dom.project(pts)
-        assert np.array_equal(proj[0], pts[0])
-        assert np.array_equal(proj[1], [-1.0, 2.0])
-        assert np.array_equal(dom.project(proj), proj)
-
-    def test_project_is_nonexpansive(self):
-        dom = Domain(lows=np.array([-1.0, 0.0]), highs=np.array([1.0, 2.0]))
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((200, 2)) * 3
-        b = rng.standard_normal((200, 2)) * 3
-        da = dom.project(a)
-        db = dom.project(b)
-        assert np.all(
-            np.linalg.norm(da - db, axis=1) <= np.linalg.norm(a - b, axis=1) + 1e-12
-        )
-
     def test_contains_and_widened(self):
-        # A box contains a point exactly when projecting leaves it unchanged.
         dom = Domain(lows=np.array([0.0]), highs=np.array([2.0]))
-        inside, outside = np.array([[1.0]]), np.array([[2.5]])
-        assert np.array_equal(dom.project(inside), inside)
-        assert not np.array_equal(dom.project(outside), outside)
+        assert np.all((dom.lows <= 1.0) & (1.0 <= dom.highs))
+        assert not np.all((dom.lows <= 2.5) & (2.5 <= dom.highs))
         wide = dom.widened(1.5)
         assert wide.lows[0] < 0.0 and wide.highs[0] > 2.0
-        assert np.array_equal(wide.project(np.array([[2.4]])), np.array([[2.4]]))
+        assert np.all((wide.lows <= 2.4) & (2.4 <= wide.highs))
 
 
 class TestSimulatePaths:
@@ -153,12 +132,11 @@ class TestSimulatePaths:
         schedule = solve_riccati(model, grid)
         expected = grid.delta * float(np.sum(schedule.thetas[:-1, 0, 0] ** 2))
         assert expected == pytest.approx(1.0 - math.tanh(1.0), abs=4e-4)
-        dom = Domain(lows=np.array([-50.0, -50.0]), highs=np.array([50.0, 50.0]))
         n_total = 100_000
         chunk = 20_000
         terminal = np.empty(n_total)
         for start in range(0, n_total, chunk):
-            ens = build_ensemble(model, grid, schedule, dom, chunk, seed=derive_seed(2026, start))
+            ens = build_ensemble(model, grid, schedule, chunk, seed=derive_seed(2026, start))
             terminal[start:start + chunk] = ens.m_paths[:, -1, 0]
         var = float(np.var(terminal))
         # The variance of the sample variance of a Gaussian is 2 var^2 / n.
@@ -229,8 +207,7 @@ class TestPathChunks:
 
     def test_ensemble_is_the_same_across_chunk_seams(self, bench20, monkeypatch):
         model, _, schedule = bench20
-        dom = Domain(lows=np.array([-0.5, -1.0]), highs=np.array([0.5, 1.0]))
-        args = (model, model.grid, schedule, dom, 300, 4)
+        args = (model, model.grid, schedule, 300, 4)
         whole = build_ensemble(*args)
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
         chunked = build_ensemble(*args)
@@ -239,23 +216,24 @@ class TestPathChunks:
 
 
 class TestPathEnsemble:
-    def test_rejects_out_of_domain_paths(self, bench20):
-        # The ensemble does not re-scan its paths; indexing them into cells
-        # rejects the first off-domain point (IndexingError is a ValueError).
+    def test_off_box_paths_take_the_cells_of_their_clipped_points(self, bench20):
+        # The outer cells extend past the box: the observation 0.5 lies in
+        # the top cell of its axis, and the mean -0.3 of path 1 in the bottom.
         model, _, schedule = bench20
-        grid = model.grid
         dom = Domain(lows=np.array([-0.001, -0.001]), highs=np.array([0.001, 0.001]))
         z = np.zeros((3, 21, 2))
         z[..., 1] = 0.5
-        ensemble = PathEnsemble(grid=grid, domain=dom, z_paths=z, n1=1)
-        with pytest.raises(ValueError, match="outside the domain"):
-            memberships(ensemble, HypercubeBasis(dom, 4))
+        z[1, :, 0] = -0.3
+        ensemble = PathEnsemble(grid=model.grid, z_paths=z, n1=1)
+        basis = HypercubeBasis(dom, 4)
+        ids = memberships(ensemble, basis)
+        assert np.array_equal(ids, basis.cell_index(np.clip(z, dom.lows, dom.highs)).T)
+        assert np.array_equal(ids, np.tile([2 * 4 + 3, 0 * 4 + 3, 2 * 4 + 3], (21, 1)))
 
     def test_state_concatenates_mean_and_observation(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 6, seed=5)
+        ens = build_ensemble(model, grid, schedule, 6, seed=5)
         st = ens.state(3)
         assert st.shape == (6, 2)
         assert np.array_equal(st[:, 0], ens.m_paths[:, 3, 0])
@@ -264,8 +242,7 @@ class TestPathEnsemble:
     def test_storage_is_time_major(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 6, seed=5)
+        ens = build_ensemble(model, grid, schedule, 6, seed=5)
         assert ens.z_paths.shape == (6, 21, 2)
         for k in (0, 3, 20):
             assert ens.state(k).flags.c_contiguous
@@ -273,20 +250,20 @@ class TestPathEnsemble:
     def test_paths_are_read_only_views_of_the_state(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-9.0, -9.0]), highs=np.array([9.0, 9.0]))
-        ens = build_ensemble(model, grid, schedule, dom, 6, seed=5)
+        ens = build_ensemble(model, grid, schedule, 6, seed=5)
         for view in (ens.m_paths, ens.y_paths, ens.state(3)):
             assert np.shares_memory(view, ens.z_paths)
             with pytest.raises(ValueError):
                 view[0] = 0.0
 
-    def test_build_ensemble_projects_into_domain(self, bench20):
+    def test_build_ensemble_stores_the_simulated_paths(self, bench20):
+        # No point is clamped: the ensemble holds the filter states of
+        # simulate_paths bit for bit, some well beyond 0.05 of the origin.
         model, _, schedule = bench20
         grid = model.grid
-        dom = Domain(lows=np.array([-0.05, -0.05]), highs=np.array([0.05, 0.05]))
-        ens = build_ensemble(model, grid, schedule, dom, 50, seed=6)
-        for k in range(grid.n_steps + 1):
-            assert np.array_equal(dom.project(ens.state(k)), ens.state(k))
+        ens = build_ensemble(model, grid, schedule, 50, seed=6)
+        assert np.array_equal(ens.z_paths, simulate_paths(model, grid, schedule, 6, range(50)))
+        assert np.abs(ens.z_paths).max() > 0.5
 
 
 class TestCalibrateDomain:
@@ -312,7 +289,7 @@ class TestCalibrateDomain:
         # be a nonempty interval.
         assert dom.highs[0] > dom.lows[0]
         origin = np.array([[0.0, 0.0]])
-        assert np.array_equal(dom.project(origin), origin)
+        assert np.all((dom.lows <= origin) & (origin <= dom.highs))
 
     def test_bad_arguments_rejected(self, bench20):
         model, _, schedule = bench20
@@ -329,7 +306,7 @@ class TestCalibrateDomain:
         model, _, schedule = bench20
         dom = calibrate_domain(model, model.grid, schedule, 1e-300, pilot_M=pilot_M, seed=1)
         pilot = simulate_paths(model, model.grid, schedule, derive_seed(1, 101), range(pilot_M))
-        assert np.array_equal(dom.project(pilot), pilot)
+        assert np.all((dom.lows <= pilot) & (pilot <= dom.highs))
 
     def test_verification_widens_the_box_a_bounded_number_of_times(self, bench20, monkeypatch):
         # At seed 10 the pilot's box fails verification twice and holds on
