@@ -32,7 +32,6 @@ from .filtering import (
     solve_riccati,
 )
 from .simulate import (
-    CalibrationError,
     Domain,
     PathEnsemble,
     SimulationError,
@@ -72,9 +71,8 @@ __all__ = [
     "CovarianceSchedule", "EvaluationError",
     "IntegrationError", "QuadratureRule", "build_quadrature", "psd_sqrt",
     "solve_riccati",
-    "CalibrationError", "Domain", "PathEnsemble",
-    "SimulationError", "build_ensemble", "calibrate_domain", "derive_seed",
-    "payoff_sup_on_domain", "simulate_paths",
+    "Domain", "PathEnsemble", "SimulationError", "build_ensemble",
+    "calibrate_domain", "derive_seed", "payoff_sup_on_domain", "simulate_paths",
     "CoefficientVector", "HypercubeBasis", "IndexingError", "PminEstimate",
     "empirical_coefficients", "estimate_pmin", "regress_eval",
     "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",

@@ -63,7 +63,7 @@ __all__ = [
 _ENV_THREADS = "SWITCHMC_THREADS"
 # Labels of the random streams of one replication, passed to derive_seed
 # after the master seed and the replication index.
-_SEED_LABELS = {"train": 0, "eval": 1, "pilot": 2}
+_SEED_LABELS = {"train": 0, "eval": 1}
 
 
 class StageError(RuntimeError):
@@ -204,17 +204,15 @@ def _seed(config: RunConfig, rep: int, name: str) -> int:
 
 def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     """One full solve replication: validate, propagate the covariance,
-    calibrate the box, simulate, regress, and run backward induction."""
+    simulate, calibrate the box on those paths, regress, and run backward
+    induction."""
     params = config.params
     model, modes, schedule, rule = _prepare(config)
     grid = model.grid
-    domain = _stage(
-        "calibrate", calibrate_domain, model, grid, schedule, params.epsilon,
-        pilot_M=max(100, min(params.M, 1000)), seed=_seed(config, rep, "pilot"),
-    )
     ensemble = _stage(
         "simulate", build_ensemble, model, grid, schedule, params.M, _seed(config, rep, "train"),
     )
+    domain = _stage("calibrate", calibrate_domain, ensemble, params.epsilon)
     basis = _stage("regress", HypercubeBasis, domain, params.cells_per_dim)
     surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
     values = _stage("evaluate", value_at_origin, surface)
@@ -565,7 +563,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--M", type=int, dest="M", help="training paths per replication")
     parser.add_argument("--n-steps", type=int, dest="n_steps", help="time grid steps")
-    parser.add_argument("--epsilon", type=float, help="box calibration tolerance (mean distance from a path to the box)")
+    parser.add_argument("--epsilon", type=float, help="box calibration tolerance (mean distance from a training path to the box)")
     parser.add_argument("--cells-per-dim", type=int, dest="cells_per_dim", help="regression cells per axis")
     parser.add_argument("--quad-order", type=int, dest="quad_order", help="most quadrature nodes per axis")
 

@@ -5,10 +5,11 @@ places the regression cells.
 The regression state is the pair (conditional mean, observation) in
 R^{n1 + n2}.  Training and replay paths are the filter states as simulated;
 no point is moved.  The box only places the edges of the hypercube
-partition, whose outer cells extend past it.  It is calibrated so that the
-mean distance from a path point to the box stays below a tolerance, which
-is the projection error of the regression: a point beyond the box reads
-the continuation of the cell that its clipped point lies in.
+partition, whose outer cells extend past it.  It is calibrated on the
+training paths so that their mean distance to the box stays below a
+tolerance at every grid time, which is the projection error of the
+regression: a point beyond the box reads the continuation of the cell that
+its clipped point lies in.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .model import ModelSpec, TimeGrid
 
 __all__ = [
     "SimulationError",
-    "CalibrationError",
     "Domain",
     "PathEnsemble",
     "derive_seed",
@@ -36,15 +36,12 @@ __all__ = [
     "payoff_sup_on_domain",
 ]
 
-# Padding for coordinates that never move during the calibration pilot.
+# Padding for coordinates that never move on the calibration paths.
 _DEGENERATE_PAD = 1e-9
 # Quantile ladder tried during calibration, tightest box first.
 _Q_LADDER = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0)
-# Fraction of epsilon targeted on the calibration sample itself, leaving
-# headroom for the verification sample.
-_CALIBRATION_MARGIN = 0.8
-_WIDEN_FACTOR = 1.1
-_MAX_WIDENINGS = 10
+# Floats of off-box path points _clip_error gathers at once: 2**17, 1 MB.
+_CLIP_BLOCK = 2 ** 17
 # Paths whose Gaussian streams are drawn before one transposed copy.
 _DRAW_BLOCK = 64
 # Noise draws one chunk of paths may hold at once: 2**21 floats, 16 MB.
@@ -55,12 +52,8 @@ class SimulationError(RuntimeError):
     """A path recursion produced a non-finite value."""
 
 
-class CalibrationError(RuntimeError):
-    """Domain calibration could not meet the clip-distortion tolerance."""
-
-
 def derive_seed(master: int, *labels: int) -> int:
-    """Stable derived seed for an auxiliary stream (pilot, evaluation, ...)."""
+    """Stable derived seed for one random stream (training, evaluation, ...)."""
     ss = np.random.SeedSequence(entropy=(int(master),) + tuple(int(x) for x in labels))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -86,11 +79,6 @@ class Domain:
     @property
     def dim(self) -> int:
         return self.lows.shape[0]
-
-    def widened(self, factor: float) -> "Domain":
-        center = 0.5 * (self.lows + self.highs)
-        half = 0.5 * (self.highs - self.lows) * factor
-        return Domain(lows=center - half, highs=center + half)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +162,17 @@ def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedu
     """``path_ids`` a chunk at a time: yields (sl, states), ``states`` being
     ``_euler_states`` of the paths path_ids[sl], for consecutive slices sl.
 
-    A chunk is the most paths (whole blocks of _DRAW_BLOCK, at least one)
-    whose N n2 innovation draws fit in _DRAW_BUDGET floats.  Every chunk
+    The chunks are the fewest whose N n2 innovation draws fit in
+    _DRAW_BUDGET floats, each but the last holding the paths' equal share
+    rounded up to whole blocks of _DRAW_BLOCK (at least one).  Every chunk
     draws into one buffer, so a caller steps each chunk to its end before
     taking the next.
     """
     per_path = grid.n_steps * model.n2
-    size = max(1, _DRAW_BUDGET // (per_path * _DRAW_BLOCK)) * _DRAW_BLOCK
+    most = max(1, _DRAW_BUDGET // (per_path * _DRAW_BLOCK)) * _DRAW_BLOCK
     n_paths = len(path_ids)
+    count = max(1, -(-n_paths // most))
+    size = max(1, -(-n_paths // (count * _DRAW_BLOCK))) * _DRAW_BLOCK
     buf = np.empty(per_path * min(size, n_paths))
     for start in range(0, n_paths, size):
         sl = slice(start, min(start + size, n_paths))
@@ -266,58 +257,57 @@ def build_ensemble(
     return PathEnsemble(grid=grid, z_paths=z, n1=model.n1)
 
 
-def _clip_error(cols: np.ndarray, domain: Domain) -> float:
-    """Worst mean Euclidean distance to the box over grid times, from one
-    time-major (N+1, M) array per regression axis in ``cols``."""
-    gaps = (col - np.clip(col, lo, hi) for col, lo, hi in zip(cols, domain.lows, domain.highs))
-    # Axes add left to right and paths in index order, so the sums are fixed.
-    dist = np.sqrt(sum(gap * gap for gap in gaps))
-    return float((np.add.accumulate(dist, axis=1)[:, -1] / dist.shape[1]).max())
+def _clip_error(z: np.ndarray, path_lows: np.ndarray, path_highs: np.ndarray,
+                domain: Domain) -> float:
+    """Worst mean Euclidean distance to the box over grid times of the paths
+    z (M, N+1, dim), whose extremes over time are path_lows and path_highs
+    (M, dim).
+
+    Only the paths that leave the box are read, a block of grid times at a
+    time: a path inside it adds an exact 0.0 to every sum.
+    """
+    leaving = np.flatnonzero(((path_lows < domain.lows) | (path_highs > domain.highs)).any(axis=1))
+    if leaving.size == 0:
+        return 0.0
+    times = z.transpose(1, 0, 2)  # (N+1, M, dim), time-major for an ensemble
+    rows = max(1, _CLIP_BLOCK // (leaving.size * z.shape[2]))
+    worst = 0.0
+    for k in range(0, times.shape[0], rows):
+        pts = times[k:k + rows, leaving]
+        gaps = pts - np.clip(pts, domain.lows, domain.highs)
+        # Axes add left to right and paths in index order, so the sums are fixed.
+        dist = np.sqrt(sum(gaps[..., a] * gaps[..., a] for a in range(gaps.shape[2])))
+        worst = max(worst, float((np.add.accumulate(dist, axis=1)[:, -1] / z.shape[0]).max()))
+    return worst
 
 
-def calibrate_domain(
-    model: ModelSpec,
-    grid: TimeGrid,
-    schedule: CovarianceSchedule,
-    epsilon: float,
-    pilot_M: int = 1000,
-    seed: int = 0,
-) -> Domain:
-    """Choose a box for the regression state with clip distortion <= epsilon.
+def calibrate_domain(ensemble: PathEnsemble, epsilon: float) -> Domain:
+    """Choose a box for the regression state whose clip distortion on the
+    ensemble's paths is at most epsilon at every grid time.
 
-    A pilot ensemble picks per-coordinate half-widths from a quantile ladder
-    (tightest box whose pilot distortion is at most 0.8 * epsilon; the last,
-    q = 0, holds every pilot path), then a fresh verification ensemble must
-    show distortion <= epsilon at every grid time; the box is widened by 10%
-    at most 10 times before giving up with CalibrationError.
+    The box is centred on the paths' range.  Its per-coordinate half-widths
+    are quantiles of each path's largest deviation from the centre, taken
+    from a ladder: the tightest box that meets epsilon.  The last rung,
+    q = 0, holds every path (stretched by the rounding it may miss by), so
+    the ladder always ends.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if pilot_M < 100:
-        raise ValueError(f"pilot_M must be >= 100, got {pilot_M}")
-    pilot_seed = derive_seed(seed, 101)
-    verify_seed = derive_seed(seed, 102)
-    state = simulate_paths(model, grid, schedule, pilot_seed, range(pilot_M))
-    cols = state.transpose(2, 1, 0)  # (dim, N+1, M) views of time-major storage
-    center = 0.5 * (np.array([col.min() for col in cols]) + np.array([col.max() for col in cols]))
-    # (M, dim): per-path sup over time of the distance to the center.
-    dev = np.stack([np.abs(col - mid).max(axis=0) for col, mid in zip(cols, center)], axis=1)
+    z = ensemble.z_paths
+    # Rounding is monotone, so the extremes give each path's deviation from
+    # the centre as the points themselves would.
+    path_lows, path_highs = z.min(axis=1), z.max(axis=1)
+    lows, highs = path_lows.min(axis=0), path_highs.max(axis=0)
+    center = 0.5 * (lows + highs)
+    dev = np.maximum(path_highs - center, center - path_lows)
 
     for q in _Q_LADDER:
         half = np.maximum(np.quantile(dev, 1.0 - q, axis=0), _DEGENERATE_PAD)
         domain = Domain(lows=center - half, highs=center + half)
-        if _clip_error(cols, domain) <= _CALIBRATION_MARGIN * epsilon:
-            break
-
-    verify_state = simulate_paths(model, grid, schedule, verify_seed, range(pilot_M))
-    for _ in range(_MAX_WIDENINGS + 1):
-        if _clip_error(verify_state.transpose(2, 1, 0), domain) <= epsilon:
+        if _clip_error(z, path_lows, path_highs, domain) <= epsilon:
             return domain
-        domain = domain.widened(_WIDEN_FACTOR)
-    raise CalibrationError(
-        f"verification distortion still above epsilon={epsilon:g} after "
-        f"{_MAX_WIDENINGS} widenings"
-    )
+    # Rounding can leave the outermost point an ulp beyond the q = 0 box.
+    return Domain(lows=np.minimum(domain.lows, lows), highs=np.maximum(domain.highs, highs))
 
 
 def payoff_sup_on_domain(modes, domain: Domain, schedule: CovarianceSchedule, rule, grid: TimeGrid) -> float:

@@ -223,8 +223,8 @@ def test_criterion_5_degenerate_closed_forms():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
-    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=7)
     ensemble = build_ensemble(model, grid, schedule, 300, seed=8)
+    domain = calibrate_domain(ensemble, 0.01)
     basis = HypercubeBasis(domain, (10, 10))
     surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
     origin = value_at_origin(surface)
@@ -237,8 +237,8 @@ def test_criterion_5_degenerate_closed_forms():
         costs=[[0.0, 0.01], [0.001, 0.0]], nu=0.001,
     )
     schedule2 = solve_riccati(model2, model2.grid)
-    domain2 = calibrate_domain(model2, model2.grid, schedule2, 0.01, pilot_M=300, seed=9)
     ensemble2 = build_ensemble(model2, model2.grid, schedule2, 300, seed=10)
+    domain2 = calibrate_domain(ensemble2, 0.01)
     basis2 = HypercubeBasis(domain2, (10, 10))
     surface2, policy2 = backward_induction(ensemble2, basis2, modes2, schedule2, rule)
     zero_values_ok = all(

@@ -26,7 +26,7 @@ def test_package_exports_are_pinned():
         "validate",
         "CovarianceSchedule", "EvaluationError", "IntegrationError", "QuadratureRule",
         "build_quadrature", "psd_sqrt", "solve_riccati",
-        "CalibrationError", "Domain", "PathEnsemble", "SimulationError",
+        "Domain", "PathEnsemble", "SimulationError",
         "build_ensemble", "calibrate_domain", "derive_seed", "payoff_sup_on_domain",
         "simulate_paths",
         "CoefficientVector", "HypercubeBasis", "IndexingError", "PminEstimate",
@@ -112,7 +112,7 @@ SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
 
 # Total lines of src/switchmc/*.py.  Lower it when code is removed; raising
 # it is a decision that shows in the diff, like a new exported name.
-SOURCE_LINES_MAX = 2322
+SOURCE_LINES_MAX = 2308
 
 
 def test_source_size_is_pinned():

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from switchmc import derive_seed, load_problem, simulate_paths, solve_riccati
+from switchmc import (
+    build_ensemble, calibrate_domain, derive_seed, load_problem, simulate_paths, solve_riccati,
+)
 from switchmc.benchmarks import benchmark_problem, default_solver_params
-from switchmc.cli import RunConfig, StageError, main, run_solve
+from switchmc.cli import RunConfig, StageError, main, run_pipeline, run_solve
 
 FAST = ["--M", "150", "--n-steps", "12", "--replications", "2", "--seed", "7"]
 
@@ -252,6 +254,16 @@ class TestSolve:
         assert serial[2] == (
             "error at stage 'calibrate': epsilon must be positive and finite, got 0.0\n"
         )
+
+    def test_box_is_calibrated_on_the_training_paths(self):
+        # Replication 1's box is the one calibrate_domain picks on the very
+        # paths its induction regresses: the training stream's M paths.
+        solver = {**default_solver_params(), "M": 300, "n_steps": 12, "seed": 7, "epsilon": 0.002}
+        res = run_pipeline(RunConfig(problem=benchmark_problem(), solver=solver), 1)
+        ensemble = build_ensemble(res.model, res.model.grid, res.schedule, 300, derive_seed(7, 1, 0))
+        box = calibrate_domain(ensemble, 0.002)
+        domain = res.surface.basis.domain
+        assert np.array_equal(domain.lows, box.lows) and np.array_equal(domain.highs, box.highs)
 
     def test_more_cells_than_int32_ids_is_a_regress_error(self, capsys):
         # 50 000 cells per axis make 2.5e9 cells, more than an int32 cell id

@@ -38,8 +38,8 @@ def solved_benchmark():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
-    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=400, seed=21)
     ensemble = build_ensemble(model, grid, schedule, 500, seed=22)
+    domain = calibrate_domain(ensemble, 0.01)
     basis = HypercubeBasis(domain, (8, 8))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return model, modes, schedule, rule, ensemble, basis, surface, policy
@@ -50,8 +50,8 @@ def train_surface(model, modes):
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
-    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=71)
     ensemble = build_ensemble(model, grid, schedule, 200, seed=72)
+    domain = calibrate_domain(ensemble, 0.01)
     basis = HypercubeBasis(domain, (8, 8))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return rule, surface, policy
@@ -93,8 +93,8 @@ def single_mode_setup(kappa, n_steps=16, M=200):
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 8)
-    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=31)
     ensemble = build_ensemble(model, grid, schedule, M, seed=32)
+    domain = calibrate_domain(ensemble, 0.01)
     basis = HypercubeBasis(domain, (5, 5))
     return model, modes, grid, schedule, rule, ensemble, basis
 
@@ -170,8 +170,8 @@ def zero_setup():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 8)
-    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=41)
     ensemble = build_ensemble(model, grid, schedule, 300, seed=42)
+    domain = calibrate_domain(ensemble, 0.01)
     basis = HypercubeBasis(domain, (5, 5))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     return model, modes, schedule, rule, surface, policy, ensemble
@@ -296,8 +296,8 @@ from switchmc.benchmarks import benchmark_problem
 model, modes = load_problem({**benchmark_problem(), "n_steps": 730})
 grid = model.grid
 schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
-domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=1000, seed=1)
 ensemble = build_ensemble(model, grid, schedule, 5000, seed=2)
+domain = calibrate_domain(ensemble, 0.01)
 basis = HypercubeBasis(domain, (10, 10))
 tracemalloc.start()
 surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
@@ -313,10 +313,12 @@ print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
 def test_solve_memory_per_path():
     # A bench1d solve (N = 730) stores 731 * 2 floats of filter state (11.4
     # KiB) and 731 int32 cell ids (2.9 KiB) a path, 14.3 KiB in all; its 730
-    # innovation draws a path are held one chunk of 2 816 paths at a time,
-    # at most 16 MB whatever M is.  Three fresh pairs of runs grew by
-    # 14.18-14.19 KiB a path from M = 5 000 to M = 20 000.  With every draw
-    # held at once and int64 ids, the peak grew by 22.8 KiB a path.
+    # innovation draws a path are held one chunk of 2 560 paths at a time,
+    # at most 16 MB whatever M is.  Three fresh pairs of runs peaked at
+    # 117 728-117 788 and 334 396-334 652 KiB and grew by 14.45-14.46 KiB a
+    # path from M = 5 000 to M = 20 000 (14.18-14.19 while the box had a
+    # pilot sample of its own).  With every draw held at once and int64 ids,
+    # the peak grew by 22.8 KiB a path.
     script = """
 import contextlib, io, json, sys
 from switchmc.cli import main
@@ -345,8 +347,8 @@ class TestTieBreaking:
         grid = model.grid
         schedule = solve_riccati(model, grid)
         rule = build_quadrature(1, 4)
-        domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=51)
         ensemble = build_ensemble(model, grid, schedule, 100, seed=52)
+        domain = calibrate_domain(ensemble, 0.01)
         basis = HypercubeBasis(domain, (4, 4))
         _, policy = backward_induction(ensemble, basis, modes, schedule, rule)
         for i in range(3):
@@ -391,8 +393,8 @@ def test_policy_table_takes_each_cell_from_its_first_path():
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 4)
-    domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=61)
     ensemble = build_ensemble(model, grid, schedule, 200, seed=62)
+    domain = calibrate_domain(ensemble, 0.01)
     basis = HypercubeBasis(domain, (6, 6))
     surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
     cell_ids = memberships(ensemble, basis)
@@ -577,8 +579,8 @@ from switchmc.benchmarks import benchmark_problem
 model, modes = load_problem({**benchmark_problem(), "n_steps": 365})
 grid = model.grid
 schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
-domain = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=1)
 ensemble = build_ensemble(model, grid, schedule, 200, seed=2)
+domain = calibrate_domain(ensemble, 0.01)
 basis = HypercubeBasis(domain, (10, 10))
 surface, policy = backward_induction(
     ensemble, basis, modes, schedule, rule)

@@ -11,7 +11,6 @@ import pytest
 from oracles import READ_PEAK_MB, SIGNAL2D, clip_error_reference, make_benchmark, run_child
 
 from switchmc import (
-    CalibrationError,
     CovarianceSchedule,
     Domain,
     EvaluationError,
@@ -57,13 +56,10 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]))
 
-    def test_contains_and_widened(self):
+    def test_contains(self):
         dom = Domain(lows=np.array([0.0]), highs=np.array([2.0]))
         assert np.all((dom.lows <= 1.0) & (1.0 <= dom.highs))
         assert not np.all((dom.lows <= 2.5) & (2.5 <= dom.highs))
-        wide = dom.widened(1.5)
-        assert wide.lows[0] < 0.0 and wide.highs[0] > 2.0
-        assert np.all((wide.lows <= 2.4) & (2.4 <= wide.highs))
 
 
 class TestSimulatePaths:
@@ -182,12 +178,13 @@ class TestPathChunks:
     def test_chunks_are_whole_draw_blocks_within_the_budget(self, monkeypatch):
         # 2**21 floats hold the draws of 2 872 paths at N = 730 (730 draws a
         # path, one innovation a step) and 5 745 at N = 365, rounded down to
-        # whole blocks of 64.
+        # whole blocks of 64: 2 816 and 5 696.  The fewest chunks within
+        # that share the paths, rounded up to whole blocks.
         model, _ = make_benchmark(n_steps=730)
         schedule = solve_riccati(model, model.grid)
-        assert chunk_sizes(model, schedule, 5000) == [2816, 2184]
+        assert chunk_sizes(model, schedule, 5000) == [2560, 2440]
         half, _ = make_benchmark(n_steps=365)
-        assert chunk_sizes(half, solve_riccati(half, half.grid), 12000) == [5696, 5696, 608]
+        assert chunk_sizes(half, solve_riccati(half, half.grid), 12000) == [4032, 4032, 3936]
         signal, _ = load_problem(SIGNAL2D)
         assert chunk_sizes(signal, solve_riccati(signal, signal.grid), 1500) == [1500]
         # One block of paths is the floor, whatever the budget.
@@ -271,8 +268,8 @@ class TestCalibrateDomain:
         model, _, schedule = bench20
         grid = model.grid
         epsilon = 0.01
-        dom = calibrate_domain(model, grid, schedule, epsilon, pilot_M=500, seed=11)
-        # Measure the mean clamp distortion on a third, unrelated sample.
+        dom = calibrate_domain(build_ensemble(model, grid, schedule, 500, seed=11), epsilon)
+        # Measure the mean clamp distortion on a second, unrelated sample.
         st = simulate_paths(model, grid, schedule, seed=987654, path_ids=range(2000))
         clipped = np.clip(st, dom.lows, dom.highs)
         worst = float(
@@ -284,7 +281,7 @@ class TestCalibrateDomain:
         model, _ = make_benchmark(n_steps=10, G=0.0)
         grid = model.grid
         schedule = solve_riccati(model, grid)
-        dom = calibrate_domain(model, grid, schedule, 0.01, pilot_M=200, seed=1)
+        dom = calibrate_domain(build_ensemble(model, grid, schedule, 200, seed=1), 0.01)
         # G = 0 freezes the conditional mean at m0 = 0; its axis must still
         # be a nonempty interval.
         assert dom.highs[0] > dom.lows[0]
@@ -293,46 +290,40 @@ class TestCalibrateDomain:
 
     def test_bad_arguments_rejected(self, bench20):
         model, _, schedule = bench20
-        grid = model.grid
+        ensemble = build_ensemble(model, model.grid, schedule, 10, seed=1)
         with pytest.raises(ValueError):
-            calibrate_domain(model, grid, schedule, epsilon=0.0)
-        with pytest.raises(ValueError):
-            calibrate_domain(model, grid, schedule, epsilon=0.01, pilot_M=10)
+            calibrate_domain(ensemble, epsilon=0.0)
 
-    @pytest.mark.parametrize("pilot_M", (100, 1000))
-    def test_a_vanishing_epsilon_gets_a_box_holding_every_pilot_path(self, bench20, pilot_M):
-        # The ladder ends at q = 0, whose box holds every pilot path, so no
-        # epsilon is too small for the pilot.
+    @pytest.mark.parametrize("seed", (1, 4))
+    def test_a_vanishing_epsilon_gets_a_box_holding_every_path(self, bench20, seed):
+        # The ladder ends at q = 0, whose box holds every training path, so
+        # no epsilon is too small.  At seed 4 rounding leaves the highest
+        # mean an ulp beyond center + half, and the box is stretched to it.
         model, _, schedule = bench20
-        dom = calibrate_domain(model, model.grid, schedule, 1e-300, pilot_M=pilot_M, seed=1)
-        pilot = simulate_paths(model, model.grid, schedule, derive_seed(1, 101), range(pilot_M))
-        assert np.all((dom.lows <= pilot) & (pilot <= dom.highs))
-
-    def test_verification_widens_the_box_a_bounded_number_of_times(self, bench20, monkeypatch):
-        # At seed 10 the pilot's box fails verification twice and holds on
-        # the third try; with one widening allowed calibration gives up.
-        model, _, schedule = bench20
-        widened, real = [], Domain.widened
-        monkeypatch.setattr(Domain, "widened", lambda self, f: widened.append(f) or real(self, f))
-        calibrate_domain(model, model.grid, schedule, 0.01, pilot_M=100, seed=10)
-        assert len(widened) == 2
-        monkeypatch.setattr(simulate, "_MAX_WIDENINGS", 1)
-        with pytest.raises(
-            CalibrationError, match="^verification distortion still above epsilon=0.01 after 1 widenings$"
-        ):
-            calibrate_domain(model, model.grid, schedule, 0.01, pilot_M=100, seed=10)
+        ensemble = build_ensemble(model, model.grid, schedule, 500, seed=seed)
+        dom = calibrate_domain(ensemble, 1e-300)
+        z = ensemble.z_paths
+        assert np.all((dom.lows <= z) & (z <= dom.highs))
 
     def test_deterministic_in_seed(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
-        a = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=4)
-        b = calibrate_domain(model, grid, schedule, 0.01, pilot_M=300, seed=4)
+        a = calibrate_domain(build_ensemble(model, grid, schedule, 300, seed=4), 0.01)
+        b = calibrate_domain(build_ensemble(model, grid, schedule, 300, seed=4), 0.01)
         assert np.array_equal(a.lows, b.lows)
         assert np.array_equal(a.highs, b.highs)
 
 
+def clip_error(state, domain):
+    """``_clip_error`` of the paths ``state`` (M, N+1, dim)."""
+    return _clip_error(state, state.min(axis=1), state.max(axis=1), domain)
+
+
 @pytest.mark.parametrize("problem", ("bench", "signal2d"), ids=("dim2", "dim3"))
-def test_clip_error_matches_the_all_axes_formula(problem, bench20):
+def test_clip_error_matches_the_all_axes_formula(problem, bench20, monkeypatch):
+    # Only the paths that leave the box are read, a block of grid times at a
+    # time; the result is the all-paths formula's bit for bit, with one
+    # grid time a block and with several, the last one ragged.
     if problem == "bench":
         model, _, schedule = bench20
     else:
@@ -340,13 +331,20 @@ def test_clip_error_matches_the_all_axes_formula(problem, bench20):
         schedule = solve_riccati(model, model.grid)
     state = simulate_paths(model, model.grid, schedule, seed=21, path_ids=range(400))
     lo, hi = state.min(axis=(0, 1)), state.max(axis=(0, 1))
-    # From a box that clamps most points to one that clamps none.
-    for shrink in (0.05, 0.3, 0.45, 0.5):
-        dom = Domain(lows=lo + shrink * (hi - lo), highs=hi - shrink * (hi - lo) + 1e-9)
-        expected = clip_error_reference(state, dom.lows, dom.highs)
-        assert _clip_error(state.transpose(2, 1, 0), dom) == expected
-    dom = Domain(lows=lo - 1.0, highs=hi + 1.0)
-    assert _clip_error(state.transpose(2, 1, 0), dom) == 0.0
+    # From a box that clamps most points to one that clamps none; the last
+    # two have the lowest or the highest point of each axis on their edge.
+    boxes = [
+        Domain(lows=lo + shrink * (hi - lo), highs=hi - shrink * (hi - lo) + 1e-9)
+        for shrink in (0.05, 0.3, 0.45, 0.5)
+    ] + [Domain(lows=lo, highs=hi - 0.3 * (hi - lo)), Domain(lows=lo + 0.3 * (hi - lo), highs=hi)]
+    for block in (simulate._CLIP_BLOCK, 1, 2 ** 12):
+        monkeypatch.setattr(simulate, "_CLIP_BLOCK", block)
+        for dom in boxes:
+            expected = clip_error_reference(state, dom.lows, dom.highs)
+            assert expected > 0.0
+            assert clip_error(state, dom) == expected
+        assert clip_error(state, Domain(lows=lo - 1.0, highs=hi + 1.0)) == 0.0
+        assert clip_error(state, Domain(lows=lo, highs=hi)) == 0.0
 
 
 class TestPayoffSup:
