@@ -106,7 +106,8 @@ class QuadratureRule:
     (and the middle node of an odd-sized rule is the origin itself).
     ``weighted_sum`` relies on that layout: integrands odd around a zero
     mean cancel exactly in floating point only because mirror nodes are
-    added to each other first.
+    added to each other first.  Values are node-major, (n_nodes, ...), so
+    each node's values over a batch of points are one contiguous block.
     """
 
     nodes: np.ndarray
@@ -132,19 +133,43 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
     def weighted_sum(self, vals: np.ndarray) -> np.ndarray:
-        """Weighted node sum over the last axis of ``vals`` (..., n_nodes).
+        """Weighted node sum over the first axis of ``vals`` (n_nodes, ...).
 
-        Node q is added to node n-1-q first, the pairs are summed, then the
-        middle node of an odd-sized rule is added.  Under the mirror layout
-        every rule has, odd contributions therefore cancel bitwise rather
-        than accumulating roundoff.
+        Node q is added to node n-1-q first, the pairs are summed in the
+        order of ``_pair_sum``, then the middle node of an odd-sized rule is
+        added.  Under the mirror layout every rule has, odd contributions
+        therefore cancel bitwise rather than accumulating roundoff.
         """
-        p = np.asarray(vals, dtype=float) * self.weights
+        vals = np.asarray(vals, dtype=float)
+        p = vals * self.weights.reshape((-1,) + (1,) * (vals.ndim - 1))
         half = self.n_nodes // 2
-        out = (p[..., :half] + p[..., : -half - 1 : -1]).sum(axis=-1)
-        if self.n_nodes % 2:
-            out = out + p[..., half]
-        return out
+        pairs = np.add(p[:half], p[: -half - 1 : -1], out=p[:half])
+        out = 0.0 + _pair_sum(pairs)  # 0.0 + turns -0.0 into +0.0
+        return out + p[half] if self.n_nodes % 2 else out
+
+
+def _pair_sum(a: np.ndarray):
+    """Sum over the first axis of ``a`` in the order in which numpy's sum
+    adds one contiguous row, so sums keep the bits of a row-major layout:
+    over 128 terms each half (cut at a multiple of 8) on its own; from 8
+    terms 8 running sums over blocks of 8, added as a tree, then the rest
+    in turn; under 8 terms all in turn.  The running sums overwrite the
+    first 8 rows of each half, so ``a`` is the caller's scratch."""
+    n = len(a)
+    if n > 128:
+        cut = n // 2 - n // 2 % 8
+        return _pair_sum(a[:cut]) + _pair_sum(a[cut:])
+    out, rest = 0.0, a
+    if n >= 8:
+        r = a[:8]
+        for i in range(8, n - n % 8, 8):
+            r += a[i:i + 8]
+        r[0::2] += r[1::2]  # then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r[0::4] += r[2::4]
+        out, rest = r[0] + r[4], a[n - n % 8:]
+    for row in rest:
+        out = out + row
+    return out
 
 
 def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
@@ -169,14 +194,10 @@ def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
     z1 = 0.5 * (z1 - z1[::-1])
     w1 = 0.5 * (w1 + w1[::-1])
     w1 = w1 / w1.sum()
-    grids = np.meshgrid(*([z1] * dim), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        weights = weights * wg.reshape(-1)
-    weights = weights / weights.sum()
-    return QuadratureRule(nodes=nodes, weights=weights)
+    # Per-axis node indices in row-major tensor order, so node n-1-q mirrors node q.
+    idx = np.indices((per_axis,) * dim).reshape(dim, -1).T
+    weights = np.prod(w1[idx], axis=-1)
+    return QuadratureRule(nodes=z1[idx], weights=weights / weights.sum())
 
 
 def payoff_quadrature(modes: ModeSet, dim: int, order: int = 16) -> QuadratureRule:
@@ -274,12 +295,18 @@ def effective_payoff_batch(
     rule: QuadratureRule,
 ) -> np.ndarray:
     """Belief-averaged payoff of mode j at many (m, y) points sharing one
-    covariance factor.  Returns shape (M,) for inputs (M, n1) and (M, n2).
+    covariance factor.  Returns shape (M,) for inputs (M, n1) and (M, n2),
+    n1 being the order of ``sqrt_theta``; other shapes are a ValueError.
     An affine payoff, or any payoff at zero covariance, averages exactly to
     its value at the mean; other payoffs go through the quadrature rule, a
-    block of rows at a time so one payoff call sees at most 2^18 points."""
+    block of rows at a time so one payoff call sees at most 2^18 points,
+    given node-major: (n_nodes, rows, n1) and (n_nodes, rows, n2) in,
+    (n_nodes, rows) out."""
     m_batch = np.asarray(m_batch, dtype=float)
     y_batch = np.asarray(y_batch, dtype=float)
+    if y_batch.ndim != 2 or m_batch.shape != (len(y_batch), len(sqrt_theta)):
+        raise ValueError(f"m_batch {m_batch.shape} and y_batch {y_batch.shape} must be (M, n1) "
+                         f"and (M, n2) for sqrt_theta {np.shape(sqrt_theta)}")
     payoff = modes.payoffs[j]
     if payoff.is_affine or not np.any(sqrt_theta):
         return _payoff_values(payoff, j, m_batch, y_batch, t, "mean point")
@@ -287,8 +314,8 @@ def effective_payoff_batch(
     rows = max(1, _MAX_CHUNK_POINTS // rule.n_nodes)
     out = np.empty(m_batch.shape[0])
     for start in range(0, m_batch.shape[0], rows):
-        points = m_batch[start:start + rows, None, :] + offsets[None, :, :]
-        ys = np.broadcast_to(y_batch[start:start + rows, None, :], points.shape[:-1] + y_batch.shape[-1:])
+        points = offsets[:, None, :] + m_batch[None, start:start + rows, :]
+        ys = np.broadcast_to(y_batch[None, start:start + rows, :], points.shape[:-1] + y_batch.shape[-1:])
         vals = _payoff_values(payoff, j, points, ys, t, "quadrature node")
         out[start:start + rows] = rule.weighted_sum(vals)
     return out

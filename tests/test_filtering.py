@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -25,6 +26,7 @@ from switchmc import (
     psd_sqrt,
     solve_riccati,
 )
+from switchmc import filtering
 from switchmc.benchmarks import default_solver_params
 from switchmc.cli import RunConfig, StageError, main, run_pipeline
 from switchmc.filtering import (
@@ -197,8 +199,9 @@ class TestQuadrature:
         assert np.all(np.isfinite(json.loads(out)["v"]))
 
     def test_node_set_is_sign_symmetric(self):
-        # Tensor order puts the exact reflection of node q at index n-1-q,
-        # the layout weighted_sum pairs by.
+        # The row-major tensor order of the nodes puts the exact reflection
+        # of node q at index n-1-q; weighted_sum adds row q of its
+        # node-major values to row n-1-q.
         for dim in (1, 2, 3, 4, 5, 6):
             for order in (1, 4, 5, 16):
                 rule = build_quadrature(dim, order)
@@ -273,8 +276,37 @@ class TestQuadrature:
         rng = np.random.default_rng(4)
         for dim, order in ((2, 8), (2, 5), (4, 16)):
             rule = build_quadrature(dim, order)
-            vals = rng.standard_normal((5, rule.n_nodes))
-            assert np.allclose(rule.weighted_sum(vals), vals @ rule.weights, atol=1e-14)
+            vals = rng.standard_normal((rule.n_nodes, 5))
+            assert np.allclose(rule.weighted_sum(vals), rule.weights @ vals, atol=1e-14)
+
+    @staticmethod
+    def row_major_sum(rule, vals):
+        """The former row-major pair sum of ``vals`` (rows, n_nodes): numpy's
+        pairwise sum over each row of pairs, then the middle node."""
+        p = vals * rule.weights
+        half = rule.n_nodes // 2
+        out = (p[..., :half] + p[..., : -half - 1 : -1]).sum(axis=-1)
+        return out + p[..., half] if rule.n_nodes % 2 else out
+
+    def test_weighted_sum_keeps_the_row_major_bits(self):
+        # Every node count a rule can have: 1 to 4 096 nodes, odd and even,
+        # and 2 048 pairs, which numpy's pairwise sum splits into halves.
+        # The sum reads only the weights, so the 1-D rule of 4 096 nodes has
+        # plain ones; hermegauss(4096) alone takes seconds.
+        rng = np.random.default_rng(12)
+        rules = [build_quadrature(dim, order) for dim in range(1, 7) for order in (1, 2, 3, 4, 5, 16)]
+        z = np.linspace(-1.0, 1.0, 4096)
+        rules.append(QuadratureRule(nodes=z[:, None], weights=np.cosh(z) / np.cosh(z).sum()))
+        assert {1, 3, 27, 125, 4096} <= {r.n_nodes for r in rules}
+        for rule in rules:
+            shape = (7, rule.n_nodes)
+            vals = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+            for v in (vals, vals[:1], np.full(shape, -0.0)):
+                got = rule.weighted_sum(np.ascontiguousarray(v.T))
+                assert got.tobytes() == self.row_major_sum(rule, v).tobytes()
+            assert rule.weighted_sum(vals[0]).tobytes() == self.row_major_sum(rule, vals[0]).tobytes()
+            # All -0.0 values sum to +0.0, as numpy's sum gives.
+            assert not np.signbit(rule.weighted_sum(np.full(shape[::-1], -0.0))).any()
 
 
 class TestGaussExpectation:
@@ -463,6 +495,31 @@ print(json.dumps({"peak_mb": peak_mb, "equal": bool(np.array_equal(blocked, whol
         report = run_child(script)
         assert report["equal"]
         assert report["peak_mb"] <= 150.0
+
+    @pytest.mark.parametrize("dim, order, rows", ((1, 16, 3), (1, 256, 1), (2, 4, 3), (2, 16, 1)))
+    def test_row_blocks_ending_mid_batch_keep_the_bits(self, monkeypatch, dim, order, rows):
+        # A cap of ``rows`` blocks of the rule's 16 or 256 nodes cuts the
+        # 10 rows into blocks that end mid-batch.
+        rule = build_quadrature(dim, order)
+        rng = np.random.default_rng(dim)
+        m, y = rng.standard_normal((10, dim)), rng.standard_normal((10, 1))
+        modes = ModeSet(payoffs=(lambda x, y, t: np.sin(x).sum(axis=-1) * y[..., 0] + t,), costs=[[0.0]], nu=1.0)
+        sqrt_theta = psd_sqrt(0.2 * np.eye(dim) + 0.1)
+        monkeypatch.setattr(filtering, "_MAX_CHUNK_POINTS", rows * rule.n_nodes)
+        blocked = effective_payoff_batch(modes, 0, m, sqrt_theta, y, 0.5, rule)
+        monkeypatch.setattr(filtering, "_MAX_CHUNK_POINTS", 2 ** 62)
+        whole = effective_payoff_batch(modes, 0, m, sqrt_theta, y, 0.5, rule)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("payoff", ("linear", lambda x, y, t: np.tanh(x[..., 0])), ids=("closed-form", "quadrature"))
+    @pytest.mark.parametrize("m_shape, y_shape", (((5, 1), (3, 1)), ((5, 2), (5, 1))), ids=("rows", "width"))
+    def test_mismatched_batches_rejected(self, rule16, payoff, m_shape, y_shape):
+        # 5 means against 3 observations, or means of width 2 against a
+        # 1 x 1 covariance factor: one ValueError on either branch.
+        modes = ModeSet(payoffs=(payoff,), costs=[[0.0]], nu=1.0)
+        pattern = re.escape(f"m_batch {m_shape} and y_batch {y_shape}")
+        with pytest.raises(ValueError, match=pattern + ".*sqrt_theta \\(1, 1\\)"):
+            effective_payoff_batch(modes, 0, np.zeros(m_shape), np.eye(1), np.zeros(y_shape), 0.0, rule16)
 
     @pytest.mark.parametrize("theta", (0.0, 0.5), ids=("mean-point", "quadrature"))
     def test_payoff_of_wrong_shape_rejected(self, theta, rule16):

@@ -14,7 +14,7 @@ import pytest
 from oracles import make_benchmark, reduced_reference_values
 
 from switchmc import build_quadrature, solve_riccati, tree_oracle_value
-from switchmc.benchmarks import benchmark_problem, default_solver_params
+from switchmc.benchmarks import PDE_REFERENCE, benchmark_problem, default_solver_params
 from switchmc.cli import RunConfig, run_solve
 
 # Dense-grid values at the default oracle knobs (2401 grid points,
@@ -38,6 +38,11 @@ CONVERGED = {
     0.0: {"idle": 0.06752555, "earn": 0.07202555},
     0.5: {"idle": 0.49558398, "earn": 0.50558398},
 }
+
+# Ten times the earning value at costs (0.001, 0.0001), at the default knobs:
+# the built-in problem with earning payoff 10 x and its configured costs,
+# since the value is 1-homogeneous in (payoff, costs).
+TEN_X_PAYOFF_DEFAULT_KNOBS = {-0.5: 0.06417, 0.0: 0.82147, 0.5: 5.06652}
 
 # Exhaustive two-point innovation tree on the 4-step benchmark, 16-node quadrature.
 FROZEN_TREE_N4 = (0.03643973872898242, 0.04093973872898242)
@@ -66,6 +71,16 @@ class TestFrozenOracleValues:
         assert vi_lo - ve_lo == pytest.approx(0.001, abs=1e-12)
         vi_hi, ve_hi = FROZEN_DEFAULT_KNOBS[0.5]
         assert ve_hi - vi_hi == pytest.approx(0.01, abs=1e-12)
+
+    @pytest.mark.parametrize("m0", [-0.5, 0.0, 0.5])
+    def test_transcribed_table_fits_a_ten_times_earning_payoff(self, m0):
+        # The table criterion 1 reproduces lies within that criterion's
+        # tolerance of the problem with a 10x earning payoff (the configured
+        # problem gives 0.0720 at m0 = 0 against the table's 0.7897).
+        value = 10 * reduced_reference_values(m0, c01=0.001, c10=0.0001)[1]
+        assert value == pytest.approx(TEN_X_PAYOFF_DEFAULT_KNOBS[m0], abs=5e-6)
+        reference = PDE_REFERENCE[m0]
+        assert abs(value - reference) <= max(0.01, 0.05 * reference)
 
     def test_tree_oracle_reproduces_frozen_values(self):
         model, modes = make_benchmark(n_steps=4)
