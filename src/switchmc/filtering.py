@@ -7,8 +7,8 @@ coefficient matrix Riccati ODE, so it is propagated exactly, once per problem;
 the mean m_t follows a linear SDE driven by the innovation, which ``simulate``
 steps.  An affine payoff averages over the belief to its value at the mean;
 the belief average of any other payoff is a tensor Gauss-Hermite quadrature of
-at most 4 096 nodes (8 per axis at n1 = 4, 5 at n1 = 5, 4 at n1 = 6; none
-above 12).
+at most 4 096 nodes (370 at n1 = 1, 8 per axis at n1 = 4, 5 at n1 = 5, 4 at
+n1 = 6; none above 12).
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ _BLOWUP = 1e12
 _SQRT_ATOL = 1e-10
 # Most nodes a quadrature rule may have; the per-axis order is lowered to fit.
 _MAX_NODES = 2 ** 12
+# Largest order whose one-dimensional rule is finite: from 371 up numpy's
+# hermegauss weights underflow to zero or overflow to NaN (numpy 2.4).
+_MAX_ORDER = 370
 # Most quadrature points (rows x nodes) one payoff call is given.
 _MAX_CHUNK_POINTS = 2 ** 18
 # The [13/13] Pade approximant to exp and the largest 1-norm at which it is
@@ -122,6 +125,8 @@ class QuadratureRule:
             raise ValueError(
                 f"weights must have shape ({nodes.shape[0]},), got {weights.shape}"
             )
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValueError("nodes and weights must be finite")
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
@@ -176,17 +181,18 @@ def build_quadrature(dim: int, order: int = 16) -> QuadratureRule:
     """Quadrature for standard Gaussian expectations in ``dim`` dimensions.
 
     The tensor product of one-dimensional Gauss-Hermite rules with ``order``
-    nodes per axis, lowered to keep at most 4 096 nodes (order 16 gives 16
-    at dims 1-3, 8 at dim 4, 5 at dim 5, 4 at dim 6); exact on polynomials
-    of per-axis degree <= 2*q - 1 for the q used.  Above dim 12 only order
-    1, the mean, fits; any higher order there is a ValueError.
+    nodes per axis, lowered to keep at most 4 096 nodes and at most 370 per
+    axis, the largest order whose rule is finite (order 16 gives 16 at dims
+    1-3, 8 at dim 4, 5 at dim 5, 4 at dim 6); exact on polynomials of
+    per-axis degree <= 2*q - 1 for the q used.  Above dim 12 only order 1,
+    the mean, fits; any higher order there is a ValueError.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     # At most ``order`` per axis, within the cap; 1e-9 absorbs the roundoff of exact roots.
-    per_axis = min(order, int(_MAX_NODES ** (1.0 / dim) + 1e-9))
+    per_axis = min(order, _MAX_ORDER, int(_MAX_NODES ** (1.0 / dim) + 1e-9))
     if per_axis < 2 <= order:
         raise ValueError(f"dim {dim} too large: 2 nodes per axis exceed the cap of {_MAX_NODES} nodes")
     z1, w1 = hermegauss(per_axis)

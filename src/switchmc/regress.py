@@ -3,7 +3,11 @@
 Conditional expectations are estimated by averaging next-step values within
 each cell of a regular grid over the regression state.  Cells are half-open,
 and the outer cells of each axis extend past the box, so every finite point
-belongs to exactly one cell: the cell that its clipped point lies in.
+belongs to exactly one cell: the cell that its clipped point lies in.  A
+point's cell along an axis is the number of inner edges it reaches (x >=
+edge), counted with one vectorized comparison per edge; an axis with more
+inner edges than ``_COUNT_EDGES_MAX`` takes a binary search instead, which
+gives the same ids.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ __all__ = [
 ]
 
 
+# Most inner edges of an axis whose cells are counted; above it a binary
+# search is cheaper (on 5 000 points the two cost the same at 65-80 cells, on
+# 2**15 points counting still wins at 300).  Under 256, so a uint8 holds a count.
+_COUNT_EDGES_MAX = 64
+# Points memberships indexes in one call, a block of grid times: 2**15.
+_MEMBERSHIP_BLOCK = 2 ** 15
+
+
 class IndexingError(ValueError):
     """A point has a non-finite coordinate, or a cell id is out of range."""
 
@@ -37,9 +49,11 @@ class HypercubeBasis:
 
     Cell r along an axis is [edge_r, edge_{r+1}), except the outer cells:
     the first takes every value below edge_1 and the last every value from
-    its lower edge up, the box's top edge and beyond included.
-    ``delta_side`` holds the nominal side lengths (width / cells); ``R`` is
-    the total number of cells.
+    its lower edge up, the box's top edge and beyond included.  So r is the
+    count of inner edges x reaches; ``cell_index`` counts them, or on an
+    axis of more than ``_COUNT_EDGES_MAX`` inner edges takes a right
+    ``searchsorted``, which equals the count.  ``delta_side`` holds the
+    nominal side lengths (width / cells); ``R`` is the total number of cells.
     """
 
     domain: Domain
@@ -61,7 +75,7 @@ class HypercubeBasis:
         if math.prod(cells) > np.iinfo(np.int32).max:  # memberships stores int32 ids
             raise ValueError(f"cells_per_dim {cells} makes {math.prod(cells)} cells, more than int32 ids can name")
         object.__setattr__(self, "cells_per_dim", cells)
-        # Interior edges: a right searchsorted over them is the cell; the top edge is in the last.
+        # Inner edges: the count a point reaches is its cell; the top edge is in the last.
         edges = tuple(
             np.linspace(self.domain.lows[c], self.domain.highs[c], cells[c] + 1)[1:-1]
             for c in range(dim)
@@ -82,21 +96,30 @@ class HypercubeBasis:
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
         """Flat cell index in row-major order, shape (...).  Errors on a
-        non-finite coordinate."""
+        non-finite coordinate, naming the first point that has one."""
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[-1]}, expected {self.dim}")
         flat = pts.reshape(-1, self.dim)
         idx = np.zeros(flat.shape[0], dtype=np.int64)
-        for c in range(self.dim):
-            col = flat[:, c]
-            # A right searchsorted would put a NaN in the top cell; it makes both extremes NaN.
+        for c, edges in enumerate(self._inner_edges):
+            count = edges.size <= _COUNT_EDGES_MAX
+            # Counting passes over the column once an edge, so it reads a contiguous copy.
+            col = np.ascontiguousarray(flat[:, c]) if count else flat[:, c]
+            # A NaN would land in an outer cell; it makes both extremes NaN.
             if col.size and not (math.isfinite(col.min()) and math.isfinite(col.max())):
-                raise IndexingError(
-                    f"point {flat[np.argmax(~np.isfinite(col))]} has a non-finite coordinate"
-                )
+                bad = np.argmax(~np.isfinite(flat).all(axis=1))
+                raise IndexingError(f"point {flat[bad]} has a non-finite coordinate")
             idx *= self.cells_per_dim[c]
-            idx += np.searchsorted(self._inner_edges[c], col, side="right")
+            if count:
+                cell = np.zeros(flat.shape[0], dtype=np.uint8)
+                reached = np.empty(flat.shape[0], dtype=bool)
+                for e in edges:
+                    cell += np.greater_equal(col, e, out=reached).view(np.uint8)
+                idx += cell
+            else:
+                idx += np.searchsorted(edges, col, side="right")
+            del col  # the next axis's copy may then reuse its memory
         return idx.reshape(pts.shape[:-1])
 
 
@@ -160,11 +183,13 @@ def regress_eval(coeffs: CoefficientVector, cell_ids: np.ndarray) -> np.ndarray:
 
 
 def memberships(ensemble: PathEnsemble, basis: HypercubeBasis) -> np.ndarray:
-    """Flat int32 cell index of every path at every grid time, shape (N+1, M)."""
-    n_steps = ensemble.grid.n_steps
-    out = np.empty((n_steps + 1, ensemble.M), dtype=np.int32)
-    for k in range(n_steps + 1):
-        out[k] = basis.cell_index(ensemble.state(k))
+    """Flat int32 cell index of every path at every grid time, shape (N+1, M),
+    indexed a block of grid times (about ``_MEMBERSHIP_BLOCK`` points) a call."""
+    z = ensemble.z_paths.transpose(1, 0, 2)  # (N+1, M, dim); build_ensemble's storage order
+    out = np.empty(z.shape[:2], dtype=np.int32)
+    steps = max(1, _MEMBERSHIP_BLOCK // max(1, ensemble.M))
+    for k in range(0, z.shape[0], steps):
+        out[k:k + steps] = basis.cell_index(z[k:k + steps])
     return out
 
 

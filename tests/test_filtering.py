@@ -27,7 +27,7 @@ from switchmc import (
     solve_riccati,
 )
 from switchmc import filtering
-from switchmc.benchmarks import default_solver_params
+from switchmc.benchmarks import benchmark_problem, default_solver_params
 from switchmc.cli import RunConfig, StageError, main, run_pipeline
 from switchmc.filtering import (
     CovarianceSchedule,
@@ -213,6 +213,31 @@ class TestQuadrature:
             build_quadrature(1, 0)
         with pytest.raises(ValueError):
             build_quadrature(0, 4)
+
+    def test_order_is_capped_where_the_rule_is_finite(self):
+        # numpy's hermegauss weights underflow to zero at order 371 and are
+        # NaN above it, so a 1-D rule is at most 370 nodes.
+        rule = build_quadrature(1, 370)
+        assert rule.n_nodes == 370
+        assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
+        for order in (371, 512, 4096):
+            assert np.array_equal(build_quadrature(1, order).weights, rule.weights)
+
+    def test_non_finite_rule_refused(self):
+        # A NaN weight sum fails no "sum is off by more than 1e-12" test.
+        for nodes, weights in (([[0.0], [np.nan]], [0.5, 0.5]), ([[-1.0], [1.0]], [np.nan, np.nan])):
+            with pytest.raises(ValueError, match="^nodes and weights must be finite$"):
+                QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+
+    @pytest.mark.parametrize("order", (512, 4096))
+    def test_callable_payoff_at_a_high_order_solves_to_finite_values(self, order):
+        problem = {
+            **benchmark_problem(), "modes": ["zero", lambda x, y, t: np.maximum(x[..., 0], 0.0) - 0.05],
+        }
+        solver = {**default_solver_params(), "M": 200, "n_steps": 10, "seed": 3, "quad_order": order}
+        result = run_pipeline(RunConfig(problem=problem, solver=solver))
+        assert result.rule.n_nodes == 370
+        assert np.all(np.isfinite(result.values))
 
     @staticmethod
     def assert_exact_on_monomials(rule, m, theta, order, rng):

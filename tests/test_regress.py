@@ -15,6 +15,7 @@ from switchmc import (
     HypercubeBasis,
     IndexingError,
     PathEnsemble,
+    TimeGrid,
     backward_induction,
     build_ensemble,
     build_quadrature,
@@ -97,20 +98,20 @@ def reference_cell_index(points, lows, highs, cells) -> np.ndarray:
 
 
 @st.composite
-def basis_and_points(draw):
-    """A box with 1 to 3 axes and 1 to 12 cells per axis, and points on and
-    around it: random in-domain points, every edge, each edge's float
-    neighbours, half a width beyond either end and +-1e300.  These
-    coordinates are set on one axis, the other axes keep a random in-domain
-    value."""
-    dim = draw(st.integers(1, 3))
+def basis_and_points(draw, max_cells=12, max_dim=3):
+    """A box with 1 to ``max_dim`` axes and 1 to ``max_cells`` cells per
+    axis, and points on and around it: random in-domain points, every edge,
+    each edge's float neighbours, half a width beyond either end and
+    +-1e300.  These coordinates are set on one axis, the other axes keep a
+    random in-domain value."""
+    dim = draw(st.integers(1, max_dim))
     lows, highs, cells = [], [], []
     for _ in range(dim):
         lo = draw(st.floats(-1e3, 1e3))
         width = draw(st.floats(1e-6, 1e3))
         lows.append(lo)
         highs.append(lo + width)
-        cells.append(draw(st.integers(1, 12)))
+        cells.append(draw(st.integers(1, max_cells)))
     lows, highs = np.array(lows), np.array(highs)
     if not np.all(lows < highs):  # lo + width rounded back onto lo
         highs = np.nextafter(lows, np.inf)
@@ -130,18 +131,29 @@ def basis_and_points(draw):
     return Domain(lows=lows, highs=highs), tuple(cells), np.vstack(rows)
 
 
+def assert_matches_reference(domain, cells, points):
+    # The outer cells extend past the box: a point beyond it lies in the
+    # cell of its clipped point.
+    basis = HypercubeBasis(domain, cells)
+    clipped = np.clip(points, domain.lows, domain.highs)
+    assert np.any(clipped != points)
+    expected = reference_cell_index(clipped, domain.lows, domain.highs, cells)
+    assert np.array_equal(basis.cell_index(points), expected)
+
+
 class TestCellIndexProperty:
     @settings(max_examples=150, deadline=None)
     @given(basis_and_points())
     def test_matches_per_axis_searchsorted(self, case):
-        # The outer cells extend past the box: a point beyond it lies in
-        # the cell of its clipped point.
-        domain, cells, points = case
-        basis = HypercubeBasis(domain, cells)
-        clipped = np.clip(points, domain.lows, domain.highs)
-        assert np.any(clipped != points)
-        expected = reference_cell_index(clipped, domain.lows, domain.highs, cells)
-        assert np.array_equal(basis.cell_index(points), expected)
+        assert_matches_reference(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis_and_points(max_cells=300, max_dim=2))
+    def test_counting_and_binary_search_sides_match(self, case):
+        # cell_index counts the edges a point reaches on an axis of at most
+        # _COUNT_EDGES_MAX inner edges and searches above it; up to 300
+        # cells an axis runs on either side of that crossover.
+        assert_matches_reference(*case)
 
     @settings(max_examples=60, deadline=None)
     @given(basis_and_points(), st.data())
@@ -248,9 +260,44 @@ class TestMemberships:
         assert all(np.array_equal(ids[k], basis.cell_index(ens.state(k))) for k in range(13))
 
 
+def synthetic_ensemble(M, n_steps, time_major, seed=0):
+    """Gaussian points (M, n_steps + 1, 2), some beyond the unit box,
+    stored time-major like build_ensemble's or as a C-contiguous
+    path-major array."""
+    rng = np.random.default_rng(seed)
+    if time_major:
+        z = rng.normal(0.5, 0.5, size=(n_steps + 1, M, 2)).transpose(1, 0, 2)
+    else:
+        z = rng.normal(0.5, 0.5, size=(M, n_steps + 1, 2))
+    return PathEnsemble(grid=TimeGrid(T=1.0, n_steps=n_steps), z_paths=z, n1=1)
+
+
+class TestBlockedMemberships:
+    # memberships indexes about 2**15 points a call: 5 000 paths take 6 grid
+    # times a block (the last block has 1), 40 000 paths one time a block.
+    @pytest.mark.parametrize("time_major", (True, False), ids=("time_major", "path_major"))
+    @pytest.mark.parametrize("M", (5000, 40000))
+    def test_equals_a_per_step_lookup(self, M, time_major):
+        ens = synthetic_ensemble(M, 12, time_major)
+        basis = unit_basis((6, 7))
+        ids = memberships(ens, basis)
+        assert ids.shape == (13, M) and ids.dtype == np.int32
+        for k in range(13):
+            assert np.array_equal(ids[k], basis.cell_index(ens.state(k)))
+
+    def test_nan_at_a_middle_grid_time_is_named(self):
+        z = synthetic_ensemble(5000, 12, time_major=False).z_paths.copy()
+        z[1234, 7, 1] = np.nan
+        ens = PathEnsemble(grid=TimeGrid(T=1.0, n_steps=12), z_paths=z, n1=1)
+        with pytest.raises(IndexingError) as err:
+            memberships(ens, unit_basis((6, 7)))
+        assert str(err.value) == f"point {z[1234, 7]} has a non-finite coordinate"
+
+
 def test_one_solve_indexes_each_training_step_once(monkeypatch):
-    # Backward induction indexes the N+1 grid times once, through memberships,
-    # and value_at_origin the origin; estimate_pmin reads the induction's counts.
+    # Backward induction indexes the N+1 grid times through memberships, a
+    # block of grid times a call (one call for 200 paths), and value_at_origin
+    # the origin; estimate_pmin reads the induction's counts.
     calls = []
     cell_index = HypercubeBasis.cell_index
 
