@@ -51,7 +51,6 @@ from .regress import (
     regress_eval,
 )
 from .dp import (
-    Policy,
     PolicyEvaluation,
     ValueSurface,
     backward_induction,
@@ -75,7 +74,7 @@ __all__ = [
     "calibrate_domain", "derive_seed", "payoff_sup_on_domain", "simulate_paths",
     "CoefficientVector", "HypercubeBasis", "IndexingError", "PminEstimate",
     "empirical_coefficients", "estimate_pmin", "regress_eval",
-    "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",
+    "PolicyEvaluation", "ValueSurface", "backward_induction",
     "simulate_policy", "value_at_origin",
     "OracleRefusal", "tree_oracle_value",
 ]

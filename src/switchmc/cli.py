@@ -167,7 +167,7 @@ class PipelineResult:
     schedule: object
     rule: object
     surface: object
-    policy: object
+    policy: None  # always None; perfbench/workloads.py:121 still reads it
     values: np.ndarray
     pmin_raw: float
     pmin_occupied: float
@@ -214,7 +214,7 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
     )
     domain = _stage("calibrate", calibrate_domain, ensemble, params.epsilon)
     basis = _stage("regress", HypercubeBasis, domain, params.cells_per_dim)
-    surface, policy = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
+    surface, _ = _stage("induction", backward_induction, ensemble, basis, modes, schedule, rule)
     values = _stage("evaluate", value_at_origin, surface)
     pmin = _stage("diagnostics", estimate_pmin, surface.coeffs)
     f_sup = _stage(
@@ -228,7 +228,7 @@ def run_pipeline(config: RunConfig, rep: int = 0) -> PipelineResult:
         schedule=schedule,
         rule=rule,
         surface=surface,
-        policy=policy,
+        policy=None,
         values=values,
         pmin_raw=pmin.raw_min,
         pmin_occupied=pmin.occupied_min,
@@ -370,6 +370,13 @@ def _read_json(path: str, base: str = ""):
         return json.load(fh)
 
 
+def _json_object(name: str, value):
+    """``value`` if it is a JSON object (a dict), else a TypeError naming ``name``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _resolve_config(args) -> RunConfig:
     """Built-in defaults, overridden by the --config file, then by --problem,
     then by the solver flags; an error names a flag only for the flag's value."""
@@ -378,14 +385,14 @@ def _resolve_config(args) -> RunConfig:
     solver.pop("n_steps", None)
     output = args.out
     if args.config:
-        data = _read_json(args.config)
+        data = _json_object("a config", _read_json(args.config))
         if isinstance(data.get("problem"), str):
             # A config's problem path is relative to the config file.
             base = os.path.dirname(os.path.abspath(args.config))
             data["problem"] = _read_json(data["problem"], base)
         if data.get("problem"):
             problem = data["problem"]
-        solver.update(data.get("solver", {}))
+        solver.update(_json_object("a config's solver", data.get("solver", {})))
         if output is None:
             output = data.get("output")
     if args.problem:
@@ -394,8 +401,7 @@ def _resolve_config(args) -> RunConfig:
         val = getattr(args, key)
         if val is not None:
             solver[key] = _solver_value(key, val, "--" + key.replace("_", "-"))
-    if not isinstance(problem, dict):
-        raise TypeError(f"a problem must be a JSON object, got {type(problem).__name__}")
+    _json_object("a problem", problem)
     if args.command == "oracle":
         # The tree's leaf count is exponential in n_steps, so the oracle runs
         # on a short grid of its own unless --n-steps or the config sets one.
@@ -523,7 +529,7 @@ def _cmd_table2(args, config: RunConfig) -> int:
 
 def _cmd_sweep(args, config: RunConfig) -> int:
     values = None
-    if args.values:
+    if args.values is not None:
         values = _stage("load", lambda text: [float(v) for v in text.split(",")], args.values)
     rows = [["value", "v1", "stderr"]] + [
         [f"{r['value']:.12g}", f"{r['v1']:.12g}", f"{r['stderr']:.12g}"]

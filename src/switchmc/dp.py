@@ -8,8 +8,8 @@ on the training ensemble by
 
 with terminal value zero, where the conditional expectation is the empirical
 cell average of next-step values and fbar_j is the belief-averaged payoff at
-the exact path point.  Ties prefer staying in the current mode, then the
-smallest mode index.
+the exact path point.  The replay re-makes each decision at the fresh
+state; ties prefer staying in the current mode, then the smallest mode index.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .simulate import PathEnsemble, _check_schedule, _chunked_states
 
 __all__ = [
     "ValueSurface",
-    "Policy",
     "PolicyEvaluation",
     "backward_induction",
     "value_at_origin",
@@ -64,27 +63,6 @@ class ValueSurface:
         return int(self.coeffs[0].counts.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class Policy:
-    """Per-cell switching decisions: choice[k, i, r] is the mode to hold over
-    [t_k, t_{k+1}) when sitting in mode i within cell r.  Cells no training
-    path visited default to staying."""
-
-    grid: TimeGrid
-    basis: HypercubeBasis
-    choice: np.ndarray
-
-    def __post_init__(self) -> None:
-        choice = np.asarray(self.choice, dtype=np.int64)
-        expected = (self.grid.n_steps, choice.shape[1], self.basis.R)
-        if choice.ndim != 3 or choice.shape != expected:
-            raise ValueError(f"choice must have shape {expected}, got {choice.shape}")
-        d = choice.shape[1]
-        if choice.size and (choice.min() < 0 or choice.max() >= d):
-            raise ValueError(f"choice entries must be modes in [0, {d})")
-        object.__setattr__(self, "choice", choice)
-
-
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """Out-of-sample replay summary: mean reward, its standard error, and the
@@ -95,16 +73,16 @@ class PolicyEvaluation:
     mean_switches: float
 
 
-def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray | int):
-    """Column-wise argmax of (d, P) action values where ties keep the current
-    mode (per column, or one for all) if it attains the max, else the smallest."""
+def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Column-wise argmax of (d, P) action values where ties keep the column's
+    current mode if it attains the max, else the smallest."""
     d, P = action_values.shape
     best = action_values.max(axis=0)
     smallest = np.zeros(P, dtype=np.int64)
     for j in range(d - 1, -1, -1):
         smallest[action_values[j] == best] = j
     cur_vals = action_values.ravel().take(current * P + np.arange(P))
-    return best, np.where(cur_vals == best, current, smallest)
+    return np.where(cur_vals == best, current, smallest)
 
 
 def _action_values(modes, rule, sqrt_theta, t, delta, points, level, ids):
@@ -132,11 +110,11 @@ def backward_induction(
     """Run the backward recursion on the training ensemble, regressing on
     the cells of ``basis`` that ``memberships`` assigns to its paths.
 
-    Returns (ValueSurface, Policy).  Terminal values are zero; at each time
+    Returns (ValueSurface, None).  Terminal values are zero; at each time
     the continuation is the per-cell empirical average of next-step values
-    (``surface.coeffs[k].counts``, the cell counts, give ``estimate_pmin``),
-    the running payoff is integrated against the belief at the exact path
-    point, and ties prefer staying then the smallest mode index.
+    (``surface.coeffs[k].counts``, the cell counts, give ``estimate_pmin``)
+    and the running payoff is integrated against the belief at the exact
+    path point.  Decisions are not stored: ``simulate_policy`` re-makes them.
     """
     grid = ensemble.grid
     _check_schedule(schedule, grid)
@@ -147,8 +125,7 @@ def backward_induction(
     # Values at t_{k+1} and at t_k; the recursion reads only the level above.
     above, values = np.zeros((d, M)), np.empty((d, M))
     coeffs: list = [None] * n_steps
-    choice = np.empty((n_steps, d, R), dtype=np.int64)
-    path_order, times, cost = np.arange(M), grid.times, modes.costs
+    times, cost = grid.times, modes.costs
 
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
@@ -158,20 +135,12 @@ def backward_induction(
             modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k), coeffs[k], ids
         )
         np.max(cand[None] - cost[:, :, None], axis=1, out=values)
-        # A cell's policy entry is its first visitor's choice, so only those run the tie rule.
-        first = np.full(R, M)
-        np.minimum.at(first, ids, path_order)
-        cells = np.flatnonzero(first < M)
-        visitors = cand[:, first[cells]]
-        for i in range(d):
-            choice[k, i, :] = i
-            choice[k, i, cells] = _stay_biased_argmax(visitors - cost[i, :, None], i)[1]
         above, values = values, above
 
     # Every path starts at the origin, so each column of level 0 is its value.
     surface = ValueSurface(grid=grid, basis=basis, values=above[:, 0].copy(), coeffs=tuple(coeffs))
-    policy = Policy(grid=grid, basis=basis, choice=choice)
-    return surface, policy
+    # A pair only because perfbench/spans.py:61 reads the surface as result[0].
+    return surface, None
 
 
 def value_at_origin(surface: ValueSurface) -> np.ndarray:
@@ -185,23 +154,22 @@ def simulate_policy(
     modes: ModeSet,
     schedule: CovarianceSchedule,
     surface: ValueSurface,
-    policy: Policy,
+    policy,  # ignored; kept because perfbench/workloads.py:121 passes res.policy here
     rule: QuadratureRule,
     start_mode: int,
     M: int,
     seed: int,
-    pointwise_policy: bool = True,
 ) -> PolicyEvaluation:
     """Replay the estimated policy on fresh paths and average the reward.
 
     Fresh paths come from the given seed, which callers must keep disjoint
     from the training seed; each step is acted on, and paid at, the filter
-    state as simulated, then dropped.  With ``pointwise_policy`` (default)
-    decisions re-run the time-k maximization at the fresh path's exact
-    point, using the stored regression coefficients for continuations;
-    otherwise decisions are looked up from the per-cell policy table.  Paths
-    are replayed a chunk at a time, so a SimulationError is reported as
-    ``simulate_paths`` reports it.
+    state as simulated, then dropped.  Each decision re-runs the time-k
+    maximization at the fresh path's exact point, with continuations read
+    from the surface's regression coefficients; ties keep the current mode,
+    else take the smallest.  ``policy`` is ignored.  Paths are replayed a
+    chunk at a time, so a SimulationError is reported as ``simulate_paths``
+    reports it.
     """
     if not 0 <= start_mode < modes.d:
         raise ValueError(f"start_mode must lie in [0, {modes.d}), got {start_mode}")
@@ -223,11 +191,7 @@ def simulate_policy(
             cand, fbars = _action_values(
                 modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids
             )
-            if pointwise_policy:
-                _, jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
-            else:
-                jstar = policy.choice[k].take(mode * basis.R + ids)
-
+            jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
             total[sl] -= cost.take(mode * d + jstar)
             total[sl] += grid.delta * fbars.take(jstar * P + rows)
             switches[sl] += jstar != mode

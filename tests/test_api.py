@@ -31,7 +31,7 @@ def test_package_exports_are_pinned():
         "simulate_paths",
         "CoefficientVector", "HypercubeBasis", "IndexingError", "PminEstimate",
         "empirical_coefficients", "estimate_pmin", "regress_eval",
-        "Policy", "PolicyEvaluation", "ValueSurface", "backward_induction",
+        "PolicyEvaluation", "ValueSurface", "backward_induction",
         "simulate_policy", "value_at_origin",
         "OracleRefusal", "tree_oracle_value",
     ])
@@ -112,7 +112,7 @@ SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
 
 # Total lines of src/switchmc/*.py.  Lower it when code is removed; raising
 # it is a decision that shows in the diff, like a new exported name.
-SOURCE_LINES_MAX = 2366
+SOURCE_LINES_MAX = 2335
 
 
 def test_source_size_is_pinned():

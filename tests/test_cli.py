@@ -371,6 +371,10 @@ class TestLoadErrors:
     def test_non_numeric_sweep_value(self, capsys):
         self.assert_load_error(["sweep", "--axis", "G", "--values=a,0"], capsys)
 
+    def test_empty_sweep_ladder(self, capsys):
+        # An empty --values used to run the axis's default ladder and exit 0.
+        self.assert_load_error(["sweep", "--axis", "G", "--values", ""], capsys)
+
     def test_non_integer_thread_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("SWITCHMC_THREADS", "x")
         self.assert_load_error(["solve"], capsys)
@@ -398,6 +402,22 @@ class TestLoadErrors:
     def test_config_file_error_names_the_key(self, solver, message, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"solver": solver}))
+        err = self.assert_load_error(["solve", "--config", str(config)], capsys)
+        assert err == f"error at stage 'load': {message}\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        (
+            ([1, 2], "a config must be a JSON object, got list"),
+            ({"solver": [1]}, "a config's solver must be a JSON object, got list"),
+        ),
+        ids=("config-list", "solver-list"),
+    )
+    def test_config_file_part_not_an_object(self, data, message, tmp_path, capsys):
+        # These used to fail with "'list' object has no attribute 'get'" and
+        # "cannot convert dictionary update sequence element #0 ...".
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
         err = self.assert_load_error(["solve", "--config", str(config)], capsys)
         assert err == f"error at stage 'load': {message}\n"
 

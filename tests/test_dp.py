@@ -28,7 +28,6 @@ from switchmc import (
 )
 from switchmc import simulate
 from switchmc.dp import _action_values, _stay_biased_argmax
-from switchmc.regress import memberships
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +45,7 @@ def solved_benchmark():
 
 
 def train_surface(model, modes):
-    """Rule, surface and policy of a 200-path solve of ``model``."""
+    """Rule, surface and (None) policy of a 200-path solve of ``model``."""
     grid = model.grid
     schedule = solve_riccati(model, grid)
     rule = build_quadrature(1, 16)
@@ -57,8 +56,7 @@ def train_surface(model, modes):
     return rule, surface, policy
 
 
-def replay_over_ensemble(model, modes, schedule, surface, policy, rule, start_mode, M, seed,
-                         pointwise_policy):
+def replay_over_ensemble(model, modes, schedule, surface, rule, start_mode, M, seed):
     """The policy replay over a stored ensemble: all M paths are simulated
     by ``build_ensemble`` first, then walked with 2-D gathers.
     Returns the per-path rewards and switch counts."""
@@ -73,10 +71,7 @@ def replay_over_ensemble(model, modes, schedule, surface, policy, rule, start_mo
             modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts,
             surface.coeffs[k], ids,
         )
-        if pointwise_policy:
-            jstar = _stay_biased_argmax(cand - cost[mode].T, mode)[1]
-        else:
-            jstar = policy.choice[k][mode, ids]
+        jstar = _stay_biased_argmax(cand - cost[mode].T, mode)
         total -= cost[mode, jstar]
         total += grid.delta * fbars[jstar, rows]
         switches += jstar != mode
@@ -115,7 +110,6 @@ class TestSingleMode:
     def test_single_mode_never_switches(self):
         model, modes, grid, schedule, rule, ensemble, basis = single_mode_setup(1.0)
         surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
-        assert np.all(policy.choice == 0)
         ev = simulate_policy(
             model, modes, schedule, surface, policy, rule,
             start_mode=0, M=100, seed=7,
@@ -185,10 +179,14 @@ class TestZeroPayoffs:
             assert np.all(pathwise_values(surface, ensemble, modes, schedule, rule, k) == 0.0)
 
     def test_policy_stays_everywhere(self, zero_setup):
-        _, _, _, _, _, policy, _ = zero_setup
-        n_steps, d, R = policy.choice.shape
-        for i in range(d):
-            assert np.all(policy.choice[:, i, :] == i)
+        # Switching only costs, so a replay from any mode never leaves it.
+        model, modes, schedule, rule, surface, policy, _ = zero_setup
+        for start_mode in range(modes.d):
+            ev = simulate_policy(
+                model, modes, schedule, surface, policy, rule,
+                start_mode=start_mode, M=100, seed=8,
+            )
+            assert ev.mean_switches == 0.0
 
     def test_replay_is_exactly_zero(self, zero_setup):
         model, modes, schedule, rule, surface, policy, _ = zero_setup
@@ -203,13 +201,12 @@ class TestZeroPayoffs:
 
 class TestTwoModeInvariants:
     def test_value_surface_shapes(self, solved_benchmark):
-        model, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
+        model, modes, schedule, rule, ensemble, basis, surface, _ = solved_benchmark
         N = model.grid.n_steps
         assert surface.values.shape == (modes.d,)
         assert surface.M == ensemble.M
         assert len(surface.coeffs) == N
         assert all(level.lambdas.shape == (modes.d, basis.R) for level in surface.coeffs)
-        assert policy.choice.shape == (N, modes.d, basis.R)
         # The last level regresses the zero terminal values.
         assert np.all(surface.coeffs[N - 1].lambdas == 0.0)
         values = pathwise_values(surface, ensemble, modes, schedule, rule, N - 1)
@@ -237,13 +234,18 @@ class TestTwoModeInvariants:
         assert np.all(gap >= -0.001 - 1e-12)
 
     def test_backward_induction_is_deterministic(self, solved_benchmark):
-        _, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
+        model, modes, schedule, rule, ensemble, basis, surface, policy = solved_benchmark
         surface2, policy2 = backward_induction(ensemble, basis, modes, schedule, rule)
         assert np.array_equal(surface.values, surface2.values)
         for level, level2 in zip(surface.coeffs, surface2.coeffs, strict=True):
             assert np.array_equal(level.lambdas, level2.lambdas)
             assert np.array_equal(level.counts, level2.counts)
-        assert np.array_equal(policy.choice, policy2.choice)
+        # Decisions are re-made from the surface, so the replays agree too.
+        replays = [
+            simulate_policy(model, modes, schedule, s, p, rule, start_mode=1, M=100, seed=9)
+            for s, p in ((surface, policy), (surface2, policy2))
+        ]
+        assert replays[0] == replays[1]
 
     def test_value_at_origin_matches_initial_column(self, solved_benchmark):
         # Every training path starts at the exact origin, so the time-zero
@@ -350,9 +352,13 @@ class TestTieBreaking:
         ensemble = build_ensemble(model, grid, schedule, 100, seed=52)
         domain = calibrate_domain(ensemble, 0.01)
         basis = HypercubeBasis(domain, (4, 4))
-        _, policy = backward_induction(ensemble, basis, modes, schedule, rule)
-        for i in range(3):
-            assert np.all(policy.choice[:, i, :] == i)
+        surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
+        for start_mode in range(3):
+            ev = simulate_policy(
+                model, modes, schedule, surface, policy, rule,
+                start_mode=start_mode, M=100, seed=53,
+            )
+            assert ev.mean_switches == 0.0
 
 
     def test_three_mode_tie_rule(self):
@@ -364,62 +370,8 @@ class TestTieBreaking:
             [2.0, 5.0, 1.0, 5.0, 3.0],
             [2.0, 5.0, 5.0, 0.0, 2.0],
         ])
-        best, choice = _stay_biased_argmax(values, np.array([2, 0, 1, 1, 0]))
-        assert best.tolist() == [2.0, 5.0, 5.0, 5.0, 3.0]
+        choice = _stay_biased_argmax(values, np.array([2, 0, 1, 1, 0]))
         assert choice.tolist() == [2, 1, 0, 1, 1]
-
-
-def reference_choice(action_values, current):
-    """The tie rule written with argmax over the tie mask."""
-    best = action_values.max(axis=0)
-    smallest = np.argmax(action_values == best[None, :], axis=0)
-    cur_vals = action_values[current, np.arange(action_values.shape[1])]
-    return np.where(cur_vals == best, current, smallest)
-
-
-def test_policy_table_takes_each_cell_from_its_first_path():
-    # Three modes whose payoffs are x, -x and 0: paths of one cell on either
-    # side of x = 0 choose differently.
-    model, _ = make_benchmark(n_steps=8)
-    modes = ModeSet(
-        payoffs=(
-            as_payoff("zero"),
-            as_payoff({"name": "affine", "a": 1.0, "b": 0.0}),
-            as_payoff({"name": "affine", "a": -1.0, "b": 0.0}),
-        ),
-        costs=[[0.0, 0.001, 0.001], [0.001, 0.0, 0.001], [0.001, 0.001, 0.0]],
-        nu=0.001,
-    )
-    grid = model.grid
-    schedule = solve_riccati(model, grid)
-    rule = build_quadrature(1, 4)
-    ensemble = build_ensemble(model, grid, schedule, 200, seed=62)
-    domain = calibrate_domain(ensemble, 0.01)
-    basis = HypercubeBasis(domain, (6, 6))
-    surface, policy = backward_induction(ensemble, basis, modes, schedule, rule)
-    cell_ids = memberships(ensemble, basis)
-    M = ensemble.M
-    unvisited = first_last_differ = 0
-    for k in range(grid.n_steps):
-        t = float(grid.times[k])
-        ids = cell_ids[k]
-        cand, _ = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k),
-            surface.coeffs[k], ids,
-        )
-        cells, first = np.unique(ids, return_index=True)
-        last = M - 1 - np.unique(ids[::-1], return_index=True)[1]
-        unvisited += basis.R - cells.size
-        for i in range(modes.d):
-            jstar = reference_choice(cand - modes.costs[i][:, None], np.full(M, i))
-            expected = np.full(basis.R, i)
-            expected[cells] = jstar[first]
-            assert np.array_equal(policy.choice[k, i], expected)
-            first_last_differ += np.count_nonzero(jstar[first] != jstar[last])
-    # Both kinds of cell occur, so a table that defaulted visited cells or
-    # took the last visitor's choice would fail above.
-    assert unvisited > 0
-    assert first_last_differ > 0
 
 
 class TestSimulatePolicy:
@@ -448,14 +400,6 @@ class TestSimulatePolicy:
         assert np.isfinite(ev.mean)
         assert 0 <= ev.mean_switches
 
-    def test_cell_policy_mode_runs(self, solved_benchmark):
-        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
-        ev = simulate_policy(
-            model, modes, schedule, surface, policy, rule,
-            start_mode=0, M=150, seed=12, pointwise_policy=False,
-        )
-        assert np.isfinite(ev.mean)
-
     @pytest.mark.parametrize("start_mode", (-1, 2), ids=("negative", "d"))
     def test_start_mode_outside_the_modes_is_rejected(self, solved_benchmark, start_mode):
         # A negative mode used to wrap silently: -1 replayed mode 1.
@@ -477,18 +421,14 @@ class TestSimulatePolicy:
                     model, modes, schedule, surface, policy, rule, start_mode=0, M=M, seed=13
                 )
 
-    @pytest.mark.parametrize("pointwise_policy", (True, False), ids=("pointwise", "cell-table"))
-    def test_streamed_replay_matches_a_replay_over_the_ensemble(
-        self, solved_benchmark, pointwise_policy
-    ):
+    def test_streamed_replay_matches_a_replay_over_the_ensemble(self, solved_benchmark):
         # The replay simulates one step at a time and stores no path; it must
         # give the numbers of a replay over the whole ensemble.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
-        args = (model, modes, schedule, surface, policy, rule)
         ev = simulate_policy(
-            *args, start_mode=1, M=300, seed=14, pointwise_policy=pointwise_policy
+            model, modes, schedule, surface, policy, rule, start_mode=1, M=300, seed=14
         )
-        total, switches = replay_over_ensemble(*args, 1, 300, 14, pointwise_policy)
+        total, switches = replay_over_ensemble(model, modes, schedule, surface, rule, 1, 300, 14)
         assert ev.mean == float(total.mean())
         assert ev.stderr == float(total.std(ddof=1) / np.sqrt(300))
         assert ev.mean_switches == float(switches.mean())
@@ -517,14 +457,11 @@ class TestSimulatePolicy:
             )
         assert str(replay_err.value) == str(paths_err.value)
 
-    @pytest.mark.parametrize("pointwise_policy", (True, False), ids=("pointwise", "cell-table"))
-    def test_replay_is_the_same_across_chunk_seams(
-        self, solved_benchmark, monkeypatch, pointwise_policy
-    ):
+    def test_replay_is_the_same_across_chunk_seams(self, solved_benchmark, monkeypatch):
         # 300 replay paths in chunks of 64, the last one ragged, against one chunk.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
         args = (model, modes, schedule, surface, policy, rule)
-        kwargs = dict(start_mode=1, M=300, seed=14, pointwise_policy=pointwise_policy)
+        kwargs = dict(start_mode=1, M=300, seed=14)
         whole = simulate_policy(*args, **kwargs)
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
         assert simulate_policy(*args, **kwargs) == whole

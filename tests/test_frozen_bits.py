@@ -31,15 +31,11 @@ FROZEN_V = {
 }
 
 # simulate_policy (mean, stderr) from mode 0 on 1000 fresh paths, with a
-# callable payoff in mode 1, for pointwise decisions and the policy table.
-# Re-recorded when the replay began to pay rewards at the filter state
-# instead of at its clamp onto the box: the means rose from 0.1942869 and
-# 0.1942827 to 0.1943067 and 0.1943025; and when the box began to be
-# calibrated on the training paths: to 0.1943266 and 0.1943270.
-FROZEN_REPLAY = {
-    True: ("0x1.8dfb19dad41dfp-3", "0x1.2c768507a636ap-9"),
-    False: ("0x1.8dfb5493449f6p-3", "0x1.2c75d9dbb43d0p-9"),
-}
+# callable payoff in mode 1.  Re-recorded when the replay began to pay
+# rewards at the filter state instead of at its clamp onto the box: the mean
+# rose from 0.1942869 to 0.1943067; and when the box began to be calibrated
+# on the training paths: to 0.1943266.
+FROZEN_REPLAY = ("0x1.8dfb19dad41dfp-3", "0x1.2c768507a636ap-9")
 
 
 # calibrate_domain on the 2-D signal problem (regression state of three
@@ -71,12 +67,11 @@ def test_policy_replay_is_frozen():
     problem = benchmark_problem()
     problem["modes"] = ["zero", custom_payoff]
     res = run_pipeline(small_config(problem))
-    for pointwise, frozen in FROZEN_REPLAY.items():
-        replay = simulate_policy(
-            res.model, res.modes, res.schedule, res.surface, res.policy, res.rule,
-            start_mode=0, M=1000, seed=res.eval_seed, pointwise_policy=pointwise,
-        )
-        assert (float.hex(replay.mean), float.hex(replay.stderr)) == frozen
+    replay = simulate_policy(
+        res.model, res.modes, res.schedule, res.surface, res.policy, res.rule,
+        start_mode=0, M=1000, seed=res.eval_seed,
+    )
+    assert (float.hex(replay.mean), float.hex(replay.stderr)) == FROZEN_REPLAY
 
 
 def test_calibrated_domain_is_frozen():
