@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import copy
 import csv
 import hashlib
 import json
@@ -143,7 +142,7 @@ class RunConfig:
 
     def content_hash(self) -> str:
         payload = {"problem": self.problem, "solver": self.solver}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_callable_name)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def manifest(self, command: str) -> dict:
@@ -152,9 +151,16 @@ class RunConfig:
             "package_version": __version__,
             "seed": self.params.seed,
             "solver": dict(self.solver),
-            "problem": copy.deepcopy(self.problem),
+            "problem": json.loads(json.dumps(self.problem, default=_callable_name)),
             "inputs_sha256": self.content_hash(),
         }
+
+
+def _callable_name(obj) -> str:
+    """A library caller's callable payoff, in a manifest: its ``module.qualname``."""
+    if not callable(obj):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{obj.__module__}.{obj.__qualname__}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +396,7 @@ def _resolve_config(args) -> RunConfig:
             # A config's problem path is relative to the config file.
             base = os.path.dirname(os.path.abspath(args.config))
             data["problem"] = _read_json(data["problem"], base)
-        if data.get("problem"):
+        if "problem" in data:
             problem = data["problem"]
         solver.update(_json_object("a config's solver", data.get("solver", {})))
         if output is None:
@@ -503,7 +509,7 @@ def _cmd_paths(args, config: RunConfig) -> int:
     rows = [header]
     for ell in range(n_paths):
         for k in range(grid.n_steps + 1):
-            rows.append([ell, k, f"{times[k]:.12g}"] + [f"{v:.17g}" for v in z[ell, k]])
+            rows.append([ell, k, f"{times[k]:.12g}"] + [f"{v:.17g}" for v in z[k, ell]])
     _write_output(config, "paths", "paths.csv", rows)
     return 0
 

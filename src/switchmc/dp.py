@@ -76,11 +76,9 @@ class PolicyEvaluation:
 def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Column-wise argmax of (d, P) action values where ties keep the column's
     current mode if it attains the max, else the smallest."""
-    d, P = action_values.shape
+    P = action_values.shape[1]
     best = action_values.max(axis=0)
-    smallest = np.zeros(P, dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        smallest[action_values[j] == best] = j
+    smallest = (action_values == best).argmax(axis=0)
     cur_vals = action_values.ravel().take(current * P + np.arange(P))
     return np.where(cur_vals == best, current, smallest)
 
@@ -132,7 +130,7 @@ def backward_induction(
         ids = cell_ids[k]
         coeffs[k] = empirical_coefficients(above, ids, R)
         cand, _ = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.state(k), coeffs[k], ids
+            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.z_paths[k], coeffs[k], ids
         )
         np.max(cand[None] - cost[:, :, None], axis=1, out=values)
         above, values = values, above

@@ -30,25 +30,23 @@ class OracleRefusal(ValueError):
     """The oracle does not cover the requested configuration."""
 
 
-def _two_point_draws(model: ModelSpec, n_steps: int, path_ids: Sequence[int]) -> np.ndarray:
+def _two_point_draws(n_steps: int, path_ids: Sequence[int]) -> np.ndarray:
     """Innovation signs +-1 read from the base-2 digits of each path index,
-    time-major: di (N, M, n2).
+    time-major: di (N, M, 1).
 
-    Bit k*n2+c of the path index selects the sign of innovation component c
-    at step k.  With M = 2^(N*n2) consecutive indices the ensemble
-    enumerates every pattern exactly once.
+    Bit k of the path index selects the sign of the innovation at step k.
+    With M = 2^N consecutive indices from 0 the ensemble enumerates every
+    pattern exactly once.
     """
-    n2 = model.n2
     ids = np.asarray(path_ids, dtype=np.int64)
-    bits = np.arange(n_steps * n2).reshape(n_steps, 1, n2)
-    return np.where((ids[None, :, None] >> bits) & 1, 1.0, -1.0)
+    return np.where((ids[None, :, None] >> np.arange(n_steps)[:, None, None]) & 1, 1.0, -1.0)
 
 
 def _tree_paths(model: ModelSpec, schedule: CovarianceSchedule, path_ids: Sequence[int]) -> np.ndarray:
-    """Two-point paths of the given indices on ``model.grid``, with the shape
-    ``simulate_paths`` returns."""
-    di = _two_point_draws(model, model.n_steps, path_ids)
-    return np.stack(list(_euler_states(model, model.grid, schedule, di)), axis=1)
+    """Two-point paths of the given indices on the grid of a scalar
+    ``model``, with the shape ``simulate_paths`` returns."""
+    di = _two_point_draws(model.n_steps, path_ids)
+    return np.stack(list(_euler_states(model, model.grid, schedule, di)))
 
 
 def tree_oracle_value(
@@ -62,8 +60,9 @@ def tree_oracle_value(
     All 2^N sign patterns are simulated with the solver's own recursions;
     the backward induction then uses exact conditional expectations, grouping
     paths by their observation-increment history and averaging continuation
-    values within each group (every pattern is equally likely).  A problem
-    that is not scalar (n1 = m1 = n2 = 1) or has over 16 steps is refused.
+    values within each group (every pattern is equally likely, so a group at
+    step k holds 2^(N-k) paths).  A problem that is not scalar
+    (n1 = m1 = n2 = 1) or has over 16 steps is refused.
     """
     if (model.n1, model.m1, model.n2) != (1, 1, 1):
         raise OracleRefusal(
@@ -83,30 +82,22 @@ def tree_oracle_value(
 
     n1 = model.n1
     state = _tree_paths(model, schedule, range(M))
-    dy = np.diff(state[:, :, n1], axis=1)  # (M, N)
-
-    # labels[k][ell]: group of path ell under equality of its first k
-    # observation increments.  k = 0 puts every path in one group.
-    labels = [np.zeros(M, dtype=np.int64)]
-    for k in range(n_steps):
-        pairs = np.stack([labels[k].astype(float), dy[:, k]], axis=1)
-        _, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        labels.append(inverse.astype(np.int64))
+    paths = np.arange(M)
 
     values, cost = np.zeros((d, M)), modes.costs
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
-        lab = labels[k]
-        n_groups = int(lab.max()) + 1
-        counts = np.bincount(lab, minlength=n_groups)
-        m_k = state[:, k, :n1]
-        y_k = state[:, k, n1:]
+        # Paths share their first k observation increments exactly when they
+        # share their first k innovation signs: bits 0..k-1 of the index.
+        lab = paths & (2 ** k - 1)
+        m_k = state[k, :, :n1]
+        y_k = state[k, :, n1:]
         sqrt_theta = schedule.sqrt_thetas[k]
 
         cand = np.empty((d, M))
         for j in range(d):
-            sums = np.bincount(lab, weights=values[j], minlength=n_groups)
-            cont = (sums / counts)[lab]
+            sums = np.bincount(lab, weights=values[j], minlength=2 ** k)
+            cont = (sums / 2 ** (n_steps - k))[lab]
             fbar = effective_payoff_batch(modes, j, m_k, sqrt_theta, y_k, t, rule)
             cand[j] = delta * fbar + cont
 

@@ -185,7 +185,7 @@ def regress_eval(coeffs: CoefficientVector, cell_ids: np.ndarray) -> np.ndarray:
 def memberships(ensemble: PathEnsemble, basis: HypercubeBasis) -> np.ndarray:
     """Flat int32 cell index of every path at every grid time, shape (N+1, M),
     indexed a block of grid times (about ``_MEMBERSHIP_BLOCK`` points) a call."""
-    z = ensemble.z_paths.transpose(1, 0, 2)  # (N+1, M, dim); build_ensemble's storage order
+    z = ensemble.z_paths
     out = np.empty(z.shape[:2], dtype=np.int32)
     steps = max(1, _MEMBERSHIP_BLOCK // max(1, ensemble.M))
     for k in range(0, z.shape[0], steps):

@@ -42,7 +42,7 @@ _DEGENERATE_PAD = 1e-9
 _Q_LADDER = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0)
 # Floats of off-box path points _clip_error gathers at once: 2**17, 1 MB.
 _CLIP_BLOCK = 2 ** 17
-# Paths whose Gaussian streams are drawn before one transposed copy.
+# Paths whose Gaussian streams are drawn before one copy into time-major order.
 _DRAW_BLOCK = 64
 # Noise draws one chunk of paths may hold at once: 2**21 floats, 16 MB.
 _DRAW_BUDGET = 2 ** 21
@@ -84,16 +84,16 @@ class Domain:
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Training paths for regression: the regression state (conditional mean,
-    observation) on the grid.  Row ell depends only on the simulation seed
-    and ell.
+    observation) on the grid.  Path ell, ``z_paths[:, ell]``, depends only
+    on the simulation seed and ell.
 
-    ``z_paths`` has shape (M, N+1, n1 + n2), conditional mean first; from
-    ``build_ensemble`` it is a transposed view of time-major storage, so
-    ``state(k)`` is one contiguous block.  It is stored read-only;
-    ``m_paths``, ``y_paths`` and ``state(k)`` are views of it.  A
-    non-finite point is not looked for here: ``HypercubeBasis.cell_index``
-    rejects it when the ensemble is indexed.  No signal is simulated, so
-    ``x_paths`` is always None; the field stays for callers that read it.
+    ``z_paths`` has shape (N+1, M, n1 + n2), grid time first and conditional
+    mean first, so ``z_paths[k]``, the M points at grid time k, is one
+    contiguous block of ``build_ensemble``'s storage.  It is stored
+    read-only; ``m_paths`` and ``y_paths`` are views of it.  A non-finite
+    point is not looked for here: ``HypercubeBasis.cell_index`` rejects it
+    when the ensemble is indexed.  No signal is simulated, so ``x_paths`` is
+    always None; the field stays for callers that read it.
     """
 
     grid: TimeGrid
@@ -104,10 +104,10 @@ class PathEnsemble:
     def __post_init__(self) -> None:
         z = np.asarray(self.z_paths, dtype=float)
         if z.ndim != 3:
-            raise ValueError(f"z_paths must have shape (M, N+1, dim), got {z.shape}")
-        if z.shape[1] != self.grid.n_steps + 1:
+            raise ValueError(f"z_paths must have shape (N+1, M, dim), got {z.shape}")
+        if z.shape[0] != self.grid.n_steps + 1:
             raise ValueError(
-                f"paths have {z.shape[1]} points but grid has {self.grid.n_steps + 1}"
+                f"paths have {z.shape[0]} points but grid has {self.grid.n_steps + 1}"
             )
         if not 0 < self.n1 < z.shape[2]:
             raise ValueError(f"n1 must lie in [1, {z.shape[2]}), got {self.n1}")
@@ -117,33 +117,29 @@ class PathEnsemble:
 
     @property
     def M(self) -> int:
-        return self.z_paths.shape[0]
+        return self.z_paths.shape[1]
 
     @property
     def m_paths(self) -> np.ndarray:
-        """Conditional means (M, N+1, n1)."""
+        """Conditional means (N+1, M, n1)."""
         return self.z_paths[..., : self.n1]
 
     @property
     def y_paths(self) -> np.ndarray:
-        """Observations (M, N+1, n2)."""
+        """Observations (N+1, M, n2)."""
         return self.z_paths[..., self.n1:]
-
-    def state(self, k: int) -> np.ndarray:
-        """Regression state (M, n1 + n2) at grid index k."""
-        return self.z_paths[:, k, :]
 
 
 def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int],
                     buf: np.ndarray) -> np.ndarray:
     """Per-path innovation draws, each path keyed by (seed, path_id) alone.
 
-    Returns di (N, M, n2) of standard normals: a view of one (draw, path)
-    array at the head of the flat ``buf``, filled a block of paths at a time.
+    Returns di (N, M, n2) of standard normals: a view of the head of the
+    flat ``buf``, filled a block of paths at a time.
     """
-    M, rows = len(path_ids), n_steps * model.n2
-    draws = buf[:rows * M].reshape(rows, M)
-    block = np.empty((min(M, _DRAW_BLOCK), rows))
+    M = len(path_ids)
+    draws = buf[:n_steps * M * model.n2].reshape(n_steps, M, model.n2)
+    block = np.empty((min(M, _DRAW_BLOCK), n_steps, model.n2))
     # Philox is counter-based: a fresh state under a path's key gives its stream.
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
     gen, fresh = np.random.Generator(bitgen), bitgen.state
@@ -153,8 +149,8 @@ def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequenc
             fresh["state"]["key"][1] = int(pid) % 2 ** 64
             bitgen.state = fresh
             gen.standard_normal(out=row)
-        draws[:, start:start + len(ids)] = block[:len(ids)].T
-    return draws.reshape(n_steps, model.n2, M).transpose(0, 2, 1)
+        draws[:, start:start + len(ids)] = block[:len(ids)].swapaxes(0, 1)
+    return draws
 
 
 def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
@@ -228,9 +224,9 @@ def simulate_paths(
     a Brownian motion of the observation filtration: y_{k+1} = y_k + G m_k
     delta + dI_k and m_{k+1} = exp(F delta) (m_k + theta_k G^T dI_k), from
     (m0, y0), with N n2 normals a path and no signal.  Returns the
-    regression state (conditional mean, then observation), shape (M, N+1,
-    n1 + n2), as a transposed view of a time-major array, so one grid time
-    is one contiguous block.  Path row ell is a function of (seed,
+    regression state (conditional mean, then observation) as a C-contiguous
+    array of shape (N+1, M, n1 + n2), grid time first, so one grid time is
+    one contiguous block.  Path ell, z[:, ell], is a function of (seed,
     path_ids[ell]) only, so ensembles of different sizes agree pathwise.
     Paths run a chunk at a time, so a SimulationError names the first
     non-finite step of the first chunk that has one (a later chunk may have
@@ -240,7 +236,7 @@ def simulate_paths(
     for sl, states in _chunked_states(model, grid, schedule, seed, path_ids):
         for k, zk in enumerate(states):
             z[k, sl] = zk
-    return z.transpose(1, 0, 2)
+    return z
 
 
 def build_ensemble(
@@ -260,7 +256,7 @@ def build_ensemble(
 def _clip_error(z: np.ndarray, path_lows: np.ndarray, path_highs: np.ndarray,
                 domain: Domain) -> float:
     """Worst mean Euclidean distance to the box over grid times of the paths
-    z (M, N+1, dim), whose extremes over time are path_lows and path_highs
+    z (N+1, M, dim), whose extremes over time are path_lows and path_highs
     (M, dim).
 
     Only the paths that leave the box are read, a block of grid times at a
@@ -269,15 +265,14 @@ def _clip_error(z: np.ndarray, path_lows: np.ndarray, path_highs: np.ndarray,
     leaving = np.flatnonzero(((path_lows < domain.lows) | (path_highs > domain.highs)).any(axis=1))
     if leaving.size == 0:
         return 0.0
-    times = z.transpose(1, 0, 2)  # (N+1, M, dim), time-major for an ensemble
     rows = max(1, _CLIP_BLOCK // (leaving.size * z.shape[2]))
     worst = 0.0
-    for k in range(0, times.shape[0], rows):
-        pts = times[k:k + rows, leaving]
+    for k in range(0, z.shape[0], rows):
+        pts = z[k:k + rows, leaving]
         gaps = pts - np.clip(pts, domain.lows, domain.highs)
         # Axes add left to right and paths in index order, so the sums are fixed.
         dist = np.sqrt(sum(gaps[..., a] * gaps[..., a] for a in range(gaps.shape[2])))
-        worst = max(worst, float((np.add.accumulate(dist, axis=1)[:, -1] / z.shape[0]).max()))
+        worst = max(worst, float((np.add.accumulate(dist, axis=1)[:, -1] / z.shape[1]).max()))
     return worst
 
 
@@ -296,7 +291,7 @@ def calibrate_domain(ensemble: PathEnsemble, epsilon: float) -> Domain:
     z = ensemble.z_paths
     # Rounding is monotone, so the extremes give each path's deviation from
     # the centre as the points themselves would.
-    path_lows, path_highs = z.min(axis=1), z.max(axis=1)
+    path_lows, path_highs = z.min(axis=0), z.max(axis=0)
     lows, highs = path_lows.min(axis=0), path_highs.max(axis=0)
     center = 0.5 * (lows + highs)
     dev = np.maximum(path_highs - center, center - path_lows)

@@ -11,9 +11,8 @@ bugs:
   closed-form filter variance instead of simulation or regression;
 - a dictionary-based exhaustive tree valuation for small two-point-innovation
   instances;
-- the clamp-distortion formula on path-major state, with all coordinates
-  reduced at once, against which the solver's per-axis version must agree
-  bit for bit;
+- the clamp-distortion formula with all coordinates reduced at once,
+  against which the solver's per-axis version must agree bit for bit;
 - the closed-form value of never switching, for registry payoffs with a
   closed-form mean;
 - the first switching-cost violation, by plain loops over the entries.
@@ -139,8 +138,8 @@ def tiny_tree_value(model, modes, schedule, rule) -> list:
     organized as plain Python dictionaries keyed by observation-increment
     prefixes.
 
-    Independent of the package's tree oracle (which vectorizes over numpy
-    unique labels and steps through the solver's recursion); only the model
+    Independent of the package's tree oracle (which groups paths by the
+    bits of their index and steps through the solver's recursion); only the model
     coefficients, the covariance schedule and the quadrature nodes are
     shared.  Each step draws an innovation of +-sqrt(delta), so the tree
     has 2^n paths; practical for n_steps <= 8.
@@ -235,7 +234,7 @@ SIGNAL2D = {
 
 def clip_error_reference(state, lows, highs) -> float:
     """Worst mean Euclidean clamp distortion over grid times of ``state``
-    (M, N+1, dim): squared gaps summed by ``np.sum`` over the last axis, then
+    (N+1, M, dim): squared gaps summed by ``np.sum`` over the last axis, then
     a running sum over paths in index order.
 
     ``simulate._clip_error`` adds the squared gaps one axis at a time.  The
@@ -244,7 +243,7 @@ def clip_error_reference(state, lows, highs) -> float:
     last bit.
     """
     dist = np.sqrt(np.sum((state - np.clip(state, lows, highs)) ** 2, axis=-1))
-    return float((np.add.accumulate(dist, axis=0)[-1] / dist.shape[0]).max())
+    return float((np.add.accumulate(dist, axis=1)[:, -1] / dist.shape[1]).max())
 
 
 def no_switch_value(model, modes, start_mode: int) -> float:
@@ -322,7 +321,7 @@ def pathwise_values(surface, ensemble, modes, schedule, rule, k: int) -> np.ndar
     grid, basis = surface.grid, surface.basis
     if k == grid.n_steps:
         return np.zeros((modes.d, ensemble.M))
-    points = ensemble.state(k)
+    points = ensemble.z_paths[k]
     cand, _ = _action_values(
         modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, points,
         surface.coeffs[k], basis.cell_index(points),

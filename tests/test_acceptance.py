@@ -156,7 +156,7 @@ def test_criterion_3_oracle_equivalence():
     basis = HypercubeBasis(domain, (1024, 1024))
     ids = memberships(ensemble, basis)
     separated = all(
-        np.unique(ensemble.state(k), axis=0).shape[0] == np.unique(ids[k]).shape[0]
+        np.unique(ensemble.z_paths[k], axis=0).shape[0] == np.unique(ids[k]).shape[0]
         for k in range(grid.n_steps + 1)
     )
     surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)

@@ -112,7 +112,7 @@ SOURCES = sorted(Path(switchmc.__file__).parent.glob("*.py"))
 
 # Total lines of src/switchmc/*.py.  Lower it when code is removed; raising
 # it is a decision that shows in the diff, like a new exported name.
-SOURCE_LINES_MAX = 2335
+SOURCE_LINES_MAX = 2325
 
 
 def test_source_size_is_pinned():

@@ -21,7 +21,7 @@ from switchmc import (
     build_ensemble, calibrate_domain, derive_seed, load_problem, simulate_paths, solve_riccati,
 )
 from switchmc.benchmarks import benchmark_problem, default_solver_params
-from switchmc.cli import RunConfig, StageError, main, run_pipeline, run_solve
+from switchmc.cli import RunConfig, StageError, main, run_bound, run_pipeline, run_solve
 
 FAST = ["--M", "150", "--n-steps", "12", "--replications", "2", "--seed", "7"]
 
@@ -37,6 +37,9 @@ REFUSED_SOLVERS = (
     ({"m": 100, "n_steps": 5}, "unknown solver key 'm'"),
 )
 REFUSED_IDS = ("fractional-M-and-replications", "negative-seed", "unknown-key")
+PROBLEM_KEYS = [
+    "n1", "m1", "n2", "m2", "T", "n_steps", "F", "C", "G", "m0", "theta0", "y0", "modes", "costs", "nu",
+]
 
 
 def run_cli(argv, capsys):
@@ -182,7 +185,7 @@ class TestPaths:
         z = simulate_paths(
             model, model.grid, solve_riccati(model, model.grid), derive_seed(3, 0, 0), range(3)
         )
-        assert np.array_equal(written, z.reshape(-1, 2))
+        assert np.array_equal(written, np.hstack(z).reshape(-1, 2))
 
 
 class TestSolve:
@@ -410,12 +413,16 @@ class TestLoadErrors:
         (
             ([1, 2], "a config must be a JSON object, got list"),
             ({"solver": [1]}, "a config's solver must be a JSON object, got list"),
+            ({"problem": {}}, f"problem file missing keys: {PROBLEM_KEYS}"),
+            ({"problem": None}, "a problem must be a JSON object, got NoneType"),
+            ({"problem": []}, "a problem must be a JSON object, got list"),
         ),
-        ids=("config-list", "solver-list"),
+        ids=("config-list", "solver-list", "problem-empty", "problem-null", "problem-list"),
     )
     def test_config_file_part_not_an_object(self, data, message, tmp_path, capsys):
         # These used to fail with "'list' object has no attribute 'get'" and
-        # "cannot convert dictionary update sequence element #0 ...".
+        # "cannot convert dictionary update sequence element #0 ...", and an
+        # empty, null or list problem solved the built-in problem.
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         err = self.assert_load_error(["solve", "--config", str(config)], capsys)
@@ -536,6 +543,26 @@ class TestLoadErrors:
 def test_library_solve_error_names_the_key(solver, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_solve(RunConfig(benchmark_problem(), {**default_solver_params(), **solver}))
+
+
+def earning_payoff(x, y, t):
+    """A module-level callable payoff: the signal itself."""
+    return x[..., 0]
+
+
+def test_callable_payoff_is_named_in_the_manifest():
+    # A library caller's callable payoff used to raise "Object of type
+    # function is not JSON serializable" from the input hash, after the
+    # whole solve had run.
+    problem = {**benchmark_problem(), "modes": ["zero", earning_payoff]}
+    solver = {**default_solver_params(), "M": 100, "n_steps": 5, "seed": 2}
+    name = f"{earning_payoff.__module__}.earning_payoff"
+    first, second = (run_solve(RunConfig(problem, solver)) for _ in range(2))
+    bound = run_bound(RunConfig(problem, solver))
+    for manifest in (first["manifest"], bound["manifest"]):
+        assert manifest["problem"]["modes"] == ["zero", name]
+        assert manifest["inputs_sha256"] == second["manifest"]["inputs_sha256"]
+    json.dumps(first, allow_nan=False)
 
 
 def test_integral_float_path_count_solves_as_its_integer(tmp_path, capsys):

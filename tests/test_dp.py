@@ -65,7 +65,7 @@ def replay_over_ensemble(model, modes, schedule, surface, rule, start_mode, M, s
     mode = np.full(M, start_mode, dtype=np.int64)
     total, switches, rows = np.zeros(M), np.zeros(M, dtype=np.int64), np.arange(M)
     for k in range(grid.n_steps):
-        pts = ensemble.state(k)
+        pts = ensemble.z_paths[k]
         ids = basis.cell_index(pts)
         cand, fbars = _action_values(
             modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts,
@@ -137,8 +137,8 @@ class TestRewardsAtTheFilterState:
         model, modes, schedule, basis, rule = linear_one_cell()
         ensemble = build_ensemble(model, model.grid, schedule, 200, 3)
         surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
-        m = simulate_paths(model, model.grid, schedule, 3, range(200))[:, :-1, 0]
-        expected = model.grid.delta * m.mean(axis=0).sum()
+        m = simulate_paths(model, model.grid, schedule, 3, range(200))[:-1, :, 0]
+        expected = model.grid.delta * m.mean(axis=1).sum()
         assert surface.values[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_replay_mean(self):
@@ -148,8 +148,8 @@ class TestRewardsAtTheFilterState:
         ev = simulate_policy(
             model, modes, schedule, surface, policy, rule, start_mode=0, M=300, seed=9
         )
-        m = simulate_paths(model, model.grid, schedule, 9, range(300))[:, :-1, 0]
-        expected = model.grid.delta * m.sum(axis=1).mean()
+        m = simulate_paths(model, model.grid, schedule, 9, range(300))[:-1, :, 0]
+        expected = model.grid.delta * m.sum(axis=0).mean()
         assert ev.mean == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -275,7 +275,7 @@ def test_induction_refuses_the_schedule_of_another_grid(schedule_steps, grid_ste
     model, modes = make_benchmark(n_steps=grid_steps)
     other, _ = make_benchmark(n_steps=schedule_steps)
     domain = Domain(lows=np.array([-1.0, -1.0]), highs=np.array([1.0, 1.0]))
-    ensemble = PathEnsemble(model.grid, np.zeros((5, grid_steps + 1, 2)), n1=1)
+    ensemble = PathEnsemble(model.grid, np.zeros((grid_steps + 1, 5, 2)), n1=1)
     with pytest.raises(
         ValueError, match=f"^covariance schedule has {schedule_steps} steps but grid has {grid_steps}$"
     ):

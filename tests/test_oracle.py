@@ -36,32 +36,32 @@ class TestTreePaths:
         root = math.sqrt(grid.delta)
         # Observation increments at step 0 are G m0 delta + dI = +-sqrt(delta)
         # exactly, since m0 = 0.
-        first = np.unique(z[:, 1, 1])
+        first = np.unique(z[1, :, 1])
         assert np.array_equal(first, [-root, root])
         # Every sign pattern must be realized exactly once; the last
         # innovation reaches the observation, so the state paths differ.
-        assert np.unique(z.reshape(n_paths, -1), axis=0).shape[0] == n_paths
+        assert np.unique(np.hstack(z), axis=0).shape[0] == n_paths
 
     def test_two_point_signs_are_the_path_index_bits(self):
-        # Loop reference: bit k*n2+c of the path id is the sign of innovation
-        # component c at step k.  With G = 0 the observation steps are the
-        # signed innovations themselves.
+        # Loop reference: bit k of the path id is the sign of the innovation
+        # at step k.  With G = 0 the observation steps are the signed
+        # innovations themselves.
         model, _ = make_benchmark(n_steps=3, G=0.0)
         schedule = solve_riccati(model, model.grid)
         ids = [0, 5, 6, 7, 2 ** 40 + 9]
         z = _tree_paths(model, schedule, ids)
-        steps = np.diff(z[..., 1], axis=1)
-        for row, pid in enumerate(ids):
+        steps = np.diff(z[..., 1], axis=0)
+        for ell, pid in enumerate(ids):
             for k in range(3):
                 expected = 1.0 if (pid >> k) & 1 else -1.0
-                assert np.sign(steps[row, k]) == expected
+                assert np.sign(steps[k, ell]) == expected
 
     def test_two_point_starts_signal_at_the_mean(self):
         # The filter starts every path at (m0, y0): its estimate of the
         # signal is the prior mean.
         model, _ = make_benchmark(n_steps=2, m0=0.3, y0=-0.2)
         z = _tree_paths(model, solve_riccati(model, model.grid), range(4))
-        assert np.array_equal(z[:, 0], np.tile([0.3, -0.2], (4, 1)))
+        assert np.array_equal(z[0], np.tile([0.3, -0.2], (4, 1)))
 
 
 class TestTreeOracleValue:
@@ -124,7 +124,10 @@ class TestTreeOracleValue:
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_dictionary_tree(self, rule8):
-        for n, change in ((2, {}), (3, {}), (6, {}), (4, {"F": -0.5, "m0": 0.3})):
+        for n, change in (
+            (2, {}), (3, {}), (6, {}), (4, {"F": -0.5, "m0": 0.3}), (4, {"G": 0.0}),
+            (5, {"F": 1.0, "G": 3.0}),
+        ):
             model, modes = make_benchmark(n_steps=n, **change)
             schedule = solve_riccati(model, model.grid)
             mine = tiny_tree_value(model, modes, schedule, rule8)

@@ -250,25 +250,25 @@ class TestMemberships:
         ens, basis = small_ensemble
         ids = memberships(ens, basis)
         for k in (0, 7, 12):
-            assert np.array_equal(ids[k], basis.cell_index(ens.state(k)))
+            assert np.array_equal(ids[k], basis.cell_index(ens.z_paths[k]))
 
     def test_ids_are_int32(self, small_ensemble):
         # Half the bytes of int64 ids, for the (N+1, M) table the induction holds.
         ens, basis = small_ensemble
         ids = memberships(ens, basis)
         assert ids.dtype == np.int32
-        assert all(np.array_equal(ids[k], basis.cell_index(ens.state(k))) for k in range(13))
+        assert all(np.array_equal(ids[k], basis.cell_index(ens.z_paths[k])) for k in range(13))
 
 
 def synthetic_ensemble(M, n_steps, time_major, seed=0):
-    """Gaussian points (M, n_steps + 1, 2), some beyond the unit box,
-    stored time-major like build_ensemble's or as a C-contiguous
-    path-major array."""
+    """Gaussian points (n_steps + 1, M, 2), some beyond the unit box,
+    stored time-major like build_ensemble's or as a transposed view of a
+    C-contiguous path-major array."""
     rng = np.random.default_rng(seed)
     if time_major:
-        z = rng.normal(0.5, 0.5, size=(n_steps + 1, M, 2)).transpose(1, 0, 2)
+        z = rng.normal(0.5, 0.5, size=(n_steps + 1, M, 2))
     else:
-        z = rng.normal(0.5, 0.5, size=(M, n_steps + 1, 2))
+        z = rng.normal(0.5, 0.5, size=(M, n_steps + 1, 2)).transpose(1, 0, 2)
     return PathEnsemble(grid=TimeGrid(T=1.0, n_steps=n_steps), z_paths=z, n1=1)
 
 
@@ -283,15 +283,15 @@ class TestBlockedMemberships:
         ids = memberships(ens, basis)
         assert ids.shape == (13, M) and ids.dtype == np.int32
         for k in range(13):
-            assert np.array_equal(ids[k], basis.cell_index(ens.state(k)))
+            assert np.array_equal(ids[k], basis.cell_index(ens.z_paths[k]))
 
     def test_nan_at_a_middle_grid_time_is_named(self):
-        z = synthetic_ensemble(5000, 12, time_major=False).z_paths.copy()
-        z[1234, 7, 1] = np.nan
+        z = synthetic_ensemble(5000, 12, time_major=True).z_paths.copy()
+        z[7, 1234, 1] = np.nan
         ens = PathEnsemble(grid=TimeGrid(T=1.0, n_steps=12), z_paths=z, n1=1)
         with pytest.raises(IndexingError) as err:
             memberships(ens, unit_basis((6, 7)))
-        assert str(err.value) == f"point {z[1234, 7]} has a non-finite coordinate"
+        assert str(err.value) == f"point {z[7, 1234]} has a non-finite coordinate"
 
 
 def test_one_solve_indexes_each_training_step_once(monkeypatch):
@@ -325,10 +325,10 @@ class TestEstimatePmin:
         grid = model.grid
         dom = Domain(lows=np.zeros(2), highs=np.ones(2))
         basis = HypercubeBasis(dom, (2, 1))
-        # Four paths, two grid points; at k = 0 three paths sit in cell 0 and
+        # Two grid points, four paths; at k = 0 three paths sit in cell 0 and
         # one in cell 1, at k = 1 (terminal, excluded) all sit in cell 1.
-        m = np.array([[[0.1], [0.9]], [[0.2], [0.9]], [[0.3], [0.9]], [[0.8], [0.9]]])
-        y = np.full((4, 2, 1), 0.5)
+        m = np.array([[[0.1], [0.2], [0.3], [0.8]], [[0.9], [0.9], [0.9], [0.9]]])
+        y = np.full((2, 4, 1), 0.5)
         ens = PathEnsemble(
             grid=grid, z_paths=np.concatenate([m, y], axis=-1), n1=1
         )

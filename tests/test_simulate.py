@@ -68,12 +68,12 @@ class TestSimulatePaths:
         grid = model.grid
         z_all = simulate_paths(model, grid, schedule, seed=42, path_ids=range(64))
         z_one = simulate_paths(model, grid, schedule, seed=42, path_ids=[17])
-        assert np.array_equal(z_all[17], z_one[0])
+        assert np.array_equal(z_all[:, 17], z_one[:, 0])
         z_sub = simulate_paths(model, grid, schedule, seed=42, path_ids=[17, 3, 99])
-        assert np.array_equal(z_sub[0], z_one[0])
+        assert np.array_equal(z_sub[:, 0], z_one[:, 0])
 
     def test_rows_agree_across_draw_block_seams(self, bench20):
-        # Gaussian streams are drawn a block of paths at a time; the rows on
+        # Gaussian streams are drawn a block of paths at a time; the paths on
         # either side of each block boundary must match one-path calls.
         model, _, schedule = bench20
         grid = model.grid
@@ -81,7 +81,7 @@ class TestSimulatePaths:
         z_all = simulate_paths(model, grid, schedule, seed=9, path_ids=ids)
         for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK - 1, 2 * _DRAW_BLOCK, len(ids) - 1):
             z_one = simulate_paths(model, grid, schedule, seed=9, path_ids=[ids[row]])
-            assert np.array_equal(z_all[row], z_one[0])
+            assert np.array_equal(z_all[:, row], z_one[:, 0])
 
     def test_each_draw_row_is_a_fresh_philox_stream(self, bench20):
         # One generator serves every path by resetting its state; each row
@@ -98,6 +98,18 @@ class TestSimulatePaths:
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_draws)
             assert np.array_equal(di[:, row].ravel(), expected)
 
+    def test_draws_of_two_observations_are_read_a_step_at_a_time(self):
+        # With n2 = 2 a path's stream holds its steps in order, each step's
+        # two normals side by side: di[k, ell] is draws 2k and 2k + 1.
+        model, _ = make_benchmark(n_steps=5, n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])
+        ids = list(range(3, 3 + _DRAW_BLOCK + 5))
+        di = _gaussian_draws(model, 5, 11, ids, np.empty(10 * len(ids)))
+        assert di.shape == (5, len(ids), 2) and di.flags.c_contiguous
+        for ell in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, len(ids) - 1):
+            key = np.array([11, ids[ell]], dtype=np.uint64)
+            stream = np.random.Generator(np.random.Philox(key=key)).standard_normal(10)
+            assert np.array_equal(di[:, ell], stream.reshape(5, 2))
+
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
@@ -109,13 +121,28 @@ class TestSimulatePaths:
         model, _, schedule = bench20
         grid = model.grid
         z = simulate_paths(model, grid, schedule, seed=3, path_ids=range(8))
-        assert np.array_equal(z[:, 0, :], np.zeros((8, 2)))
+        assert np.array_equal(z[0], np.zeros((8, 2)))
 
     def test_shapes(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
         z = simulate_paths(model, grid, schedule, seed=3, path_ids=range(5))
-        assert z.shape == (5, 21, 2)
+        assert z.shape == (21, 5, 2)
+
+    @pytest.mark.parametrize("problem", ("bench", "signal2d", "two_observations"))
+    def test_returns_its_time_major_storage(self, problem):
+        # The paths come back as the array they were stepped into: grid
+        # time first, so one grid time is one contiguous block.
+        if problem == "bench":
+            model, _ = make_benchmark(n_steps=6)
+        elif problem == "signal2d":
+            model, _ = load_problem(dict(SIGNAL2D, n_steps=6))
+        else:
+            model, _ = make_benchmark(n_steps=6, n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])
+        schedule = solve_riccati(model, model.grid)
+        z = simulate_paths(model, model.grid, schedule, seed=3, path_ids=range(130))
+        assert z.shape == (7, 130, model.n1 + model.n2)
+        assert z.flags.c_contiguous and z.base is None
 
     def test_terminal_signal_variance_matches_theory(self):
         # The filter's estimate of the signal at T: with F = 0 and G = 1 the
@@ -133,7 +160,7 @@ class TestSimulatePaths:
         terminal = np.empty(n_total)
         for start in range(0, n_total, chunk):
             ens = build_ensemble(model, grid, schedule, chunk, seed=derive_seed(2026, start))
-            terminal[start:start + chunk] = ens.m_paths[:, -1, 0]
+            terminal[start:start + chunk] = ens.m_paths[-1, :, 0]
         var = float(np.var(terminal))
         # The variance of the sample variance of a Gaussian is 2 var^2 / n.
         stderr = math.sqrt(2.0 / n_total) * expected
@@ -218,37 +245,38 @@ class TestPathEnsemble:
         # the top cell of its axis, and the mean -0.3 of path 1 in the bottom.
         model, _, schedule = bench20
         dom = Domain(lows=np.array([-0.001, -0.001]), highs=np.array([0.001, 0.001]))
-        z = np.zeros((3, 21, 2))
+        z = np.zeros((21, 3, 2))
         z[..., 1] = 0.5
-        z[1, :, 0] = -0.3
+        z[:, 1, 0] = -0.3
         ensemble = PathEnsemble(grid=model.grid, z_paths=z, n1=1)
         basis = HypercubeBasis(dom, 4)
         ids = memberships(ensemble, basis)
-        assert np.array_equal(ids, basis.cell_index(np.clip(z, dom.lows, dom.highs)).T)
+        assert np.array_equal(ids, basis.cell_index(np.clip(z, dom.lows, dom.highs)))
         assert np.array_equal(ids, np.tile([2 * 4 + 3, 0 * 4 + 3, 2 * 4 + 3], (21, 1)))
 
     def test_state_concatenates_mean_and_observation(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
         ens = build_ensemble(model, grid, schedule, 6, seed=5)
-        st = ens.state(3)
+        st = ens.z_paths[3]
         assert st.shape == (6, 2)
-        assert np.array_equal(st[:, 0], ens.m_paths[:, 3, 0])
-        assert np.array_equal(st[:, 1], ens.y_paths[:, 3, 0])
+        assert np.array_equal(st[:, 0], ens.m_paths[3, :, 0])
+        assert np.array_equal(st[:, 1], ens.y_paths[3, :, 0])
 
     def test_storage_is_time_major(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
         ens = build_ensemble(model, grid, schedule, 6, seed=5)
-        assert ens.z_paths.shape == (6, 21, 2)
+        assert ens.z_paths.shape == (21, 6, 2)
+        assert ens.z_paths.flags.c_contiguous
         for k in (0, 3, 20):
-            assert ens.state(k).flags.c_contiguous
+            assert ens.z_paths[k].flags.c_contiguous
 
     def test_paths_are_read_only_views_of_the_state(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
         ens = build_ensemble(model, grid, schedule, 6, seed=5)
-        for view in (ens.m_paths, ens.y_paths, ens.state(3)):
+        for view in (ens.m_paths, ens.y_paths, ens.z_paths[3]):
             assert np.shares_memory(view, ens.z_paths)
             with pytest.raises(ValueError):
                 view[0] = 0.0
@@ -273,7 +301,7 @@ class TestCalibrateDomain:
         st = simulate_paths(model, grid, schedule, seed=987654, path_ids=range(2000))
         clipped = np.clip(st, dom.lows, dom.highs)
         worst = float(
-            np.max(np.mean(np.linalg.norm(st - clipped, axis=2), axis=0))
+            np.max(np.mean(np.linalg.norm(st - clipped, axis=2), axis=1))
         )
         assert worst <= epsilon
 
@@ -315,8 +343,8 @@ class TestCalibrateDomain:
 
 
 def clip_error(state, domain):
-    """``_clip_error`` of the paths ``state`` (M, N+1, dim)."""
-    return _clip_error(state, state.min(axis=1), state.max(axis=1), domain)
+    """``_clip_error`` of the paths ``state`` (N+1, M, dim)."""
+    return _clip_error(state, state.min(axis=0), state.max(axis=0), domain)
 
 
 @pytest.mark.parametrize("problem", ("bench", "signal2d"), ids=("dim2", "dim3"))
