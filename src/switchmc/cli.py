@@ -16,6 +16,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import marshal
 import math
 import multiprocessing
 import numbers
@@ -142,7 +143,7 @@ class RunConfig:
 
     def content_hash(self) -> str:
         payload = {"problem": self.problem, "solver": self.solver}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_callable_name)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_callable_digest)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def manifest(self, command: str) -> dict:
@@ -161,6 +162,13 @@ def _callable_name(obj) -> str:
     if not callable(obj):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return f"{obj.__module__}.{obj.__qualname__}"
+
+
+def _callable_digest(obj) -> str:
+    """A callable payoff, in the content hash: its name and a digest of its code
+    (marshal format 2 writes no back-references, which follow refcounts)."""
+    code = marshal.dumps(getattr(obj, "__code__", None), 2)
+    return f"{_callable_name(obj)}:{hashlib.sha256(code).hexdigest()}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,7 +44,7 @@ _Q_LADDER = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0)
 _CLIP_BLOCK = 2 ** 17
 # Paths whose Gaussian streams are drawn before one copy into time-major order.
 _DRAW_BLOCK = 64
-# Noise draws one chunk of paths may hold at once: 2**21 floats, 16 MB.
+# Noise draws one chunk of replay paths may hold at once: 2**21 floats, 16 MB.
 _DRAW_BUDGET = 2 ** 21
 
 
@@ -130,16 +130,12 @@ class PathEnsemble:
         return self.z_paths[..., self.n1:]
 
 
-def _gaussian_draws(model: ModelSpec, n_steps: int, seed: int, path_ids: Sequence[int],
-                    buf: np.ndarray) -> np.ndarray:
-    """Per-path innovation draws, each path keyed by (seed, path_id) alone.
-
-    Returns di (N, M, n2) of standard normals: a view of the head of the
-    flat ``buf``, filled a block of paths at a time.
-    """
-    M = len(path_ids)
-    draws = buf[:n_steps * M * model.n2].reshape(n_steps, M, model.n2)
-    block = np.empty((min(M, _DRAW_BLOCK), n_steps, model.n2))
+def _gaussian_draws(seed: int, path_ids: Sequence[int], draws: np.ndarray) -> np.ndarray:
+    """Fills and returns ``draws`` (N, M, n2), any view, with per-path
+    standard normal innovation draws, path ell keyed by (seed, path_ids[ell])
+    alone, a block of paths at a time."""
+    n_steps, M, n2 = draws.shape
+    block = np.empty((min(M, _DRAW_BLOCK), n_steps, n2))
     # Philox is counter-based: a fresh state under a path's key gives its stream.
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
     gen, fresh = np.random.Generator(bitgen), bitgen.state
@@ -172,8 +168,8 @@ def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedu
     buf = np.empty(per_path * min(size, n_paths))
     for start in range(0, n_paths, size):
         sl = slice(start, min(start + size, n_paths))
-        di = _gaussian_draws(model, grid.n_steps, seed, path_ids[sl], buf)
-        yield sl, _euler_states(model, grid, schedule, di)
+        di = buf[:per_path * (sl.stop - sl.start)].reshape(grid.n_steps, -1, model.n2)
+        yield sl, _euler_states(model, grid, schedule, _gaussian_draws(seed, path_ids[sl], di))
 
 
 def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
@@ -228,14 +224,16 @@ def simulate_paths(
     array of shape (N+1, M, n1 + n2), grid time first, so one grid time is
     one contiguous block.  Path ell, z[:, ell], is a function of (seed,
     path_ids[ell]) only, so ensembles of different sizes agree pathwise.
-    Paths run a chunk at a time, so a SimulationError names the first
-    non-finite step of the first chunk that has one (a later chunk may have
-    failed at an earlier step).
+    Step k's innovations are drawn into the observation slots of z[k + 1],
+    so the paths need no draw buffer beside them: ``_euler_states`` reads
+    draw k before it yields z_{k+1}, and only then is that slot overwritten.
+    Every path steps at once, so a SimulationError names the earliest
+    non-finite step over all paths.
     """
     z = np.empty((grid.n_steps + 1, len(path_ids), model.n1 + model.n2))
-    for sl, states in _chunked_states(model, grid, schedule, seed, path_ids):
-        for k, zk in enumerate(states):
-            z[k, sl] = zk
+    di = _gaussian_draws(seed, path_ids, z[1:, :, model.n1:])
+    for k, zk in enumerate(_euler_states(model, grid, schedule, di)):
+        z[k] = zk
     return z
 
 

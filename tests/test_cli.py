@@ -565,6 +565,21 @@ def test_callable_payoff_is_named_in_the_manifest():
     json.dumps(first, allow_nan=False)
 
 
+def test_lambdas_of_one_module_hash_apart():
+    # Both lambdas are named "<module>.<lambda>" in the manifest; their code
+    # tells them apart in the hash, and one function hashes the same in
+    # every RunConfig that holds it.
+    solver = default_solver_params()
+    earn, lose = (lambda x, y, t: x[..., 0]), (lambda x, y, t: -x[..., 0])
+
+    def config(payoff):
+        return RunConfig({**benchmark_problem(), "modes": ["zero", payoff]}, dict(solver))
+
+    assert config(earn).content_hash() != config(lose).content_hash()
+    assert config(earn).content_hash() == config(earn).content_hash()
+    assert config(earn).manifest("solve")["problem"] == config(lose).manifest("solve")["problem"]
+
+
 def test_integral_float_path_count_solves_as_its_integer(tmp_path, capsys):
     # 200.0 counts as 200: the same result.json apart from its manifest,
     # which records the value as given.

@@ -311,16 +311,25 @@ print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
     assert report["peak_mb"] <= 25.0
 
 
+def test_surface_levels_share_one_block(solved_benchmark):
+    # Each level's coefficients are views of two arrays, so a surface kept
+    # through a replay holds two allocations, not 2N strewn over the heap.
+    surface = solved_benchmark[6]
+    for name in ("lambdas", "counts"):
+        block = getattr(surface.coeffs[0], name).base
+        assert block is not None and all(getattr(c, name).base is block for c in surface.coeffs)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_solve_memory_per_path():
     # A bench1d solve (N = 730) stores 731 * 2 floats of filter state (11.4
     # KiB) and 731 int32 cell ids (2.9 KiB) a path, 14.3 KiB in all; its 730
-    # innovation draws a path are held one chunk of 2 560 paths at a time,
-    # at most 16 MB whatever M is.  Three fresh pairs of runs peaked at
-    # 117 728-117 788 and 334 396-334 652 KiB and grew by 14.45-14.46 KiB a
-    # path from M = 5 000 to M = 20 000 (14.18-14.19 while the box had a
-    # pilot sample of its own).  With every draw held at once and int64 ids,
-    # the peak grew by 22.8 KiB a path.
+    # innovation draws a path are drawn into the observation slots of the
+    # paths, so they take no room of their own.  Three fresh pairs of runs
+    # peaked at 115 944-116 104 and 332 344-332 412 KiB and grew by 14.42-
+    # 14.43 KiB a path from M = 5 000 to M = 20 000 (14.45-14.46 with the
+    # draws in a 16 MB buffer of their own).  With every draw held in a
+    # buffer at once and int64 ids, the peak grew by 22.8 KiB a path.
     script = """
 import contextlib, io, json, sys
 from switchmc.cli import main
@@ -372,6 +381,21 @@ class TestTieBreaking:
         ])
         choice = _stay_biased_argmax(values, np.array([2, 0, 1, 1, 0]))
         assert choice.tolist() == [2, 1, 0, 1, 1]
+
+
+    @pytest.mark.parametrize("d", (2, 3, 5))
+    def test_mode_loop_matches_the_mask_argmax(self, d):
+        # The smallest maximiser is found a mode at a time; it must be the
+        # first True of the (d, P) equality mask.  Values drawn from three
+        # levels force ties of every pattern, and -0.0 ties with 0.0.
+        rng = np.random.default_rng(d)
+        values = rng.choice([-0.0, 0.0, 1.0, 2.0], size=(d, 4000))
+        current = rng.integers(0, d, size=4000)
+        best = values.max(axis=0)
+        smallest = (values == best).argmax(axis=0)
+        expected = np.where(values[current, np.arange(4000)] == best, current, smallest)
+        choice = _stay_biased_argmax(values, current)
+        assert choice.dtype == expected.dtype and np.array_equal(choice, expected)
 
 
 class TestSimulatePolicy:
@@ -467,16 +491,18 @@ class TestSimulatePolicy:
         assert simulate_policy(*args, **kwargs) == whole
 
     def test_non_finite_step_is_the_first_failing_chunks(self, solved_benchmark, monkeypatch):
-        # Each chunk runs to its horizon before the next starts, so the error
-        # names the first failing step of the first chunk that has one, and
-        # a path of a later chunk may have failed earlier.  Path 0's
-        # innovation is infinite at step index 8 and path 64's at 3, and an
-        # innovation reaches m and y in the step it drives.
+        # simulate_paths steps every path at once, so it names the earliest
+        # failing step over all paths at any budget.  The replay runs each
+        # chunk to its horizon before the next starts, so it names the first
+        # failing step of the first chunk that has one, and a path of a later
+        # chunk may have failed earlier.  Path 0's innovation is infinite at
+        # step index 8 and path 64's at 3, and an innovation reaches m and y
+        # in the step it drives.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
         draws = simulate._gaussian_draws
 
-        def poisoned(model, n_steps, seed, path_ids, buf):
-            di = draws(model, n_steps, seed, path_ids, buf)
+        def poisoned(seed, path_ids, out):
+            di = draws(seed, path_ids, out)
             for row, pid in enumerate(path_ids):
                 if pid in (0, 64):
                     di[8 if pid == 0 else 3, row] = np.inf
@@ -498,7 +524,7 @@ class TestSimulatePolicy:
         monkeypatch.setattr(simulate, "_gaussian_draws", poisoned)
         assert messages() == ["non-finite path value at step 4"] * 2
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
-        assert messages() == ["non-finite path value at step 9"] * 2
+        assert messages() == ["non-finite path value at step 4", "non-finite path value at step 9"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_replay_memory_holds_no_paths(self):

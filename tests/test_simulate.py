@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,8 +92,7 @@ class TestSimulatePaths:
         n_steps, seed = 7, 2 ** 40 + 3
         ids = list(range(5, 5 + _DRAW_BLOCK + 2)) + [2 ** 32 + 9, 2 ** 64 - 1]
         n_draws = n_steps * model.n2
-        di = _gaussian_draws(model, n_steps, seed, ids, np.empty(n_draws * len(ids)))
-        assert di.shape == (n_steps, len(ids), model.n2)
+        di = _gaussian_draws(seed, ids, np.empty((n_steps, len(ids), model.n2)))
         for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, len(ids) - 2, len(ids) - 1):
             key = np.array([seed, ids[row]], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_draws)
@@ -103,12 +103,23 @@ class TestSimulatePaths:
         # two normals side by side: di[k, ell] is draws 2k and 2k + 1.
         model, _ = make_benchmark(n_steps=5, n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])
         ids = list(range(3, 3 + _DRAW_BLOCK + 5))
-        di = _gaussian_draws(model, 5, 11, ids, np.empty(10 * len(ids)))
-        assert di.shape == (5, len(ids), 2) and di.flags.c_contiguous
+        di = _gaussian_draws(11, ids, np.empty((5, len(ids), 2)))
         for ell in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, len(ids) - 1):
             key = np.array([11, ids[ell]], dtype=np.uint64)
             stream = np.random.Generator(np.random.Philox(key=key)).standard_normal(10)
             assert np.array_equal(di[:, ell], stream.reshape(5, 2))
+
+    def test_draws_fill_the_observation_slots_they_are_given(self):
+        # simulate_paths draws step k into the observation slots of z[k + 1],
+        # a strided view: those slots hold the streams and no other slot is
+        # written.
+        model, _ = make_benchmark(n_steps=5, n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])
+        ids = list(range(_DRAW_BLOCK + 5))
+        z = np.full((6, len(ids), model.n1 + model.n2), np.nan)
+        di = _gaussian_draws(11, ids, z[1:, :, model.n1:])
+        assert np.shares_memory(di, z)
+        assert np.array_equal(di, _gaussian_draws(11, ids, np.empty((5, len(ids), 2))))
+        assert np.isnan(z[0]).all() and np.isnan(z[..., :model.n1]).all()
 
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
@@ -201,6 +212,15 @@ def chunk_sizes(model, schedule, n_paths):
     return [sl.stop - sl.start for sl in slices]
 
 
+def streamed_paths(model, schedule, seed, path_ids):
+    """The states ``_chunked_states`` streams, stacked as ``simulate_paths`` stores them."""
+    z = np.empty((model.grid.n_steps + 1, len(path_ids), model.n1 + model.n2))
+    for sl, states in _chunked_states(model, model.grid, schedule, seed, path_ids):
+        for k, zk in enumerate(states):
+            z[k, sl] = zk
+    return z
+
+
 class TestPathChunks:
     def test_chunks_are_whole_draw_blocks_within_the_budget(self, monkeypatch):
         # 2**21 floats hold the draws of 2 872 paths at N = 730 (730 draws a
@@ -220,26 +240,47 @@ class TestPathChunks:
 
     @pytest.mark.parametrize("budget", (1, 20 * 128 + 19), ids=("64-path", "128-path"))
     def test_paths_are_the_same_across_chunk_seams(self, bench20, monkeypatch, budget):
-        # At N = 20 a path draws 20 numbers; 300 paths span several chunks
-        # and the last one is ragged.
+        # The replay streams paths a chunk at a time; at N = 20 a path draws
+        # 20 numbers, so 300 paths span several chunks and the last one is
+        # ragged.  Each chunk's states are the rows of one simulate_paths call.
         model, _, schedule = bench20
         whole = simulate_paths(model, model.grid, schedule, seed=9, path_ids=range(5, 305))
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
         assert len(chunk_sizes(model, schedule, 300)) >= 3
-        chunked = simulate_paths(model, model.grid, schedule, seed=9, path_ids=range(5, 305))
-        assert np.array_equal(chunked, whole)
+        assert np.array_equal(streamed_paths(model, schedule, 9, range(5, 305)), whole)
 
-    def test_ensemble_is_the_same_across_chunk_seams(self, bench20, monkeypatch):
-        model, _, schedule = bench20
-        args = (model, model.grid, schedule, 300, 4)
-        whole = build_ensemble(*args)
+    def test_ensemble_is_the_same_across_chunk_seams(self, monkeypatch):
+        # The ensemble draws into its own observation slots, the replay into
+        # a separate buffer a chunk of 64 paths at a time: the two drivers
+        # of the one recursion give the same states, with one observation
+        # axis or two.
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
-        chunked = build_ensemble(*args)
-        assert np.array_equal(chunked.z_paths, whole.z_paths)
-        assert chunked.x_paths is None
+        for change in ({}, dict(n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])):
+            model, _ = make_benchmark(n_steps=20, **change)
+            schedule = solve_riccati(model, model.grid)
+            ensemble = build_ensemble(model, model.grid, schedule, 300, 4)
+            assert np.array_equal(streamed_paths(model, schedule, 4, range(300)), ensemble.z_paths)
+            assert ensemble.x_paths is None
 
 
 class TestPathEnsemble:
+    def test_the_paths_are_its_only_large_allocation(self):
+        # The innovations are drawn into the ensemble's own observation
+        # slots.  At N = 200 and M = 5 000 the paths take 15.3 MiB; drawing
+        # them into a buffer of their own, 7.6 MiB for one chunk of every
+        # path, peaked at 23.2 MiB.  A one-path run first imports what the
+        # first draw imports (about 0.7 MiB of module objects).
+        model, _ = make_benchmark(n_steps=200)
+        schedule = solve_riccati(model, model.grid)
+        build_ensemble(model, model.grid, schedule, 1, seed=1)
+        tracemalloc.start()
+        try:
+            ensemble = build_ensemble(model, model.grid, schedule, 5000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ensemble.z_paths.nbytes + 2 ** 20
+
     def test_off_box_paths_take_the_cells_of_their_clipped_points(self, bench20):
         # The outer cells extend past the box: the observation 0.5 lies in
         # the top cell of its axis, and the mean -0.3 of path 1 in the bottom.
