@@ -16,13 +16,13 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-import marshal
 import math
 import multiprocessing
 import numbers
 import os
 import sys
 import time
+import types
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -165,10 +165,18 @@ def _callable_name(obj) -> str:
 
 
 def _callable_digest(obj) -> str:
-    """A callable payoff, in the content hash: its name and a digest of its code
-    (marshal format 2 writes no back-references, which follow refcounts)."""
-    code = marshal.dumps(getattr(obj, "__code__", None), 2)
-    return f"{_callable_name(obj)}:{hashlib.sha256(code).hexdigest()}"
+    """A callable payoff, in the content hash: its name and what its code
+    computes (see ``_code_digest``); a callable with no code, its name alone."""
+    code = getattr(obj, "__code__", None)
+    return _callable_name(obj) + ("" if code is None else ":" + _code_digest(code))
+
+
+def _code_digest(code: types.CodeType) -> str:
+    """A hash of the bytecode, read names and constants of ``code``, nested code
+    included, but not of its file, line numbers or local names."""
+    consts = [_code_digest(c) if isinstance(c, types.CodeType) else sorted(map(repr, c))
+              if isinstance(c, frozenset) else c for c in code.co_consts]
+    return hashlib.sha256(repr((code.co_code, code.co_names, consts)).encode()).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

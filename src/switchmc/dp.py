@@ -20,7 +20,7 @@ import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
-from .regress import HypercubeBasis, empirical_coefficients, memberships, regress_eval
+from .regress import CoefficientVector, HypercubeBasis, empirical_coefficients, memberships, regress_eval
 from .simulate import PathEnsemble, _check_schedule, _chunked_states
 
 __all__ = [
@@ -78,12 +78,10 @@ def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray) -> np.nd
     current mode if it attains the max, else the smallest."""
     d, P = action_values.shape
     best = action_values.max(axis=0)
-    # One pass per mode, last first, reads contiguous rows: an argmax along
-    # axis 0 strides and took twice as long, and a masked assignment in place
-    # of copyto grew a process's peak RSS by 4-12 MB over repeated replays.
+    # One pass a mode, last first, reads contiguous rows; an argmax along axis 0 strides, 2x slower.
     smallest = np.zeros(P, dtype=np.intp)
     for j in range(d - 1, -1, -1):
-        np.copyto(smallest, j, where=action_values[j] == best)
+        smallest[action_values[j] == best] = j
     cur_vals = action_values.ravel().take(current * P + np.arange(P))
     return np.where(cur_vals == best, current, smallest)
 
@@ -127,24 +125,23 @@ def backward_induction(
 
     # Values at t_{k+1} and at t_k; the recursion reads only the level above.
     above, values = np.zeros((d, M)), np.empty((d, M))
-    coeffs: list = [None] * n_steps
-    # Every level in one block: 2N small arrays, alive through a replay and
-    # strewn over the heap, kept its draws out of the holes the paths left.
     lambdas, counts = np.empty((n_steps, d, R)), np.empty((n_steps, R), dtype=np.int64)
     times, cost = grid.times, modes.costs
 
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
         ids = cell_ids[k]
-        coeffs[k] = empirical_coefficients(above, ids, R, out=(lambdas[k], counts[k]))
+        level = empirical_coefficients(above, ids, R)
+        lambdas[k], counts[k] = level.lambdas, level.counts
         cand, _ = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.z_paths[k], coeffs[k], ids
+            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.z_paths[k], level, ids
         )
         np.max(cand[None] - cost[:, :, None], axis=1, out=values)
         above, values = values, above
 
     # Every path starts at the origin, so each column of level 0 is its value.
-    surface = ValueSurface(grid=grid, basis=basis, values=above[:, 0].copy(), coeffs=tuple(coeffs))
+    coeffs = tuple(map(CoefficientVector, lambdas, counts))  # views of two blocks, not 2N arrays
+    surface = ValueSurface(grid=grid, basis=basis, values=above[:, 0].copy(), coeffs=coeffs)
     # A pair only because perfbench/spans.py:61 reads the surface as result[0].
     return surface, None
 

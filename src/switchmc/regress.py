@@ -152,12 +152,10 @@ class CoefficientVector:
         return self.counts.shape[0]
 
 
-def empirical_coefficients(next_values: np.ndarray, cell_ids: np.ndarray, R: int,
-                           out=None) -> CoefficientVector:
+def empirical_coefficients(next_values: np.ndarray, cell_ids: np.ndarray, R: int) -> CoefficientVector:
     """Average each row of ``next_values`` (M,) or (d, M) within each cell;
     empty cells get 0.  One weighted bincount serves every row, row j's cells
-    offset by j*R, so each cell still sums its paths in path order.  ``out``,
-    a (lambdas, counts) pair of the result's shapes, receives the result."""
+    offset by j*R, so each cell still sums its paths in path order."""
     vals = np.asarray(next_values, dtype=float)
     ids = np.asarray(cell_ids, dtype=np.int64)
     if vals.ndim not in (1, 2) or ids.shape != vals.shape[-1:]:
@@ -167,9 +165,9 @@ def empirical_coefficients(next_values: np.ndarray, cell_ids: np.ndarray, R: int
     rows = np.atleast_2d(vals)
     offset_ids = ids + R * np.arange(rows.shape[0])[:, None]
     sums = np.bincount(offset_ids.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * R)
-    lambdas, counts = out or (np.empty(vals.shape[:-1] + (R,)), np.empty(R, dtype=np.int64))
-    counts[...], lambdas[...] = np.bincount(ids, minlength=R), 0.0
+    counts = np.bincount(ids, minlength=R)
     occupied = counts > 0
+    lambdas = np.zeros(vals.shape[:-1] + (R,))
     lambdas[..., occupied] = sums.reshape(lambdas.shape)[..., occupied] / counts[occupied]
     return CoefficientVector(lambdas=lambdas, counts=counts)
 

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import run_child
 
 from switchmc import (
     build_ensemble, calibrate_domain, derive_seed, load_problem, simulate_paths, solve_riccati,
 )
 from switchmc.benchmarks import benchmark_problem, default_solver_params
-from switchmc.cli import RunConfig, StageError, main, run_bound, run_pipeline, run_solve
+from switchmc.cli import RunConfig, StageError, _callable_digest, main, run_bound, run_pipeline, run_solve
 
 FAST = ["--M", "150", "--n-steps", "12", "--replications", "2", "--seed", "7"]
 
@@ -578,6 +579,37 @@ def test_lambdas_of_one_module_hash_apart():
     assert config(earn).content_hash() != config(lose).content_hash()
     assert config(earn).content_hash() == config(earn).content_hash()
     assert config(earn).manifest("solve")["problem"] == config(lose).manifest("solve")["problem"]
+
+
+def test_callable_digest_follows_the_code_not_its_place():
+    # The same source compiled under another file and first line, or run
+    # until the interpreter specialises it, digests the same; a constant
+    # changed in nested code (the generator) digests apart.
+    source = "lambda x, y, t: sum(v * 2.0 for v in (x[..., 0], x[..., 0] ** 2))"
+
+    def payoff(text, filename, first_line):
+        return eval(compile("\n" * first_line + text, filename, "eval"))
+
+    here, there = payoff(source, "a/payoffs.py", 0), payoff(source, "b/payoffs.py", 40)
+    for _ in range(100):
+        here(np.ones((4, 1)), None, 0.0)
+    assert _callable_digest(here) == _callable_digest(there)
+    assert _callable_digest(payoff(source.replace("2.0", "3.0"), "a/payoffs.py", 0)) != _callable_digest(here)
+    assert _callable_digest(np.sin) == "numpy.sin"
+
+
+def test_callable_digest_is_the_same_under_any_hash_seed(monkeypatch):
+    # A set literal compiles to a frozenset constant, whose order follows
+    # the string hash seed; the digest sorts it.
+    script = (
+        "import json\nfrom switchmc.cli import _callable_digest\n"
+        "print(json.dumps(_callable_digest(lambda x, y, t: x[..., 0] * ('m' in {'a', 'b', 'c', 'm'}))))"
+    )
+    digests = set()
+    for seed in ("1", "2", "3"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        digests.add(run_child(script))
+    assert len(digests) == 1 and digests.pop().startswith("__main__.<lambda>:")
 
 
 def test_integral_float_path_count_solves_as_its_integer(tmp_path, capsys):
