@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -41,6 +42,7 @@ from .model import _integer, load_problem, switch_count_bound, validate
 from .oracle import tree_oracle_value
 from .regress import HypercubeBasis, estimate_pmin
 from .simulate import (
+    _RNG_STREAM,
     build_ensemble,
     calibrate_domain,
     derive_seed,
@@ -64,6 +66,8 @@ _ENV_THREADS = "SWITCHMC_THREADS"
 # Labels of the random streams of one replication, passed to derive_seed
 # after the master seed and the replication index.
 _SEED_LABELS = {"train": 0, "eval": 1}
+# Commands that draw no random numbers; their manifests name no stream.
+_DRAWLESS = ("validate", "riccati", "oracle")
 
 
 class StageError(RuntimeError):
@@ -154,21 +158,30 @@ class RunConfig:
             "solver": dict(self.solver),
             "problem": json.loads(json.dumps(self.problem, default=_callable_name)),
             "inputs_sha256": self.content_hash(),
+            **({} if command in _DRAWLESS else {"rng": _RNG_STREAM}),
         }
 
 
-def _callable_name(obj) -> str:
-    """A library caller's callable payoff, in a manifest: its ``module.qualname``."""
+def _callable_name(obj, describe=None) -> str:
+    """A library caller's callable payoff, in a manifest: its ``module.qualname``,
+    or its type's for a callable object; a ``functools.partial`` as the call
+    that makes it, its function written by ``describe`` (default: this one)."""
     if not callable(obj):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return f"{obj.__module__}.{obj.__qualname__}"
+    if isinstance(obj, functools.partial):
+        bound = [repr(a) for a in obj.args] + [f"{k}={v!r}" for k, v in obj.keywords.items()]
+        return f"functools.partial({', '.join([(describe or _callable_name)(obj.func)] + bound)})"
+    named = obj if hasattr(obj, "__qualname__") else type(obj)
+    return f"{named.__module__}.{named.__qualname__}"
 
 
 def _callable_digest(obj) -> str:
     """A callable payoff, in the content hash: its name and what its code
-    computes (see ``_code_digest``); a callable with no code, its name alone."""
-    code = getattr(obj, "__code__", None)
-    return _callable_name(obj) + ("" if code is None else ":" + _code_digest(code))
+    computes (see ``_code_digest``); a partial, the digest of the function
+    it wraps and its bound arguments' reprs; other code-less callables,
+    their name alone."""
+    code, name = getattr(obj, "__code__", None), _callable_name(obj, _callable_digest)
+    return name if code is None else f"{name}:{_code_digest(code)}"
 
 
 def _code_digest(code: types.CodeType) -> str:

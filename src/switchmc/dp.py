@@ -21,7 +21,7 @@ import numpy as np
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
 from .regress import CoefficientVector, HypercubeBasis, empirical_coefficients, memberships, regress_eval
-from .simulate import PathEnsemble, _check_schedule, _chunked_states
+from .simulate import PathEnsemble, _check_schedule, _path_states
 
 __all__ = [
     "ValueSurface",
@@ -170,41 +170,31 @@ def simulate_policy(
     state as simulated, then dropped.  Each decision re-runs the time-k
     maximization at the fresh path's exact point, with continuations read
     from the surface's regression coefficients; ties keep the current mode,
-    else take the smallest.  ``policy`` is ignored.  Paths are replayed a
-    chunk at a time, so a SimulationError is reported as ``simulate_paths``
-    reports it.
+    else take the smallest.  ``policy`` is ignored.  Every path steps at
+    once, so a SimulationError names the earliest non-finite step over all
+    paths, as ``simulate_paths`` does.
     """
     if not 0 <= start_mode < modes.d:
         raise ValueError(f"start_mode must lie in [0, {modes.d}), got {start_mode}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    grid = surface.grid
-    basis = surface.basis
-    total = np.zeros(M)
-    switches = np.zeros(M, dtype=np.int64)
-    times, cost, d = grid.times, modes.costs, modes.d
+    grid, basis, cost, d = surface.grid, surface.basis, modes.costs, modes.d
+    total, switches = np.zeros(M), np.zeros(M, dtype=np.int64)
+    mode, rows = np.full(M, int(start_mode), dtype=np.int64), np.arange(M)
 
-    for sl, states in _chunked_states(model, grid, schedule, seed, range(M)):
-        P = sl.stop - sl.start
-        mode, rows = np.full(P, int(start_mode), dtype=np.int64), np.arange(P)
-        for k in range(grid.n_steps):
-            t = float(times[k])
-            pts = next(states)
-            ids = basis.cell_index(pts)
-            cand, fbars = _action_values(
-                modes, rule, schedule.sqrt_thetas[k], t, grid.delta, pts, surface.coeffs[k], ids
-            )
-            jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
-            total[sl] -= cost.take(mode * d + jstar)
-            total[sl] += grid.delta * fbars.take(jstar * P + rows)
-            switches[sl] += jstar != mode
-            mode = jstar
-        next(states)  # step N is never acted on, but a non-finite one still raises
+    states = _path_states(model, grid, schedule, seed, range(M))
+    for k, pts in zip(range(grid.n_steps), states):  # zip stops on range, leaving z_N
+        ids = basis.cell_index(pts)
+        cand, fbars = _action_values(
+            modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts,
+            surface.coeffs[k], ids,
+        )
+        jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
+        total -= cost.take(mode * d + jstar)
+        total += grid.delta * fbars.take(jstar * M + rows)
+        switches += jstar != mode
+        mode = jstar
+    next(states)  # step N is never acted on, but a non-finite one still raises
 
-    mean = float(total.mean())
     stderr = float(total.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return PolicyEvaluation(
-        mean=mean,
-        stderr=stderr,
-        mean_switches=float(switches.mean()),
-    )
+    return PolicyEvaluation(float(total.mean()), stderr, float(switches.mean()))

@@ -46,7 +46,7 @@ def _tree_paths(model: ModelSpec, schedule: CovarianceSchedule, path_ids: Sequen
     """Two-point paths of the given indices on the grid of a scalar
     ``model``, with the shape ``simulate_paths`` returns."""
     di = _two_point_draws(model.n_steps, path_ids)
-    return np.stack(list(_euler_states(model, model.grid, schedule, di)))
+    return np.stack(list(_euler_states(model, model.grid, schedule, di.shape[1], di)))
 
 
 def tree_oracle_value(

@@ -42,10 +42,11 @@ _DEGENERATE_PAD = 1e-9
 _Q_LADDER = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0)
 # Floats of off-box path points _clip_error gathers at once: 2**17, 1 MB.
 _CLIP_BLOCK = 2 ** 17
-# Paths whose Gaussian streams are drawn before one copy into time-major order.
-_DRAW_BLOCK = 64
-# Noise draws one chunk of replay paths may hold at once: 2**21 floats, 16 MB.
-_DRAW_BUDGET = 2 ** 21
+# Path ids whose innovations at one step share a Philox stream (see _step_draws): a sparse
+# id set draws up to this many a block a step; 4 096 draws range(M) only ~10% faster.
+_PATH_BLOCK = 1024
+# Version of the innovation streams, named in the manifest of a command that draws.
+_RNG_STREAM = "philox-step-block/2"
 
 
 class SimulationError(RuntimeError):
@@ -130,46 +131,38 @@ class PathEnsemble:
         return self.z_paths[..., self.n1:]
 
 
-def _gaussian_draws(seed: int, path_ids: Sequence[int], draws: np.ndarray) -> np.ndarray:
-    """Fills and returns ``draws`` (N, M, n2), any view, with per-path
-    standard normal innovation draws, path ell keyed by (seed, path_ids[ell])
-    alone, a block of paths at a time."""
-    n_steps, M, n2 = draws.shape
-    block = np.empty((min(M, _DRAW_BLOCK), n_steps, n2))
-    # Philox is counter-based: a fresh state under a path's key gives its stream.
-    bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
-    gen, fresh = np.random.Generator(bitgen), bitgen.state
-    for start in range(0, M, _DRAW_BLOCK):
-        ids = path_ids[start:start + _DRAW_BLOCK]
-        for row, pid in zip(block, ids):
-            fresh["state"]["key"][1] = int(pid) % 2 ** 64
-            bitgen.state = fresh
-            gen.standard_normal(out=row)
-        draws[:, start:start + len(ids)] = block[:len(ids)].swapaxes(0, 1)
-    return draws
+def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
+    """Yields step k's standard normal innovations of the paths path_ids,
+    (M, n2), for k = 0..n_steps-1, refilling one buffer each step.
 
-
-def _chunked_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                    seed: int, path_ids: Sequence[int]):
-    """``path_ids`` a chunk at a time: yields (sl, states), ``states`` being
-    ``_euler_states`` of the paths path_ids[sl], for consecutive slices sl.
-
-    The chunks are the fewest whose N n2 innovation draws fit in
-    _DRAW_BUDGET floats, each but the last holding the paths' equal share
-    rounded up to whole blocks of _DRAW_BLOCK (at least one).  Every chunk
-    draws into one buffer, so a caller steps each chunk to its end before
-    taking the next.
+    Path ell's draws at step k are the n2 normals at position ell % B of the
+    Philox stream with key (seed, k) and counter (0, 0, 0, ell // B), B =
+    _PATH_BLOCK, so they depend on (seed, ell, k) alone.  Each block of ids
+    in the set draws its stream up to its last wanted position: a sparse id
+    set costs up to B n2 normals a block a step.
     """
-    per_path = grid.n_steps * model.n2
-    most = max(1, _DRAW_BUDGET // (per_path * _DRAW_BLOCK)) * _DRAW_BLOCK
-    n_paths = len(path_ids)
-    count = max(1, -(-n_paths // most))
-    size = max(1, -(-n_paths // (count * _DRAW_BLOCK))) * _DRAW_BLOCK
-    buf = np.empty(per_path * min(size, n_paths))
-    for start in range(0, n_paths, size):
-        sl = slice(start, min(start + size, n_paths))
-        di = buf[:per_path * (sl.stop - sl.start)].reshape(grid.n_steps, -1, model.n2)
-        yield sl, _euler_states(model, grid, schedule, _gaussian_draws(seed, path_ids[sl], di))
+    ids = np.fromiter((int(p) % 2 ** 64 for p in path_ids), dtype=np.uint64, count=len(path_ids))
+    blocks, positions = np.divmod(ids, np.uint64(_PATH_BLOCK))
+    order = np.argsort(blocks, kind="stable")
+    groups = []  # (block, buffer rows, stream positions to gather, or None: drawn straight in)
+    for rows in np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1) if ids.size else ():
+        block, pos = int(blocks[rows[0]]), positions[rows]
+        if rows[-1] - rows[0] == pos[-1] == len(rows) - 1 and (np.diff(pos) == 1).all():
+            rows, pos = slice(rows[0], rows[-1] + 1), None
+        groups.append((block, rows, pos))
+    buf, scratch = np.empty((len(ids), n2)), np.empty((_PATH_BLOCK, n2))
+    bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
+    gen, state = np.random.Generator(bitgen), bitgen.state
+    for k in range(n_steps):
+        state["state"]["key"][1] = k
+        for block, rows, pos in groups:
+            state["state"]["counter"][3] = block
+            bitgen.state = state
+            if pos is None:
+                gen.standard_normal(out=buf[rows])
+            else:  # drawn up to the last wanted position, then gathered
+                buf[rows] = gen.standard_normal(out=scratch[:pos.max() + 1])[pos]
+        yield buf
 
 
 def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
@@ -181,30 +174,36 @@ def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
 
 
 def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                  di: np.ndarray):
-    """The recursion of ``simulate_paths`` one step at a time, from the
-    unit-variance innovation draws di (N, M, n2), which it scales by
-    sqrt(delta) in place: yields fresh z_k (M, n1 + n2), k = 0..N.
-    A non-finite step raises before it is yielded."""
+                  n_paths: int, draws):
+    """The recursion of ``simulate_paths`` one step at a time, from the N
+    unit-variance innovation draws (n_paths, n2) that ``draws`` yields in
+    step order, each scaled by sqrt(delta) in place as its step is taken:
+    yields fresh z_k (n_paths, n1 + n2), k = 0..N, or raises at a non-finite one."""
     _check_schedule(schedule, grid)
-    n_steps, delta = grid.n_steps, grid.delta
-    di *= math.sqrt(delta)
+    delta, sqrt_delta = grid.delta, math.sqrt(grid.delta)
     G = model.G
     exp_f = np.eye(model.n1) + _expm_minus_identity(model.F * delta)
     gains = schedule.thetas[:-1] @ G.T  # theta_k G^T, (N, n1, n2)
-    m = np.tile(model.m0, (di.shape[1], 1))
-    y = np.tile(model.y0, (di.shape[1], 1))
+    m, y = np.tile(model.m0, (n_paths, 1)), np.tile(model.y0, (n_paths, 1))
     yield np.hstack([m, y])
 
-    for k in range(n_steps):
-        y = y + rowwise_matvec(G, m) * delta + di[k]
-        m = rowwise_matvec(exp_f, m + rowwise_matvec(gains[k], di[k]))
+    for k, dk in enumerate(draws):
+        dk *= sqrt_delta
+        y = y + rowwise_matvec(G, m) * delta + dk
+        m = rowwise_matvec(exp_f, m + rowwise_matvec(gains[k], dk))
         z = np.hstack([m, y])
         if not np.isfinite(z).all():
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
             )
         yield z
+
+
+def _path_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
+                 seed: int, path_ids: Sequence[int]):
+    """``_euler_states`` of the paths path_ids, drawn by ``_step_draws``."""
+    draws = _step_draws(seed, path_ids, grid.n_steps, model.n2)
+    return _euler_states(model, grid, schedule, len(path_ids), draws)
 
 
 def simulate_paths(
@@ -224,15 +223,12 @@ def simulate_paths(
     array of shape (N+1, M, n1 + n2), grid time first, so one grid time is
     one contiguous block.  Path ell, z[:, ell], is a function of (seed,
     path_ids[ell]) only, so ensembles of different sizes agree pathwise.
-    Step k's innovations are drawn into the observation slots of z[k + 1],
-    so the paths need no draw buffer beside them: ``_euler_states`` reads
-    draw k before it yields z_{k+1}, and only then is that slot overwritten.
-    Every path steps at once, so a SimulationError names the earliest
-    non-finite step over all paths.
+    Each step's innovations are drawn as the step is taken, into one (M, n2)
+    buffer.  Every path steps at once, so a SimulationError names the
+    earliest non-finite step over all paths.
     """
     z = np.empty((grid.n_steps + 1, len(path_ids), model.n1 + model.n2))
-    di = _gaussian_draws(seed, path_ids, z[1:, :, model.n1:])
-    for k, zk in enumerate(_euler_states(model, grid, schedule, di)):
+    for k, zk in enumerate(_path_states(model, grid, schedule, seed, path_ids)):
         z[k] = zk
     return z
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -208,6 +209,7 @@ class TestSolve:
         assert manifest["command"] == "solve"
         assert manifest["seed"] == 7
         assert "inputs_sha256" in manifest
+        assert manifest["rng"] == result["manifest"]["rng"] == "philox-step-block/2"
 
     def test_rerun_writes_identical_files(self, tmp_path, capsys):
         out_a = tmp_path / "a"
@@ -565,6 +567,51 @@ def test_callable_payoff_is_named_in_the_manifest():
         assert manifest["inputs_sha256"] == second["manifest"]["inputs_sha256"]
     json.dumps(first, allow_nan=False)
 
+
+def scaled_payoff(x, y, t, s=1.0):
+    """A module-level callable payoff with a bound scale: s times the signal."""
+    return s * x[..., 0]
+
+
+def test_partial_payoff_solves_and_is_named_with_its_arguments():
+    # A functools.partial payoff used to run the whole solve and then raise
+    # "'functools.partial' object has no attribute '__qualname__'" from the
+    # manifest; its digest was its name alone, so two scales hashed equal.
+    solver = {**default_solver_params(), "M": 100, "n_steps": 5}
+
+    def config(s):
+        problem = {**benchmark_problem(), "modes": ["zero", functools.partial(scaled_payoff, s=s)]}
+        return RunConfig(problem, solver)
+
+    result = run_solve(config(1.0))
+    name = f"functools.partial({scaled_payoff.__module__}.scaled_payoff, s=1.0)"
+    assert result["manifest"]["problem"]["modes"] == ["zero", name]
+    assert json.loads(json.dumps(result, allow_nan=False))["manifest"] == config(1.0).manifest("solve")
+    assert config(1.0).content_hash() == result["manifest"]["inputs_sha256"]
+    assert config(1.0).content_hash() != config(2.0).content_hash()
+
+
+
+class ScaledPayoff:
+    """A callable object payoff: its scale times the signal."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def __call__(self, x, y, t):
+        return self.s * x[..., 0]
+
+
+def test_callable_object_payoff_is_named_by_its_type():
+    # An instance has no __qualname__ of its own: the manifest and the hash
+    # name its type.
+    def config(s):
+        return RunConfig({**benchmark_problem(), "modes": ["zero", ScaledPayoff(s)]}, default_solver_params())
+
+    name = f"{ScaledPayoff.__module__}.ScaledPayoff"
+    assert config(1.0).manifest("solve")["problem"]["modes"] == ["zero", name]
+    assert _callable_digest(ScaledPayoff(1.0)) == name
+    assert config(1.0).content_hash() == config(1.0).manifest("solve")["inputs_sha256"]
 
 def test_lambdas_of_one_module_hash_apart():
     # Both lambdas are named "<module>.<lambda>" in the manifest; their code

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -324,12 +325,14 @@ def test_surface_levels_share_one_block(solved_benchmark):
 def test_solve_memory_per_path():
     # A bench1d solve (N = 730) stores 731 * 2 floats of filter state (11.4
     # KiB) and 731 int32 cell ids (2.9 KiB) a path, 14.3 KiB in all; its 730
-    # innovation draws a path are drawn into the observation slots of the
-    # paths, so they take no room of their own.  Three fresh pairs of runs
-    # peaked at 115 944-116 104 and 332 344-332 412 KiB and grew by 14.42-
-    # 14.43 KiB a path from M = 5 000 to M = 20 000 (14.45-14.46 with the
-    # draws in a 16 MB buffer of their own).  With every draw held in a
-    # buffer at once and int64 ids, the peak grew by 22.8 KiB a path.
+    # innovation draws a path are drawn a step at a time into one buffer of
+    # one draw a path, so they take no room of their own.  Three fresh
+    # pairs of runs peaked at 115 944-116 436 and 332 288-332 392 KiB and
+    # grew by 14.40-14.43 KiB a path from M = 5 000 to M = 20 000, as when
+    # the draws went into the observation slots of the paths (14.40-14.41
+    # in runs alternated with these; 14.45-14.46 in a 16 MB buffer of their
+    # own).  With every draw held in a buffer at once and int64 ids, the
+    # peak grew by 22.8 KiB a path.
     script = """
 import contextlib, io, json, sys
 from switchmc.cli import main
@@ -482,57 +485,77 @@ class TestSimulatePolicy:
         assert str(replay_err.value) == str(paths_err.value)
 
     def test_replay_is_the_same_across_chunk_seams(self, solved_benchmark, monkeypatch):
-        # 300 replay paths in chunks of 64, the last one ragged, against one chunk.
+        # 300 replay paths in blocks of 64 ids, the last one ragged, stepped
+        # at once, against the replay over the ensemble of those paths.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
-        args = (model, modes, schedule, surface, policy, rule)
-        kwargs = dict(start_mode=1, M=300, seed=14)
-        whole = simulate_policy(*args, **kwargs)
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
-        assert simulate_policy(*args, **kwargs) == whole
+        monkeypatch.setattr(simulate, "_PATH_BLOCK", 64)
+        ev = simulate_policy(
+            model, modes, schedule, surface, policy, rule, start_mode=1, M=300, seed=14
+        )
+        total, switches = replay_over_ensemble(model, modes, schedule, surface, rule, 1, 300, 14)
+        assert (ev.mean, ev.mean_switches) == (float(total.mean()), float(switches.mean()))
 
     def test_non_finite_step_is_the_first_failing_chunks(self, solved_benchmark, monkeypatch):
-        # simulate_paths steps every path at once, so it names the earliest
-        # failing step over all paths at any budget.  The replay runs each
-        # chunk to its horizon before the next starts, so it names the first
-        # failing step of the first chunk that has one, and a path of a later
-        # chunk may have failed earlier.  Path 0's innovation is infinite at
-        # step index 8 and path 64's at 3, and an innovation reaches m and y
-        # in the step it drives.
+        # The replay, like simulate_paths, steps every path at once, so both
+        # name the earliest failing step over all paths, whether paths 0 and
+        # 64 share a block of draws or not.  Path 0's innovation is infinite
+        # at step index 8 and path 64's at 3, and an innovation reaches m
+        # and y in the step it drives.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
-        draws = simulate._gaussian_draws
+        draws = simulate._step_draws
 
-        def poisoned(seed, path_ids, out):
-            di = draws(seed, path_ids, out)
-            for row, pid in enumerate(path_ids):
-                if pid in (0, 64):
-                    di[8 if pid == 0 else 3, row] = np.inf
-            return di
+        def poisoned(seed, path_ids, n_steps, n2):
+            rows = {pid: row for row, pid in enumerate(path_ids)}
+            for k, buf in enumerate(draws(seed, path_ids, n_steps, n2)):
+                for pid, bad in ((0, 8), (64, 3)):
+                    if k == bad and pid in rows:
+                        buf[rows[pid]] = np.inf
+                yield buf
 
-        def messages():
-            out = []
-            for run in (
-                lambda: simulate_paths(model, model.grid, schedule, seed=0, path_ids=range(65)),
-                lambda: simulate_policy(
-                    model, modes, schedule, surface, policy, rule, start_mode=0, M=65, seed=0
-                ),
-            ):
+        monkeypatch.setattr(simulate, "_step_draws", poisoned)
+        runs = (
+            lambda: simulate_paths(model, model.grid, schedule, seed=0, path_ids=range(65)),
+            lambda: simulate_policy(
+                model, modes, schedule, surface, policy, rule, start_mode=0, M=65, seed=0
+            ),
+        )
+        for block in (simulate._PATH_BLOCK, 64):
+            monkeypatch.setattr(simulate, "_PATH_BLOCK", block)
+            for run in runs:
                 with pytest.raises(SimulationError) as err:
                     run()
-                out.append(str(err.value).split(" (")[0])
-            return out
+                assert str(err.value).startswith("non-finite path value at step 4 (")
 
-        monkeypatch.setattr(simulate, "_gaussian_draws", poisoned)
-        assert messages() == ["non-finite path value at step 4"] * 2
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
-        assert messages() == ["non-finite path value at step 4", "non-finite path value at step 9"]
+    def test_replay_allocates_a_few_numbers_a_path(self):
+        # At N = 365 the 5 000-path replay drew all its innovations before
+        # its first step, into a buffer of 14.6 MB, and peaked at 14.7 MiB
+        # under tracemalloc.  Drawn a step at a time, it holds each path's
+        # state, totals and action values for one step, and peaked at
+        # 1.0 MiB.  A 64-path replay first imports what the first replay
+        # imports.
+        model, modes = make_benchmark(n_steps=365)
+        rule, surface, policy = train_surface(model, modes)
+        schedule = solve_riccati(model, model.grid)
+        args = (model, modes, schedule, surface, policy, rule)
+        simulate_policy(*args, start_mode=0, M=64, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_policy(*args, start_mode=0, M=5000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_replay_memory_holds_no_paths(self):
         # A 20 000-path replay at N = 365 used to store the clamped state and
         # the signal of every path, a peak of about 320 MB.  Streamed, it
         # peaked at 157 MB with every path's noise drawn at once (about
-        # 117 MB); drawn one chunk at a time, no stored array grows with the
-        # path count by more than a few numbers a path, and it peaks near 58 MB.
+        # 117 MB), and at 56 MB with it drawn one chunk of paths at a time
+        # into a 16 MB buffer.  Drawn a step at a time, no stored array
+        # grows with the path count by more than a few numbers a path, and
+        # it peaks near 46 MB (45.7 MB, against 55.7 MB chunked, in one
+        # fresh pair of runs).
         script = """
 import json
 from switchmc import (HypercubeBasis, backward_induction, build_ensemble,

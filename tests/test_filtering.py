@@ -407,7 +407,8 @@ def mean_steps(model, theta, di):
     covariance held at ``theta``, from unit-variance draws di (N, M, n2):
     the conditional means (N+1, M, n1) and observations (N+1, M, n2)."""
     schedule = CovarianceSchedule.from_thetas(np.stack([theta] * (model.n_steps + 1)))
-    z = np.stack(list(_euler_states(model, model.grid, schedule, np.array(di, dtype=float))))
+    di = np.array(di, dtype=float)
+    z = np.stack(list(_euler_states(model, model.grid, schedule, di.shape[1], di)))
     return z[..., :model.n1], z[..., model.n1:]
 
 

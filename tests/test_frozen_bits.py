@@ -24,27 +24,34 @@ SMALL = {"M": 400, "n_steps": 20, "seed": 5}
 # run_solve "v" per starting mode.  Re-recorded when the box began to be
 # calibrated on the training paths instead of on pilot samples: builtin
 # went from (0.0547345, 0.0598591) to (0.0553704, 0.0595120), signal2d from
-# (0.0503227, 0.0555090) to (0.0504074, 0.0549501).
+# (0.0503227, 0.0555090) to (0.0504074, 0.0549501); and when each step's
+# innovations began to be drawn from Philox streams keyed by (seed, step,
+# block of path ids), stream "philox-step-block/2", instead of one stream a
+# path: builtin to (0.0597562, 0.0634024), signal2d to (0.0551707, 0.0588121).
 FROZEN_V = {
-    "builtin": ["0x1.c598337e755cap-5", "0x1.e785a55bf6b26p-5"],
-    "signal2d": ["0x1.9cf008bee3f84p-5", "0x1.c226b625e050ep-5"],
+    "builtin": ["0x1.e985e7b2ad546p-5", "0x1.03b23010fb723p-4"],
+    "signal2d": ["0x1.c3f569047942fp-5", "0x1.e1c9f862c9a43p-5"],
 }
 
 # simulate_policy (mean, stderr) from mode 0 on 1000 fresh paths, with a
 # callable payoff in mode 1.  Re-recorded when the replay began to pay
 # rewards at the filter state instead of at its clamp onto the box: the mean
-# rose from 0.1942869 to 0.1943067; and when the box began to be calibrated
-# on the training paths: to 0.1943266.
-FROZEN_REPLAY = ("0x1.8dfb19dad41dfp-3", "0x1.2c768507a636ap-9")
+# rose from 0.1942869 to 0.1943067; when the box began to be calibrated
+# on the training paths: to 0.1943266; and with the per-step streams of
+# "philox-step-block/2": to 0.2014255 (stderr 0.0022924 to 0.0024405).
+FROZEN_REPLAY = ("0x1.9c84f71252419p-3", "0x1.3fe2b3f61891bp-9")
 
 
 # calibrate_domain on the 2-D signal problem (regression state of three
 # coordinates), epsilon 0.01, on the 500-path ensemble of seed 3: lows,
 # then highs.  Re-recorded when the box began to be chosen on those paths
-# alone, without a pilot sample of its own or a verification sample.
+# alone, without a pilot sample of its own or a verification sample; and
+# with the per-step streams of "philox-step-block/2": lows (-1.01842,
+# -1.01842, -2.54800) to (-1.17381, -1.17381, -3.20049), highs (1.17564,
+# 1.17564, 3.48250) to (1.06336, 1.06336, 3.15448).
 FROZEN_DOMAIN = (
-    ["-0x1.04b755acd2006p+0", "-0x1.04b755acd2006p+0", "-0x1.4624b38111ce3p+1"],
-    ["0x1.2cf67a2eeb8dep+0", "0x1.2cf67a2eeb8dep+0", "0x1.bdc29a92ea191p+1"],
+    ["-0x1.2c7f0597c0455p+0", "-0x1.2c7f0597c0454p+0", "-0x1.99a9b585c62b1p+1"],
+    ["0x1.1038aeb3dcf3bp+0", "0x1.1038aeb3dcf3ap+0", "0x1.93c5dabf51be9p+1"],
 )
 
 

@@ -31,7 +31,13 @@ from switchmc import (
 )
 from switchmc import simulate
 from switchmc.regress import memberships
-from switchmc.simulate import _DRAW_BLOCK, _chunked_states, _clip_error, _gaussian_draws
+from switchmc.simulate import _PATH_BLOCK, _clip_error, _path_states, _step_draws
+
+
+def philox_normals(seed, k, block, n):
+    """The first n normals of a new Philox keyed (seed, k) from counter (0, 0, 0, block)."""
+    key, counter = np.array([seed, k], dtype=np.uint64), np.array([0, 0, 0, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(n)
 
 
 @pytest.fixture(scope="module")
@@ -74,52 +80,71 @@ class TestSimulatePaths:
         assert np.array_equal(z_sub[:, 0], z_one[:, 0])
 
     def test_rows_agree_across_draw_block_seams(self, bench20):
-        # Gaussian streams are drawn a block of paths at a time; the paths on
-        # either side of each block boundary must match one-path calls.
+        # Each step's Gaussian streams are keyed a block of path ids at a
+        # time; the paths on either side of each block boundary must match
+        # one-path calls.
         model, _, schedule = bench20
         grid = model.grid
-        ids = range(3, 3 + 2 * _DRAW_BLOCK + 7)
+        B = _PATH_BLOCK
+        ids = range(3, 2 * B + 10)
         z_all = simulate_paths(model, grid, schedule, seed=9, path_ids=ids)
-        for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK - 1, 2 * _DRAW_BLOCK, len(ids) - 1):
-            z_one = simulate_paths(model, grid, schedule, seed=9, path_ids=[ids[row]])
-            assert np.array_equal(z_all[:, row], z_one[:, 0])
+        for pid in (3, B - 1, B, 2 * B - 1, 2 * B, ids[-1]):
+            z_one = simulate_paths(model, grid, schedule, seed=9, path_ids=[pid])
+            assert np.array_equal(z_all[:, pid - 3], z_one[:, 0])
 
     def test_each_draw_row_is_a_fresh_philox_stream(self, bench20):
-        # One generator serves every path by resetting its state; each row
-        # must still be the stream a new Philox keyed (seed, path id) draws,
-        # on both sides of a block seam and for an id beyond 32 bits.
+        # One generator serves every block of every step by resetting its
+        # state; path ell's draws at step k must still be the normal at
+        # position ell % B of the stream a new Philox keyed (seed, k) draws
+        # from counter (0, 0, 0, ell // B), on both sides of block seams and
+        # for ids beyond 32 bits.
         model = bench20[0]
-        n_steps, seed = 7, 2 ** 40 + 3
-        ids = list(range(5, 5 + _DRAW_BLOCK + 2)) + [2 ** 32 + 9, 2 ** 64 - 1]
-        n_draws = n_steps * model.n2
-        di = _gaussian_draws(seed, ids, np.empty((n_steps, len(ids), model.n2)))
-        for row in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, len(ids) - 2, len(ids) - 1):
-            key = np.array([seed, ids[row]], dtype=np.uint64)
-            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_draws)
-            assert np.array_equal(di[:, row].ravel(), expected)
+        n_steps, seed, B = 7, 2 ** 40 + 3, _PATH_BLOCK
+        ids = [2 ** 64 - 1, B + 1, B - 1, 2 * B, 2 ** 32 + 9, B, 5]
+        draws = [buf.copy() for buf in _step_draws(seed, ids, n_steps, model.n2)]
+        for k in range(n_steps):
+            for row, pid in enumerate(ids):
+                expected = philox_normals(seed, k, pid // B, pid % B + 1)[-1]
+                assert draws[k][row, 0] == expected
 
     def test_draws_of_two_observations_are_read_a_step_at_a_time(self):
-        # With n2 = 2 a path's stream holds its steps in order, each step's
-        # two normals side by side: di[k, ell] is draws 2k and 2k + 1.
-        model, _ = make_benchmark(n_steps=5, n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])
-        ids = list(range(3, 3 + _DRAW_BLOCK + 5))
-        di = _gaussian_draws(11, ids, np.empty((5, len(ids), 2)))
-        for ell in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, len(ids) - 1):
-            key = np.array([11, ids[ell]], dtype=np.uint64)
-            stream = np.random.Generator(np.random.Philox(key=key)).standard_normal(10)
-            assert np.array_equal(di[:, ell], stream.reshape(5, 2))
+        # With n2 = 2 a step's stream holds its paths in order, each path's
+        # two normals side by side: path ell's draws at step k are normals
+        # 2p and 2p + 1 of stream (seed, k, ell // B), p = ell % B.
+        B = _PATH_BLOCK
+        ids = list(range(B - 4, B + 3)) + [3 * B + 2]
+        draws = [buf.copy() for buf in _step_draws(11, ids, 5, 2)]
+        for k in range(5):
+            for row, pid in enumerate(ids):
+                pos = pid % B
+                expected = philox_normals(11, k, pid // B, 2 * pos + 2)[2 * pos:]
+                assert np.array_equal(draws[k][row], expected)
 
-    def test_draws_fill_the_observation_slots_they_are_given(self):
-        # simulate_paths draws step k into the observation slots of z[k + 1],
-        # a strided view: those slots hold the streams and no other slot is
-        # written.
-        model, _ = make_benchmark(n_steps=5, n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])
-        ids = list(range(_DRAW_BLOCK + 5))
-        z = np.full((6, len(ids), model.n1 + model.n2), np.nan)
-        di = _gaussian_draws(11, ids, z[1:, :, model.n1:])
-        assert np.shares_memory(di, z)
-        assert np.array_equal(di, _gaussian_draws(11, ids, np.empty((5, len(ids), 2))))
-        assert np.isnan(z[0]).all() and np.isnan(z[..., :model.n1]).all()
+    def test_draws_refill_one_buffer_a_step(self):
+        # Each step's draws are written over the last step's, in one (M, n2)
+        # C-contiguous buffer: ids from a block's start are drawn straight
+        # into it, a block's tail is drawn beside it and gathered.
+        for start in (0, _PATH_BLOCK - 30):
+            ids = range(start, start + 70)
+            bufs = list(_step_draws(11, ids, 5, 2))
+            assert all(buf is bufs[0] for buf in bufs)
+            assert bufs[0].shape == (70, 2) and bufs[0].flags.c_contiguous
+            fresh = [buf.copy() for buf in _step_draws(11, ids, 5, 2)]
+            assert np.array_equal(bufs[0], fresh[-1])
+            assert not np.array_equal(fresh[0], fresh[1])
+
+    def test_draws_are_the_same_in_any_id_set(self):
+        # Step k's draws for path ell depend on (seed, k, ell) alone: in any
+        # id set, in any order, with repeats, around the block positions
+        # B - 1, B and 2B and for ids 2**32 + 9 and 2**64 - 1.
+        B = _PATH_BLOCK
+        probes = [B - 1, B, 2 * B, 2 ** 32 + 9, 2 ** 64 - 1]
+        alone = {pid: np.stack([b.copy() for b in _step_draws(7, [pid], 6, 2)]) for pid in probes}
+        for ids in (range(2 * B + 1), probes[::-1] + [B, 3], [3] + list(range(B - 5, B + 5))):
+            draws = np.stack([b.copy() for b in _step_draws(7, ids, 6, 2)])
+            for row, pid in enumerate(ids):
+                if pid in alone:
+                    assert np.array_equal(draws[:, row], alone[pid][:, 0])
 
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
@@ -205,68 +230,47 @@ class TestSimulatePaths:
         assert np.isfinite(z).all() and np.abs(z[..., 0]).max() < 10.0
 
 
-def chunk_sizes(model, schedule, n_paths):
-    """Path counts of the chunks ``_chunked_states`` cuts n_paths into, in order."""
-    slices = [sl for sl, _ in _chunked_states(model, model.grid, schedule, 0, range(n_paths))]
-    assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
-    return [sl.stop - sl.start for sl in slices]
-
-
 def streamed_paths(model, schedule, seed, path_ids):
-    """The states ``_chunked_states`` streams, stacked as ``simulate_paths`` stores them."""
-    z = np.empty((model.grid.n_steps + 1, len(path_ids), model.n1 + model.n2))
-    for sl, states in _chunked_states(model, model.grid, schedule, seed, path_ids):
-        for k, zk in enumerate(states):
-            z[k, sl] = zk
-    return z
+    """The states ``_path_states`` steps, which the replay acts on, stacked as
+    ``simulate_paths`` stores them."""
+    return np.stack([zk.copy() for zk in _path_states(model, model.grid, schedule, seed, path_ids)])
 
 
 class TestPathChunks:
-    def test_chunks_are_whole_draw_blocks_within_the_budget(self, monkeypatch):
-        # 2**21 floats hold the draws of 2 872 paths at N = 730 (730 draws a
-        # path, one innovation a step) and 5 745 at N = 365, rounded down to
-        # whole blocks of 64: 2 816 and 5 696.  The fewest chunks within
-        # that share the paths, rounded up to whole blocks.
-        model, _ = make_benchmark(n_steps=730)
-        schedule = solve_riccati(model, model.grid)
-        assert chunk_sizes(model, schedule, 5000) == [2560, 2440]
-        half, _ = make_benchmark(n_steps=365)
-        assert chunk_sizes(half, solve_riccati(half, half.grid), 12000) == [4032, 4032, 3936]
-        signal, _ = load_problem(SIGNAL2D)
-        assert chunk_sizes(signal, solve_riccati(signal, signal.grid), 1500) == [1500]
-        # One block of paths is the floor, whatever the budget.
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
-        assert chunk_sizes(model, schedule, 150) == [64, 64, 22]
-
-    @pytest.mark.parametrize("budget", (1, 20 * 128 + 19), ids=("64-path", "128-path"))
-    def test_paths_are_the_same_across_chunk_seams(self, bench20, monkeypatch, budget):
-        # The replay streams paths a chunk at a time; at N = 20 a path draws
-        # 20 numbers, so 300 paths span several chunks and the last one is
-        # ragged.  Each chunk's states are the rows of one simulate_paths call.
+    @pytest.mark.parametrize("block", (64, 128), ids=("64-path", "128-path"))
+    def test_paths_are_the_same_across_chunk_seams(self, bench20, monkeypatch, block):
+        # The replay steps all its paths at once, each step's draws keyed a
+        # block of path ids at a time.  With blocks of 64 or 128 paths, 300
+        # paths from id 5 start mid-block and span several blocks; the
+        # states stepped are the rows of simulate_paths calls on any split
+        # of the ids, one observation axis.
         model, _, schedule = bench20
-        whole = simulate_paths(model, model.grid, schedule, seed=9, path_ids=range(5, 305))
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
-        assert len(chunk_sizes(model, schedule, 300)) >= 3
-        assert np.array_equal(streamed_paths(model, schedule, 9, range(5, 305)), whole)
+        monkeypatch.setattr(simulate, "_PATH_BLOCK", block)
+        ids = range(5, 305)
+        pieces = [simulate_paths(model, model.grid, schedule, seed=9, path_ids=ids[a:b])
+                  for a, b in ((0, 100), (100, 101), (101, 300))]
+        assert np.array_equal(streamed_paths(model, schedule, 9, ids), np.concatenate(pieces, axis=1))
 
     def test_ensemble_is_the_same_across_chunk_seams(self, monkeypatch):
-        # The ensemble draws into its own observation slots, the replay into
-        # a separate buffer a chunk of 64 paths at a time: the two drivers
-        # of the one recursion give the same states, with one observation
-        # axis or two.
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1)
+        # The ensemble and the replay step paths through the one recursion
+        # from the same per-step streams: with blocks of 64 paths the states
+        # the replay steps are the ensemble's, whose first 150 paths are a
+        # 150-path ensemble's, with one observation axis or two.
+        monkeypatch.setattr(simulate, "_PATH_BLOCK", 64)
         for change in ({}, dict(n2=2, m2=2, G=[[1.0], [0.5]], y0=[0.0, 0.0])):
             model, _ = make_benchmark(n_steps=20, **change)
             schedule = solve_riccati(model, model.grid)
             ensemble = build_ensemble(model, model.grid, schedule, 300, 4)
             assert np.array_equal(streamed_paths(model, schedule, 4, range(300)), ensemble.z_paths)
+            head = build_ensemble(model, model.grid, schedule, 150, 4).z_paths
+            assert np.array_equal(ensemble.z_paths[:, :150], head)
             assert ensemble.x_paths is None
 
 
 class TestPathEnsemble:
     def test_the_paths_are_its_only_large_allocation(self):
-        # The innovations are drawn into the ensemble's own observation
-        # slots.  At N = 200 and M = 5 000 the paths take 15.3 MiB; drawing
+        # The innovations are drawn a step at a time into one buffer of M n2
+        # floats.  At N = 200 and M = 5 000 the paths take 15.3 MiB; drawing
         # them into a buffer of their own, 7.6 MiB for one chunk of every
         # path, peaked at 23.2 MiB.  A one-path run first imports what the
         # first draw imports (about 0.7 MiB of module objects).
