@@ -178,9 +178,14 @@ def _callable_name(obj, describe=None) -> str:
 def _callable_digest(obj) -> str:
     """A callable payoff, in the content hash: its name and what its code
     computes (see ``_code_digest``); a partial, the digest of the function
-    it wraps and its bound arguments' reprs; other code-less callables,
-    their name alone."""
+    it wraps and its bound arguments' reprs; a callable object, its type's
+    name, what its type's ``__call__`` computes and the sorted reprs of its
+    attributes; other code-less callables, their name alone."""
     code, name = getattr(obj, "__code__", None), _callable_name(obj, _callable_digest)
+    if not (hasattr(obj, "__qualname__") or isinstance(obj, functools.partial)):
+        code = getattr(type(obj).__call__, "__code__", None)
+        if hasattr(obj, "__dict__"):
+            name += repr(sorted(vars(obj).items()))
     return name if code is None else f"{name}:{_code_digest(code)}"
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
 from .model import ModelSpec, ModeSet, TimeGrid
-from .regress import CoefficientVector, HypercubeBasis, empirical_coefficients, memberships, regress_eval
+from .regress import CoefficientVector, HypercubeBasis, _cell_means, _check_cell_ids, memberships, regress_eval
 from .simulate import PathEnsemble, _check_schedule, _path_states
 
 __all__ = [
@@ -86,19 +86,18 @@ def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray) -> np.nd
     return np.where(cur_vals == best, current, smallest)
 
 
-def _action_values(modes, rule, sqrt_theta, t, delta, points, level, ids):
-    """Step-k action values at ``points`` (P, n1 + n2) lying in cells ``ids``.
-
-    Returns (cand, fbars), both (d, P): fbars[j] is the belief-averaged
-    payoff of mode j and cand[j] = delta * fbars[j] + the continuation of
-    mode j read from the (d, R) step-k coefficients ``level``.
+def _action_values(modes, rule, sqrt_theta, t, delta, points, cand, fbars=None):
+    """Step-k action values at ``points`` (P, n1 + n2), in place: adds
+    delta * fbar_j to mode j's continuation cand[j], cand being (d, P), and
+    writes fbar_j, mode j's belief-averaged payoff, into fbars[j] if given.
     """
     n1 = sqrt_theta.shape[0]
     m, y = points[:, :n1], points[:, n1:]
-    fbars = np.stack([
-        effective_payoff_batch(modes, j, m, sqrt_theta, y, t, rule) for j in range(modes.d)
-    ])
-    return delta * fbars + regress_eval(level, ids), fbars
+    for j in range(modes.d):
+        fbar = effective_payoff_batch(modes, j, m, sqrt_theta, y, t, rule)
+        cand[j] += delta * fbar
+        if fbars is not None:
+            fbars[j] = fbar
 
 
 def backward_induction(
@@ -119,24 +118,24 @@ def backward_induction(
     """
     grid = ensemble.grid
     _check_schedule(schedule, grid)
-    n_steps = grid.n_steps
+    n_steps, delta = grid.n_steps, grid.delta
     d, M, R = modes.d, ensemble.M, basis.R
     cell_ids = memberships(ensemble, basis)
+    _check_cell_ids(cell_ids[:-1], R)
 
     # Values at t_{k+1} and at t_k; the recursion reads only the level above.
+    # Each level's cell means go straight into the two blocks of the surface.
     above, values = np.zeros((d, M)), np.empty((d, M))
-    lambdas, counts = np.empty((n_steps, d, R)), np.empty((n_steps, R), dtype=np.int64)
-    times, cost = grid.times, modes.costs
+    cand, paid = np.empty((d, M)), np.empty((d, d, M))
+    lambdas, counts = np.zeros((n_steps, d, R)), np.empty((n_steps, R), dtype=np.int64)
+    times, cost, z = grid.times.tolist(), modes.costs[:, :, None], ensemble.z_paths
 
     for k in range(n_steps - 1, -1, -1):
-        t = float(times[k])
         ids = cell_ids[k]
-        level = empirical_coefficients(above, ids, R)
-        lambdas[k], counts[k] = level.lambdas, level.counts
-        cand, _ = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], t, grid.delta, ensemble.z_paths[k], level, ids
-        )
-        np.max(cand[None] - cost[:, :, None], axis=1, out=values)
+        _cell_means(above, ids, R, lambdas[k], counts[k])
+        lambdas[k].take(ids, axis=1, out=cand, mode="clip")  # in range: checked above
+        _action_values(modes, rule, schedule.sqrt_thetas[k], times[k], delta, z[k], cand)
+        np.max(np.subtract(cand[None], cost, out=paid), axis=1, out=values)
         above, values = values, above
 
     # Every path starts at the origin, so each column of level 0 is its value.
@@ -179,19 +178,20 @@ def simulate_policy(
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     grid, basis, cost, d = surface.grid, surface.basis, modes.costs, modes.d
+    delta, times, sqrt_thetas, coeffs = grid.delta, grid.times.tolist(), schedule.sqrt_thetas, surface.coeffs
     total, switches = np.zeros(M), np.zeros(M, dtype=np.int64)
-    mode, rows = np.full(M, int(start_mode), dtype=np.int64), np.arange(M)
+    mode, rows, fbars = np.full(M, int(start_mode), dtype=np.int64), np.arange(M), np.empty((d, M))
 
-    states = _path_states(model, grid, schedule, seed, range(M))
+    # The replay steps through two slots: z_k and z_{k+1}.
+    ring = np.empty((2, M, model.n1 + model.n2))
+    states = _path_states(model, grid, schedule, seed, range(M), ring)
     for k, pts in zip(range(grid.n_steps), states):  # zip stops on range, leaving z_N
         ids = basis.cell_index(pts)
-        cand, fbars = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts,
-            surface.coeffs[k], ids,
-        )
+        cand = regress_eval(coeffs[k], ids)
+        _action_values(modes, rule, sqrt_thetas[k], times[k], delta, pts, cand, fbars)
         jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
         total -= cost.take(mode * d + jstar)
-        total += grid.delta * fbars.take(jstar * M + rows)
+        total += delta * fbars.take(jstar * M + rows)
         switches += jstar != mode
         mode = jstar
     next(states)  # step N is never acted on, but a non-finite one still raises

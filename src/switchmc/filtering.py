@@ -215,8 +215,9 @@ def payoff_quadrature(modes: ModeSet, dim: int, order: int = 16) -> QuadratureRu
     return build_quadrature(dim, order)
 
 
-def rowwise_matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` (r, n) to each row of ``vecs`` (..., n), giving (..., r).
+def rowwise_matvec(mat: np.ndarray, vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply ``mat`` (r, n) to each row of ``vecs`` (..., n), giving (..., r),
+    written into ``out`` when given (it must not overlap ``vecs``).
 
     Uses an explicit fixed-order accumulation over the small coefficient
     dimensions so results for a given row are bit-identical no matter how the
@@ -226,14 +227,12 @@ def rowwise_matvec(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     r, n = mat.shape
-    if r == n == 1:  # one multiply: a 1-D model's stepper calls this 3 times a step
-        return vecs[..., 0, None] * mat[0, 0]
-    out = np.empty(vecs.shape[:-1] + (r,))
+    if out is None:
+        out = np.empty(vecs.shape[:-1] + (r,))
     for i in range(r):
-        acc = mat[i, 0] * vecs[..., 0]
+        acc = np.multiply(mat[i, 0], vecs[..., 0], out=out[..., i])
         for j in range(1, n):
-            acc = acc + mat[i, j] * vecs[..., j]
-        out[..., i] = acc
+            acc += mat[i, j] * vecs[..., j]
     return out
 
 

@@ -46,7 +46,10 @@ def _tree_paths(model: ModelSpec, schedule: CovarianceSchedule, path_ids: Sequen
     """Two-point paths of the given indices on the grid of a scalar
     ``model``, with the shape ``simulate_paths`` returns."""
     di = _two_point_draws(model.n_steps, path_ids)
-    return np.stack(list(_euler_states(model, model.grid, schedule, di.shape[1], di)))
+    z = np.empty((model.n_steps + 1, di.shape[1], model.n1 + model.n2))
+    for _ in _euler_states(model, model.grid, schedule, di, z):
+        pass
+    return z
 
 
 def tree_oracle_value(

@@ -154,31 +154,39 @@ class CoefficientVector:
 
 def empirical_coefficients(next_values: np.ndarray, cell_ids: np.ndarray, R: int) -> CoefficientVector:
     """Average each row of ``next_values`` (M,) or (d, M) within each cell;
-    empty cells get 0.  One weighted bincount serves every row, row j's cells
-    offset by j*R, so each cell still sums its paths in path order."""
+    empty cells get 0.  Each cell sums its paths in path order (see
+    ``_cell_means``)."""
     vals = np.asarray(next_values, dtype=float)
     ids = np.asarray(cell_ids, dtype=np.int64)
     if vals.ndim not in (1, 2) or ids.shape != vals.shape[-1:]:
         raise ValueError(f"value/cell shapes disagree: {vals.shape} vs {ids.shape}")
+    _check_cell_ids(ids, R)
+    lambdas, counts = np.zeros(vals.shape[:-1] + (R,)), np.empty(R, dtype=np.int64)
+    _cell_means(np.atleast_2d(vals), ids, R, np.atleast_2d(lambdas), counts)
+    return CoefficientVector(lambdas=lambdas, counts=counts)
+
+
+def _check_cell_ids(ids: np.ndarray, R: int) -> None:
+    """Cell ids outside [0, R) are an IndexingError."""
     if ids.size and (ids.min() < 0 or ids.max() >= R):
         raise IndexingError(f"cell ids must lie in [0, {R}), got range [{ids.min()}, {ids.max()}]")
-    rows = np.atleast_2d(vals)
-    offset_ids = ids + R * np.arange(rows.shape[0])[:, None]
-    sums = np.bincount(offset_ids.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * R)
-    counts = np.bincount(ids, minlength=R)
+
+
+def _cell_means(rows: np.ndarray, ids: np.ndarray, R: int, lambdas: np.ndarray, counts: np.ndarray) -> None:
+    """One level of cell means, written into ``lambdas`` (d, R), which must
+    hold zeros, and ``counts`` (R,): the means of the rows (d, M) of paths
+    in cells ``ids`` (M,), which must lie in [0, R).  One weighted bincount
+    a row sums each cell's paths in path order; empty cells keep their 0."""
+    counts[...] = np.bincount(ids, minlength=R)
     occupied = counts > 0
-    lambdas = np.zeros(vals.shape[:-1] + (R,))
-    lambdas[..., occupied] = sums.reshape(lambdas.shape)[..., occupied] / counts[occupied]
-    return CoefficientVector(lambdas=lambdas, counts=counts)
+    for row, lam in zip(rows, lambdas):
+        np.divide(np.bincount(ids, weights=row, minlength=R), counts, out=lam, where=occupied)
 
 
 def regress_eval(coeffs: CoefficientVector, cell_ids: np.ndarray) -> np.ndarray:
     """Piecewise-constant regression (..., R) evaluated at P cells: (..., P)."""
     ids = np.asarray(cell_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= coeffs.R):
-        raise IndexingError(
-            f"cell ids must lie in [0, {coeffs.R}), got range [{ids.min()}, {ids.max()}]"
-        )
+    _check_cell_ids(ids, coeffs.R)
     return coeffs.lambdas.take(ids, axis=-1)
 
 

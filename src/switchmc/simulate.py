@@ -141,7 +141,11 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
     in the set draws its stream up to its last wanted position: a sparse id
     set costs up to B n2 normals a block a step.
     """
-    ids = np.fromiter((int(p) % 2 ** 64 for p in path_ids), dtype=np.uint64, count=len(path_ids))
+    if isinstance(path_ids, range):  # start + step i wraps mod 2**64 in uint64, as listed ids do
+        step = np.uint64(path_ids.step % 2 ** 64)
+        ids = np.uint64(path_ids.start % 2 ** 64) + step * np.arange(len(path_ids), dtype=np.uint64)
+    else:
+        ids = np.fromiter((int(p) % 2 ** 64 for p in path_ids), dtype=np.uint64, count=len(path_ids))
     blocks, positions = np.divmod(ids, np.uint64(_PATH_BLOCK))
     order = np.argsort(blocks, kind="stable")
     groups = []  # (block, buffer rows, stream positions to gather, or None: drawn straight in)
@@ -173,25 +177,35 @@ def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
         )
 
 
-def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                  n_paths: int, draws):
+def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule, draws,
+                  out: np.ndarray):
     """The recursion of ``simulate_paths`` one step at a time, from the N
-    unit-variance innovation draws (n_paths, n2) that ``draws`` yields in
-    step order, each scaled by sqrt(delta) in place as its step is taken:
-    yields fresh z_k (n_paths, n1 + n2), k = 0..N, or raises at a non-finite one."""
+    unit-variance innovation draws (P, n2) that ``draws`` yields in step
+    order, each scaled by sqrt(delta) in place as its step is taken.  Writes
+    z_k into the slot out[k % len(out)] of ``out`` (S, P, n1 + n2), S >= 2,
+    and yields that slot, k = 0..N, or raises at a non-finite one."""
     _check_schedule(schedule, grid)
+    G, n1, slots = model.G, model.n1, len(out)
     delta, sqrt_delta = grid.delta, math.sqrt(grid.delta)
-    G = model.G
-    exp_f = np.eye(model.n1) + _expm_minus_identity(model.F * delta)
+    exp_f = np.eye(n1) + _expm_minus_identity(model.F * delta)
     gains = schedule.thetas[:-1] @ G.T  # theta_k G^T, (N, n1, n2)
-    m, y = np.tile(model.m0, (n_paths, 1)), np.tile(model.y0, (n_paths, 1))
-    yield np.hstack([m, y])
+    kick = np.empty((out.shape[1], n1))  # m_k + theta_k G^T dI_k
+    z = out[0]
+    z[:, :n1], z[:, n1:] = model.m0, model.y0
+    yield z
 
     for k, dk in enumerate(draws):
+        m, y, z = z[:, :n1], z[:, n1:], out[(k + 1) % slots]
         dk *= sqrt_delta
-        y = y + rowwise_matvec(G, m) * delta + dk
-        m = rowwise_matvec(exp_f, m + rowwise_matvec(gains[k], dk))
-        z = np.hstack([m, y])
+        # y + (G m) delta + dk and exp(F delta) (m + gain dk), in that order.
+        y_next = rowwise_matvec(G, m, out=z[:, n1:])
+        y_next *= delta
+        y_next += y
+        y_next += dk
+        rowwise_matvec(gains[k], dk, out=kick)
+        for i in range(n1):  # a column at a time: one 2-D add over n1 strided columns is 2x slower
+            kick[:, i] += m[:, i]
+        rowwise_matvec(exp_f, kick, out=z[:, :n1])
         if not np.isfinite(z).all():
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
@@ -200,10 +214,10 @@ def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule
 
 
 def _path_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
-                 seed: int, path_ids: Sequence[int]):
-    """``_euler_states`` of the paths path_ids, drawn by ``_step_draws``."""
+                 seed: int, path_ids: Sequence[int], out: np.ndarray):
+    """``_euler_states`` of the paths path_ids into ``out``, drawn by ``_step_draws``."""
     draws = _step_draws(seed, path_ids, grid.n_steps, model.n2)
-    return _euler_states(model, grid, schedule, len(path_ids), draws)
+    return _euler_states(model, grid, schedule, draws, out)
 
 
 def simulate_paths(
@@ -224,12 +238,13 @@ def simulate_paths(
     one contiguous block.  Path ell, z[:, ell], is a function of (seed,
     path_ids[ell]) only, so ensembles of different sizes agree pathwise.
     Each step's innovations are drawn as the step is taken, into one (M, n2)
-    buffer.  Every path steps at once, so a SimulationError names the
-    earliest non-finite step over all paths.
+    buffer, and the step is written into its slot of the array returned.
+    Every path steps at once, so a SimulationError names the earliest
+    non-finite step over all paths.
     """
     z = np.empty((grid.n_steps + 1, len(path_ids), model.n1 + model.n2))
-    for k, zk in enumerate(_path_states(model, grid, schedule, seed, path_ids)):
-        z[k] = zk
+    for _ in _path_states(model, grid, schedule, seed, path_ids, z):
+        pass
     return z
 
 

@@ -322,10 +322,8 @@ def pathwise_values(surface, ensemble, modes, schedule, rule, k: int) -> np.ndar
     if k == grid.n_steps:
         return np.zeros((modes.d, ensemble.M))
     points = ensemble.z_paths[k]
-    cand, _ = _action_values(
-        modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, points,
-        surface.coeffs[k], basis.cell_index(points),
-    )
+    cand = surface.coeffs[k].lambdas[:, basis.cell_index(points)]
+    _action_values(modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, points, cand)
     return (cand[None] - modes.costs[:, :, None]).max(axis=1)
 
 

@@ -23,7 +23,9 @@ from switchmc import (
     build_ensemble, calibrate_domain, derive_seed, load_problem, simulate_paths, solve_riccati,
 )
 from switchmc.benchmarks import benchmark_problem, default_solver_params
-from switchmc.cli import RunConfig, StageError, _callable_digest, main, run_bound, run_pipeline, run_solve
+from switchmc.cli import (
+    RunConfig, StageError, _callable_digest, _code_digest, main, run_bound, run_pipeline, run_solve,
+)
 
 FAST = ["--M", "150", "--n-steps", "12", "--replications", "2", "--seed", "7"]
 
@@ -610,8 +612,30 @@ def test_callable_object_payoff_is_named_by_its_type():
 
     name = f"{ScaledPayoff.__module__}.ScaledPayoff"
     assert config(1.0).manifest("solve")["problem"]["modes"] == ["zero", name]
-    assert _callable_digest(ScaledPayoff(1.0)) == name
+    assert _callable_digest(ScaledPayoff(1.0)).startswith(name)
     assert config(1.0).content_hash() == config(1.0).manifest("solve")["inputs_sha256"]
+
+
+class SlottedPayoff:
+    """A callable object payoff without a ``__dict__``."""
+
+    __slots__ = ()
+
+    def __call__(self, x, y, t):
+        return x[..., 0]
+
+
+def test_callable_objects_hash_by_their_state_and_call():
+    # The hash used to name the type alone, so ScaledPayoff(1.0) and
+    # ScaledPayoff(2.0) gave equal inputs_sha256.
+    def config(payoff):
+        return RunConfig({**benchmark_problem(), "modes": ["zero", payoff]}, default_solver_params())
+
+    assert config(ScaledPayoff(1.0)).content_hash() != config(ScaledPayoff(2.0)).content_hash()
+    assert config(ScaledPayoff(1.0)).content_hash() == config(ScaledPayoff(1.0)).content_hash()
+    code = _code_digest(SlottedPayoff.__call__.__code__)
+    assert _callable_digest(SlottedPayoff()) == f"{SlottedPayoff.__module__}.SlottedPayoff:{code}"
+
 
 def test_lambdas_of_one_module_hash_apart():
     # Both lambdas are named "<module>.<lambda>" in the manifest; their code

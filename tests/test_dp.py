@@ -22,6 +22,7 @@ from switchmc import (
     build_ensemble,
     build_quadrature,
     calibrate_domain,
+    empirical_coefficients,
     simulate_paths,
     simulate_policy,
     solve_riccati,
@@ -29,6 +30,7 @@ from switchmc import (
 )
 from switchmc import simulate
 from switchmc.dp import _action_values, _stay_biased_argmax
+from switchmc.regress import memberships
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +70,9 @@ def replay_over_ensemble(model, modes, schedule, surface, rule, start_mode, M, s
     for k in range(grid.n_steps):
         pts = ensemble.z_paths[k]
         ids = basis.cell_index(pts)
-        cand, fbars = _action_values(
-            modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts,
-            surface.coeffs[k], ids,
+        cand, fbars = surface.coeffs[k].lambdas[:, ids], np.empty((modes.d, M))
+        _action_values(
+            modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), grid.delta, pts, cand, fbars,
         )
         jstar = _stay_biased_argmax(cand - cost[mode].T, mode)
         total -= cost[mode, jstar]
@@ -255,10 +257,8 @@ class TestTwoModeInvariants:
         model, modes, schedule, rule, ensemble, basis, surface, _ = solved_benchmark
         origin_point = np.concatenate([model.m0, model.y0])[None, :]
         assert np.all((basis.domain.lows <= origin_point) & (origin_point <= basis.domain.highs))
-        cand, _ = _action_values(
-            modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin_point,
-            surface.coeffs[0], basis.cell_index(origin_point),
-        )
+        cand = surface.coeffs[0].lambdas[:, basis.cell_index(origin_point)]
+        _action_values(modes, rule, schedule.sqrt_thetas[0], 0.0, surface.grid.delta, origin_point, cand)
         expected = (cand[:, 0] - modes.costs).max(axis=1)
         origin = value_at_origin(surface)
         assert origin.shape == (modes.d,)
@@ -310,6 +310,25 @@ print(json.dumps({"peak_mb": peak_mb, "M": surface.M}))
     report = run_child(script)
     assert report["M"] == 5000
     assert report["peak_mb"] <= 25.0
+
+
+def test_induction_levels_are_the_public_cell_means():
+    # The induction writes each level's cell means straight into the
+    # surface's blocks; rebuilt from the surface, every level is
+    # empirical_coefficients of the values one step later, bit for bit.
+    model, modes = make_benchmark(n_steps=20)
+    grid = model.grid
+    schedule, rule = solve_riccati(model, grid), build_quadrature(1, 16)
+    ensemble = build_ensemble(model, grid, schedule, 300, seed=5)
+    basis = HypercubeBasis(calibrate_domain(ensemble, 0.01), (6, 6))
+    surface, _ = backward_induction(ensemble, basis, modes, schedule, rule)
+    ids = memberships(ensemble, basis)
+    assert modes.d == 2
+    for k in range(grid.n_steps):
+        above = pathwise_values(surface, ensemble, modes, schedule, rule, k + 1)
+        level = empirical_coefficients(above, ids[k], basis.R)
+        assert surface.coeffs[k].lambdas.tobytes() == level.lambdas.tobytes()
+        assert surface.coeffs[k].counts.tobytes() == level.counts.tobytes()
 
 
 def test_surface_levels_share_one_block(solved_benchmark):

@@ -79,6 +79,10 @@ class TestRowwiseMatvec:
         full = rowwise_matvec(mat, vecs)
         some = rowwise_matvec(mat, vecs[10:20])
         assert np.array_equal(full[10:20], some)
+        # Written into a strided view, as the stepper writes a path slot.
+        into = np.empty((50, 5))
+        assert rowwise_matvec(mat, vecs, out=into[:, 3:]).base is into
+        assert np.array_equal(into[:, 3:], full)
 
 
 class TestRiccati:
@@ -408,7 +412,9 @@ def mean_steps(model, theta, di):
     the conditional means (N+1, M, n1) and observations (N+1, M, n2)."""
     schedule = CovarianceSchedule.from_thetas(np.stack([theta] * (model.n_steps + 1)))
     di = np.array(di, dtype=float)
-    z = np.stack(list(_euler_states(model, model.grid, schedule, di.shape[1], di)))
+    z = np.empty((model.n_steps + 1, di.shape[1], model.n1 + model.n2))
+    for _ in _euler_states(model, model.grid, schedule, di, z):
+        pass
     return z[..., :model.n1], z[..., model.n1:]
 
 

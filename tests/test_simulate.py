@@ -146,6 +146,20 @@ class TestSimulatePaths:
                 if pid in alone:
                     assert np.array_equal(draws[:, row], alone[pid][:, 0])
 
+    def test_range_ids_draw_as_the_same_ids_listed(self):
+        # A range's ids are built without a loop over them, wrapping mod
+        # 2**64 as listed ids do; its draws must be the listed ids', bit for
+        # bit: from above 0 across a block seam, with a step up or down,
+        # across 2**64, and empty.
+        B = _PATH_BLOCK
+        for ids in (range(B - 37, B + 50), range(5, 3 * B, 97), range(2 * B + 3, B - 9, -5),
+                    range(2 ** 64 - 3, 2 ** 64 + 2), range(B, B)):
+            by_range = [b.copy() for b in _step_draws(7, ids, 4, 2)]
+            by_list = [b.copy() for b in _step_draws(7, list(ids), 4, 2)]
+            assert len(by_range) == len(by_list) == 4
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(by_range, by_list))
+            assert by_range[0].shape == (len(ids), 2)
+
     def test_different_seeds_differ(self, bench20):
         model, _, schedule = bench20
         grid = model.grid
@@ -233,7 +247,8 @@ class TestSimulatePaths:
 def streamed_paths(model, schedule, seed, path_ids):
     """The states ``_path_states`` steps, which the replay acts on, stacked as
     ``simulate_paths`` stores them."""
-    return np.stack([zk.copy() for zk in _path_states(model, model.grid, schedule, seed, path_ids)])
+    ring = np.empty((2, len(path_ids), model.n1 + model.n2))
+    return np.stack([zk.copy() for zk in _path_states(model, model.grid, schedule, seed, path_ids, ring)])
 
 
 class TestPathChunks:
