@@ -302,9 +302,9 @@ def _replicate(config: RunConfig, problems: list, workers: int) -> list:
     if workers <= 1:
         rows = [_headline(job) for job in jobs]
     else:
-        # A solve is a loop of small numpy calls that holds the GIL, so
-        # threads would serialize; forkserver starts each worker from a
-        # single-threaded server rather than a copy of this process.
+        # A solve holds the GIL but for its draws on one helper thread, so
+        # solves on threads would serialize; forkserver starts each worker
+        # from a single-threaded server rather than a copy of this process.
         context = multiprocessing.get_context("forkserver")
         with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
             rows = list(pool.map(_headline, jobs))

@@ -14,6 +14,7 @@ state; ties prefer staying in the current mode, then the smallest mode index.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,19 +183,19 @@ def simulate_policy(
     total, switches = np.zeros(M), np.zeros(M, dtype=np.int64)
     mode, rows, fbars = np.full(M, int(start_mode), dtype=np.int64), np.arange(M), np.empty((d, M))
 
-    # The replay steps through two slots: z_k and z_{k+1}.
+    # The replay steps through two slots, z_k and z_{k+1}; closing the states joins their helper.
     ring = np.empty((2, M, model.n1 + model.n2))
-    states = _path_states(model, grid, schedule, seed, range(M), ring)
-    for k, pts in zip(range(grid.n_steps), states):  # zip stops on range, leaving z_N
-        ids = basis.cell_index(pts)
-        cand = regress_eval(coeffs[k], ids)
-        _action_values(modes, rule, sqrt_thetas[k], times[k], delta, pts, cand, fbars)
-        jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
-        total -= cost.take(mode * d + jstar)
-        total += delta * fbars.take(jstar * M + rows)
-        switches += jstar != mode
-        mode = jstar
-    next(states)  # step N is never acted on, but a non-finite one still raises
+    with closing(_path_states(model, grid, schedule, seed, range(M), ring)) as states:
+        for k, pts in zip(range(grid.n_steps), states):  # zip stops on range, leaving z_N
+            ids = basis.cell_index(pts)
+            cand = regress_eval(coeffs[k], ids)
+            _action_values(modes, rule, sqrt_thetas[k], times[k], delta, pts, cand, fbars)
+            jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
+            total -= cost.take(mode * d + jstar)
+            total += delta * fbars.take(jstar * M + rows)
+            switches += jstar != mode
+            mode = jstar
+        next(states)  # step N is never acted on, but a non-finite one still raises
 
     stderr = float(total.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     return PolicyEvaluation(float(total.mean()), stderr, float(switches.mean()))

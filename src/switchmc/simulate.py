@@ -15,6 +15,7 @@ its clipped point lies in.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +48,8 @@ _CLIP_BLOCK = 2 ** 17
 _PATH_BLOCK = 1024
 # Version of the innovation streams, named in the manifest of a command that draws.
 _RNG_STREAM = "philox-step-block/2"
+# Floats of innovations in one chunk of steps, 2**15 (256 KiB); _step_draws keeps two chunks.
+_CHUNK = 2 ** 15
 
 
 class SimulationError(RuntimeError):
@@ -133,14 +136,26 @@ class PathEnsemble:
 
 def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
     """Yields step k's standard normal innovations of the paths path_ids,
-    (M, n2), for k = 0..n_steps-1, refilling one buffer each step.
+    (M, n2), for k = 0..n_steps-1.
 
     Path ell's draws at step k are the n2 normals at position ell % B of the
     Philox stream with key (seed, k) and counter (0, 0, 0, ell // B), B =
     _PATH_BLOCK, so they depend on (seed, ell, k) alone.  Each block of ids
     in the set draws its stream up to its last wanted position: a sparse id
     set costs up to B n2 normals a block a step.
+
+    Steps are drawn in chunks of L = max(1, _CHUNK // (M n2)) into a ring of
+    two C-contiguous (L, M, n2) buffers, and step k's array is a row of one
+    of them.  The first chunk is drawn here.  Each later one is drawn by one
+    helper thread while the caller takes the chunk before it (numpy's
+    normals release the GIL), and is handed over only once it is complete,
+    so no value depends on thread timing.  The helper is joined when the
+    generator ends, is closed or raises, and an error raised in it is raised
+    here, at the first step of its chunk.
     """
+    # Imported here: at the top it would add its logging import, ~2.6 ms, to `import switchmc`.
+    from concurrent.futures import ThreadPoolExecutor
+
     if isinstance(path_ids, range):  # start + step i wraps mod 2**64 in uint64, as listed ids do
         step = np.uint64(path_ids.step % 2 ** 64)
         ids = np.uint64(path_ids.start % 2 ** 64) + step * np.arange(len(path_ids), dtype=np.uint64)
@@ -154,19 +169,30 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
         if rows[-1] - rows[0] == pos[-1] == len(rows) - 1 and (np.diff(pos) == 1).all():
             rows, pos = slice(rows[0], rows[-1] + 1), None
         groups.append((block, rows, pos))
-    buf, scratch = np.empty((len(ids), n2)), np.empty((_PATH_BLOCK, n2))
+    steps = max(1, _CHUNK // max(1, len(ids) * n2))
+    ring, scratch = np.empty((2, steps, len(ids), n2)), np.empty((_PATH_BLOCK, n2))
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
     gen, state = np.random.Generator(bitgen), bitgen.state
-    for k in range(n_steps):
-        state["state"]["key"][1] = k
-        for block, rows, pos in groups:
-            state["state"]["counter"][3] = block
-            bitgen.state = state
-            if pos is None:
-                gen.standard_normal(out=buf[rows])
-            else:  # drawn up to the last wanted position, then gathered
-                buf[rows] = gen.standard_normal(out=scratch[:pos.max() + 1])[pos]
-        yield buf
+
+    def draw(c: int) -> None:  # chunk c into ring[c % 2], by one thread at a time
+        for k, buf in zip(range(c * steps, n_steps), ring[c % 2]):
+            state["state"]["key"][1] = k
+            for block, rows, pos in groups:
+                state["state"]["counter"][3] = block
+                bitgen.state = state
+                if pos is None:
+                    gen.standard_normal(out=buf[rows])
+                else:  # drawn up to the last wanted position, then gathered
+                    buf[rows] = gen.standard_normal(out=scratch[:pos.max() + 1])[pos]
+
+    n_chunks = -(-n_steps // steps)
+    draw(0)
+    with ThreadPoolExecutor(1) as helper:  # its thread starts at the first submit
+        for c in range(n_chunks):
+            ahead = helper.submit(draw, c + 1) if c + 1 < n_chunks else None
+            yield from ring[c % 2, :n_steps - c * steps]
+            if ahead is not None:
+                ahead.result()
 
 
 def _check_schedule(schedule: CovarianceSchedule, grid: TimeGrid) -> None:
@@ -189,23 +215,28 @@ def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule
     delta, sqrt_delta = grid.delta, math.sqrt(grid.delta)
     exp_f = np.eye(n1) + _expm_minus_identity(model.F * delta)
     gains = schedule.thetas[:-1] @ G.T  # theta_k G^T, (N, n1, n2)
-    kick = np.empty((out.shape[1], n1))  # m_k + theta_k G^T dI_k
+    # Stepped in contiguous (P, n1) and (P, n2) arrays, swapped each step: a
+    # slot's m and y columns are strided, which slows every ufunc on them.
+    m, m_next, kick = (np.empty((out.shape[1], n1)) for _ in range(3))  # kick: m_k + theta_k G^T dI_k
+    y, y_next = (np.empty((out.shape[1], model.n2)) for _ in range(2))
+    m[:], y[:] = model.m0, model.y0
     z = out[0]
-    z[:, :n1], z[:, n1:] = model.m0, model.y0
+    z[:, :n1], z[:, n1:] = m, y
     yield z
 
     for k, dk in enumerate(draws):
-        m, y, z = z[:, :n1], z[:, n1:], out[(k + 1) % slots]
+        z = out[(k + 1) % slots]
         dk *= sqrt_delta
         # y + (G m) delta + dk and exp(F delta) (m + gain dk), in that order.
-        y_next = rowwise_matvec(G, m, out=z[:, n1:])
+        rowwise_matvec(G, m, out=y_next)
         y_next *= delta
         y_next += y
         y_next += dk
         rowwise_matvec(gains[k], dk, out=kick)
-        for i in range(n1):  # a column at a time: one 2-D add over n1 strided columns is 2x slower
-            kick[:, i] += m[:, i]
-        rowwise_matvec(exp_f, kick, out=z[:, :n1])
+        kick += m
+        rowwise_matvec(exp_f, kick, out=m_next)
+        m, m_next, y, y_next = m_next, m, y_next, y
+        z[:, :n1], z[:, n1:] = m, y
         if not np.isfinite(z).all():
             raise SimulationError(
                 f"non-finite path value at step {k + 1} (t = {grid.times[k + 1]:g})"
@@ -215,9 +246,10 @@ def _euler_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule
 
 def _path_states(model: ModelSpec, grid: TimeGrid, schedule: CovarianceSchedule,
                  seed: int, path_ids: Sequence[int], out: np.ndarray):
-    """``_euler_states`` of the paths path_ids into ``out``, drawn by ``_step_draws``."""
-    draws = _step_draws(seed, path_ids, grid.n_steps, model.n2)
-    return _euler_states(model, grid, schedule, draws, out)
+    """``_euler_states`` of the paths path_ids into ``out``, drawn by ``_step_draws``,
+    whose helper thread is joined when the states end, are closed or raise."""
+    with closing(_step_draws(seed, path_ids, grid.n_steps, model.n2)) as draws:
+        yield from _euler_states(model, grid, schedule, draws, out)
 
 
 def simulate_paths(
@@ -237,8 +269,8 @@ def simulate_paths(
     array of shape (N+1, M, n1 + n2), grid time first, so one grid time is
     one contiguous block.  Path ell, z[:, ell], is a function of (seed,
     path_ids[ell]) only, so ensembles of different sizes agree pathwise.
-    Each step's innovations are drawn as the step is taken, into one (M, n2)
-    buffer, and the step is written into its slot of the array returned.
+    Each step's innovations are drawn a chunk ahead (``_step_draws``), and
+    the step is written into its slot of the array returned.
     Every path steps at once, so a SimulationError names the earliest
     non-finite step over all paths.
     """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -28,7 +29,9 @@ from switchmc import (
     solve_riccati,
     value_at_origin,
 )
-from switchmc import simulate
+from switchmc import dp, simulate
+from switchmc.benchmarks import benchmark_problem, default_solver_params
+from switchmc.cli import RunConfig, run_pipeline
 from switchmc.dp import _action_values, _stay_biased_argmax
 from switchmc.regress import memberships
 
@@ -520,8 +523,12 @@ class TestSimulatePolicy:
         # 64 share a block of draws or not.  Path 0's innovation is infinite
         # at step index 8 and path 64's at 3, and an innovation reaches m
         # and y in the step it drives.
+        # Chunks of two steps put step index 3 in the first chunk the
+        # helper thread draws; no helper outlives either error.
         model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
         draws = simulate._step_draws
+        monkeypatch.setattr(simulate, "_CHUNK", 2 * 65)
+        threads = threading.active_count()
 
         def poisoned(seed, path_ids, n_steps, n2):
             rows = {pid: row for row, pid in enumerate(path_ids)}
@@ -544,14 +551,16 @@ class TestSimulatePolicy:
                 with pytest.raises(SimulationError) as err:
                     run()
                 assert str(err.value).startswith("non-finite path value at step 4 (")
+                assert threading.active_count() == threads
 
     def test_replay_allocates_a_few_numbers_a_path(self):
         # At N = 365 the 5 000-path replay drew all its innovations before
         # its first step, into a buffer of 14.6 MB, and peaked at 14.7 MiB
         # under tracemalloc.  Drawn a step at a time, it holds each path's
         # state, totals and action values for one step, and peaked at
-        # 1.0 MiB.  A 64-path replay first imports what the first replay
-        # imports.
+        # 1.0 MiB; with two chunks of draws ahead (0.5 MiB) and contiguous
+        # work arrays it peaks at 1.6 MiB.  A 64-path replay first imports
+        # what the first replay imports.
         model, modes = make_benchmark(n_steps=365)
         rule, surface, policy = train_surface(model, modes)
         schedule = solve_riccati(model, model.grid)
@@ -596,3 +605,133 @@ print(json.dumps({"peak_mb": peak_mb}))
 """
         report = run_child(script)
         assert report["peak_mb"] <= 100.0
+
+
+def serial_step_draws(seed, path_ids, n_steps, n2):
+    """The reference for ``simulate._step_draws``: the same streams drawn a
+    step at a time in the caller's thread, into one (M, n2) buffer."""
+    ids = np.array([int(p) % 2 ** 64 for p in path_ids], dtype=np.uint64)
+    blocks, positions = np.divmod(ids, np.uint64(simulate._PATH_BLOCK))
+    buf = np.empty((len(ids), n2))
+    bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
+    gen, state = np.random.Generator(bitgen), bitgen.state
+    for k in range(n_steps):
+        state["state"]["key"][1] = k
+        for block in np.unique(blocks):
+            rows = np.flatnonzero(blocks == block)
+            state["state"]["counter"][3] = block
+            bitgen.state = state
+            buf[rows] = gen.standard_normal((int(positions[rows].max()) + 1, n2))[positions[rows]]
+        yield buf
+
+
+class TestDrawAhead:
+    """Each simulation draws its innovations a chunk of steps ahead on one
+    helper thread (``simulate._step_draws``)."""
+
+    def test_chunk_sizes_keep_the_serial_bytes(self, solved_benchmark, monkeypatch):
+        # 300 paths a step over 20 steps, in blocks of 64 ids: chunks below
+        # one step, of one step, of three (which do not divide 20), of every
+        # step and of the default size give the serial reference's bytes,
+        # paths and replay, also with the threads switched every microsecond.
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        monkeypatch.setattr(simulate, "_PATH_BLOCK", 64)
+
+        def run():
+            z = simulate_paths(model, model.grid, schedule, seed=9, path_ids=range(5, 305))
+            ev = simulate_policy(model, modes, schedule, surface, policy, rule, start_mode=1, M=300, seed=9)
+            return z.tobytes(), np.array([ev.mean, ev.stderr, ev.mean_switches]).tobytes()
+
+        with monkeypatch.context() as serial:
+            serial.setattr(simulate, "_step_draws", serial_step_draws)
+            expected = run()
+        interval = sys.getswitchinterval()
+        try:
+            for switch in (interval, 1e-6):
+                sys.setswitchinterval(switch)
+                for chunk in (1, 300, 3 * 300, 20 * 300, simulate._CHUNK):
+                    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+                    assert run() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_error_in_the_helper_reaches_the_caller(self, monkeypatch):
+        # A stream that fails off the caller's thread: the caller takes the
+        # first chunk, drawn inline, then gets the helper's error with its
+        # type, from the generator and through simulate_paths.
+        caller, philox = threading.get_ident(), np.random.Philox
+
+        class HelperFails(philox):
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                if threading.get_ident() != caller:
+                    raise KeyError("drawn off the caller's thread")
+                philox.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", HelperFails)
+        monkeypatch.setattr(simulate, "_CHUNK", 2 * 10)
+        threads = threading.active_count()
+        taken = []
+        with pytest.raises(KeyError, match="off the caller's thread"):
+            for buf in simulate._step_draws(3, range(10), 7, 1):
+                taken.append(buf.copy())
+        assert len(taken) == 2
+        model, _ = make_benchmark(n_steps=7)
+        schedule = solve_riccati(model, model.grid)
+        with pytest.raises(KeyError):
+            simulate_paths(model, model.grid, schedule, seed=3, path_ids=range(10))
+        assert threading.active_count() == threads
+
+    def test_closing_the_draws_early_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", 2 * 10)
+        threads = threading.active_count()
+        draws = simulate._step_draws(3, range(10), 50, 1)
+        for _ in range(3):
+            next(draws)
+        assert threading.active_count() == threads + 1
+        draws.close()
+        assert threading.active_count() == threads
+
+    def test_a_replay_that_raises_joins_the_helper(self, solved_benchmark, monkeypatch):
+        # A decision that fails mid-replay, with the states still open: the
+        # error's traceback holds the replay's frame, but not its helper.
+        model, modes, schedule, rule, _, _, surface, policy = solved_benchmark
+        monkeypatch.setattr(simulate, "_CHUNK", 2 * 300)
+        threads, calls = threading.active_count(), []
+
+        def fails_at_step_5(*args):
+            calls.append(threading.active_count())
+            if len(calls) == 5:
+                raise ArithmeticError("step 5")
+            _action_values(*args)
+
+        monkeypatch.setattr(dp, "_action_values", fails_at_step_5)
+        with pytest.raises(ArithmeticError) as err:
+            simulate_policy(model, modes, schedule, surface, policy, rule, start_mode=0, M=300, seed=9)
+        assert calls[-1] == threads + 1
+        assert threading.active_count() == threads
+        assert str(err.value) == "step 5"
+
+    def test_no_helper_outlives_a_solve(self, monkeypatch):
+        # The pipeline's pilot and training paths and a replay, each drawn
+        # by a helper in chunks of 4 steps.
+        monkeypatch.setattr(simulate, "_CHUNK", 4 * 300)
+        threads, seen = threading.active_count(), []
+        draws = simulate._step_draws
+
+        def counted(*args):
+            for buf in draws(*args):
+                seen.append(threading.active_count())
+                yield buf
+
+        monkeypatch.setattr(simulate, "_step_draws", counted)
+        solver = {**default_solver_params(), "M": 300, "n_steps": 20, "cells_per_dim": 4}
+        res = run_pipeline(RunConfig(benchmark_problem(), solver), 0)
+        simulate_policy(res.model, res.modes, res.schedule, res.surface, None, res.rule,
+                        start_mode=0, M=300, seed=res.eval_seed)
+        assert max(seen) == threads + 1
+        assert threading.active_count() == threads

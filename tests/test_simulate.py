@@ -120,18 +120,24 @@ class TestSimulatePaths:
                 expected = philox_normals(11, k, pid // B, 2 * pos + 2)[2 * pos:]
                 assert np.array_equal(draws[k][row], expected)
 
-    def test_draws_refill_one_buffer_a_step(self):
-        # Each step's draws are written over the last step's, in one (M, n2)
-        # C-contiguous buffer: ids from a block's start are drawn straight
-        # into it, a block's tail is drawn beside it and gathered.
-        for start in (0, _PATH_BLOCK - 30):
-            ids = range(start, start + 70)
-            bufs = list(_step_draws(11, ids, 5, 2))
-            assert all(buf is bufs[0] for buf in bufs)
-            assert bufs[0].shape == (70, 2) and bufs[0].flags.c_contiguous
-            fresh = [buf.copy() for buf in _step_draws(11, ids, 5, 2)]
-            assert np.array_equal(bufs[0], fresh[-1])
-            assert not np.array_equal(fresh[0], fresh[1])
+    def test_draws_fill_a_ring_of_two_buffers(self, monkeypatch):
+        # Steps are drawn L = _CHUNK // (M n2) at a time into one of two
+        # fixed C-contiguous (L, M, n2) buffers, the same two whatever N,
+        # and step k's draws are row k % 2L of them: ids from a block's
+        # start are drawn straight in, a block's tail beside it and gathered.
+        for chunk, steps in ((3 * 70 * 2, 3), (simulate._CHUNK, simulate._CHUNK // 140)):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            for start in (0, _PATH_BLOCK - 30):
+                ids = range(start, start + 70)
+                for n_steps in (2, 7, 20):
+                    bufs = list(_step_draws(11, ids, n_steps, 2))
+                    ring = bufs[0].base
+                    assert ring.shape == (2, steps, 70, 2) and ring.flags.c_contiguous
+                    assert all(buf.base is ring and buf.flags.c_contiguous for buf in bufs)
+                    rows = [(buf.ctypes.data - ring.ctypes.data) / buf.nbytes for buf in bufs]
+                    assert rows == [k % (2 * steps) for k in range(n_steps)]
+                    fresh = [buf.copy() for buf in _step_draws(11, ids, n_steps, 2)]
+                    assert not np.array_equal(fresh[0], fresh[1])
 
     def test_draws_are_the_same_in_any_id_set(self):
         # Step k's draws for path ell depend on (seed, k, ell) alone: in any
@@ -284,11 +290,12 @@ class TestPathChunks:
 
 class TestPathEnsemble:
     def test_the_paths_are_its_only_large_allocation(self):
-        # The innovations are drawn a step at a time into one buffer of M n2
-        # floats.  At N = 200 and M = 5 000 the paths take 15.3 MiB; drawing
-        # them into a buffer of their own, 7.6 MiB for one chunk of every
-        # path, peaked at 23.2 MiB.  A one-path run first imports what the
-        # first draw imports (about 0.7 MiB of module objects).
+        # The innovations are drawn a chunk of steps at a time into two
+        # buffers of _CHUNK floats.  At N = 200 and M = 5 000 the paths
+        # take 15.3 MiB; drawing them into a buffer of their own, 7.6 MiB
+        # for one chunk of every path, peaked at 23.2 MiB.  A one-path run
+        # first imports what the first draw imports (about 0.7 MiB of
+        # module objects).
         model, _ = make_benchmark(n_steps=200)
         schedule = solve_riccati(model, model.grid)
         build_ensemble(model, model.grid, schedule, 1, seed=1)
