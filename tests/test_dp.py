@@ -412,9 +412,13 @@ class TestTieBreaking:
     def test_mode_loop_matches_the_mask_argmax(self, d):
         # The smallest maximiser is found a mode at a time; it must be the
         # first True of the (d, P) equality mask.  Values drawn from three
-        # levels force ties of every pattern, and -0.0 ties with 0.0.
+        # levels force ties of every pattern, and -0.0 ties with 0.0; +inf
+        # and -inf tie with themselves, and a column holding a NaN has a NaN
+        # max that no mode equals, so it takes mode 0.
         rng = np.random.default_rng(d)
-        values = rng.choice([-0.0, 0.0, 1.0, 2.0], size=(d, 4000))
+        levels = [-0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
+        values = rng.choice(levels, size=(d, 4000), p=[0.24, 0.24, 0.2, 0.2, 0.05, 0.05, 0.02])
+        assert np.isnan(values.max(axis=0)).any() and np.isinf(values.max(axis=0)).any()
         current = rng.integers(0, d, size=4000)
         best = values.max(axis=0)
         smallest = (values == best).argmax(axis=0)

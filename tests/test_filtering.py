@@ -563,6 +563,53 @@ print(json.dumps({"peak_mb": peak_mb, "equal": bool(np.array_equal(blocked, whol
         with pytest.raises(ValueError, match="payoff of mode 0 returned shape"):
             effective_payoff_batch(modes, 0, points, sqrt_theta, points, 0.0, rule16)
 
+    @pytest.mark.parametrize("bad", ({5: np.nan}, {2: np.inf, 13: -np.inf}), ids=("nan", "inf-mirror-pair"))
+    def test_non_finite_node_raises_at_its_block(self, monkeypatch, rule16, bad):
+        # Blocks of 3 rows; row 4, in the second block, reads NaN at one
+        # node, or +inf and -inf at the mirror nodes 2 and 13, whose pair
+        # sum would be NaN.  The second block raises, the third is never
+        # evaluated, and no sum warns on the way.
+        monkeypatch.setattr(filtering, "_MAX_CHUNK_POINTS", 3 * rule16.n_nodes)
+        calls = []
+
+        def payoff(x, y, t):
+            calls.append(x.shape)
+            vals = np.tanh(x[..., 0])
+            for node, value in bad.items():
+                vals[node] = np.where(y[node, :, 0] == 4.0, value, vals[node])
+            return vals
+
+        modes = ModeSet(payoffs=("zero", payoff), costs=np.zeros((2, 2)), nu=1.0)
+        m, y = np.linspace(-1.0, 1.0, 9)[:, None], np.arange(9.0)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as err:
+                effective_payoff_batch(modes, 1, m, np.array([[0.5]]), y, 0.0, rule16)
+        assert str(err.value) == "payoff of mode 1 not finite at some quadrature node"
+        assert calls == [(16, 3, 1), (16, 3, 1)]
+
+    def test_finite_nodes_whose_average_overflows_return_inf(self, rule16):
+        # Every node at the largest double: the weighted sum overflows, which
+        # numpy may warn about, but no node is non-finite, so no error.
+        big = np.finfo(float).max
+        modes = ModeSet(payoffs=(lambda x, y, t: np.full(x.shape[:-1], big),), costs=[[0.0]], nu=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = effective_payoff_batch(modes, 0, np.zeros((4, 1)), np.eye(1), np.zeros((4, 1)), 0.0, rule16)
+        assert got.tolist() == [np.inf] * 4
+        assert all("overflow" in str(w.message) for w in caught)
+
+    def test_payoff_shape_is_checked_before_any_sum(self, monkeypatch, rule16):
+        # A NaN payoff of the wrong shape is a ValueError, not an
+        # EvaluationError, and no weighted sum runs.
+        sums = []
+        weighted_sum = QuadratureRule.weighted_sum
+        monkeypatch.setattr(QuadratureRule, "weighted_sum", lambda rule, vals: sums.append(1) or weighted_sum(rule, vals))
+        modes = ModeSet(payoffs=(lambda x, y, t: np.full(x.shape, np.nan),), costs=[[0.0]], nu=1.0)
+        with pytest.raises(ValueError, match="payoff of mode 0 returned shape"):
+            effective_payoff_batch(modes, 0, np.zeros((3, 1)), np.eye(1), np.zeros((3, 1)), 0.0, rule16)
+        assert sums == []
+
     @pytest.mark.parametrize("dim", (1, 2, 3))
     def test_affine_closed_form_matches_quadrature(self, dim):
         # Registry payoffs are averaged at the mean; the same functions as
