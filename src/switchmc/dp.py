@@ -74,16 +74,19 @@ class PolicyEvaluation:
     mean_switches: float
 
 
-def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray) -> np.ndarray:
+def _stay_biased_argmax(action_values: np.ndarray, current: np.ndarray, rows=None) -> np.ndarray:
     """Column-wise argmax of (d, P) action values where ties keep the column's
-    current mode if it attains the max, else the smallest."""
-    d, P = action_values.shape
+    current mode if it attains the max, else the smallest: the count of leading
+    modes below the max, from whole rows (an argmax along axis 0 strides), so a
+    NaN max, which no mode is below, gives mode 0.  ``rows`` is arange(P)."""
     best = action_values.max(axis=0)
-    # One pass a mode, last first, reads contiguous rows; an argmax along axis 0 strides, 2x slower.
-    smallest = np.zeros(P, dtype=np.intp)
-    for j in range(d - 1, -1, -1):
-        smallest[action_values[j] == best] = j
-    cur_vals = action_values.ravel().take(current * P + np.arange(P))
+    below = action_values < best
+    lead = smallest = below[0]  # modes 0..j all below the max
+    for j in range(1, len(below) - 1):
+        lead = lead & below[j]
+        smallest = np.add(smallest, lead, dtype=np.intp)
+    rows = np.arange(len(best)) if rows is None else rows
+    cur_vals = action_values.ravel().take(current * len(best) + rows)
     return np.where(cur_vals == best, current, smallest)
 
 
@@ -190,7 +193,7 @@ def simulate_policy(
             ids = basis.cell_index(pts)
             cand = regress_eval(coeffs[k], ids)
             _action_values(modes, rule, sqrt_thetas[k], times[k], delta, pts, cand, fbars)
-            jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode)
+            jstar = _stay_biased_argmax(cand - cost.T.take(mode, axis=1), mode, rows)
             total -= cost.take(mode * d + jstar)
             total += delta * fbars.take(jstar * M + rows)
             switches += jstar != mode

@@ -137,13 +137,15 @@ class QuadratureRule:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @np.errstate(invalid="ignore")
     def weighted_sum(self, vals: np.ndarray) -> np.ndarray:
         """Weighted node sum over the first axis of ``vals`` (n_nodes, ...).
 
         Node q is added to node n-1-q first, the pairs are summed in the
         order of ``_pair_sum``, then the middle node of an odd-sized rule is
         added.  Under the mirror layout every rule has, odd contributions
-        therefore cancel bitwise rather than accumulating roundoff.
+        therefore cancel bitwise rather than accumulating roundoff.  Values
+        are not checked, and +inf and -inf sum to NaN without a warning.
         """
         vals = np.asarray(vals, dtype=float)
         p = vals * self.weights.reshape((-1,) + (1,) * (vals.ndim - 1))
@@ -306,33 +308,36 @@ def effective_payoff_batch(
     its value at the mean; other payoffs go through the quadrature rule, a
     block of rows at a time so one payoff call sees at most 2^18 points,
     given node-major: (n_nodes, rows, n1) and (n_nodes, rows, n2) in,
-    (n_nodes, rows) out."""
+    (n_nodes, rows) out.  Finiteness is checked on the rows sums, not on the
+    n_nodes x rows values, which is exact (see ``_payoff_values``)."""
     m_batch = np.asarray(m_batch, dtype=float)
     y_batch = np.asarray(y_batch, dtype=float)
     if y_batch.ndim != 2 or m_batch.shape != (len(y_batch), len(sqrt_theta)):
         raise ValueError(f"m_batch {m_batch.shape} and y_batch {y_batch.shape} must be (M, n1) "
                          f"and (M, n2) for sqrt_theta {np.shape(sqrt_theta)}")
     payoff = modes.payoffs[j]
-    if payoff.is_affine or not np.any(sqrt_theta):
+    if payoff.is_affine or not sqrt_theta.any():
         return _payoff_values(payoff, j, m_batch, y_batch, t, "mean point")
     offsets = rule.nodes @ sqrt_theta.T  # (n_nodes, n1)
+    ys = np.broadcast_to(y_batch, (rule.n_nodes,) + y_batch.shape)
     rows = max(1, _MAX_CHUNK_POINTS // rule.n_nodes)
-    out = np.empty(m_batch.shape[0])
-    for start in range(0, m_batch.shape[0], rows):
-        points = offsets[:, None, :] + m_batch[None, start:start + rows, :]
-        ys = np.broadcast_to(y_batch[None, start:start + rows, :], points.shape[:-1] + y_batch.shape[-1:])
-        vals = _payoff_values(payoff, j, points, ys, t, "quadrature node")
-        out[start:start + rows] = rule.weighted_sum(vals)
+    out = np.empty(len(m_batch))
+    for start in range(0, len(m_batch), rows):
+        points = offsets[:, None, :] + m_batch[None, start:start + rows]
+        out[start:start + rows] = _payoff_values(
+            payoff, j, points, ys[:, start:start + rows], t, "quadrature node", rule)
     return out
 
 
-def _payoff_values(payoff, j: int, points: np.ndarray, ys: np.ndarray, t: float, where: str) -> np.ndarray:
-    """``payoff`` at ``points`` (..., n1), checked for shape (...) and finiteness."""
+def _payoff_values(payoff, j, points, ys, t, where, rule=None) -> np.ndarray:
+    """``payoff`` at ``points`` (..., n1) checked for shape (...), or its node sums with ``rule``,
+    then for finiteness, exactly: a finite weight keeps a NaN or inf value's sum non-finite."""
     vals = np.asarray(payoff(points, ys, t), dtype=float)
     if vals.shape != points.shape[:-1]:
         raise ValueError(
             f"payoff of mode {j} returned shape {vals.shape}, expected {points.shape[:-1]}"
         )
-    if not np.all(np.isfinite(vals)):
+    out = vals if rule is None else rule.weighted_sum(vals)
+    if not (np.isfinite(out).all() or np.isfinite(vals).all()):
         raise EvaluationError(f"payoff of mode {j} not finite at some {where}")
-    return vals
+    return out

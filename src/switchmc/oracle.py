@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .filtering import CovarianceSchedule, QuadratureRule, effective_payoff_batch
+from .dp import _action_values
+from .filtering import CovarianceSchedule, QuadratureRule
 from .model import ModelSpec, ModeSet
 from .simulate import _euler_states
 
@@ -78,32 +79,22 @@ def tree_oracle_value(
             f"(2^{model.n_steps} leaves requested)"
         )
     grid = model.grid
-    n_steps, delta = grid.n_steps, grid.delta
-    d = modes.d
+    n_steps, delta, d = grid.n_steps, grid.delta, modes.d
     M = 2 ** n_steps
-    times = grid.times
-
-    n1 = model.n1
     state = _tree_paths(model, schedule, range(M))
     paths = np.arange(M)
 
     values, cost = np.zeros((d, M)), modes.costs
     for k in range(n_steps - 1, -1, -1):
-        t = float(times[k])
         # Paths share their first k observation increments exactly when they
         # share their first k innovation signs: bits 0..k-1 of the index.
         lab = paths & (2 ** k - 1)
-        m_k = state[k, :, :n1]
-        y_k = state[k, :, n1:]
-        sqrt_theta = schedule.sqrt_thetas[k]
-
         cand = np.empty((d, M))
         for j in range(d):
             sums = np.bincount(lab, weights=values[j], minlength=2 ** k)
-            cont = (sums / 2 ** (n_steps - k))[lab]
-            fbar = effective_payoff_batch(modes, j, m_k, sqrt_theta, y_k, t, rule)
-            cand[j] = delta * fbar + cont
-
+            cand[j] = (sums / 2 ** (n_steps - k))[lab]
+        # The solver's step adds delta * fbar_j to each continuation.
+        _action_values(modes, rule, schedule.sqrt_thetas[k], float(grid.times[k]), delta, state[k], cand)
         values = (cand[None] - cost[:, :, None]).max(axis=1)
 
     # At time zero every path shares the initial state and group.

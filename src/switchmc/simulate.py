@@ -48,7 +48,7 @@ _CLIP_BLOCK = 2 ** 17
 _PATH_BLOCK = 1024
 # Version of the innovation streams, named in the manifest of a command that draws.
 _RNG_STREAM = "philox-step-block/2"
-# Floats of innovations in one chunk of steps, 2**15 (256 KiB); _step_draws keeps two chunks.
+# Floats of innovations in one chunk of steps, 2**15 (256 KiB); _step_draws keeps up to two chunks.
 _CHUNK = 2 ** 15
 
 
@@ -144,9 +144,9 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
     in the set draws its stream up to its last wanted position: a sparse id
     set costs up to B n2 normals a block a step.
 
-    Steps are drawn in chunks of L = max(1, _CHUNK // (M n2)) into a ring of
-    two C-contiguous (L, M, n2) buffers, and step k's array is a row of one
-    of them.  The first chunk is drawn here.  Each later one is drawn by one
+    Steps are drawn in chunks of L = max(1, min(n_steps, _CHUNK // (M n2)))
+    into a ring of min(2, chunks) C-contiguous (L, M, n2) buffers, and step
+    k's array is a row of one of them.  The first chunk is drawn here.  Each later one is drawn by one
     helper thread while the caller takes the chunk before it (numpy's
     normals release the GIL), and is handed over only once it is complete,
     so no value depends on thread timing.  The helper is joined when the
@@ -169,8 +169,9 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
         if rows[-1] - rows[0] == pos[-1] == len(rows) - 1 and (np.diff(pos) == 1).all():
             rows, pos = slice(rows[0], rows[-1] + 1), None
         groups.append((block, rows, pos))
-    steps = max(1, _CHUNK // max(1, len(ids) * n2))
-    ring, scratch = np.empty((2, steps, len(ids), n2)), np.empty((_PATH_BLOCK, n2))
+    steps = max(1, min(n_steps, _CHUNK // max(1, len(ids) * n2)))
+    n_chunks = -(-n_steps // steps)
+    ring, scratch = np.empty((min(2, n_chunks), steps, len(ids), n2)), np.empty((_PATH_BLOCK, n2))
     bitgen = np.random.Philox(key=np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64))
     gen, state = np.random.Generator(bitgen), bitgen.state
 
@@ -185,8 +186,8 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
                 else:  # drawn up to the last wanted position, then gathered
                     buf[rows] = gen.standard_normal(out=scratch[:pos.max() + 1])[pos]
 
-    n_chunks = -(-n_steps // steps)
-    draw(0)
+    if n_chunks:
+        draw(0)
     with ThreadPoolExecutor(1) as helper:  # its thread starts at the first submit
         for c in range(n_chunks):
             ahead = helper.submit(draw, c + 1) if c + 1 < n_chunks else None

@@ -121,21 +121,25 @@ class TestSimulatePaths:
                 assert np.array_equal(draws[k][row], expected)
 
     def test_draws_fill_a_ring_of_two_buffers(self, monkeypatch):
-        # Steps are drawn L = _CHUNK // (M n2) at a time into one of two
-        # fixed C-contiguous (L, M, n2) buffers, the same two whatever N,
-        # and step k's draws are row k % 2L of them: ids from a block's
-        # start are drawn straight in, a block's tail beside it and gathered.
-        for chunk, steps in ((3 * 70 * 2, 3), (simulate._CHUNK, simulate._CHUNK // 140)):
+        # Steps are drawn L = min(N, _CHUNK // (M n2)) at a time into one of
+        # min(2, chunks) fixed C-contiguous (L, M, n2) buffers, the same two
+        # whatever N beyond one chunk, and step k's draws are row k % 2L of
+        # them: ids from a block's start are drawn straight in, a block's
+        # tail beside it and gathered.  One chunk (N = 2 at 3 steps a chunk,
+        # every N at the default) takes one buffer of N steps.
+        for chunk in (3 * 70 * 2, simulate._CHUNK):
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
             for start in (0, _PATH_BLOCK - 30):
                 ids = range(start, start + 70)
                 for n_steps in (2, 7, 20):
+                    steps = min(n_steps, chunk // 140)
+                    slots = min(2, -(-n_steps // steps))
                     bufs = list(_step_draws(11, ids, n_steps, 2))
                     ring = bufs[0].base
-                    assert ring.shape == (2, steps, 70, 2) and ring.flags.c_contiguous
+                    assert ring.shape == (slots, steps, 70, 2) and ring.flags.c_contiguous
                     assert all(buf.base is ring and buf.flags.c_contiguous for buf in bufs)
                     rows = [(buf.ctypes.data - ring.ctypes.data) / buf.nbytes for buf in bufs]
-                    assert rows == [k % (2 * steps) for k in range(n_steps)]
+                    assert rows == [k % (slots * steps) for k in range(n_steps)]
                     fresh = [buf.copy() for buf in _step_draws(11, ids, n_steps, 2)]
                     assert not np.array_equal(fresh[0], fresh[1])
 
@@ -306,6 +310,21 @@ class TestPathEnsemble:
         finally:
             tracemalloc.stop()
         assert peak <= ensemble.z_paths.nbytes + 2 ** 20
+
+    def test_one_chunk_of_draws_takes_one_buffer_of_its_steps(self):
+        # A one-path ensemble at N = 200 is 3.2 KB of paths, and its 200
+        # steps are one chunk, drawn into one (200, 1, 1) buffer.  Two
+        # buffers of _CHUNK // (M n2) = 32 768 steps each peaked at 535 KiB.
+        model, _ = make_benchmark(n_steps=200)
+        schedule = solve_riccati(model, model.grid)
+        build_ensemble(model, model.grid, schedule, 1, seed=1)
+        tracemalloc.start()
+        try:
+            build_ensemble(model, model.grid, schedule, 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
 
     def test_off_box_paths_take_the_cells_of_their_clipped_points(self, bench20):
         # The outer cells extend past the box: the observation 0.5 lies in
