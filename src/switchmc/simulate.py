@@ -186,8 +186,7 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
                 else:  # drawn up to the last wanted position, then gathered
                     buf[rows] = gen.standard_normal(out=scratch[:pos.max() + 1])[pos]
 
-    if n_chunks:
-        draw(0)
+    draw(0)
     with ThreadPoolExecutor(1) as helper:  # its thread starts at the first submit
         for c in range(n_chunks):
             ahead = helper.submit(draw, c + 1) if c + 1 < n_chunks else None

@@ -119,17 +119,19 @@ def test_main_alternates_sides_and_writes_every_run(monkeypatch, tmp_path):
     def fake_run_side(checkout, workload, seed, seconds, trace):
         side = "parent" if checkout.name == "parent" else "change"
         calls.append((side, workload, trace))
+        assert seconds == SPEC["run_seconds"]
         value = 0.130 if side == "parent" else 0.120
         return {"git_sha": side}, result(value + 0.001 * len(calls) / 100)
 
     monkeypatch.setattr(pb, "run_side", fake_run_side)
+    monkeypatch.setattr(pb, "ROOT", tmp_path)
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(SPEC))
     assert pb.main([
         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
         "--workload", "replay_custom", "--workload", "bench1d", "--seed", "11", "--pairs", "4",
-        "--name", "canned", "--claim", "replay_custom.solve_s", "--out-dir", str(tmp_path),
+        "--name", "canned", "--claim", "replay_custom.solve_s",
     ]) == 0
     sides = [side for side, _, _ in calls]
     assert sides == ["parent", "change", "change", "parent"] * 4

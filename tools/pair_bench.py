@@ -5,8 +5,8 @@ Usage (from the repository root):
     python3 tools/pair_bench.py --parent ../parent --change . --workload replay_custom \
         --seed 11 --pairs 10 --name forward_pass --claim replay_custom.solve_s
 
-Pair i runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each checkout, each in a fresh process from that checkout's own
+Pair i runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+T being BENCHMARK.json's ``run_seconds``, once in each checkout, each in a fresh process from that checkout's own
 files: the parent first in odd pairs, the change first in even ones.
 ``--workload`` may be given more than once; its pairs run one workload
 after another.  ``--traced-pairs K`` then runs K pairs a workload with
@@ -51,11 +51,9 @@ def parse_args(argv=None):
     p.add_argument("--workload", required=True, action="append", help="perfbench workload; repeatable")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=16.0)
     p.add_argument("--traced-pairs", type=int, default=0, help="pairs with --trace 1 after the untraced ones")
     p.add_argument("--name", required=True, help="the output is BENCH_<name>.json")
     p.add_argument("--claim", action="append", default=[], help="WORKLOAD.METRIC claimed better; repeatable")
-    p.add_argument("--out-dir", type=Path, default=ROOT)
     return p.parse_args(argv)
 
 
@@ -172,11 +170,11 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    path = args.out_dir / f"BENCH_{args.name}.json"
+    path, seconds = ROOT / f"BENCH_{args.name}.json", spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {
         "label": args.name,
-        "perfbench": f"perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
+        "perfbench": f"perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} "
                      "--trace T, in each checkout",
         "claims": args.claim,
         "env": {},
@@ -186,8 +184,9 @@ def main(argv=None) -> int:
         for workload in args.workload:
             for pair in range(1, pairs + 1):
                 for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                    env, result = run_side(checkouts[side], workload, args.seed, args.seconds, trace)
-                    report["env"].setdefault(side, env)
+                    env, result = run_side(checkouts[side], workload, args.seed, seconds, trace)
+                    if env is not None:
+                        report["env"].setdefault(side, env)
                     report["runs"].append(
                         {"trace": trace, "pair": pair, "workload": workload, "side": side, "result": result})
                     key = "traced" if trace else "untraced"
