@@ -308,8 +308,8 @@ def effective_payoff_batch(
     its value at the mean; other payoffs go through the quadrature rule, a
     block of rows at a time so one payoff call sees at most 2^18 points,
     given node-major: (n_nodes, rows, n1) and (n_nodes, rows, n2) in,
-    (n_nodes, rows) out.  Finiteness is checked on the rows sums, not on the
-    n_nodes x rows values, which is exact (see ``_payoff_values``)."""
+    (n_nodes, rows) out.  Finiteness is checked on the sums, one a row, not on
+    the n_nodes x rows values, which is exact (see ``_payoff_values``)."""
     m_batch = np.asarray(m_batch, dtype=float)
     y_batch = np.asarray(y_batch, dtype=float)
     if y_batch.ndim != 2 or m_batch.shape != (len(y_batch), len(sqrt_theta)):

@@ -145,13 +145,13 @@ def _step_draws(seed: int, path_ids: Sequence[int], n_steps: int, n2: int):
     set costs up to B n2 normals a block a step.
 
     Steps are drawn in chunks of L = max(1, min(n_steps, _CHUNK // (M n2)))
-    into a ring of min(2, chunks) C-contiguous (L, M, n2) buffers, and step
-    k's array is a row of one of them.  The first chunk is drawn here.  Each later one is drawn by one
-    helper thread while the caller takes the chunk before it (numpy's
-    normals release the GIL), and is handed over only once it is complete,
-    so no value depends on thread timing.  The helper is joined when the
-    generator ends, is closed or raises, and an error raised in it is raised
-    here, at the first step of its chunk.
+    into a ring of min(2, chunks) C-contiguous (L, M, n2) buffers; step k's
+    array is a row of one.  The first chunk is drawn here.  Each later one
+    is drawn by one helper thread while the caller takes the chunk before it
+    (numpy's normals release the GIL), and is handed over only once it is
+    complete, so no value depends on thread timing.  The helper is joined
+    when the generator ends, is closed or raises, and an error raised in it
+    is raised here, at the first step of its chunk.
     """
     # Imported here: at the top it would add its logging import, ~2.6 ms, to `import switchmc`.
     from concurrent.futures import ThreadPoolExecutor
