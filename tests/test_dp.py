@@ -411,7 +411,7 @@ class TestTieBreaking:
     @pytest.mark.parametrize("d", (2, 3, 5))
     def test_mode_loop_matches_the_mask_argmax(self, d):
         # The smallest maximiser is found a mode at a time; it must be the
-        # first True of the (d, P) equality mask.  Values drawn from three
+        # first True of the (d, P) equality mask.  Values drawn from a few
         # levels force ties of every pattern, and -0.0 ties with 0.0; +inf
         # and -inf tie with themselves, and a column holding a NaN has a NaN
         # max that no mode equals, so it takes mode 0.
